@@ -655,6 +655,47 @@ impl Term {
             _ => self.clone(),
         }
     }
+
+    /// The rigid constant heading this term's application spine, if any,
+    /// found without materializing the argument list.
+    pub fn rigid_head(&self) -> Option<&Sym> {
+        let mut head = self;
+        while let Term::App(f, _) = head {
+            head = f.term();
+        }
+        match head {
+            Term::Const(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// Shallow argument fingerprint of a term headed by a constant: for
+    /// each spine argument, its [`Term::rigid_head`] (`None` is a
+    /// wildcard). Empty when the term is not headed by a constant. Checked
+    /// against a subject's spine arguments by [`fingerprint_admits`].
+    pub fn arg_fingerprint(&self) -> Vec<Option<Sym>> {
+        match self.spine() {
+            (Term::Const(_), args) => args.iter().map(|a| a.rigid_head().cloned()).collect(),
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// Whether a pattern's shallow argument fingerprint (see
+/// [`Term::arg_fingerprint`]) admits a subject's spine arguments. Only a
+/// position holding different rigid constants on the two sides is
+/// rejected. That makes skipping sound: substitution and βη-conversion
+/// never change the head constant of an application spine, so an argument
+/// headed by `c` can only unify with (or match) an argument headed by `c`
+/// or by something flexible. Arities are not compared: a mismatch is a
+/// typing error, left for the unifier or matcher to report.
+pub fn fingerprint_admits(fp: &[Option<Sym>], args: &[&Term]) -> bool {
+    fp.iter()
+        .zip(args)
+        .all(|(want, arg)| match (want, arg.rigid_head()) {
+            (Some(c), Some(d)) => c == d,
+            _ => true,
+        })
 }
 
 impl PartialEq for Term {

@@ -2,7 +2,7 @@
 
 use hoas_core::parse::{parse_term_with, MetaTable};
 use hoas_core::sig::Signature;
-use hoas_core::term::MetaEnv;
+use hoas_core::term::{fingerprint_admits, MetaEnv};
 use hoas_core::{MVar, Sym, Term, Ty};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -265,11 +265,16 @@ struct PredIndex {
 pub struct Program {
     sig: Signature,
     clauses: Vec<Clause>,
-    /// First-argument-free indexing: clause positions and body callees
-    /// per head predicate. Clauses whose head is not headed by a constant
-    /// (ill-formed; rejected by `hoas-analyze` as HA011) are unindexed —
-    /// backchaining can never select them, so dropping them from every
-    /// bucket preserves solver behavior exactly.
+    /// Per clause (parallel to `clauses`), the shallow argument
+    /// fingerprint of its head ([`Term::arg_fingerprint`]): the solver
+    /// skips a clause whose fingerprint rejects the call's arguments
+    /// before renaming it apart or snapshotting any state.
+    fingerprints: Vec<Vec<Option<Sym>>>,
+    /// Clause positions and body callees per head predicate. Clauses
+    /// whose head is not headed by a constant (ill-formed; rejected by
+    /// `hoas-analyze` as HA011) are unindexed — backchaining can never
+    /// select them, so dropping them from every bucket preserves solver
+    /// behavior exactly.
     by_pred: HashMap<Sym, PredIndex>,
     /// Predicates that some clause body extends hypothetically (appear
     /// as the head of a `⇒`-assumed clause). Their program buckets are
@@ -309,6 +314,7 @@ impl Program {
         Program {
             sig,
             clauses: Vec::new(),
+            fingerprints: Vec::new(),
             by_pred: HashMap::new(),
             hyp_heads: BTreeSet::new(),
         }
@@ -323,6 +329,7 @@ impl Program {
             entry.clauses.push(self.clauses.len());
             entry.callees.extend(calls);
         }
+        self.fingerprints.push(clause.head.arg_fingerprint());
         self.clauses.push(clause);
         self
     }
@@ -350,6 +357,14 @@ impl Program {
     /// choice points store these indices instead of cloned clauses.
     pub fn clause_indices_for(&self, pred: &Sym) -> &[usize] {
         self.by_pred.get(pred).map_or(&[], |e| &e.clauses)
+    }
+
+    /// Whether clause `i`'s head fingerprint admits a call with spine
+    /// arguments `args` — `false` only when some argument position holds
+    /// different rigid constants in the call and the head, so the two
+    /// cannot unify (see [`hoas_core::term::fingerprint_admits`]).
+    pub fn clause_admits(&self, i: usize, args: &[&Term]) -> bool {
+        fingerprint_admits(&self.fingerprints[i], args)
     }
 
     /// The predicates with at least one indexed clause.

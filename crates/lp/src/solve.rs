@@ -26,7 +26,7 @@ use crate::cert::ProgramCert;
 use crate::program::{Clause, Goal, Program};
 use crate::table::{EntryState, SolveTables, TableAnswer, TableEntry, TableMode, TableStats};
 use hoas_core::sig::Signature;
-use hoas_core::term::MetaEnv;
+use hoas_core::term::{fingerprint_admits, MetaEnv};
 use hoas_core::{MVar, Sym, Term, TermRef, Ty};
 use hoas_unify::pattern;
 use hoas_unify::problem::Constraint;
@@ -244,10 +244,17 @@ struct St {
     next_eigen: u32,
     level: u32,
     sol: MetaSubst,
-    /// Stack-scoped hypothetical clauses, each paired with its
-    /// precomputed head predicate so candidate selection need not re-walk
-    /// the head spine per atom.
-    locals: Vec<(Clause, Option<Sym>)>,
+    /// Stack-scoped hypothetical clauses, newest last.
+    locals: Vec<Rc<Local>>,
+}
+
+/// A hypothetical clause in scope, with the head predicate and argument
+/// fingerprint precomputed when it is assumed, so candidate selection
+/// need not re-walk the head spine per call.
+struct Local {
+    clause: Clause,
+    pred: Option<Sym>,
+    fingerprint: Vec<Option<Sym>>,
 }
 
 /// The current and-branch: proof state, remaining goals, remaining
@@ -578,7 +585,7 @@ impl<'a> Machine<'a> {
                     let Some(f) = frames.last_mut() else {
                         return Ok(cut);
                     };
-                    match self.advance(f, consumed)? {
+                    match self.advance(f)? {
                         Some(nb) => {
                             cur = Some(nb);
                             continue 'machine;
@@ -631,8 +638,11 @@ impl<'a> Machine<'a> {
                         if !d.vars.is_empty() {
                             return Err(LpError::LocalClauseWithVars(d.to_string()));
                         }
-                        let head = d.head_pred().cloned();
-                        b.st.locals.push((*d, head));
+                        b.st.locals.push(Rc::new(Local {
+                            pred: d.head_pred().cloned(),
+                            fingerprint: d.head.arg_fingerprint(),
+                            clause: *d,
+                        }));
                         b.work.push(Work::PopClause);
                         b.work.push(Work::G(*g));
                     }
@@ -716,11 +726,7 @@ impl<'a> Machine<'a> {
 
     /// Advances a choice point to its next viable alternative,
     /// producing the branch to run, or `None` when the frame is dry.
-    fn advance(
-        &mut self,
-        f: &mut Frame,
-        _consumed: &mut [TermRef],
-    ) -> Result<Option<Branch>, LpError> {
+    fn advance(&mut self, f: &mut Frame) -> Result<Option<Branch>, LpError> {
         match &mut f.alts {
             Alts::Clauses {
                 atom,
@@ -732,7 +738,7 @@ impl<'a> Machine<'a> {
                     let cand = candidates[*next];
                     *next += 1;
                     let clause: &Clause = match cand {
-                        Candidate::Local(i) => &f.st.locals[i].0,
+                        Candidate::Local(i) => &f.st.locals[i].clause,
                         Candidate::Prog(i) => &self.prog.clauses()[i],
                     };
                     let mut st2 = f.st.clone();
@@ -853,12 +859,11 @@ impl<'a> Machine<'a> {
         if let Some(commit) = commit_positions(self.cert, &b.st, &pred, &atom.spine().1) {
             return self.step_committed(b, atom, pred, target, commit);
         }
-        self.push_clause_frame(b, atom, pred, target, frames);
-        Ok(Step::Chose)
+        Ok(self.push_clause_frame(b, atom, pred, target, frames))
     }
 
     /// Pushes an ordinary clause-resolution choice point over the
-    /// branch.
+    /// branch, or fails it outright when no clause can match.
     fn push_clause_frame(
         &mut self,
         mut b: Branch,
@@ -866,26 +871,34 @@ impl<'a> Machine<'a> {
         pred: Sym,
         target: Ty,
         frames: &mut Vec<Frame>,
-    ) {
-        push_mode_exit(self.cert, &mut b.work, &pred, &atom, &atom.spine().1);
-        // Local clauses first (newest first, filtered by their
-        // precomputed head predicate), then the program's bucket for
-        // this predicate — O(locals + bucket), not a scan over every
-        // program clause.
+    ) -> Step {
+        let args = atom.spine().1;
+        // Local clauses first (newest first), then the program's bucket
+        // for this predicate — O(locals + bucket), not a scan over every
+        // program clause. Both are filtered by head predicate and
+        // argument fingerprint, so a clause with a clashing rigid
+        // argument never costs a snapshot, a renaming or a unification.
         let mut candidates: Vec<Candidate> =
             b.st.locals
                 .iter()
                 .enumerate()
                 .rev()
-                .filter(|(_, (_, p))| p.as_ref() == Some(&pred))
+                .filter(|(_, l)| {
+                    l.pred.as_ref() == Some(&pred) && fingerprint_admits(&l.fingerprint, &args)
+                })
                 .map(|(i, _)| Candidate::Local(i))
                 .collect();
         candidates.extend(
             self.prog
                 .clause_indices_for(&pred)
                 .iter()
+                .filter(|&&i| self.prog.clause_admits(i, &args))
                 .map(|&i| Candidate::Prog(i)),
         );
+        if candidates.is_empty() {
+            return Step::Fail;
+        }
+        push_mode_exit(self.cert, &mut b.work, &pred, &atom, &args);
         frames.push(Frame {
             st: b.st,
             work: b.work,
@@ -897,6 +910,7 @@ impl<'a> Machine<'a> {
                 next: 0,
             },
         });
+        Step::Chose
     }
 
     /// The committed-choice fast path: the predicate's program clause
@@ -923,9 +937,14 @@ impl<'a> Machine<'a> {
         target: Ty,
         commit: &[usize],
     ) -> Result<Step, LpError> {
-        push_mode_exit(self.cert, &mut b.work, &pred, &atom, &atom.spine().1);
-        let clauses: Vec<&Clause> = self.prog.clauses_for(&pred).collect();
+        let args = atom.spine().1;
+        push_mode_exit(self.cert, &mut b.work, &pred, &atom, &args);
+        let indices = self.prog.clause_indices_for(&pred);
+        let clauses: Vec<&Clause> = indices.iter().map(|&i| &self.prog.clauses()[i]).collect();
         for (ci, clause) in clauses.iter().enumerate() {
+            if !self.prog.clause_admits(indices[ci], &args) {
+                continue;
+            }
             let (head, body) = freshen(&mut b.st, clause);
             let head = b.st.sol.apply(&head);
             match unify_heads(&b.st, &target, &atom, &head) {
@@ -1022,8 +1041,7 @@ impl<'a> Machine<'a> {
         let Some((key, canonical, call_tys)) = canonicalize_call(&b.st, &atom) else {
             // An untyped residual meta (cannot replay soundly): fall
             // back to plain resolution.
-            self.push_clause_frame(b, atom, pred, target, frames);
-            return Ok(Step::Chose);
+            return Ok(self.push_clause_frame(b, atom, pred, target, frames));
         };
         let state = self
             .tables
@@ -1047,8 +1065,7 @@ impl<'a> Machine<'a> {
                 if self.nest >= TABLE_NEST_CAP {
                     // Too many distinct in-flight variants on the host
                     // stack: resolve this one the ordinary way.
-                    self.push_clause_frame(b, atom, pred, target, frames);
-                    return Ok(Step::Chose);
+                    return Ok(self.push_clause_frame(b, atom, pred, target, frames));
                 }
                 self.stats.variant_misses += 1;
                 self.run_generator(&key, &pred, &canonical, &call_tys, cut, consumed)?;
@@ -1300,7 +1317,7 @@ fn commit_positions<'c>(
 ) -> Option<&'c [usize]> {
     let verdict = cert?.verdict(pred)?;
     let commit = verdict.commit.as_deref()?;
-    if st.locals.iter().any(|(_, p)| p.as_ref() == Some(pred)) {
+    if st.locals.iter().any(|l| l.pred.as_ref() == Some(pred)) {
         return None;
     }
     commit

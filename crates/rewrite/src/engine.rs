@@ -40,7 +40,7 @@
 use crate::rule::{RewriteError, Rule, RuleSet};
 use hoas_core::ctx::Ctx;
 use hoas_core::sig::Signature;
-use hoas_core::term::{Head, MetaEnv, TermRef};
+use hoas_core::term::{fingerprint_admits, MetaEnv, TermRef};
 use hoas_core::{normalize, store, typeck, NodeId, Sym, Term, Ty};
 use hoas_unify::classify::PatternClass;
 use hoas_unify::matching::{match_pattern, match_term, MatchConfig};
@@ -652,18 +652,10 @@ impl<'a> Engine<'a> {
         ty: &Ty,
         t: &Term,
     ) -> Result<Option<(Term, String, MatchPath)>, RewriteError> {
-        // Discrimination key: the subject's rigid head constant, found by
-        // walking the application spine without materializing the
-        // argument list — most positions have no candidate rules at all,
-        // and the allocation would be wasted.
-        let mut head = t;
-        while let Term::App(f, _) = head {
-            head = f.term();
-        }
-        let subject_head = match head {
-            Term::Const(c) => Some(c),
-            _ => None,
-        };
+        // Discrimination key: the subject's rigid head constant, found
+        // without materializing the argument list — most positions have
+        // no candidate rules at all, and the allocation would be wasted.
+        let subject_head = t.rigid_head();
         // Spine arguments, materialized lazily for the first candidate
         // that carries a shallow fingerprint.
         let mut subject_args: Option<Vec<&Term>> = None;
@@ -672,7 +664,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             if !rule.arg_fingerprint().is_empty() {
-                let args = subject_args.get_or_insert_with(|| spine_args(t));
+                let args = subject_args.get_or_insert_with(|| t.spine().1);
                 if !fingerprint_admits(rule.arg_fingerprint(), args) {
                     continue;
                 }
@@ -1091,39 +1083,6 @@ impl<'a> Engine<'a> {
             }
         }
     }
-}
-
-/// Whether a rule's shallow argument fingerprint admits the subject's
-/// spine arguments. Only rigid-constant-vs-rigid-constant disagreements
-/// are rejected — everything else defers to the matcher — so skipping is
-/// sound: a canonical pattern argument with rigid head `c` can only match
-/// a canonical subject argument with the same rigid head.
-/// Spine arguments of a neutral term, outermost application last.
-fn spine_args(t: &Term) -> Vec<&Term> {
-    let mut args = Vec::new();
-    let mut cur = t;
-    while let Term::App(f, a) = cur {
-        args.push(a.term());
-        cur = f.term();
-    }
-    args.reverse();
-    args
-}
-
-fn fingerprint_admits(fp: &[Option<Sym>], args: &[&Term]) -> bool {
-    if fp.is_empty() {
-        return true;
-    }
-    if fp.len() != args.len() {
-        return false;
-    }
-    fp.iter().zip(args).all(|(want, arg)| match want {
-        None => true,
-        Some(c) => match arg.head_spine() {
-            Some((Head::Const(d), _)) => *c == d,
-            _ => true,
-        },
-    })
 }
 
 #[cfg(test)]

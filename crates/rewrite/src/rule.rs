@@ -196,19 +196,8 @@ impl Rule {
             .map_err(|e| bad(format!("lhs ill-typed at `{ty}`: {e}")))?;
         let rhs = normalize::canon(sig, &menv, &ctx, &rhs, &ty)
             .map_err(|e| bad(format!("rhs ill-typed at `{ty}`: {e}")))?;
-        let (head, fingerprint) = match lhs.head_spine() {
-            Some((hoas_core::term::Head::Const(c), args)) => {
-                let fp = args
-                    .iter()
-                    .map(|a| match a.head_spine() {
-                        Some((hoas_core::term::Head::Const(c), _)) => Some(c),
-                        _ => None,
-                    })
-                    .collect();
-                (Some(c), fp)
-            }
-            _ => (None, Vec::new()),
-        };
+        let head = lhs.rigid_head().cloned();
+        let fingerprint = lhs.arg_fingerprint();
         let class = classify(&lhs);
         Ok(Rule {
             name: name.to_string(),
@@ -250,11 +239,12 @@ impl Rule {
     /// Shallow argument fingerprint of the lhs spine, nonempty only when
     /// the lhs is neutral with a constant head: entry `i` is `Some(c)`
     /// when spine argument `i` is itself neutral with rigid head constant
-    /// `c`, `None` otherwise (a wildcard). A rigid constant head in a
-    /// canonical pattern argument can only match a subject argument with
-    /// the same rigid head, so the engine skips the full match when a
-    /// `Some` entry disagrees with the subject's corresponding argument
-    /// head.
+    /// `c`, `None` otherwise (a wildcard); see
+    /// [`Term::arg_fingerprint`](hoas_core::Term::arg_fingerprint). A
+    /// rigid constant head in a pattern argument can only match a subject
+    /// argument with the same rigid head, so the engine skips the full
+    /// match when [`hoas_core::term::fingerprint_admits`] rejects the
+    /// subject's spine arguments.
     pub fn arg_fingerprint(&self) -> &[Option<hoas_core::Sym>] {
         &self.fingerprint
     }

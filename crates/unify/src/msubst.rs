@@ -67,6 +67,8 @@ impl MetaSubst {
             !solution.metas().contains(&m),
             "MetaSubst::bind: solution for {m} mentions itself"
         );
+        // Only bindings that mention `m` change; `apply` hands the rest
+        // back as the same nodes, with no store lookups.
         let mut single = MetaSubst::new();
         single.map.insert(m.clone(), solution.clone());
         for v in self.map.values_mut() {
@@ -75,16 +77,29 @@ impl MetaSubst {
         self.map.insert(m, solution);
     }
 
+    /// Whether some metavariable solved here occurs in `t`. Walks only
+    /// the subterms that contain metavariables (cached annotation).
+    pub(crate) fn occurs_in(&self, t: &Term) -> bool {
+        if self.map.is_empty() || !t.has_metas() {
+            return false;
+        }
+        match t {
+            Term::Meta(m) => self.map.contains_key(m),
+            Term::Lam(_, b) | Term::Fst(b) | Term::Snd(b) => self.occurs_in(b),
+            Term::App(a, b) | Term::Pair(a, b) => self.occurs_in(a) || self.occurs_in(b),
+            Term::Var(_) | Term::Const(_) | Term::Int(_) | Term::Unit => false,
+        }
+    }
+
     /// Applies the substitution to a term and β-normalizes the result.
     ///
     /// Metavariables without a solution are left in place. Solutions are
     /// shifted by the binder depth at each occurrence (solutions live in
-    /// ambient scope).
+    /// ambient scope). Subterms the substitution does not reach are kept
+    /// as the same nodes: a β-normal term mentioning no solved
+    /// metavariable comes back as itself, with no store work at all.
     pub fn apply(&self, t: &Term) -> Term {
-        // A term without metavariables is untouched by grafting, and if it
-        // is already β-normal the trailing normalization is the identity
-        // too — O(1) thanks to the cached annotations.
-        if self.map.is_empty() || (!t.has_metas() && t.is_beta_normal()) {
+        if self.map.is_empty() {
             return t.clone();
         }
         // Graft, then β-normalize. The trailing `nf` is the kernel's
@@ -96,34 +111,44 @@ impl MetaSubst {
         // and lost: it forfeits the cached `max_free`/`beta_normal`
         // guards and the memo, which beat avoided interning of the
         // transient spine — see DESIGN §7.)
-        let grafted = self.graft(t, 0);
-        normalize::nf(&grafted)
+        match self.graft(t, 0) {
+            Some(grafted) => normalize::nf(&grafted),
+            None if t.is_beta_normal() => t.clone(),
+            None => normalize::nf(t),
+        }
     }
 
-    fn graft(&self, t: &Term, depth: u32) -> Term {
+    /// Replaces solved metavariables in `t` (at binder depth `depth`),
+    /// or `None` when none occurs — the caller then keeps `t` itself.
+    fn graft(&self, t: &Term, depth: u32) -> Option<Term> {
         if !t.has_metas() {
-            return t.clone();
+            return None;
         }
         match t {
-            Term::Meta(m) => match self.map.get(m) {
-                Some(sol) => subst::shift(sol, depth),
-                None => t.clone(),
-            },
-            Term::Var(_) | Term::Const(_) | Term::Int(_) | Term::Unit => t.clone(),
-            Term::Lam(h, b) => Term::lam(h.clone(), self.graft_ref(b, depth + 1)),
-            Term::App(f, a) => Term::app(self.graft_ref(f, depth), self.graft_ref(a, depth)),
-            Term::Pair(a, b) => Term::pair(self.graft_ref(a, depth), self.graft_ref(b, depth)),
-            Term::Fst(p) => Term::fst(self.graft_ref(p, depth)),
-            Term::Snd(p) => Term::snd(self.graft_ref(p, depth)),
+            Term::Meta(m) => self.map.get(m).map(|sol| subst::shift(sol, depth)),
+            Term::Var(_) | Term::Const(_) | Term::Int(_) | Term::Unit => None,
+            Term::Lam(h, b) => Some(Term::lam(h.clone(), self.graft_ref(b, depth + 1)?)),
+            Term::App(f, a) => self.graft_pair(f, a, depth).map(|(f, a)| Term::app(f, a)),
+            Term::Pair(a, b) => self.graft_pair(a, b, depth).map(|(a, b)| Term::pair(a, b)),
+            Term::Fst(p) => Some(Term::fst(self.graft_ref(p, depth)?)),
+            Term::Snd(p) => Some(Term::snd(self.graft_ref(p, depth)?)),
         }
     }
 
-    /// Grafts into a shared subterm, preserving the `Arc` when meta-free.
-    fn graft_ref(&self, t: &TermRef, depth: u32) -> TermRef {
-        if !t.has_meta() {
-            t.clone()
-        } else {
-            TermRef::new(self.graft(t.term(), depth))
+    /// Grafts into a shared subterm; `None` when it is unchanged.
+    fn graft_ref(&self, t: &TermRef, depth: u32) -> Option<TermRef> {
+        self.graft(t.term(), depth).map(TermRef::new)
+    }
+
+    /// Grafts into two sibling subterms; `None` when both are unchanged,
+    /// otherwise the unchanged one is kept as the same node.
+    fn graft_pair(&self, a: &TermRef, b: &TermRef, depth: u32) -> Option<(TermRef, TermRef)> {
+        match (self.graft_ref(a, depth), self.graft_ref(b, depth)) {
+            (None, None) => None,
+            (a2, b2) => Some((
+                a2.unwrap_or_else(|| a.clone()),
+                b2.unwrap_or_else(|| b.clone()),
+            )),
         }
     }
 

@@ -55,6 +55,7 @@ pub fn unify_constraints(
         sig,
         gen: MetaGen::new(menv.clone()),
         sol: MetaSubst::new(),
+        inputs: constraints.len(),
         work: constraints,
         fuel: DEFAULT_FUEL,
     };
@@ -355,7 +356,9 @@ pub(crate) fn flex_flex_diff(
 }
 
 /// Decomposes a constraint one step given already-resolved (canonical)
-/// sides, pushing subconstraints onto `work`.
+/// sides, pushing subconstraints onto `work`. The sides of every pushed
+/// subconstraint are canonical too, and mention no metavariable solved in
+/// `sol` when the step began.
 ///
 /// This is shared between the pattern solver (which *requires* flexible
 /// pairs to be patterns) and the Huet engine (which collects non-pattern
@@ -529,14 +532,21 @@ fn rigid_rigid(
         }
         _ => match (&left, &right) {
             (Term::Fst(p), Term::Fst(q)) | (Term::Snd(p), Term::Snd(q)) => {
+                // A projected neutral is not η-long at its product type:
+                // canonicalize it so that, like every other sub-constraint
+                // pushed here, both sides are canonical.
                 let pty = hoas_core::typeck::synth(sig, &gen.menv, &ctx, p)
                     .map_err(UnifyError::IllTyped)?;
+                let canon = |t: &Term| {
+                    normalize::canon(sig, &gen.menv, &ctx, t, &pty).map_err(UnifyError::IllTyped)
+                };
+                let (left, right) = (canon(p)?, canon(q)?);
                 work.push(Constraint {
                     ctx,
                     local,
                     ty: pty,
-                    left: p.as_ref().clone(),
-                    right: q.as_ref().clone(),
+                    left,
+                    right,
                 });
                 Ok(())
             }
@@ -551,7 +561,11 @@ struct Solver<'s> {
     sig: &'s hoas_core::sig::Signature,
     gen: MetaGen,
     sol: MetaSubst,
+    /// Constraint stack. Entries below `inputs` are the caller's
+    /// constraints, not yet canonicalized; everything above was pushed by
+    /// [`decompose_step`] and has canonical sides.
     work: Vec<Constraint>,
+    inputs: usize,
     fuel: u64,
 }
 
@@ -562,8 +576,16 @@ impl Solver<'_> {
                 return Err(UnifyError::BudgetExhausted);
             }
             self.fuel -= 1;
-            let left = resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, &c.left)?;
-            let right = resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, &c.right)?;
+            // An input constraint is canonicalized once. A decomposed one
+            // is canonical already (the subterms of a canonical term are
+            // canonical at their types) and only needs re-resolving when
+            // it mentions a metavariable solved since it was pushed.
+            let raw = self.work.len() < self.inputs;
+            if raw {
+                self.inputs = self.work.len();
+            }
+            let left = self.resolve(raw, &c, &c.left)?;
+            let right = self.resolve(raw, &c, &c.right)?;
             // In the pure pattern solver, any stuck pair is a NotPattern
             // failure.
             let mut stuck = |c: Constraint| {
@@ -587,6 +609,19 @@ impl Solver<'_> {
             )?;
         }
         Ok(())
+    }
+
+    fn resolve(&self, raw: bool, c: &Constraint, side: &Term) -> Result<Term, UnifyError> {
+        if raw || self.sol.occurs_in(side) {
+            resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side)
+        } else {
+            debug_assert_eq!(
+                resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side).ok(),
+                Some(side.clone()),
+                "decomposed side `{side}` is not canonical"
+            );
+            Ok(side.clone())
+        }
     }
 }
 

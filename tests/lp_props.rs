@@ -3,7 +3,9 @@
 //! Hindley–Milner implementation (`hoas_langs::miniml_types`) on the pure
 //! λ-fragment: both must agree on typability *and* on the principal type
 //! up to renaming — two completely different implementations of the same
-//! judgment, one of which has no context machinery at all.
+//! judgment, one of which has no context machinery at all. CBV `eval` of
+//! Church arithmetic is checked against named-AST normalization the same
+//! way, and the solver's clause filter against the pattern unifier.
 
 use hoas::langs::lambda::{self, LTerm};
 use hoas::langs::miniml::Exp;
@@ -11,9 +13,10 @@ use hoas::langs::miniml_types::{self, MlTy};
 use hoas::lp::examples::{self, stlc_program};
 use hoas::lp::solve::{query_menv, solve, solve_certified, SolveConfig};
 use hoas::lp::{Clause, CutBy, Goal, LpError, Program};
+use hoas::unify::pattern;
 use hoas_core::sig::Signature;
-use hoas_core::term::MetaEnv;
-use hoas_core::{MVar, Term, Ty};
+use hoas_core::term::{fingerprint_admits, MetaEnv};
+use hoas_core::{MVar, Term, Ty, TyScheme};
 use hoas_testkit::gen;
 use hoas_testkit::prelude::*;
 use std::collections::HashMap;
@@ -90,12 +93,139 @@ fn to_lp_syntax(t: &LTerm) -> String {
     }
 }
 
+/// Replaces one variable occurrence `x` of `t` (the `k`-th, modulo the
+/// number of occurrences) by the self-application `x x`, which no simple
+/// type admits.
+fn self_apply_var(t: &LTerm, k: usize) -> LTerm {
+    fn count(t: &LTerm) -> usize {
+        match t {
+            LTerm::Var(_) => 1,
+            LTerm::Lam(_, b) => count(b),
+            LTerm::App(f, a) => count(f) + count(a),
+        }
+    }
+    fn go(t: &LTerm, k: &mut usize) -> LTerm {
+        match t {
+            LTerm::Var(_) => {
+                let hit = *k == 0;
+                *k = k.wrapping_sub(1);
+                if hit {
+                    LTerm::app(t.clone(), t.clone())
+                } else {
+                    t.clone()
+                }
+            }
+            LTerm::Lam(x, b) => LTerm::lam(x.clone(), go(b, k)),
+            LTerm::App(f, a) => {
+                let f = go(f, k);
+                LTerm::app(f, go(a, k))
+            }
+        }
+    }
+    go(t, &mut (k % count(t)))
+}
+
+/// Church arithmetic: `add`/`mul` trees of depth at most `depth` over
+/// numerals 0–3, with the value they denote.
+fn gen_church(rng: &mut SmallRng, depth: u32) -> (LTerm, u32) {
+    if depth == 0 || rng.gen_bool(0.4) {
+        let n = rng.gen_range(0..4u32);
+        return (lambda::church(n), n);
+    }
+    let (a, va) = gen_church(rng, depth - 1);
+    let (b, vb) = gen_church(rng, depth - 1);
+    if rng.gen_bool(0.5) {
+        (LTerm::app(LTerm::app(lambda::church_add(), a), b), va + vb)
+    } else {
+        (LTerm::app(LTerm::app(lambda::church_mul(), a), b), va * vb)
+    }
+}
+
+/// Generates an argument term for one of the bundled programs from the
+/// grammar `ty` (`tm`, `tp`, or the `i` terms of `list`s and `nat`s):
+/// constructors, bound variables under `lam`, the eigenvariables
+/// `x#0`/`x#1` (at `tm`), and — outside binders — fresh metavariables
+/// recorded in `menv` from id 100 up (clause variables use the low ids,
+/// so the two sides are renamed apart).
+fn gen_arg(rng: &mut SmallRng, ty: &str, depth: u32, bound: u32, menv: &mut MetaEnv) -> Term {
+    if bound == 0 && rng.gen_bool(0.2) {
+        let m = MVar::new(100 + menv.len() as u32, format!("Q{}", menv.len()));
+        let base = if matches!(ty, "list" | "nat") {
+            "i"
+        } else {
+            ty
+        };
+        menv.insert(m.clone(), Ty::base(base));
+        return Term::Meta(m);
+    }
+    let leaf = depth == 0 || rng.gen_bool(0.3);
+    match ty {
+        "tm" => match rng.gen_range(0..if leaf { 2 } else { 4 }) {
+            0 if bound > 0 => Term::Var(rng.gen_range(0..bound)),
+            0 | 1 => Term::cnst(if rng.gen_bool(0.5) { "x#0" } else { "x#1" }),
+            2 => Term::apps(
+                Term::cnst("app"),
+                [
+                    gen_arg(rng, "tm", depth - 1, bound, menv),
+                    gen_arg(rng, "tm", depth - 1, bound, menv),
+                ],
+            ),
+            _ => Term::app(
+                Term::cnst("lam"),
+                Term::lam("x", gen_arg(rng, "tm", depth - 1, bound + 1, menv)),
+            ),
+        },
+        "tp" => {
+            if leaf {
+                Term::cnst("base")
+            } else {
+                Term::apps(
+                    Term::cnst("arr"),
+                    [
+                        gen_arg(rng, "tp", depth - 1, bound, menv),
+                        gen_arg(rng, "tp", depth - 1, bound, menv),
+                    ],
+                )
+            }
+        }
+        "list" => match rng.gen_range(0..if leaf { 4 } else { 5 }) {
+            0 => Term::cnst("nil"),
+            1 => Term::cnst("a"),
+            2 => Term::cnst("b"),
+            3 => Term::cnst("c"),
+            _ => Term::apps(
+                Term::cnst("cons"),
+                [
+                    gen_arg(rng, "list", depth - 1, bound, menv),
+                    gen_arg(rng, "list", depth - 1, bound, menv),
+                ],
+            ),
+        },
+        "nat" => {
+            if leaf {
+                Term::cnst("z")
+            } else {
+                Term::app(Term::cnst("s"), gen_arg(rng, "nat", depth - 1, bound, menv))
+            }
+        }
+        other => panic!("no generator for type {other}"),
+    }
+}
+
 props! {
     #![cases(64)]
 
-    fn lp_inference_agrees_with_hindley_milner(seed in seeds(), size in 2usize..16) {
+    fn lp_inference_agrees_with_hindley_milner(
+        seed in seeds(), size in 2usize..41, ill in 0usize..12
+    ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let term = lambda::gen_closed(&mut rng, size);
+        let mut term = lambda::gen_closed(&mut rng, size);
+        // A third of the cases plant a self-application somewhere: the
+        // term is then ill-typed, and neither side may type it.
+        let planted = ill % 3 == 0;
+        if planted {
+            term = self_apply_var(&term, ill / 3 + size);
+        }
         // HM via the conventional implementation.
         let hm = miniml_types::infer(&to_exp(&term));
         // The same judgment via two clauses of logic programming.
@@ -112,6 +242,10 @@ props! {
             ..SolveConfig::default()
         };
         let out = solve(&prog, &menv, &goal, &cfg).unwrap();
+        if planted {
+            prop_assert!(hm.is_err(), "HM types the self-application in {}", term);
+            prop_assert!(out.answers.is_empty(), "lp types the self-application in {}", term);
+        }
         if out.incomplete() || out.floundered {
             // Budget-limited instance: inconclusive, skip.
             return Ok(());
@@ -133,6 +267,98 @@ props! {
             }
             (Err(e), Some(a)) => {
                 return Err(format!("HM rejects {term} ({e}) but lp answers {a}"));
+            }
+        }
+    }
+
+    fn lp_church_eval_agrees_with_native_normalization(seed in seeds(), depth in 0u32..3) {
+        // CBV `eval` stops at the outermost λ, so its value's *full* normal
+        // form (computed on the named AST, no HOAS involved) must be the
+        // normal form of the input: the Church numeral it denotes.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (expr, value) = gen_church(&mut rng, depth);
+        let prog = examples::eval_program();
+        let v = MVar::new(0, "V");
+        let menv: MetaEnv = [(v.clone(), lambda::tm())].into_iter().collect();
+        let goal = Goal::Atom(Term::apps(
+            Term::cnst("eval"),
+            [lambda::encode(&expr).unwrap(), Term::Meta(v)],
+        ));
+        let cfg = SolveConfig {
+            max_depth: 4096,
+            fuel: 5_000_000,
+            ..SolveConfig::default()
+        };
+        let out = solve(&prog, &menv, &goal, &cfg).unwrap();
+        prop_assert!(!out.incomplete() && !out.floundered, "budget cut on {}", expr);
+        prop_assert_eq!(out.answers.len(), 1);
+        let got = lambda::decode(out.answers[0].get("V").unwrap()).unwrap();
+        let got_nf = lambda::normalize_native(&got, 100_000).unwrap();
+        let want = lambda::normalize_native(&expr, 100_000).unwrap();
+        prop_assert!(got_nf.alpha_eq(&want), "eval {} gives {}, normal form {}", expr, got, got_nf);
+        prop_assert!(want.alpha_eq(&lambda::church(value)));
+    }
+
+    fn fingerprint_rejections_are_refutations(seed in seeds(), depth in 1u32..4) {
+        // Whenever a clause's head fingerprint rejects a call, the pattern
+        // unifier must refute call ≐ head: the solver's candidate filter
+        // never drops a clause that could resolve. Hypothetical `of`
+        // clauses over eigenvariables ride along with the STLC program.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut stlc_sig = stlc_program().sig().clone();
+        for x in ["x#0", "x#1"] {
+            stlc_sig.declare_const(x, TyScheme::mono(Ty::base("tm"))).unwrap();
+        }
+        let of = |x: &str, ty: Term| Term::apps(Term::cnst("of"), [Term::cnst(x), ty]);
+        // `of x#0 ?A` with ?A a logic variable of the enclosing goal
+        // (declared as a clause variable here only to give it a type).
+        let hyps = vec![
+            Clause::fact(
+                vec![(hoas_core::Sym::new("A"), Ty::base("tp"))],
+                of("x#0", Term::Meta(MVar::new(0, "A"))),
+            ),
+            Clause::fact(vec![], of("x#1", Term::cnst("base"))),
+        ];
+        let mut eval_sig = examples::eval_program().sig().clone();
+        for x in ["x#0", "x#1"] {
+            eval_sig.declare_const(x, TyScheme::mono(Ty::base("tm"))).unwrap();
+        }
+        let cases = vec![
+            (stlc_program(), stlc_sig, "of", vec!["tm", "tp"], hyps),
+            (examples::eval_program(), eval_sig, "eval", vec!["tm", "tm"], vec![]),
+            (examples::append_program(), examples::append_program().sig().clone(),
+             "append", vec!["list", "list", "list"], vec![]),
+            (nat_program(), nat_program().sig().clone(), "nat", vec!["nat"], vec![]),
+        ];
+        for (prog, sig, pred, arg_tys, locals) in &cases {
+            for _ in 0..8 {
+                let mut menv = MetaEnv::new();
+                let args: Vec<Term> = arg_tys
+                    .iter()
+                    .map(|ty| gen_arg(&mut rng, ty, depth, 0, &mut menv))
+                    .collect();
+                let call = Term::apps(Term::cnst(*pred), args);
+                let call_args = call.spine().1;
+                let clauses = prog
+                    .clause_indices_for(&hoas_core::Sym::new(*pred))
+                    .iter()
+                    .map(|&i| (prog.clauses()[i].clone(), prog.clause_admits(i, &call_args)))
+                    .chain(locals.iter().map(|c| {
+                        (c.clone(), fingerprint_admits(&c.head.arg_fingerprint(), &call_args))
+                    }));
+                for (clause, admitted) in clauses {
+                    if admitted {
+                        continue;
+                    }
+                    let mut both = menv.clone();
+                    both.extend(clause.var_menv());
+                    let result = pattern::unify(sig, &both, &Ty::base("o"), &call, &clause.head);
+                    prop_assert!(
+                        matches!(&result, Err(e) if e.is_refutation()),
+                        "fingerprint rejects `{}` for `{}`, but unification gives {:?}",
+                        clause.head, call, result.map(|s| s.subst.to_string())
+                    );
+                }
             }
         }
     }
@@ -585,4 +811,18 @@ fn iterative_deepening_agrees_with_dfs() {
         v
     };
     assert_eq!(xs(&dfs), xs(&idfs), "same answer set up to order");
+}
+
+#[test]
+fn under_applied_atom_is_an_error_not_a_failure() {
+    // `of` takes two arguments. The clause filter compares argument heads
+    // position by position and leaves the arity mismatch to the unifier,
+    // which reports the ill-typed call instead of quietly failing it.
+    let prog = stlc_program();
+    let goal = Goal::Atom(Term::app(
+        Term::cnst("of"),
+        Term::app(Term::cnst("lam"), Term::lam("x", Term::Var(0))),
+    ));
+    let out = solve(&prog, &MetaEnv::new(), &goal, &SolveConfig::default());
+    assert!(matches!(out, Err(LpError::Unify(_))), "got {out:?}");
 }

@@ -1,12 +1,15 @@
 //! Property tests for the unification stack (experiment E6's correctness
-//! side): soundness of pattern unification and Huet pre-unification, and
-//! agreement between the two engines on the pattern fragment.
+//! side): soundness of pattern unification and Huet pre-unification,
+//! agreement between the two engines on the pattern fragment, independence
+//! of the unifier from the input's βη-form, and the node-sharing contract
+//! of metavariable substitutions.
 
 use hoas::core::prelude::*;
+use hoas::core::store;
 use hoas::langs::fol;
 use hoas::unify::huet::{pre_unify_terms, HuetConfig};
 use hoas::unify::matching::{match_term, MatchConfig};
-use hoas::unify::pattern;
+use hoas::unify::{pattern, MetaSubst};
 use hoas_testkit::prelude::*;
 
 fn vocab() -> fol::Vocabulary {
@@ -46,8 +49,125 @@ fn punch_holes(t: &Term, rng: &mut SmallRng, menv: &mut MetaEnv, next: &mut u32)
     }
 }
 
+/// A βη-variant of `t` that is not canonical: random λ-abstractions
+/// η-contracted (`forall (λx. p x)` becomes `forall p`) and random
+/// subterms wrapped in a vacuous β-redex `(λy. t) a`.
+fn denormalize(t: &Term, rng: &mut SmallRng) -> Term {
+    let t = match t {
+        Term::Lam(h, b) => Term::lam(h.clone(), denormalize(b, rng)),
+        Term::App(f, a) => Term::app(denormalize(f, rng), denormalize(a, rng)),
+        _ => t.clone(),
+    };
+    let t = if rng.gen_bool(0.5) {
+        normalize::eta_contract(&t)
+    } else {
+        t
+    };
+    if rng.gen_bool(0.3) {
+        Term::app(Term::lam("y", subst::shift(&t, 1)), Term::cnst("a"))
+    } else {
+        t
+    }
+}
+
+/// Whether two terms share their immediate subterm nodes by pointer (for
+/// leaves: are equal).
+fn same_nodes(a: &Term, b: &Term) -> bool {
+    match (a, b) {
+        (Term::Lam(_, x), Term::Lam(_, y))
+        | (Term::Fst(x), Term::Fst(y))
+        | (Term::Snd(x), Term::Snd(y)) => TermRef::ptr_eq(x, y),
+        (Term::App(f, x), Term::App(g, y)) | (Term::Pair(f, x), Term::Pair(g, y)) => {
+            TermRef::ptr_eq(f, g) && TermRef::ptr_eq(x, y)
+        }
+        _ => a == b,
+    }
+}
+
 props! {
     #![cases(64)]
+
+    fn non_canonical_inputs_have_the_canonical_mgu(
+        seed in seeds(), hole_seed in seeds(), depth in 2u32..5
+    ) {
+        // Two hole-punched copies of one formula (flex-rigid and flex-flex
+        // pairs), unified once canonical and once after η-contraction and
+        // β-expansion of both sides: the unifier canonicalizes its inputs,
+        // so the MGU must be the same, binding for binding.
+        let sig = vocab().signature();
+        let target = ground(seed, depth);
+        let mut rng = SmallRng::seed_from_u64(hole_seed);
+        let mut menv = MetaEnv::new();
+        let mut next = 0;
+        let left = punch_holes(&target, &mut rng, &mut menv, &mut next);
+        let right = punch_holes(&target, &mut rng, &mut menv, &mut next);
+        let canonical = pattern::unify(&sig, &menv, &fol::o(), &left, &right).unwrap();
+        let (l2, r2) = (denormalize(&left, &mut rng), denormalize(&right, &mut rng));
+        let sloppy = pattern::unify(&sig, &menv, &fol::o(), &l2, &r2).unwrap();
+        prop_assert_eq!(canonical.subst.len(), sloppy.subst.len());
+        for (m, t) in canonical.subst.iter() {
+            prop_assert_eq!(Some(t), sloppy.subst.get(m), "binding of {} differs", m);
+        }
+        let sol = pattern::unify(&sig, &menv, &fol::o(), &l2, &target).unwrap();
+        prop_assert_eq!(sol.subst.apply(&left), target);
+    }
+
+    fn apply_outside_its_domain_is_the_identity(
+        seed in seeds(), hole_seed in seeds(), depth in 2u32..5
+    ) {
+        // A substitution none of whose variables occurs in the term hands
+        // the term back as the same node, without a single store lookup.
+        let target = ground(seed, depth);
+        let mut rng = SmallRng::seed_from_u64(hole_seed);
+        let mut menv = MetaEnv::new();
+        let mut next = 0;
+        let pat = punch_holes(&target, &mut rng, &mut menv, &mut next);
+        let mut s = MetaSubst::new();
+        for i in 0..3u32 {
+            s.bind(MVar::new(1000 + i, "U"), ground(seed ^ u64::from(i), 1));
+        }
+        let before = store::stats();
+        let out = s.apply(&pat);
+        prop_assert_eq!(store::stats().since(&before).lookups, 0);
+        prop_assert!(same_nodes(&out, &pat));
+        prop_assert_eq!(TermRef::new(out).id(), TermRef::new(pat).id());
+    }
+
+    fn bind_leaves_unrelated_bindings_untouched(
+        seed in seeds(), hole_seed in seeds(), depth in 2u32..5
+    ) {
+        // Binding a variable no stored solution mentions does no store
+        // work on the existing bindings and keeps their nodes; binding one
+        // they do mention rewrites exactly the bindings that mention it.
+        let target = ground(seed, depth);
+        let mut rng = SmallRng::seed_from_u64(hole_seed);
+        let mut menv = MetaEnv::new();
+        let mut next = 0;
+        let mut s = MetaSubst::new();
+        for i in 0..4u32 {
+            let pat = punch_holes(&target, &mut rng, &mut menv, &mut next);
+            s.bind(MVar::new(1000 + i, "U"), pat);
+        }
+        let old: Vec<(MVar, Term)> = s.iter().map(|(m, t)| (m.clone(), t.clone())).collect();
+        let solution = ground(seed, 1);
+        let before = store::stats();
+        s.bind(MVar::new(2000, "V"), solution);
+        prop_assert_eq!(store::stats().since(&before).lookups, 0);
+        for (m, t) in &old {
+            prop_assert!(same_nodes(t, s.get(m).unwrap()), "binding of {} was rebuilt", m);
+        }
+        if next > 0 {
+            let hole = MVar::new(0, "H0");
+            s.bind(hole.clone(), target.clone());
+            for (m, t) in &old {
+                let now = s.get(m).unwrap();
+                prop_assert!(!now.metas().contains(&hole));
+                if !t.metas().contains(&hole) {
+                    prop_assert!(same_nodes(t, now), "binding of {} was rebuilt", m);
+                }
+            }
+        }
+    }
 
     fn ground_unification_is_syntactic_equality(seed in seeds(), depth in 1u32..5) {
         let sig = vocab().signature();
