@@ -38,8 +38,12 @@ impl Ctx {
         self.entries.is_empty()
     }
 
-    /// Returns a new context extended with one entry (persistent-style API;
-    /// contexts are small, so cloning is fine and keeps borrows simple).
+    /// Returns a new context extended with one entry (persistent-style
+    /// API). This clones the whole context: O(len), copying each entry's
+    /// `Ty`. The rewrite engine, `normalize::canon`, type reconstruction and
+    /// the pattern unifier still extend contexts this way; a traversal that
+    /// enters many binders should keep them on a stack of its own instead,
+    /// as [`crate::typeck`] does, or use [`Ctx::push_mut`]/[`Ctx::pop_mut`].
     #[must_use]
     pub fn push(&self, hint: Sym, ty: Ty) -> Ctx {
         let mut entries = self.entries.clone();

@@ -79,6 +79,18 @@ pub mod ty;
 pub mod typeck;
 pub mod validate;
 
+/// The deepest type [`parse::parse_ty`] and [`parse::parse_sig`] accept,
+/// counting one level per parenthesis and per right operand of `->` or
+/// `*`; deeper input is an [`Error::Parse`], not a stack overflow.
+///
+/// Types are boxed trees that every consumer walks recursively, so they
+/// stay shallow by construction: bundled signatures nest a few levels,
+/// and the parser fits this limit in a 2 MiB thread stack (the default
+/// for spawned threads) in debug builds. Terms need no such limit:
+/// [`parse::parse_term`] and [`typeck`] keep their nesting on explicit
+/// heap stacks, so they handle terms of any depth.
+pub const MAX_TY_NESTING: u32 = 256;
+
 pub use error::Error;
 pub use intern::Sym;
 pub use store::{InternStats, NodeId, StoreHandle};

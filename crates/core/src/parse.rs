@@ -20,20 +20,29 @@
 //! share metavariables via a [`MetaTable`].
 //!
 //! Comments run from `%` or `//` to end of line.
+//!
+//! Tokens borrow their text from the source, a constant resolves to the
+//! signature's own [`Sym`], and a whole term is interned in one
+//! [`crate::store`] session, one borrowed-view probe per node. Terms are
+//! parsed with an explicit stack, so any nesting depth parses; types
+//! nest at most [`MAX_TY_NESTING`] levels.
 
 use crate::error::Error;
+use crate::intern::Sym;
 use crate::sig::Signature;
-use crate::term::{MVar, Term};
+use crate::store::{self, InternSession, NodeView};
+use crate::term::{MVar, Term, TermRef};
 use crate::ty::{Ty, TyScheme};
+use crate::MAX_TY_NESTING;
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------- lexer --
 
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Tok {
-    Ident(String),
-    TyVar(String),
-    Meta(String),
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tok<'s> {
+    Ident(&'s str),
+    TyVar(&'s str),
+    Meta(&'s str),
     Int(i64),
     LParen,
     RParen,
@@ -46,7 +55,7 @@ enum Tok {
     Eof,
 }
 
-impl std::fmt::Display for Tok {
+impl std::fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -66,9 +75,9 @@ impl std::fmt::Display for Tok {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Spanned {
-    tok: Tok,
+#[derive(Clone, Copy, Debug)]
+struct Spanned<'s> {
+    tok: Tok<'s>,
     line: u32,
     col: u32,
 }
@@ -81,219 +90,132 @@ fn is_ident_cont(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '\''
 }
 
-fn lex(src: &str) -> Result<Vec<Spanned>, Error> {
-    let mut out = Vec::new();
-    let mut line: u32 = 0;
-    let mut col: u32 = 0;
-    let mut chars = src.chars().peekable();
-    macro_rules! push {
-        ($tok:expr, $l:expr, $c:expr) => {
-            out.push(Spanned {
-                tok: $tok,
-                line: $l,
-                col: $c,
-            })
-        };
+/// A position in the source: a byte offset for slicing tokens out, and a
+/// 0-based line and column — counted in characters — for errors.
+struct Lexer<'s> {
+    src: &'s str,
+    pos: usize,
+    line: u32,
+    col: u32,
+}
+
+impl<'s> Lexer<'s> {
+    fn peek(&self) -> Option<char> {
+        match self.src.as_bytes().get(self.pos) {
+            Some(&b) if b.is_ascii() => Some(b as char),
+            Some(_) => self.src[self.pos..].chars().next(),
+            None => None,
+        }
     }
-    while let Some(&c) = chars.peek() {
-        let (l0, c0) = (line, col);
-        match c {
-            '\n' => {
-                chars.next();
-                line += 1;
-                col = 0;
+
+    /// Moves past `c`, the character [`Lexer::peek`] returned.
+    fn advance(&mut self, c: char) {
+        self.pos += c.len_utf8();
+        if c == '\n' {
+            self.line += 1;
+            self.col = 0;
+        } else {
+            self.col += 1;
+        }
+    }
+
+    /// Consumes characters while `keep` holds and returns them.
+    fn eat_while(&mut self, keep: impl Fn(char) -> bool) -> &'s str {
+        let start = self.pos;
+        while let Some(c) = self.peek() {
+            if !keep(c) {
+                break;
             }
+            self.advance(c);
+        }
+        &self.src[start..self.pos]
+    }
+}
+
+fn lex(src: &str) -> Result<Vec<Spanned<'_>>, Error> {
+    let mut out = Vec::new();
+    let mut lx = Lexer {
+        src,
+        pos: 0,
+        line: 0,
+        col: 0,
+    };
+    while let Some(c) = lx.peek() {
+        let (line, col, start) = (lx.line, lx.col, lx.pos);
+        let err = |msg: String| Error::Parse { line, col, msg };
+        let int = |digits: &str| {
+            digits
+                .parse::<i64>()
+                .map(Tok::Int)
+                .map_err(|_| err(format!("integer literal `{digits}` out of range")))
+        };
+        let tok = match c {
             c if c.is_whitespace() => {
-                chars.next();
-                col += 1;
+                lx.advance(c);
+                continue;
             }
             '%' => {
-                while let Some(&c) = chars.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    chars.next();
-                    col += 1;
-                }
+                lx.eat_while(|c| c != '\n');
+                continue;
             }
             '/' => {
-                chars.next();
-                col += 1;
-                if chars.peek() == Some(&'/') {
-                    while let Some(&c) = chars.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        chars.next();
-                        col += 1;
-                    }
-                } else {
-                    return Err(Error::Parse {
-                        line: l0,
-                        col: c0,
-                        msg: "unexpected `/` (use `//` for comments)".into(),
-                    });
+                lx.advance(c);
+                if lx.peek() != Some('/') {
+                    return Err(err("unexpected `/` (use `//` for comments)".into()));
                 }
-            }
-            '(' => {
-                chars.next();
-                col += 1;
-                push!(Tok::LParen, l0, c0);
-            }
-            ')' => {
-                chars.next();
-                col += 1;
-                push!(Tok::RParen, l0, c0);
-            }
-            ',' => {
-                chars.next();
-                col += 1;
-                push!(Tok::Comma, l0, c0);
-            }
-            '.' => {
-                chars.next();
-                col += 1;
-                push!(Tok::Dot, l0, c0);
-            }
-            ':' => {
-                chars.next();
-                col += 1;
-                push!(Tok::Colon, l0, c0);
-            }
-            '*' => {
-                chars.next();
-                col += 1;
-                push!(Tok::Star, l0, c0);
-            }
-            '\\' => {
-                chars.next();
-                col += 1;
-                push!(Tok::Backslash, l0, c0);
+                lx.eat_while(|c| c != '\n');
+                continue;
             }
             '-' => {
-                chars.next();
-                col += 1;
-                match chars.peek() {
+                lx.advance(c);
+                match lx.peek() {
                     Some('>') => {
-                        chars.next();
-                        col += 1;
-                        push!(Tok::Arrow, l0, c0);
+                        lx.advance('>');
+                        Tok::Arrow
                     }
                     Some(d) if d.is_ascii_digit() => {
-                        let mut n = String::from("-");
-                        while let Some(&d) = chars.peek() {
-                            if d.is_ascii_digit() {
-                                n.push(d);
-                                chars.next();
-                                col += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        let val = n.parse::<i64>().map_err(|_| Error::Parse {
-                            line: l0,
-                            col: c0,
-                            msg: format!("integer literal `{n}` out of range"),
-                        })?;
-                        push!(Tok::Int(val), l0, c0);
+                        lx.eat_while(|d| d.is_ascii_digit());
+                        int(&src[start..lx.pos])?
                     }
-                    _ => {
-                        return Err(Error::Parse {
-                            line: l0,
-                            col: c0,
-                            msg: "expected `->` or a negative integer after `-`".into(),
-                        })
-                    }
+                    _ => return Err(err("expected `->` or a negative integer after `-`".into())),
                 }
             }
             '\'' => {
-                chars.next();
-                col += 1;
-                let mut name = String::new();
-                while let Some(&d) = chars.peek() {
-                    if is_ident_cont(d) && d != '\'' {
-                        name.push(d);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
+                lx.advance(c);
+                match lx.eat_while(|d| is_ident_cont(d) && d != '\'') {
+                    "" => return Err(err("expected a type-variable name after `'`".into())),
+                    name => Tok::TyVar(name),
                 }
-                if name.is_empty() {
-                    return Err(Error::Parse {
-                        line: l0,
-                        col: c0,
-                        msg: "expected a type-variable name after `'`".into(),
-                    });
-                }
-                push!(Tok::TyVar(name), l0, c0);
             }
             '?' => {
-                chars.next();
-                col += 1;
-                let mut name = String::new();
-                while let Some(&d) = chars.peek() {
-                    if is_ident_cont(d) {
-                        name.push(d);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
+                lx.advance(c);
+                match lx.eat_while(is_ident_cont) {
+                    "" => return Err(err("expected a metavariable name after `?`".into())),
+                    name => Tok::Meta(name),
                 }
-                if name.is_empty() {
-                    return Err(Error::Parse {
-                        line: l0,
-                        col: c0,
-                        msg: "expected a metavariable name after `?`".into(),
-                    });
+            }
+            d if d.is_ascii_digit() => int(lx.eat_while(|d| d.is_ascii_digit()))?,
+            c if is_ident_start(c) => Tok::Ident(lx.eat_while(is_ident_cont)),
+            _ => {
+                lx.advance(c);
+                match c {
+                    '(' => Tok::LParen,
+                    ')' => Tok::RParen,
+                    ',' => Tok::Comma,
+                    '.' => Tok::Dot,
+                    ':' => Tok::Colon,
+                    '*' => Tok::Star,
+                    '\\' => Tok::Backslash,
+                    other => return Err(err(format!("unexpected character `{other}`"))),
                 }
-                push!(Tok::Meta(name), l0, c0);
             }
-            d if d.is_ascii_digit() => {
-                let mut n = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_digit() {
-                        n.push(d);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let val = n.parse::<i64>().map_err(|_| Error::Parse {
-                    line: l0,
-                    col: c0,
-                    msg: format!("integer literal `{n}` out of range"),
-                })?;
-                push!(Tok::Int(val), l0, c0);
-            }
-            c if is_ident_start(c) => {
-                let mut name = String::new();
-                while let Some(&d) = chars.peek() {
-                    if is_ident_cont(d) {
-                        name.push(d);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
-                }
-                push!(Tok::Ident(name), l0, c0);
-            }
-            other => {
-                return Err(Error::Parse {
-                    line: l0,
-                    col: c0,
-                    msg: format!("unexpected character `{other}`"),
-                })
-            }
-        }
+        };
+        out.push(Spanned { tok, line, col });
     }
     out.push(Spanned {
         tok: Tok::Eof,
-        line,
-        col,
+        line: lx.line,
+        col: lx.col,
     });
     Ok(out)
 }
@@ -356,17 +278,65 @@ pub struct ParsedTerm {
     pub metas: MetaTable,
 }
 
-struct Parser<'a> {
-    toks: Vec<Spanned>,
-    pos: usize,
-    sig: Option<&'a Signature>,
-    binders: Vec<String>,
-    metas: MetaTable,
-    tyvars: HashMap<String, u32>,
+/// A parsed subterm that is not interned yet. Its parent interns it (in
+/// source order, so first-interned binder hints and node ids come out
+/// as if each node were built with the smart constructors); the root is
+/// returned without a store probe. A constant stays a borrow of the
+/// signature's symbol until then.
+enum Node<'g> {
+    Const(&'g Sym),
+    Built(Term),
 }
 
-impl<'a> Parser<'a> {
-    fn new(src: &str, sig: Option<&'a Signature>, metas: MetaTable) -> Result<Parser<'a>, Error> {
+impl Node<'_> {
+    fn share(self, s: &mut InternSession<'_>) -> TermRef {
+        match self {
+            Node::Const(c) => s.intern_view(&NodeView::Const(c)),
+            Node::Built(t) => s.intern_view(&NodeView::of(&t)),
+        }
+    }
+
+    fn into_term(self) -> Term {
+        match self {
+            Node::Const(c) => Term::Const(c.clone()),
+            Node::Built(t) => t,
+        }
+    }
+}
+
+/// A term whose parse is under way: the application read so far, and
+/// how many binders were in scope before its λ-run.
+struct Level<'g> {
+    app: Option<Node<'g>>,
+    outer: usize,
+}
+
+/// Where a nested term or atom goes once parsed: the term parser's
+/// explicit stack, which makes nesting cost heap instead of host stack.
+enum Frame<'g> {
+    /// `(`, inside the suspended level: a parenthesized term or a pair's
+    /// first component.
+    Paren(Level<'g>),
+    /// `( a ,`: a pair's second component.
+    PairSnd(Node<'g>, Level<'g>),
+    /// `fst` (`true`) or `snd`, awaiting its atom.
+    Proj(bool),
+}
+
+struct Parser<'s, 'g> {
+    toks: Vec<Spanned<'s>>,
+    pos: usize,
+    sig: Option<&'g Signature>,
+    /// The binders in scope, outermost first.
+    binders: Vec<&'s str>,
+    metas: MetaTable,
+    tyvars: HashMap<&'s str, u32>,
+    /// Enclosing type constructs, bounded by [`MAX_TY_NESTING`].
+    ty_depth: u32,
+}
+
+impl<'s, 'g> Parser<'s, 'g> {
+    fn new(src: &'s str, sig: Option<&'g Signature>, metas: MetaTable) -> Result<Self, Error> {
         Ok(Parser {
             toks: lex(src)?,
             pos: 0,
@@ -374,19 +344,20 @@ impl<'a> Parser<'a> {
             binders: Vec::new(),
             metas,
             tyvars: HashMap::new(),
+            ty_depth: 0,
         })
     }
 
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+    fn peek(&self) -> Tok<'s> {
+        self.toks[self.pos].tok
     }
 
     fn here(&self) -> (u32, u32) {
         (self.toks[self.pos].line, self.toks[self.pos].col)
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    fn bump(&mut self) -> Tok<'s> {
+        let t = self.peek();
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -402,28 +373,46 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, tok: Tok) -> Result<(), Error> {
-        if self.peek() == &tok {
+    /// "expected `what`, found …" at the current token.
+    #[cold]
+    fn expected(&self, what: impl std::fmt::Display) -> Error {
+        self.err(format!("expected {what}, found {}", self.peek()))
+    }
+
+    fn expect(&mut self, tok: Tok<'_>) -> Result<(), Error> {
+        if self.peek() == tok {
             self.bump();
             Ok(())
         } else {
-            Err(self.err(format!("expected {tok}, found {}", self.peek())))
+            Err(self.expected(tok))
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, Error> {
-        match self.peek().clone() {
+    fn expect_ident(&mut self) -> Result<&'s str, Error> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
                 Ok(s)
             }
-            other => Err(self.err(format!("expected an identifier, found {other}"))),
+            _ => Err(self.expected("an identifier")),
         }
+    }
+
+    /// Enters one level of type nesting, failing past
+    /// [`MAX_TY_NESTING`]. The caller leaves it (`ty_depth -= 1`) once the
+    /// nested part is parsed; an error ends the whole parse, so error
+    /// paths need not.
+    fn enter(&mut self) -> Result<(), Error> {
+        if self.ty_depth >= MAX_TY_NESTING {
+            return Err(self.err(format!("type nested deeper than {MAX_TY_NESTING} levels")));
+        }
+        self.ty_depth += 1;
+        Ok(())
     }
 
     // ---- types ----
 
-    fn tyvar_id(&mut self, name: &str) -> Result<u32, Error> {
+    fn tyvar_id(&mut self, name: &'s str) -> Result<u32, Error> {
         if let Some(&v) = self.tyvars.get(name) {
             return Ok(v);
         }
@@ -442,15 +431,17 @@ impl<'a> Parser<'a> {
                 "invalid type variable `'{name}` (use `'a`..`'z` or `'tN`)"
             )));
         };
-        self.tyvars.insert(name.to_string(), v);
+        self.tyvars.insert(name, v);
         Ok(v)
     }
 
     fn ty(&mut self) -> Result<Ty, Error> {
         let lhs = self.ty_prod()?;
-        if self.peek() == &Tok::Arrow {
+        if self.peek() == Tok::Arrow {
             self.bump();
+            self.enter()?;
             let rhs = self.ty()?;
+            self.ty_depth -= 1;
             Ok(Ty::arrow(lhs, rhs))
         } else {
             Ok(lhs)
@@ -459,9 +450,11 @@ impl<'a> Parser<'a> {
 
     fn ty_prod(&mut self) -> Result<Ty, Error> {
         let lhs = self.ty_atom()?;
-        if self.peek() == &Tok::Star {
+        if self.peek() == Tok::Star {
             self.bump();
+            self.enter()?;
             let rhs = self.ty_prod()?;
+            self.ty_depth -= 1;
             Ok(Ty::prod(lhs, rhs))
         } else {
             Ok(lhs)
@@ -469,120 +462,147 @@ impl<'a> Parser<'a> {
     }
 
     fn ty_atom(&mut self) -> Result<Ty, Error> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(name) => {
                 self.bump();
-                match name.as_str() {
-                    "int" => Ok(Ty::Int),
-                    "unit" => Ok(Ty::Unit),
-                    _ => Ok(Ty::base(name)),
-                }
+                Ok(match name {
+                    "int" => Ty::Int,
+                    "unit" => Ty::Unit,
+                    _ => Ty::base(name),
+                })
             }
             Tok::TyVar(name) => {
                 self.bump();
-                Ok(Ty::Var(self.tyvar_id(&name)?))
+                Ok(Ty::Var(self.tyvar_id(name)?))
             }
             Tok::LParen => {
                 self.bump();
+                self.enter()?;
                 let t = self.ty()?;
                 self.expect(Tok::RParen)?;
+                self.ty_depth -= 1;
                 Ok(t)
             }
-            other => Err(self.err(format!("expected a type, found {other}"))),
+            _ => Err(self.expected("a type")),
         }
     }
 
     // ---- terms ----
 
-    fn term(&mut self) -> Result<Term, Error> {
-        if self.peek() == &Tok::Backslash {
+    /// Parses a term with an explicit stack of [`Frame`]s, so any nesting
+    /// depth parses. Children are interned as their parent is built, in
+    /// source order.
+    fn term(&mut self, s: &mut InternSession<'_>) -> Result<Node<'g>, Error> {
+        let mut stack = Vec::new();
+        let mut level = self.open_term()?;
+        loop {
+            let mut atom = match self.peek() {
+                Tok::LParen => {
+                    self.bump();
+                    if self.peek() == Tok::RParen {
+                        self.bump();
+                        Node::Built(Term::Unit)
+                    } else {
+                        let inner = self.open_term()?;
+                        stack.push(Frame::Paren(std::mem::replace(&mut level, inner)));
+                        continue;
+                    }
+                }
+                Tok::Ident(proj @ ("fst" | "snd")) => {
+                    self.bump();
+                    stack.push(Frame::Proj(proj == "fst"));
+                    continue;
+                }
+                Tok::Ident(_) | Tok::Meta(_) | Tok::Int(_) => self.leaf()?,
+                // No atom starts here, so the level's term ends — unless
+                // an atom is required.
+                _ => {
+                    if let Some(Frame::Proj(fst)) = stack.last() {
+                        let proj = if *fst { "fst" } else { "snd" };
+                        return Err(self.err(format!("expected an argument after `{proj}`")));
+                    }
+                    let Some(mut t) = level.app.take() else {
+                        return Err(self.expected("a term"));
+                    };
+                    while self.binders.len() > level.outer {
+                        let name = self.binders.pop().expect("a binder in scope");
+                        t = Node::Built(Term::Lam(Sym::new(name), t.share(s)));
+                    }
+                    match stack.pop() {
+                        None => return Ok(t),
+                        Some(Frame::Paren(enclosing)) => {
+                            if self.peek() == Tok::Comma {
+                                self.bump();
+                                level = self.open_term()?;
+                                stack.push(Frame::PairSnd(t, enclosing));
+                                continue;
+                            }
+                            self.expect(Tok::RParen)?;
+                            level = enclosing;
+                            t
+                        }
+                        Some(Frame::PairSnd(a, enclosing)) => {
+                            self.expect(Tok::RParen)?;
+                            level = enclosing;
+                            let a = a.share(s);
+                            Node::Built(Term::Pair(a, t.share(s)))
+                        }
+                        Some(Frame::Proj(_)) => unreachable!("checked above"),
+                    }
+                }
+            };
+            // An atom: apply the projections awaiting it, then extend the
+            // application.
+            while let Some(&Frame::Proj(fst)) = stack.last() {
+                stack.pop();
+                let arg = atom.share(s);
+                atom = Node::Built(if fst { Term::Fst(arg) } else { Term::Snd(arg) });
+            }
+            level.app = Some(match level.app.take() {
+                None => atom,
+                Some(f) => {
+                    let f = f.share(s);
+                    Node::Built(Term::App(f, atom.share(s)))
+                }
+            });
+        }
+    }
+
+    /// Reads a term's λ-run, binding its names, and opens its level.
+    fn open_term(&mut self) -> Result<Level<'g>, Error> {
+        let outer = self.binders.len();
+        while self.peek() == Tok::Backslash {
             self.bump();
             let name = self.expect_ident()?;
             self.expect(Tok::Dot)?;
-            self.binders.push(name.clone());
-            let body = self.term()?;
-            self.binders.pop();
-            Ok(Term::lam(name, body))
-        } else {
-            self.app()
+            self.binders.push(name);
         }
+        Ok(Level { app: None, outer })
     }
 
-    fn app(&mut self) -> Result<Term, Error> {
-        let mut t = self
-            .atom()?
-            .ok_or_else(|| self.err(format!("expected a term, found {}", self.peek())))?;
-        while let Some(arg) = self.atom()? {
-            t = Term::app(t, arg);
-        }
-        Ok(t)
-    }
-
-    /// Parses one atom if the next token can start one.
-    fn atom(&mut self) -> Result<Option<Term>, Error> {
-        match self.peek().clone() {
+    /// An identifier, metavariable, or integer literal.
+    fn leaf(&mut self) -> Result<Node<'g>, Error> {
+        Ok(match self.bump() {
             Tok::Ident(name) => {
-                match name.as_str() {
-                    "fst" | "snd" => {
-                        self.bump();
-                        let arg = self.atom()?.ok_or_else(|| {
-                            self.err(format!("expected an argument after `{name}`"))
-                        })?;
-                        return Ok(Some(if name == "fst" {
-                            Term::fst(arg)
-                        } else {
-                            Term::snd(arg)
-                        }));
-                    }
-                    _ => {}
-                }
-                self.bump();
-                // Innermost binder first.
-                if let Some(pos) = self.binders.iter().rposition(|b| b == &name) {
-                    let idx = (self.binders.len() - 1 - pos) as u32;
-                    return Ok(Some(Term::Var(idx)));
-                }
-                match self.sig {
-                    Some(sig) if sig.has_const(&name) => Ok(Some(Term::cnst(name))),
-                    Some(_) => Err(self.err(format!(
-                        "`{name}` is neither a bound variable nor a declared constant"
-                    ))),
-                    // Without a signature, free identifiers become constants.
-                    None => Ok(Some(Term::cnst(name))),
-                }
-            }
-            Tok::Meta(name) => {
-                self.bump();
-                let m = self.metas.get_or_insert(&name);
-                Ok(Some(Term::Meta(m)))
-            }
-            Tok::Int(n) => {
-                self.bump();
-                Ok(Some(Term::Int(n)))
-            }
-            Tok::LParen => {
-                self.bump();
-                if self.peek() == &Tok::RParen {
-                    self.bump();
-                    return Ok(Some(Term::Unit));
-                }
-                let a = self.term()?;
-                if self.peek() == &Tok::Comma {
-                    self.bump();
-                    let b = self.term()?;
-                    self.expect(Tok::RParen)?;
-                    Ok(Some(Term::pair(a, b)))
+                // The innermost binder of that name wins.
+                if let Some(pos) = self.binders.iter().rposition(|b| *b == name) {
+                    Node::Built(Term::Var((self.binders.len() - 1 - pos) as u32))
+                } else if let Some(c) = self.sig.and_then(|g| g.const_sym(name)) {
+                    Node::Const(c)
                 } else {
-                    self.expect(Tok::RParen)?;
-                    Ok(Some(a))
+                    return Err(self.err(format!(
+                        "`{name}` is neither a bound variable nor a declared constant"
+                    )));
                 }
             }
-            _ => Ok(None),
-        }
+            Tok::Meta(name) => Node::Built(Term::Meta(self.metas.get_or_insert(name))),
+            Tok::Int(n) => Node::Built(Term::Int(n)),
+            other => unreachable!("{other} is not a leaf"),
+        })
     }
 
     fn eof(&mut self) -> Result<(), Error> {
-        if self.peek() == &Tok::Eof {
+        if self.peek() == Tok::Eof {
             Ok(())
         } else {
             Err(self.err(format!("unexpected {} after the term", self.peek())))
@@ -594,7 +614,7 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Syntax errors, and unresolved identifiers (not a binder, not a
+/// Syntax errors and unresolved identifiers (not a binder, not a
 /// constant).
 pub fn parse_term(sig: &Signature, src: &str) -> Result<ParsedTerm, Error> {
     parse_term_with(sig, src, MetaTable::new())
@@ -608,8 +628,11 @@ pub fn parse_term(sig: &Signature, src: &str) -> Result<ParsedTerm, Error> {
 /// As for [`parse_term`].
 pub fn parse_term_with(sig: &Signature, src: &str, metas: MetaTable) -> Result<ParsedTerm, Error> {
     let mut p = Parser::new(src, Some(sig), metas)?;
-    let term = p.term()?;
-    p.eof()?;
+    let term = store::with_session(|s| {
+        let t = p.term(s)?;
+        p.eof()?;
+        Ok::<_, Error>(t.into_term())
+    })?;
     Ok(ParsedTerm {
         term,
         metas: p.metas,
@@ -620,8 +643,9 @@ pub fn parse_term_with(sig: &Signature, src: &str, metas: MetaTable) -> Result<P
 ///
 /// # Errors
 ///
-/// Syntax errors only; base types are not checked against a signature
-/// (use [`Signature::check_ty_wf`] for that).
+/// Syntax errors and nesting deeper than [`MAX_TY_NESTING`]; base types
+/// are not checked against a signature (use [`Signature::check_ty_wf`] for
+/// that).
 pub fn parse_ty(src: &str) -> Result<Ty, Error> {
     let mut p = Parser::new(src, None, MetaTable::new())?;
     let t = p.ty()?;
@@ -635,21 +659,21 @@ pub fn parse_ty(src: &str) -> Result<Ty, Error> {
 ///
 /// # Errors
 ///
-/// Syntax errors, redeclarations, and references to undeclared base
-/// types.
+/// Syntax errors, types nested deeper than [`MAX_TY_NESTING`],
+/// redeclarations, and references to undeclared base types.
 pub fn parse_sig(src: &str) -> Result<Signature, Error> {
     let mut p = Parser::new(src, None, MetaTable::new())?;
     let mut sig = Signature::new();
     loop {
-        match p.peek().clone() {
+        match p.peek() {
             Tok::Eof => break,
-            Tok::Ident(kw) if kw == "type" => {
+            Tok::Ident("type") => {
                 p.bump();
                 let name = p.expect_ident()?;
                 p.expect(Tok::Dot)?;
                 sig.declare_type(name)?;
             }
-            Tok::Ident(kw) if kw == "const" => {
+            Tok::Ident("const") => {
                 p.bump();
                 let name = p.expect_ident()?;
                 p.expect(Tok::Colon)?;
@@ -710,6 +734,27 @@ mod tests {
         let s = sig();
         let t = parse_term(&s, r"\x. \x. x").unwrap().term;
         assert_eq!(t, Term::lam("x", Term::lam("x", Term::Var(0))));
+    }
+
+    #[test]
+    fn shadowing_ends_with_the_inner_binder() {
+        // Leaving the inner `\x. x` must make `x` the outer binder again.
+        let s = sig();
+        let names: Vec<String> = (0..20).map(|i| format!("a{i}")).collect();
+        let src = format!(
+            r"{} \x. app (lam (\x. x)) (app x a0)",
+            names.iter().map(|n| format!(r"\{n}.")).collect::<String>()
+        );
+        let app = |f: Term, a: Term| Term::apps(Term::cnst("app"), [f, a]);
+        let body = app(
+            Term::app(Term::cnst("lam"), Term::lam("x", Term::Var(0))),
+            app(Term::Var(0), Term::Var(20)),
+        );
+        let hints = names.iter().map(String::as_str).chain(["x"]);
+        assert_eq!(
+            parse_term(&s, &src).unwrap().term,
+            Term::lams(hints.collect::<Vec<_>>(), body)
+        );
     }
 
     #[test]
@@ -807,5 +852,94 @@ mod tests {
                 "round-trip failed for `{src}` printed as `{printed}`"
             );
         }
+    }
+
+    /// Asserts the exact `Error::Parse` a source produces.
+    fn parse_err(r: Result<impl std::fmt::Debug, Error>) -> (u32, u32, String) {
+        match r {
+            Err(Error::Parse { line, col, msg }) => (line, col, msg),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn error_position_after_comments_counts_lines_and_chars() {
+        let s = sig();
+        let src = "% comment: λ-terms\n// and more\n\n  lam (\\é. é) $ y";
+        assert_eq!(
+            parse_err(parse_term(&s, src)),
+            (3, 14, "unexpected character `$`".into())
+        );
+    }
+
+    #[test]
+    fn error_position_dash_without_arrow_or_digit() {
+        let s = sig();
+        assert_eq!(
+            parse_err(parse_term(&s, "app - x")),
+            (0, 4, "expected `->` or a negative integer after `-`".into())
+        );
+    }
+
+    #[test]
+    fn error_position_integer_out_of_range() {
+        let s = sig();
+        assert_eq!(
+            parse_err(parse_term(&s, "app 99999999999999999999 x")),
+            (
+                0,
+                4,
+                "integer literal `99999999999999999999` out of range".into()
+            )
+        );
+        assert_eq!(
+            parse_err(parse_term(&s, "app\n -9223372036854775809")),
+            (
+                1,
+                1,
+                "integer literal `-9223372036854775809` out of range".into()
+            )
+        );
+    }
+
+    #[test]
+    fn error_position_sigil_without_name() {
+        let s = sig();
+        assert_eq!(
+            parse_err(parse_term(&s, "app ? x")),
+            (0, 4, "expected a metavariable name after `?`".into())
+        );
+        assert_eq!(
+            parse_err(parse_ty("tm -> ' a")),
+            (0, 6, "expected a type-variable name after `'`".into())
+        );
+    }
+
+    #[test]
+    fn error_position_counts_chars_after_non_ascii_identifier() {
+        let s = sig();
+        // The unknown identifier is reported at the token after it; the
+        // column counts characters, not bytes (each `é` is two bytes).
+        assert_eq!(
+            parse_err(parse_term(&s, r"\é. app é mystery é")),
+            (
+                0,
+                18,
+                "`mystery` is neither a bound variable nor a declared constant".into()
+            )
+        );
+    }
+
+    #[test]
+    fn error_position_trailing_garbage() {
+        let s = sig();
+        assert_eq!(
+            parse_err(parse_term(&s, r"lam (\x. x) )")),
+            (0, 12, "unexpected `)` after the term".into())
+        );
+        assert_eq!(
+            parse_err(parse_ty("tm tm")),
+            (0, 3, "unexpected `tm` after the term".into())
+        );
     }
 }

@@ -117,6 +117,13 @@ impl Signature {
         self.const_map.contains_key(name)
     }
 
+    /// The signature's own symbol for a declared constant: lets a front
+    /// end resolve an identifier to a shared [`Sym`] (a refcount bump)
+    /// instead of allocating a fresh one per occurrence.
+    pub fn const_sym(&self, name: &str) -> Option<&Sym> {
+        self.const_map.get(name).map(|&i| &self.consts[i].0)
+    }
+
     /// The type schema of a constant, if declared.
     pub fn const_ty(&self, name: &str) -> Option<&TyScheme> {
         self.const_map.get(name).map(|&i| &self.consts[i].1)

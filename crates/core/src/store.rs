@@ -412,7 +412,26 @@ pub(crate) enum NodeView<'a> {
     Snd(&'a TermRef),
 }
 
-impl NodeView<'_> {
+impl<'a> NodeView<'a> {
+    /// The view of one owned node whose children are already interned:
+    /// lets a builder that holds a shallow [`Term`] intern it through
+    /// [`InternSession::intern_view`] without moving anything into the
+    /// store on a hit.
+    pub(crate) fn of(t: &'a Term) -> NodeView<'a> {
+        match t {
+            Term::Var(i) => NodeView::Var(*i),
+            Term::Const(c) => NodeView::Const(c),
+            Term::Meta(m) => NodeView::Meta(m),
+            Term::Int(n) => NodeView::Int(*n),
+            Term::Unit => NodeView::Unit,
+            Term::Lam(h, b) => NodeView::Lam(h, b),
+            Term::App(f, a) => NodeView::App(f, a),
+            Term::Pair(a, b) => NodeView::Pair(a, b),
+            Term::Fst(p) => NodeView::Fst(p),
+            Term::Snd(p) => NodeView::Snd(p),
+        }
+    }
+
     /// The owned term this view denotes; built only on the intern miss
     /// path (children are cloned — an `Arc` bump each — because the new
     /// node must own them).
@@ -522,7 +541,7 @@ fn view_matches(v: &NodeView<'_>, node: &TermNode) -> bool {
 const FX_K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 #[derive(Default)]
-struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -579,7 +598,7 @@ impl Hasher for FxHasher {
 }
 
 #[derive(Clone, Default, Debug)]
-struct FxBuild;
+pub(crate) struct FxBuild;
 
 impl BuildHasher for FxBuild {
     type Hasher = FxHasher;
@@ -1011,10 +1030,11 @@ thread_local! {
 /// no [`TermRef::new`](crate::term::TermRef::new), no smart
 /// constructors, no [`StoreHandle::enter`] — only the session's own
 /// methods. The callers are the kernel's session-threaded traversals
-/// ([`crate::subst`], [`crate::normalize`]) and the scratch arena's
-/// finish pass ([`crate::scratch`]); all observe that discipline by
-/// construction — they only walk already-interned children (interning
-/// any fresh root *before* opening the session) or arena nodes.
+/// ([`crate::subst`], [`crate::normalize`]), the term parser
+/// ([`crate::parse`]) and the scratch arena's finish pass
+/// ([`crate::scratch`]); all observe that discipline by construction —
+/// they only walk already-interned children (interning any fresh root
+/// *before* opening the session), source tokens, or arena nodes.
 pub(crate) struct InternSession<'a> {
     store: &'a TermStore,
     front: &'a mut Front,
@@ -1258,20 +1278,6 @@ mod tests {
             Term::fst(Term::pair(Term::Unit, Term::Unit)),
             Term::snd(Term::pair(Term::Unit, Term::Unit)),
         ];
-        fn view_of(t: &Term) -> NodeView<'_> {
-            match t {
-                Term::Var(i) => NodeView::Var(*i),
-                Term::Const(c) => NodeView::Const(c),
-                Term::Meta(m) => NodeView::Meta(m),
-                Term::Int(n) => NodeView::Int(*n),
-                Term::Unit => NodeView::Unit,
-                Term::Lam(h, b) => NodeView::Lam(h, b),
-                Term::App(f, a) => NodeView::App(f, a),
-                Term::Pair(a, b) => NodeView::Pair(a, b),
-                Term::Fst(p) => NodeView::Fst(p),
-                Term::Snd(p) => NodeView::Snd(p),
-            }
-        }
         for t in samples {
             assert_eq!(
                 probe_hash(&t),
@@ -1281,23 +1287,23 @@ mod tests {
             // The borrowed batch-intern view must land in the same shard
             // and bucket as both the term probe and the owned key.
             assert_eq!(
-                view_hash(&view_of(&t)),
+                view_hash(&NodeView::of(&t)),
                 probe_hash(&t),
                 "view/probe hash divergence on {t:?}"
             );
             assert_eq!(
-                FxBuild.hash_one(NodeKey::of_view(&view_of(&t))),
+                FxBuild.hash_one(NodeKey::of_view(&NodeView::of(&t))),
                 FxBuild.hash_one(NodeKey::of(&t)),
                 "view/owned key divergence on {t:?}"
             );
-            assert_eq!(view_of(&t).to_term(), t, "view round-trip on {t:?}");
+            assert_eq!(NodeView::of(&t).to_term(), t, "view round-trip on {t:?}");
             let node = intern(t.clone());
             assert!(term_matches(&t, &node));
-            assert!(view_matches(&view_of(&t), &node));
+            assert!(view_matches(&NodeView::of(&t), &node));
             assert!(!term_matches(&Term::Var(999), &node) || matches!(t, Term::Var(999)));
             // Batch-interning the same skeleton through the view path
             // returns the very same node.
-            let via_view = with_session(|s| s.intern_view(&view_of(&t)));
+            let via_view = with_session(|s| s.intern_view(&NodeView::of(&t)));
             assert_eq!(via_view.id(), node.id);
         }
     }

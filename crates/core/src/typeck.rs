@@ -9,6 +9,13 @@
 //! * **synthesis** ([`synth`]) pulls a type out of neutral terms by
 //!   walking their spine from a variable/constant/metavariable head.
 //!
+//! Types are borrowed throughout — from the signature, the [`MetaEnv`],
+//! the context, and the types being checked against — so a check clones
+//! no type unless it fails. The binders a check enters live on one local
+//! stack of borrowed types, and the traversal keeps its continuations on
+//! an explicit stack, so a term of any depth checks without deep host
+//! recursion.
+//!
 //! Polymorphic constants cannot be handled without unification; the
 //! checker reports [`Error::PolyConstInChecking`] and callers fall back to
 //! [`crate::infer`].
@@ -18,6 +25,198 @@ use crate::error::Error;
 use crate::sig::Signature;
 use crate::term::{MetaEnv, Term};
 use crate::ty::Ty;
+
+/// What the checker does next.
+enum Step<'a> {
+    /// Check a term against a type.
+    Check(&'a Term, &'a Ty),
+    /// Synthesize a term's type.
+    Synth(&'a Term),
+    /// Hand a finished check to the continuation on top.
+    Checked,
+    /// Hand a synthesized type to the continuation on top.
+    Synthed(&'a Ty),
+}
+
+/// A check or synthesis under way, awaiting a finished sub-derivation.
+/// The order continuations resume in is the order the recursive
+/// formulation visits subterms, so the first error reported is the same.
+enum Kont<'a> {
+    /// Leave the λ-binders entered above this many locals.
+    Unbind(usize),
+    /// Check a pair's second component.
+    Check(&'a Term, &'a Ty),
+    /// A synthesized type must equal this one.
+    Expect(&'a Ty),
+    /// An application spine's head type: apply it to the arguments on
+    /// `args` above this mark.
+    Head(usize),
+    /// An argument was checked: apply the rest of the function type to
+    /// the remaining arguments above the mark.
+    Args(usize, &'a Ty),
+    /// Project a synthesized product type: `fst` (`true`) or `snd`.
+    Proj(bool),
+}
+
+/// One check or synthesis: the fixed environment plus the machine's
+/// stacks.
+struct Checker<'a> {
+    sig: &'a Signature,
+    menv: &'a MetaEnv,
+    ctx: &'a Ctx,
+    /// Types of the λ-binders entered inside `ctx`, innermost last.
+    locals: Vec<&'a Ty>,
+    /// Arguments of the application spines under way, the next one to
+    /// check last.
+    args: Vec<&'a Term>,
+    konts: Vec<Kont<'a>>,
+}
+
+static INT: Ty = Ty::Int;
+
+impl<'a> Checker<'a> {
+    fn new(sig: &'a Signature, menv: &'a MetaEnv, ctx: &'a Ctx) -> Checker<'a> {
+        Checker {
+            sig,
+            menv,
+            ctx,
+            locals: Vec::new(),
+            args: Vec::new(),
+            konts: Vec::new(),
+        }
+    }
+
+    /// Runs the machine from `step` until its continuations are spent:
+    /// `None` after a check, the type after a synthesis. An error ends
+    /// the run at once, leaving the stacks as they are.
+    fn run(&mut self, mut step: Step<'a>) -> Result<Option<&'a Ty>, Error> {
+        loop {
+            step = match step {
+                Step::Check(t, ty) => self.check(t, ty)?,
+                Step::Synth(t) => self.synth(t)?,
+                Step::Checked => match self.konts.pop() {
+                    None => return Ok(None),
+                    Some(Kont::Unbind(outer)) => {
+                        self.locals.truncate(outer);
+                        Step::Checked
+                    }
+                    Some(Kont::Check(t, ty)) => Step::Check(t, ty),
+                    Some(Kont::Args(mark, fty)) => self.apply(mark, fty)?,
+                    Some(_) => unreachable!("a continuation awaiting a type"),
+                },
+                Step::Synthed(found) => match self.konts.pop() {
+                    None => return Ok(Some(found)),
+                    Some(Kont::Expect(ty)) if found == ty => Step::Checked,
+                    Some(Kont::Expect(ty)) => {
+                        return Err(Error::TypeMismatch {
+                            expected: ty.clone(),
+                            found: found.clone(),
+                        })
+                    }
+                    Some(Kont::Head(mark)) => self.apply(mark, found)?,
+                    Some(Kont::Proj(fst)) => match found {
+                        Ty::Prod(a, b) => Step::Synthed(if fst { a } else { b }),
+                        other => return Err(Error::NotAProduct { ty: other.clone() }),
+                    },
+                    Some(_) => unreachable!("a continuation awaiting a check"),
+                },
+            };
+        }
+    }
+
+    fn check(&mut self, mut t: &'a Term, mut ty: &'a Ty) -> Result<Step<'a>, Error> {
+        // A run of λs against arrows is entered in one go.
+        let outer = self.locals.len();
+        while let (Term::Lam(_, body), Ty::Arrow(dom, cod)) = (t, ty) {
+            self.locals.push(dom);
+            (t, ty) = (body, cod);
+        }
+        if self.locals.len() > outer {
+            self.konts.push(Kont::Unbind(outer));
+        }
+        let form = match (t, ty) {
+            (Term::Pair(a, b), Ty::Prod(ta, tb)) => {
+                self.konts.push(Kont::Check(b, tb));
+                return Ok(Step::Check(a, ta));
+            }
+            (Term::Unit, Ty::Unit) | (Term::Int(_), Ty::Int) => return Ok(Step::Checked),
+            (Term::Lam(..), _) => "λ-abstraction",
+            (Term::Pair(..), _) => "pair",
+            (Term::Unit, _) => "unit value",
+            (Term::Int(_), _) => "integer literal",
+            _ => {
+                self.konts.push(Kont::Expect(ty));
+                return Ok(Step::Synth(t));
+            }
+        };
+        Err(Error::CheckShape {
+            form,
+            ty: ty.clone(),
+        })
+    }
+
+    fn synth(&mut self, t: &'a Term) -> Result<Step<'a>, Error> {
+        let ty = match t {
+            Term::Var(i) => {
+                let n = self.locals.len();
+                match (*i as usize).checked_sub(n) {
+                    None => self.locals[n - 1 - *i as usize],
+                    Some(k) => self
+                        .ctx
+                        .lookup(k as u32)
+                        .map(|(_, ty)| ty)
+                        .ok_or(Error::UnboundVar { index: *i })?,
+                }
+            }
+            Term::Const(c) => {
+                let scheme = self
+                    .sig
+                    .const_ty(c.as_str())
+                    .ok_or_else(|| Error::UnknownConst { name: c.clone() })?;
+                scheme
+                    .as_mono()
+                    .ok_or_else(|| Error::PolyConstInChecking { name: c.clone() })?
+            }
+            Term::Meta(m) => self
+                .menv
+                .get(m)
+                .ok_or_else(|| Error::UnknownMeta { mvar: m.clone() })?,
+            Term::Int(_) => &INT,
+            Term::App(..) => {
+                // Walk the spine to its head; the arguments are checked
+                // left to right once the head's type is known.
+                let mark = self.args.len();
+                let mut head = t;
+                while let Term::App(f, a) = head {
+                    self.args.push(a);
+                    head = f;
+                }
+                self.konts.push(Kont::Head(mark));
+                return Ok(Step::Synth(head));
+            }
+            Term::Fst(p) | Term::Snd(p) => {
+                self.konts.push(Kont::Proj(matches!(t, Term::Fst(_))));
+                return Ok(Step::Synth(p));
+            }
+            Term::Lam(..) | Term::Pair(..) | Term::Unit => return Err(Error::NotNeutral),
+        };
+        Ok(Step::Synthed(ty))
+    }
+
+    /// Applies function type `fty` to the next argument above `mark`, or
+    /// synthesizes it once none is left.
+    fn apply(&mut self, mark: usize, fty: &'a Ty) -> Result<Step<'a>, Error> {
+        if self.args.len() == mark {
+            return Ok(Step::Synthed(fty));
+        }
+        let Ty::Arrow(dom, cod) = fty else {
+            return Err(Error::NotAFunction { ty: fty.clone() });
+        };
+        let a = self.args.pop().expect("an argument above the mark");
+        self.konts.push(Kont::Args(mark, cod));
+        Ok(Step::Check(a, dom))
+    }
+}
 
 /// Checks `t` against `ty` in context `ctx`.
 ///
@@ -36,45 +235,9 @@ use crate::ty::Ty;
 /// # Ok::<(), hoas_core::Error>(())
 /// ```
 pub fn check(sig: &Signature, menv: &MetaEnv, ctx: &Ctx, t: &Term, ty: &Ty) -> Result<(), Error> {
-    match (t, ty) {
-        (Term::Lam(h, body), Ty::Arrow(dom, cod)) => {
-            let ctx2 = ctx.push(h.clone(), dom.as_ref().clone());
-            check(sig, menv, &ctx2, body, cod)
-        }
-        (Term::Lam(_, _), other) => Err(Error::CheckShape {
-            form: "λ-abstraction",
-            ty: other.clone(),
-        }),
-        (Term::Pair(a, b), Ty::Prod(ta, tb)) => {
-            check(sig, menv, ctx, a, ta)?;
-            check(sig, menv, ctx, b, tb)
-        }
-        (Term::Pair(..), other) => Err(Error::CheckShape {
-            form: "pair",
-            ty: other.clone(),
-        }),
-        (Term::Unit, Ty::Unit) => Ok(()),
-        (Term::Unit, other) => Err(Error::CheckShape {
-            form: "unit value",
-            ty: other.clone(),
-        }),
-        (Term::Int(_), Ty::Int) => Ok(()),
-        (Term::Int(_), other) => Err(Error::CheckShape {
-            form: "integer literal",
-            ty: other.clone(),
-        }),
-        _ => {
-            let found = synth(sig, menv, ctx, t)?;
-            if &found == ty {
-                Ok(())
-            } else {
-                Err(Error::TypeMismatch {
-                    expected: ty.clone(),
-                    found,
-                })
-            }
-        }
-    }
+    Checker::new(sig, menv, ctx)
+        .run(Step::Check(t, ty))
+        .map(|_| ())
 }
 
 /// Synthesizes the type of a neutral term (or literal).
@@ -84,45 +247,8 @@ pub fn check(sig: &Signature, menv: &MetaEnv, ctx: &Ctx, t: &Term, ty: &Ty) -> R
 /// Returns [`Error::NotNeutral`] for introduction forms (λ, pair, unit):
 /// those only *check*. Returns lookup and application errors otherwise.
 pub fn synth(sig: &Signature, menv: &MetaEnv, ctx: &Ctx, t: &Term) -> Result<Ty, Error> {
-    match t {
-        Term::Var(i) => ctx
-            .lookup(*i)
-            .map(|(_, ty)| ty.clone())
-            .ok_or(Error::UnboundVar { index: *i }),
-        Term::Const(c) => {
-            let scheme = sig
-                .const_ty(c.as_str())
-                .ok_or_else(|| Error::UnknownConst { name: c.clone() })?;
-            scheme
-                .as_mono()
-                .cloned()
-                .ok_or_else(|| Error::PolyConstInChecking { name: c.clone() })
-        }
-        Term::Meta(m) => menv
-            .get(m)
-            .cloned()
-            .ok_or_else(|| Error::UnknownMeta { mvar: m.clone() }),
-        Term::Int(_) => Ok(Ty::Int),
-        Term::App(f, a) => {
-            let fty = synth(sig, menv, ctx, f)?;
-            match fty {
-                Ty::Arrow(dom, cod) => {
-                    check(sig, menv, ctx, a, &dom)?;
-                    Ok(*cod)
-                }
-                other => Err(Error::NotAFunction { ty: other }),
-            }
-        }
-        Term::Fst(p) => match synth(sig, menv, ctx, p)? {
-            Ty::Prod(a, _) => Ok(*a),
-            other => Err(Error::NotAProduct { ty: other }),
-        },
-        Term::Snd(p) => match synth(sig, menv, ctx, p)? {
-            Ty::Prod(_, b) => Ok(*b),
-            other => Err(Error::NotAProduct { ty: other }),
-        },
-        Term::Lam(..) | Term::Pair(..) | Term::Unit => Err(Error::NotNeutral),
-    }
+    let ty = Checker::new(sig, menv, ctx).run(Step::Synth(t))?;
+    Ok(ty.expect("a synthesis ends with a type").clone())
 }
 
 /// Checks a closed term with no metavariables against `ty`.

@@ -16,7 +16,7 @@
 //!   and which HOAS gets for free from β-reduction).
 
 use std::collections::HashSet;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A scope: `binders` are bound within `body`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -308,14 +308,25 @@ pub fn all_names(t: &Tree) -> HashSet<String> {
 
 /// Produces a name based on `base` that is not in `avoid`.
 pub fn fresh_name(base: &str, avoid: &HashSet<String>) -> String {
-    let stem: &str = base.trim_end_matches(|c: char| c.is_ascii_digit());
-    let stem = if stem.is_empty() { "x" } else { stem };
-    if !avoid.contains(base) {
+    fresh_name_by(base, |n| avoid.contains(n))
+}
+
+/// Produces a name based on `base` for which `taken` is false: `base`
+/// itself if free, else its digit-stripped stem (`x` if empty) with the
+/// least suffix `1, 2, …` that is free. [`fresh_name`] is this with a
+/// set lookup; a caller whose names in scope sit in a slice can test
+/// them in place instead of collecting a set.
+pub fn fresh_name_by(base: &str, taken: impl Fn(&str) -> bool) -> String {
+    if !taken(base) {
         return base.to_string();
     }
+    let stem: &str = base.trim_end_matches(|c: char| c.is_ascii_digit());
+    let stem = if stem.is_empty() { "x" } else { stem };
+    let mut cand = String::with_capacity(stem.len() + 2);
     for i in 1u64.. {
-        let cand = format!("{stem}{i}");
-        if !avoid.contains(&cand) {
+        cand.clear();
+        write!(cand, "{stem}{i}").expect("writing to a String cannot fail");
+        if !taken(&cand) {
             return cand;
         }
     }

@@ -21,7 +21,6 @@ use hoas_core::sig::Signature;
 use hoas_core::{Term, Ty};
 use hoas_testkit::rng::Rng;
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::fmt;
 
 /// A first-order term over a vocabulary.
@@ -377,14 +376,14 @@ fn decode_term(t: &Term, env: &mut Vec<String>) -> Result<FoTerm, LangError> {
 fn decode_formula(t: &Term, env: &mut Vec<String>) -> Result<Formula, LangError> {
     let (head, args) = t.spine();
     let cname = match head {
-        Term::Const(c) => c.as_str().to_string(),
+        Term::Const(c) => c.as_str(),
         other => {
             return Err(LangError::NotCanonical(format!(
                 "formula with head `{other}`"
             )))
         }
     };
-    match (cname.as_str(), args.as_slice()) {
+    match (cname, args.as_slice()) {
         ("and", [a, b]) => Ok(Formula::and(
             decode_formula(a, env)?,
             decode_formula(b, env)?,
@@ -400,11 +399,8 @@ fn decode_formula(t: &Term, env: &mut Vec<String>) -> Result<Formula, LangError>
         ("not", [a]) => Ok(Formula::not(decode_formula(a, env)?)),
         ("forall", [abs]) | ("exists", [abs]) => match abs {
             Term::Lam(hint, body) => {
-                let used: HashSet<String> = env.iter().cloned().collect();
-                let name = hoas_firstorder::named::fresh_name(hint.as_str(), &used);
-                env.push(name.clone());
-                let inner = decode_formula(body, env)?;
-                env.pop();
+                let (name, inner) =
+                    crate::under_binder(env, hint.as_str(), |env| decode_formula(body, env))?;
                 Ok(if cname == "forall" {
                     Formula::forall(name, inner)
                 } else {
@@ -420,7 +416,7 @@ fn decode_formula(t: &Term, env: &mut Vec<String>) -> Result<Formula, LangError>
         )),
         (p, _) => {
             let mut out = Vec::with_capacity(args.len());
-            for a in &args {
+            for a in args {
                 out.push(decode_term(a, env)?);
             }
             Ok(Formula::Pred(p.to_string(), out))

@@ -458,10 +458,10 @@ pub fn decode(t: &Term) -> Result<Cmd, LangError> {
     fn aexp(t: &Term, env: &[String]) -> Result<Aexp, LangError> {
         let (head, args) = t.spine();
         let c = match head {
-            Term::Const(c) => c.as_str().to_string(),
+            Term::Const(c) => c.as_str(),
             other => return Err(LangError::NotCanonical(format!("aexp with head `{other}`"))),
         };
-        match (c.as_str(), args.as_slice()) {
+        match (c, args.as_slice()) {
             ("lit", [Term::Int(n)]) => Ok(Aexp::Num(*n)),
             ("deref", [v]) => Ok(Aexp::Var(var_name(v, env)?)),
             ("add", [a, b]) => Ok(Aexp::add(aexp(a, env)?, aexp(b, env)?)),
@@ -473,10 +473,10 @@ pub fn decode(t: &Term) -> Result<Cmd, LangError> {
     fn bexp(t: &Term, env: &[String]) -> Result<Bexp, LangError> {
         let (head, args) = t.spine();
         let c = match head {
-            Term::Const(c) => c.as_str().to_string(),
+            Term::Const(c) => c.as_str(),
             other => return Err(LangError::NotCanonical(format!("bexp with head `{other}`"))),
         };
-        match (c.as_str(), args.as_slice()) {
+        match (c, args.as_slice()) {
             ("le", [a, b]) => Ok(Bexp::le(aexp(a, env)?, aexp(b, env)?)),
             ("eqb", [a, b]) => Ok(Bexp::eq(aexp(a, env)?, aexp(b, env)?)),
             ("notb", [b]) => Ok(Bexp::not(bexp(b, env)?)),
@@ -487,10 +487,10 @@ pub fn decode(t: &Term) -> Result<Cmd, LangError> {
     fn cmd(t: &Term, env: &mut Vec<String>) -> Result<Cmd, LangError> {
         let (head, args) = t.spine();
         let c = match head {
-            Term::Const(c) => c.as_str().to_string(),
+            Term::Const(c) => c.as_str(),
             other => return Err(LangError::NotCanonical(format!("cmd with head `{other}`"))),
         };
-        match (c.as_str(), args.as_slice()) {
+        match (c, args.as_slice()) {
             ("skip", []) => Ok(Cmd::Skip),
             ("assign", [v, e]) => Ok(Cmd::Assign(var_name(v, env)?, aexp(e, env)?)),
             ("seq", [a, b]) => Ok(Cmd::seq(cmd(a, env)?, cmd(b, env)?)),
@@ -501,11 +501,8 @@ pub fn decode(t: &Term) -> Result<Cmd, LangError> {
                 let i = aexp(init, env)?;
                 match abs {
                     Term::Lam(hint, body) => {
-                        let used: HashSet<String> = env.iter().cloned().collect();
-                        let name = hoas_firstorder::named::fresh_name(hint.as_str(), &used);
-                        env.push(name.clone());
-                        let b = cmd(body, env)?;
-                        env.pop();
+                        let (name, b) =
+                            crate::under_binder(env, hint.as_str(), |env| cmd(body, env))?;
                         Ok(Cmd::local(name, i, b))
                     }
                     other => Err(LangError::NotCanonical(format!(

@@ -185,11 +185,8 @@ pub fn decode_open(t: &Term, scope: &[&str]) -> Result<LTerm, LangError> {
             Term::App(f, a) => match f.as_ref() {
                 Term::Const(c) if c.as_str() == "lam" => match a.as_ref() {
                     Term::Lam(hint, body) => {
-                        let used: HashSet<String> = env.iter().cloned().collect();
-                        let name = hoas_firstorder::named::fresh_name(hint.as_str(), &used);
-                        env.push(name.clone());
-                        let b = go(body, env)?;
-                        env.pop();
+                        let (name, b) =
+                            crate::under_binder(env, hint.as_str(), |env| go(body, env))?;
                         Ok(LTerm::lam(name, b))
                     }
                     other => Err(LangError::NotCanonical(format!(

@@ -51,6 +51,24 @@ pub enum LangError {
     Core(hoas_core::Error),
 }
 
+/// Decodes the body of a binder whose printing hint is `hint`: names the
+/// binder by freshening the hint against the names in scope (`env`,
+/// innermost last, tested in place — as
+/// [`hoas_firstorder::named::fresh_name`] would against their set),
+/// decodes `body` with that name pushed, and returns the name with the
+/// result.
+pub(crate) fn under_binder<T>(
+    env: &mut Vec<String>,
+    hint: &str,
+    body: impl FnOnce(&mut Vec<String>) -> Result<T, LangError>,
+) -> Result<(String, T), LangError> {
+    let name = hoas_firstorder::named::fresh_name_by(hint, |n| env.iter().any(|s| s == n));
+    env.push(name);
+    let decoded = body(env);
+    let name = env.pop().expect("the binder pushed above");
+    Ok((name, decoded?))
+}
+
 impl std::fmt::Display for LangError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

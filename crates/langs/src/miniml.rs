@@ -279,9 +279,10 @@ pub fn encode(e: &Exp) -> Result<Term, LangError> {
 ///
 /// [`LangError::NotCanonical`] on exotic or ill-formed terms.
 pub fn decode(t: &Term) -> Result<Exp, LangError> {
-    fn binder<'t>(t: &'t Term, what: &str) -> Result<(&'t hoas_core::Sym, &'t Term), LangError> {
+    use crate::under_binder;
+    fn binder<'t>(t: &'t Term, what: &str) -> Result<(&'t str, &'t Term), LangError> {
         match t {
-            Term::Lam(h, b) => Ok((h, b)),
+            Term::Lam(h, b) => Ok((h.as_str(), b)),
             other => Err(LangError::NotCanonical(format!(
                 "{what} over non-λ `{other}` (exotic term)"
             ))),
@@ -298,50 +299,34 @@ pub fn decode(t: &Term) -> Result<Exp, LangError> {
         }
         let (head, args) = t.spine();
         let cname = match head {
-            Term::Const(c) => c.as_str().to_string(),
+            Term::Const(c) => c.as_str(),
             other => return Err(LangError::NotCanonical(format!("exp with head `{other}`"))),
         };
-        let fresh = |hint: &hoas_core::Sym, env: &[String]| {
-            let used: HashSet<String> = env.iter().cloned().collect();
-            hoas_firstorder::named::fresh_name(hint.as_str(), &used)
-        };
-        match (cname.as_str(), args.as_slice()) {
+        match (cname, args.as_slice()) {
             ("z", []) => Ok(Exp::Z),
             ("s", [e]) => Ok(Exp::s(go(e, env)?)),
             ("case", [scrut, zero, succ]) => {
                 let s = go(scrut, env)?;
                 let zc = go(zero, env)?;
                 let (hint, body) = binder(succ, "case branch")?;
-                let name = fresh(hint, env);
-                env.push(name.clone());
-                let sc = go(body, env)?;
-                env.pop();
+                let (name, sc) = under_binder(env, hint, |env| go(body, env))?;
                 Ok(Exp::case(s, zc, name, sc))
             }
             ("lam", [abs]) => {
                 let (hint, body) = binder(abs, "lam")?;
-                let name = fresh(hint, env);
-                env.push(name.clone());
-                let b = go(body, env)?;
-                env.pop();
+                let (name, b) = under_binder(env, hint, |env| go(body, env))?;
                 Ok(Exp::lam(name, b))
             }
             ("app", [f, a]) => Ok(Exp::app(go(f, env)?, go(a, env)?)),
             ("letv", [e1, abs]) => {
                 let c1 = go(e1, env)?;
                 let (hint, body) = binder(abs, "let")?;
-                let name = fresh(hint, env);
-                env.push(name.clone());
-                let c2 = go(body, env)?;
-                env.pop();
+                let (name, c2) = under_binder(env, hint, |env| go(body, env))?;
                 Ok(Exp::let_(name, c1, c2))
             }
             ("fix", [abs]) => {
                 let (hint, body) = binder(abs, "fix")?;
-                let name = fresh(hint, env);
-                env.push(name.clone());
-                let b = go(body, env)?;
-                env.pop();
+                let (name, b) = under_binder(env, hint, |env| go(body, env))?;
                 Ok(Exp::fix(name, b))
             }
             (c, _) => Err(LangError::NotCanonical(format!(

@@ -226,3 +226,132 @@ fn beta_is_cons_on_id() {
         subst::instantiate(&body, &arg)
     );
 }
+
+// ------------------------------------------------- deep and wide input --
+
+/// Runs `f` on a thread with a 2 MiB stack, the default for spawned
+/// threads. Overflowing it would abort the whole test binary, so a
+/// returned value is the assertion that the layer under test does not
+/// recurse on the host stack per level of nesting.
+fn on_2mib_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .expect("the thread returned instead of aborting")
+}
+
+/// `lam (\x. lam (\x. … x))`, `n` λs deep, as source text.
+fn nested_lam_src(n: usize) -> String {
+    format!("{}x{}", r"lam (\x. ".repeat(n), ")".repeat(n))
+}
+
+/// The term `nested_lam_src(n)` denotes, built without the parser.
+fn nested_lam(n: usize) -> Term {
+    (0..n).fold(Term::Var(0), |t, _| {
+        Term::app(Term::cnst("lam"), Term::lam("x", t))
+    })
+}
+
+#[test]
+fn deep_terms_parse_and_check_on_a_2mib_stack() {
+    use hoas::langs::lambda;
+    for n in [10_000, 100_000] {
+        let src = nested_lam_src(n);
+        let (parsed, checked) = on_2mib_stack(move || {
+            let sig = lambda::signature();
+            let parsed = parse_term(sig, &src).map(|p| p.term);
+            let checked = typeck::check_closed(sig, &nested_lam(n), &Ty::base("tm"));
+            (parsed, checked)
+        });
+        assert_eq!(parsed, Ok(nested_lam(n)), "parse at n = {n}");
+        assert_eq!(checked, Ok(()), "check at n = {n}");
+    }
+    // The first error is the one the recursive formulation reports: the
+    // first argument's innermost variable, n binders deep, is unbound
+    // (index n), and the later argument names an undeclared constant.
+    let n = 10_000;
+    let dangling = (0..n).fold(Term::Var(n as u32), |t, _| {
+        Term::app(Term::cnst("lam"), Term::lam("x", t))
+    });
+    let bad = Term::apps(Term::cnst("app"), [dangling, Term::cnst("undeclared")]);
+    let err =
+        on_2mib_stack(move || typeck::check_closed(lambda::signature(), &bad, &Ty::base("tm")));
+    assert_eq!(err, Err(Error::UnboundVar { index: n as u32 }));
+}
+
+#[test]
+fn deep_types_are_a_typed_error_not_an_abort() {
+    let limit = hoas::core::MAX_TY_NESTING as usize;
+    let parens = |n: usize| format!("{}b{}", "(".repeat(n), ")".repeat(n));
+    // `(b -> (b -> … b))` costs two levels per arrow.
+    let arrows = |n: usize| format!("{}b{}", "(b -> ".repeat(n), ")".repeat(n));
+    let cases = [
+        (parens(limit), true),
+        (parens(limit + 1), false),
+        (arrows(limit / 2), true),
+        (arrows(limit / 2 + 1), false),
+        (parens(10_000), false),
+        (parens(100_000), false),
+        (format!("{}b", "b -> ".repeat(100_000)), false),
+    ];
+    for (src, ok) in cases {
+        let (ty, sig) = on_2mib_stack(move || {
+            let ty = parse_ty(&src).map(|_| ());
+            let sig = Signature::parse(&format!("type b. const k : {src}.")).map(|_| ());
+            (ty, sig)
+        });
+        for r in [ty, sig] {
+            match r {
+                Ok(()) => assert!(ok),
+                Err(Error::Parse { msg, .. }) => {
+                    assert!(!ok);
+                    assert!(msg.contains("type nested deeper than"), "{msg}");
+                }
+                Err(other) => panic!("expected a parse error, got {other}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn long_spines_parse_and_check_on_a_2mib_stack() {
+    // An application spine is parsed and checked in loops.
+    let width = 100_000;
+    let mut sig = Signature::parse("type b. const c : b.").unwrap();
+    let b = Ty::base("b");
+    sig.declare_const("k", Ty::arrows(vec![b.clone(); 3], b.clone()))
+        .unwrap();
+    sig.declare_const("f", Ty::arrow(b.clone(), b.clone()))
+        .unwrap();
+    // `f (f (… (k c c c)))`, nested through arguments rather than binders.
+    let src = format!("{}k c c c{}", "f (".repeat(width), ")".repeat(width));
+    on_2mib_stack(move || {
+        let t = parse_term(&sig, &src)?.term;
+        typeck::check_closed(&sig, &t, &b)
+    })
+    .unwrap();
+}
+
+#[test]
+fn printing_deeply_nested_same_hint_binders_is_linear() {
+    // λx. λx. … x, 2000 binders that all hint `x`: the printer freshens
+    // each against all the others. Printing recurses once per binder, so
+    // it runs on a roomy stack; the bound under test is time.
+    const N: usize = 2_000;
+    let (printed, elapsed) = std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(|| {
+            let t = (0..N).fold(Term::Var(0), |t, _| Term::lam("x", t));
+            let start = std::time::Instant::now();
+            let printed = t.to_string();
+            (printed, start.elapsed())
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    assert!(printed.starts_with(r"\x. \x1. \x2. "), "{}", &printed[..40]);
+    assert!(printed.ends_with(r"\x1999. x1999"));
+    assert!(elapsed < std::time::Duration::from_secs(1), "{elapsed:?}");
+}

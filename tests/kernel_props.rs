@@ -229,6 +229,37 @@ props! {
         let _ = parse_ty(&src);
     }
 
+    fn parser_never_panics_on_unicode_soup(
+        chars in token_soup(
+            &[
+                "λ", "→", "é", "𝔸", "\u{301}", "x", "_", "'", "?", "-",
+                ">", "%", "/", "\\", ".", "(", ")", ",", ":", "*",
+                "7", " ", "\n", "lam", "app",
+            ],
+            40,
+        ),
+    ) {
+        // Multi-byte characters next to every kind of token: a lexer
+        // that slices the source off a character boundary panics here.
+        let sig = lambda::signature();
+        let src = chars.concat();
+        let results = [
+            parse_term(sig, &src).err(),
+            parse_ty(&src).err(),
+            Signature::parse(&src).err(),
+        ];
+        // Error positions count characters and stay inside the source.
+        for err in results.into_iter().flatten() {
+            if let Error::Parse { line, col, .. } = err {
+                let chars_on_line = src.split('\n').nth(line as usize).map(|l| l.chars().count());
+                prop_assert!(
+                    chars_on_line.is_some_and(|n| col as usize <= n),
+                    "{line}:{col} outside {src:?}"
+                );
+            }
+        }
+    }
+
     fn decoder_never_panics_on_arbitrary_wellformed_terms(seed in seeds(), size in 2usize..25) {
         // Feed λ-calculus encodings to the *wrong* decoders: must error,
         // not panic.
