@@ -40,10 +40,11 @@ impl Ctx {
 
     /// Returns a new context extended with one entry (persistent-style
     /// API). This clones the whole context: O(len), copying each entry's
-    /// `Ty`. The rewrite engine, `normalize::canon`, type reconstruction and
-    /// the pattern unifier still extend contexts this way; a traversal that
-    /// enters many binders should keep them on a stack of its own instead,
-    /// as [`crate::typeck`] does, or use [`Ctx::push_mut`]/[`Ctx::pop_mut`].
+    /// `Ty`. `normalize::canon`, type reconstruction (`infer`), the
+    /// pattern unifier and the anti-unifier still extend contexts this
+    /// way; a traversal that enters many binders should keep them on a
+    /// stack of its own instead, as [`crate::typeck`] does, or use
+    /// [`Ctx::push_mut`]/[`Ctx::pop_mut`], as the rewrite engine does.
     #[must_use]
     pub fn push(&self, hint: Sym, ty: Ty) -> Ctx {
         let mut entries = self.entries.clone();

@@ -395,19 +395,18 @@ pub(crate) const RULE_NF_CAP: usize = 1 << 20;
 /// monomorphic constant, `None` for a polymorphic one.
 pub(crate) type HeadArgTys = Option<Arc<Vec<Ty>>>;
 
-/// Argument types of a neutral spine's head, with ownership depending on
-/// where they came from (memo table, context, or fresh synthesis).
-enum ArgTys<'t> {
+/// Argument types of a neutral spine's head: shared from the head-type
+/// table for a constant, owned otherwise (a variable head's types are
+/// cloned out of the context, which the descent goes on to extend).
+enum ArgTys {
     Shared(Arc<Vec<Ty>>),
-    Borrowed(Vec<&'t Ty>),
     Owned(Vec<Ty>),
 }
 
-impl ArgTys<'_> {
+impl ArgTys {
     fn get(&self, i: usize) -> Option<&Ty> {
         match self {
             ArgTys::Shared(v) => v.get(i),
-            ArgTys::Borrowed(v) => v.get(i).copied(),
             ArgTys::Owned(v) => v.get(i),
         }
     }
@@ -774,14 +773,17 @@ impl<'a> Engine<'a> {
         self.step_root(ty, t)
     }
 
+    /// One strategy step on `t` in the binder context `ctx` (extended and
+    /// restored in place while descending). The returned step's path is
+    /// innermost-first; [`Engine::step_root`] reverses it.
     fn step(
         &self,
-        ctx: &Ctx,
+        ctx: &mut Ctx,
         ty: &Ty,
         t: &Term,
     ) -> Result<Option<(Term, RewriteStep)>, RewriteError> {
         bump(&self.counters.nodes_visited);
-        let here = |this: &Self| {
+        let here = |this: &Self, ctx: &Ctx| {
             Ok::<_, RewriteError>(this.rewrite_here(ctx, ty, t)?.map(|(t2, rule, via)| {
                 (
                     t2,
@@ -795,7 +797,7 @@ impl<'a> Engine<'a> {
         };
         match self.cfg.strategy {
             Strategy::LeftmostOutermost => {
-                if let Some(hit) = here(self)? {
+                if let Some(hit) = here(self, ctx)? {
                     return Ok(Some(hit));
                 }
                 self.step_children(ctx, ty, t)
@@ -804,7 +806,7 @@ impl<'a> Engine<'a> {
                 if let Some(hit) = self.step_children(ctx, ty, t)? {
                     return Ok(Some(hit));
                 }
-                here(self)
+                here(self, ctx)
             }
         }
     }
@@ -822,7 +824,7 @@ impl<'a> Engine<'a> {
     /// engine.
     fn step_ref(
         &self,
-        ctx: &Ctx,
+        ctx: &mut Ctx,
         ty: &Ty,
         t: &TermRef,
     ) -> Result<Option<(Term, RewriteStep)>, RewriteError> {
@@ -864,12 +866,18 @@ impl<'a> Engine<'a> {
     /// assumed deterministic engine-wide; the rule-normal-form cache's
     /// `None` short-circuit already relies on the same assumption.
     fn step_root(&self, ty: &Ty, t: &Term) -> Result<Option<(Term, RewriteStep)>, RewriteError> {
-        let ctx = Ctx::new();
+        let step = |ctx: &mut Ctx| {
+            Ok::<_, RewriteError>(self.step(ctx, ty, t)?.map(|(t2, mut step)| {
+                step.path.reverse();
+                (t2, step)
+            }))
+        };
+        let mut ctx = Ctx::new();
         if !self.cfg.cache || t.has_metas() {
-            return self.step(&ctx, ty, t);
+            return step(&mut ctx);
         }
         let Some(key) = root_key(t) else {
-            return self.step(&ctx, ty, t);
+            return step(&mut ctx);
         };
         {
             let memo = lock(&self.caches.root_memo);
@@ -885,7 +893,7 @@ impl<'a> Engine<'a> {
             }
         }
         bump(&self.counters.memo_misses);
-        let r = self.step(&ctx, ty, t)?;
+        let r = step(&mut ctx)?;
         let mut memo = lock(&self.caches.root_memo);
         if memo.len() >= ROOT_MEMO_CAP {
             memo.clear();
@@ -938,7 +946,7 @@ impl<'a> Engine<'a> {
     /// Argument types for descending a neutral spine: memo table for
     /// constant heads, context lookup for variable heads, full synthesis
     /// otherwise (also the error path for unknown heads).
-    fn arg_tys_for<'t>(&self, ctx: &'t Ctx, head: &Term) -> Result<ArgTys<'t>, RewriteError> {
+    fn arg_tys_for(&self, ctx: &Ctx, head: &Term) -> Result<ArgTys, RewriteError> {
         match head {
             Term::Const(c) => {
                 let memo = lock(&self.caches.head_arg_tys)
@@ -957,7 +965,7 @@ impl<'a> Engine<'a> {
             }
             Term::Var(i) => {
                 if let Some((_, ty)) = ctx.lookup(*i) {
-                    return Ok(ArgTys::Borrowed(ty.uncurry().0));
+                    return Ok(ArgTys::Owned(ty.uncurry().0.into_iter().cloned().collect()));
                 }
             }
             _ => {}
@@ -970,20 +978,22 @@ impl<'a> Engine<'a> {
 
     fn step_children(
         &self,
-        ctx: &Ctx,
+        ctx: &mut Ctx,
         ty: &Ty,
         t: &Term,
     ) -> Result<Option<(Term, RewriteStep)>, RewriteError> {
+        // Paths are built innermost-first (one push per level) and
+        // reversed once at the root.
         fn at(mut step: RewriteStep, i: u32) -> RewriteStep {
-            step.path.insert(0, i);
+            step.path.push(i);
             step
         }
         match (t, ty) {
             (Term::Lam(h, body), Ty::Arrow(dom, cod)) => {
-                let ctx2 = ctx.push(h.clone(), dom.as_ref().clone());
-                Ok(self
-                    .step_ref(&ctx2, cod, body)?
-                    .map(|(b, step)| (Term::lam(h.clone(), b), at(step, 0))))
+                ctx.push_mut(h.clone(), dom.as_ref().clone());
+                let r = self.step_ref(ctx, cod, body);
+                ctx.pop_mut();
+                Ok(r?.map(|(b, step)| (Term::lam(h.clone(), b), at(step, 0))))
             }
             (Term::Pair(a, b), Ty::Prod(ta, tb)) => {
                 // Rebuild around the rewritten component only: the

@@ -8,13 +8,13 @@
 
 use crate::error::UnifyError;
 use crate::huet::{self, HuetConfig};
-use crate::msubst::MetaSubst;
+use crate::msubst::{solution_lams, MetaSubst};
 use crate::pattern;
 use crate::problem::{flex_view, Constraint};
 use hoas_core::ctx::Ctx;
 use hoas_core::sig::Signature;
 use hoas_core::term::MetaEnv;
-use hoas_core::{MVar, Sym, Term, Ty};
+use hoas_core::{MVar, Term, TermRef, Ty};
 
 /// Configuration for matching.
 #[derive(Clone, Copy, Debug)]
@@ -119,12 +119,8 @@ pub fn match_pattern(pattern: &Term, target: &Term) -> Result<Option<MetaSubst>,
         }));
     }
     let mut binds: Vec<(MVar, Term)> = Vec::new();
-    if walk_pattern(pattern, target, 0, &mut binds)? {
-        let mut subst = MetaSubst::new();
-        for (m, sol) in binds {
-            subst.bind(m, sol);
-        }
-        Ok(Some(subst))
+    if walk_pattern(pattern, target, None, 0, &mut binds)? {
+        Ok(Some(MetaSubst::ground(binds)))
     } else {
         Ok(None)
     }
@@ -132,9 +128,11 @@ pub fn match_pattern(pattern: &Term, target: &Term) -> Result<Option<MetaSubst>,
 
 /// Lockstep descent at `depth` binders below the match root. Returns
 /// whether the subterms match, accumulating metavariable solutions.
+/// `node` is `t`'s interned node (every position but the match root).
 fn walk_pattern(
     p: &Term,
     t: &Term,
+    node: Option<&TermRef>,
     depth: u32,
     binds: &mut Vec<(MVar, Term)>,
 ) -> Result<bool, UnifyError> {
@@ -146,22 +144,27 @@ fn walk_pattern(
     // A flexible spine must be solved as a whole, *before* decomposing
     // applications — `?Q x ≐ p c` matches (with `?Q := λx. p c`) even
     // though a pairwise descent through the `App` nodes would refute it.
-    if let Some(view) = flex_view(p, depth) {
+    // The head is found by walking the `App` nodes; only a flexible one
+    // pays for collecting the spine.
+    let mut head = p;
+    while let Term::App(f, _) = head {
+        head = f;
+    }
+    if matches!(head, Term::Meta(_)) {
+        let view = flex_view(p, depth).expect("a metavariable head is flexible");
         let Some(spine) = view.pattern_spine else {
             return Err(UnifyError::not_pattern(p));
         };
-        return solve_spine(&view.mvar, &spine, depth, t, binds);
+        return solve_spine(&view.mvar, &spine, depth, t, node, binds);
     }
     match (p, t) {
-        (Term::Lam(_, pb), Term::Lam(_, tb)) => walk_pattern(pb, tb, depth + 1, binds),
-        (Term::App(pf, pa), Term::App(tf, ta)) => {
-            Ok(walk_pattern(pf, tf, depth, binds)? && walk_pattern(pa, ta, depth, binds)?)
-        }
-        (Term::Pair(pa, pb), Term::Pair(ta, tb)) => {
-            Ok(walk_pattern(pa, ta, depth, binds)? && walk_pattern(pb, tb, depth, binds)?)
+        (Term::Lam(_, pb), Term::Lam(_, tb)) => walk_pattern(pb, tb, Some(tb), depth + 1, binds),
+        (Term::App(pf, pa), Term::App(tf, ta)) | (Term::Pair(pf, pa), Term::Pair(tf, ta)) => {
+            Ok(walk_pattern(pf, tf, Some(tf), depth, binds)?
+                && walk_pattern(pa, ta, Some(ta), depth, binds)?)
         }
         (Term::Fst(pp), Term::Fst(tp)) | (Term::Snd(pp), Term::Snd(tp)) => {
-            walk_pattern(pp, tp, depth, binds)
+            walk_pattern(pp, tp, Some(tp), depth, binds)
         }
         // Shape mismatch (the pattern side has metas, so it is not a leaf).
         _ => Ok(false),
@@ -171,22 +174,36 @@ fn walk_pattern(
 /// Solves `?M x̄ ≐ t` at `local` binders by inverting `t` along the spine.
 /// A repeated occurrence of a bound metavariable must invert to the same
 /// solution (non-left-linear patterns compare ground solutions).
+///
+/// When the spine names all `local` binders innermost-last (`?Q x` under
+/// one binder) the inversion is the identity renaming, and the solution
+/// abstracts `t`'s own node.
 fn solve_spine(
     m: &MVar,
     spine: &[u32],
     local: u32,
     t: &Term,
+    node: Option<&TermRef>,
     binds: &mut Vec<(MVar, Term)>,
 ) -> Result<bool, UnifyError> {
-    let Some(body) = invert_ground(spine, local, t, 0) else {
-        // A constraint-local variable outside the spine occurs in `t`:
-        // the vacuous-binder side condition refutes the match.
-        return Ok(false);
+    let n = spine.len();
+    let identity = n == local as usize && spine.iter().rev().zip(0..).all(|(&s, k)| s == k);
+    let sol = match (identity, node) {
+        (true, _) if n == 0 => t.clone(),
+        (true, Some(node)) => solution_lams(n, node.clone()),
+        _ => {
+            let Some(body) = invert_ground(spine, local, t, 0) else {
+                // A constraint-local variable outside the spine occurs in
+                // `t`: the vacuous-binder side condition refutes the match.
+                return Ok(false);
+            };
+            if n == 0 {
+                body
+            } else {
+                solution_lams(n, TermRef::new(body))
+            }
+        }
     };
-    let hints: Vec<Sym> = (0..spine.len())
-        .map(|i| Sym::new(format!("x{i}")))
-        .collect();
-    let sol = Term::lams(hints, body);
     if let Some((_, prev)) = binds.iter().find(|(bm, _)| bm == m) {
         Ok(*prev == sol)
     } else {

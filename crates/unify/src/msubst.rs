@@ -6,9 +6,39 @@
 //! posed. Applying a substitution therefore shifts each solution by the
 //! binder depth of the occurrence it replaces, then β-normalizes so that
 //! a solution `λx̄. b` grafted onto a spine `?M a₁ … aₙ` contracts.
+//!
+//! One spine shape skips that contraction: `?M xₙ₋₁ … x₀` applied to the
+//! `n` innermost bound variables in order — how a rewrite rule's
+//! right-hand side says "the same body, under the same binders". Its
+//! instance is a renumbering of the solution's body, and the identity
+//! when nothing needs renumbering (see [`MetaSubst::apply`]).
 
-use hoas_core::{normalize, subst, MVar, Term, TermRef};
+use hoas_core::{normalize, subst, MVar, Sym, Term, TermRef};
+use std::cell::RefCell;
 use std::collections::HashMap;
+
+/// Wraps a solution body in `n` λ-binders hinted `x0, x1, …` (outermost
+/// first), the shape every spine-inversion solution `λx̄. body` takes.
+/// The hints are built once per thread; `body` is taken as an interned
+/// node so that the innermost λ costs no store lookup.
+pub(crate) fn solution_lams(n: usize, body: TermRef) -> Term {
+    thread_local! {
+        static HINTS: RefCell<Vec<Sym>> = const { RefCell::new(Vec::new()) };
+    }
+    assert!(n > 0, "a solution without binders is its body");
+    HINTS.with(|hints| {
+        let mut hints = hints.borrow_mut();
+        while hints.len() < n {
+            let i = hints.len();
+            hints.push(Sym::new(format!("x{i}")));
+        }
+        let mut acc = Term::Lam(hints[n - 1].clone(), body);
+        for h in hints[..n - 1].iter().rev() {
+            acc = Term::Lam(h.clone(), TermRef::new(acc));
+        }
+        acc
+    })
+}
 
 /// A finite map from metavariables to solution terms (in ambient scope).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -40,6 +70,17 @@ impl MetaSubst {
     /// Whether `m` is solved.
     pub fn contains(&self, m: &MVar) -> bool {
         self.map.contains_key(m)
+    }
+
+    /// A substitution of **ground** solutions, bound as given. Ground
+    /// solutions mention no metavariable, so `bind`'s self-application
+    /// would be the identity on every entry; this skips it.
+    ///
+    /// Callers pass each metavariable at most once.
+    pub(crate) fn ground(binds: Vec<(MVar, Term)>) -> MetaSubst {
+        debug_assert!(binds.iter().all(|(_, t)| !t.has_metas()));
+        let map: HashMap<MVar, Term> = binds.into_iter().collect();
+        MetaSubst { map }
     }
 
     /// Iterates `(mvar, solution)` pairs in arbitrary order.
@@ -98,6 +139,13 @@ impl MetaSubst {
     /// ambient scope). Subterms the substitution does not reach are kept
     /// as the same nodes: a β-normal term mentioning no solved
     /// metavariable comes back as itself, with no store work at all.
+    ///
+    /// A solved spine `?M xₙ₋₁ … x₀` at depth `d ≥ n` whose arguments are
+    /// the `n` innermost bound variables in order, with `?M := λⁿ.B`,
+    /// becomes `shift_above(B, d − n, n)` directly — what grafting and
+    /// β-contracting would give, without building the redex. When
+    /// `d = n`, or `B` mentions no ambient variable, the result is `B`'s
+    /// own node, with no store work.
     pub fn apply(&self, t: &Term) -> Term {
         if self.map.is_empty() {
             return t.clone();
@@ -137,7 +185,49 @@ impl MetaSubst {
 
     /// Grafts into a shared subterm; `None` when it is unchanged.
     fn graft_ref(&self, t: &TermRef, depth: u32) -> Option<TermRef> {
+        if !t.has_meta() {
+            return None;
+        }
+        if let Some((n, body)) = self.renaming_spine(t, depth) {
+            return Some(if depth == n || body.max_free() <= n {
+                body.clone()
+            } else {
+                TermRef::new(subst::shift_above(body, depth - n, n))
+            });
+        }
         self.graft(t.term(), depth).map(TermRef::new)
+    }
+
+    /// Recognizes a solved spine `?M xₙ₋₁ … x₀` (`1 ≤ n ≤ depth`) whose
+    /// arguments are the innermost bound variables in order, with a
+    /// solution of at least `n` λs; returns `n` and the solution's body
+    /// under them. Walks the `App` nodes without collecting the spine, so
+    /// a rigid application is dismissed at its last argument.
+    fn renaming_spine(&self, t: &Term, depth: u32) -> Option<(u32, &TermRef)> {
+        let mut cur = t;
+        let mut n = 0;
+        while let Term::App(f, a) = cur {
+            if !matches!(a.term(), Term::Var(i) if *i == n) {
+                return None;
+            }
+            n += 1;
+            cur = f;
+        }
+        let Term::Meta(m) = cur else { return None };
+        if n == 0 || n > depth {
+            return None;
+        }
+        let Term::Lam(_, outer) = self.map.get(m)? else {
+            return None;
+        };
+        let mut body = outer;
+        for _ in 1..n {
+            let Term::Lam(_, b) = body.term() else {
+                return None;
+            };
+            body = b;
+        }
+        Some((n, body))
     }
 
     /// Grafts into two sibling subterms; `None` when both are unchanged,

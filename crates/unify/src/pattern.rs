@@ -15,7 +15,7 @@
 //! dispatch pattern-shaped pairs deterministically before searching.
 
 use crate::error::UnifyError;
-use crate::msubst::MetaSubst;
+use crate::msubst::{solution_lams, MetaSubst};
 use crate::problem::{
     eta_expand_var, flex_view, head_ty, resolve_side, validate_meta_types, Constraint, MetaGen,
 };
@@ -105,10 +105,11 @@ pub(crate) fn solve_flex_rigid(
     rhs: &Term,
 ) -> Result<(), UnifyError> {
     let body = invert(gen, sol, m, spine, local, rhs, 0)?;
-    let hints: Vec<Sym> = (0..spine.len())
-        .map(|i| Sym::new(format!("x{i}")))
-        .collect();
-    sol.bind(m.clone(), Term::lams(hints, body));
+    let solution = match spine.len() {
+        0 => body,
+        n => solution_lams(n, TermRef::new(body)),
+    };
+    sol.bind(m.clone(), solution);
     Ok(())
 }
 
@@ -498,6 +499,12 @@ fn decompose_base(
     }
 }
 
+/// Decomposes a pair of rigid neutral terms: equal heads and
+/// eliminations of the same shapes, one sub-constraint per pair of
+/// arguments. Projections are eliminations like applications, so
+/// `snd (g ?X) ≐ snd (g a)` decomposes to `?X ≐ a` through the spine
+/// under the projection; the arguments of a canonical neutral are
+/// canonical at their types.
 fn rigid_rigid(
     sig: &hoas_core::sig::Signature,
     gen: &MetaGen,
@@ -507,52 +514,84 @@ fn rigid_rigid(
     left: Term,
     right: Term,
 ) -> Result<(), UnifyError> {
-    match (left.head_spine(), right.head_spine()) {
-        (Some((hl, al)), Some((hr, ar))) => {
-            if hl != hr || al.len() != ar.len() {
-                return Err(UnifyError::clash(&left, &right));
-            }
-            let hty = head_ty(sig, gen, &ctx, &hl)?;
-            let (arg_tys, _) = hty.uncurry();
-            if arg_tys.len() < al.len() {
-                return Err(UnifyError::IllTyped(hoas_core::Error::NotAFunction {
-                    ty: hty.clone(),
-                }));
-            }
-            for ((l, r), t) in al.iter().zip(ar.iter()).zip(arg_tys) {
+    let (Some((hl, el)), Some((hr, er))) = (neutral(&left), neutral(&right)) else {
+        return Err(UnifyError::clash(&left, &right));
+    };
+    let same_shape = |(l, r): (&Elim<'_>, &Elim<'_>)| {
+        matches!(
+            (l, r),
+            (Elim::App(_), Elim::App(_)) | (Elim::Fst, Elim::Fst) | (Elim::Snd, Elim::Snd)
+        )
+    };
+    if hl != hr || el.len() != er.len() || !el.iter().zip(&er).all(same_shape) {
+        return Err(UnifyError::clash(&left, &right));
+    }
+    let hty = head_ty(sig, gen, &ctx, &hl)?;
+    let mut ty = &hty;
+    for (l, r) in el.iter().zip(&er) {
+        ty = match (l, r, ty) {
+            (Elim::App(a), Elim::App(b), Ty::Arrow(dom, cod)) => {
                 work.push(Constraint {
                     ctx: ctx.clone(),
                     local,
-                    ty: t.clone(),
-                    left: (*l).clone(),
-                    right: (*r).clone(),
+                    ty: dom.as_ref().clone(),
+                    left: (*a).clone(),
+                    right: (*b).clone(),
                 });
+                cod
             }
-            Ok(())
-        }
-        _ => match (&left, &right) {
-            (Term::Fst(p), Term::Fst(q)) | (Term::Snd(p), Term::Snd(q)) => {
-                // A projected neutral is not η-long at its product type:
-                // canonicalize it so that, like every other sub-constraint
-                // pushed here, both sides are canonical.
-                let pty = hoas_core::typeck::synth(sig, &gen.menv, &ctx, p)
-                    .map_err(UnifyError::IllTyped)?;
-                let canon = |t: &Term| {
-                    normalize::canon(sig, &gen.menv, &ctx, t, &pty).map_err(UnifyError::IllTyped)
-                };
-                let (left, right) = (canon(p)?, canon(q)?);
-                work.push(Constraint {
-                    ctx,
-                    local,
-                    ty: pty,
-                    left,
-                    right,
-                });
-                Ok(())
+            (Elim::Fst, _, Ty::Prod(a, _)) => a,
+            (Elim::Snd, _, Ty::Prod(_, b)) => b,
+            (Elim::App(_), ..) => {
+                return Err(UnifyError::IllTyped(hoas_core::Error::NotAFunction {
+                    ty: hty.clone(),
+                }))
             }
-            _ => Err(UnifyError::clash(&left, &right)),
-        },
+            _ => {
+                return Err(UnifyError::IllTyped(hoas_core::Error::NotAProduct {
+                    ty: ty.clone(),
+                }))
+            }
+        };
     }
+    Ok(())
+}
+
+/// One elimination of a neutral term.
+enum Elim<'t> {
+    App(&'t Term),
+    Fst,
+    Snd,
+}
+
+/// Splits a neutral term — a head under applications and projections in
+/// any order — into its head and its eliminations, innermost first;
+/// `None` for a literal, pair, λ or redex.
+fn neutral(t: &Term) -> Option<(Head, Vec<Elim<'_>>)> {
+    let mut elims = Vec::new();
+    let mut cur = t;
+    let head = loop {
+        match cur {
+            Term::App(f, a) => {
+                elims.push(Elim::App(a));
+                cur = f;
+            }
+            Term::Fst(p) => {
+                elims.push(Elim::Fst);
+                cur = p;
+            }
+            Term::Snd(p) => {
+                elims.push(Elim::Snd);
+                cur = p;
+            }
+            Term::Var(i) => break Head::Var(*i),
+            Term::Const(c) => break Head::Const(c.clone()),
+            Term::Meta(m) => break Head::Meta(m.clone()),
+            Term::Lam(..) | Term::Pair(..) | Term::Int(_) | Term::Unit => return None,
+        }
+    };
+    elims.reverse();
+    Some((head, elims))
 }
 
 // ------------------------------------------------------- pattern driver --
