@@ -26,7 +26,7 @@ use crate::opmemo::{self, Key, Table, MEMO_LVLS, OP_HSUB, OP_NF};
 use crate::sig::Signature;
 use crate::store::{self, InternSession, NodeView};
 use crate::subst::{shift, shift_interned};
-use crate::term::{MetaEnv, Term, TermRef};
+use crate::term::{MetaEnv, MetaTypes, Term, TermRef};
 use crate::ty::Ty;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -535,7 +535,15 @@ pub fn eta_contract(t: &Term) -> Term {
 ///
 /// Returns an error if the term is not well-typed at `ty` (the η-expander
 /// needs the type of every neutral head to expand its arguments).
-pub fn canon(sig: &Signature, menv: &MetaEnv, ctx: &Ctx, t: &Term, ty: &Ty) -> Result<Term, Error> {
+/// Metavariable types are read through [`MetaTypes`]: a [`MetaEnv`], or a
+/// solver's own binding array.
+pub fn canon(
+    sig: &Signature,
+    menv: &dyn MetaTypes,
+    ctx: &Ctx,
+    t: &Term,
+    ty: &Ty,
+) -> Result<Term, Error> {
     let t = TermRef::new(nf(t));
     let out = eta_long(sig, menv, ctx, &t, ty, None).map(TermRef::into_term)?;
     // Debug builds validate the cached annotations of every
@@ -795,7 +803,7 @@ pub struct CanonExport {
 /// is recorded on the way out.
 fn eta_long(
     sig: &Signature,
-    menv: &MetaEnv,
+    menv: &dyn MetaTypes,
     ctx: &Ctx,
     t: &TermRef,
     ty: &Ty,
@@ -826,7 +834,7 @@ fn eta_long(
 /// which wraps this with the memo lookup/insert.
 fn eta_long_node(
     sig: &Signature,
-    menv: &MetaEnv,
+    menv: &dyn MetaTypes,
     ctx: &Ctx,
     t: &TermRef,
     ty: &Ty,
@@ -912,7 +920,7 @@ fn eta_long_node(
 /// Shares the input `Arc` when every argument was already η-long.
 fn eta_long_neutral(
     sig: &Signature,
-    menv: &MetaEnv,
+    menv: &dyn MetaTypes,
     ctx: &Ctx,
     t: &TermRef,
     cache: Option<&CanonCache>,
@@ -937,7 +945,7 @@ fn eta_long_neutral(
         }
         Term::Meta(m) => {
             let ty = menv
-                .get(m)
+                .meta_ty(m)
                 .ok_or_else(|| Error::UnknownMeta { mvar: m.clone() })?;
             Ok((t.clone(), ty.clone()))
         }

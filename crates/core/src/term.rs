@@ -111,6 +111,21 @@ impl fmt::Display for MVar {
 /// Typing environment for metavariables: the type each hole must fill.
 pub type MetaEnv = HashMap<MVar, Ty>;
 
+/// Read access to metavariable types, for code that only looks types
+/// up: the η-expander ([`crate::normalize::canon`]) and the unifiers.
+/// A [`MetaEnv`] is one; a solver keeping types in its own binding
+/// array is another, and need not copy them into a map per problem.
+pub trait MetaTypes {
+    /// The type of `m`, if declared.
+    fn meta_ty(&self, m: &MVar) -> Option<&Ty>;
+}
+
+impl MetaTypes for MetaEnv {
+    fn meta_ty(&self, m: &MVar) -> Option<&Ty> {
+        self.get(m)
+    }
+}
+
 /// An immutable, annotated, interned term node. Crate-private: the only
 /// way to obtain one is through [`TermRef::new`], which interns the term
 /// in the thread's [`crate::store`], so id equality coincides with

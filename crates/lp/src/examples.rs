@@ -234,16 +234,19 @@ mod tests {
     #[test]
     fn stlc_open_terms_do_not_leak_eigenvariables() {
         let prog = stlc_program();
-        // of (lam (\x. x)) ?T has answers; the answer's term must not
-        // mention any eigenvariable constant (they contain '#').
+        // of (lam (\x. lam (\y. y))) ?T has answers; the answer's term
+        // must be closed and mention only signature constants. (An
+        // eigenvariable is a free de Bruijn variable while its `pi` is
+        // in scope, so a leaked one would show as a free variable.)
         let (goal, menv) =
             query_menv(prog.sig(), r"of (lam (\x. lam (\y. y))) ?T", &[("T", "tp")]).unwrap();
         let out = solve(&prog, &menv, &goal, &SolveConfig::default()).unwrap();
         let t = out.answers[0].get("T").unwrap();
+        assert_eq!(t.max_free(), 0, "eigenvariable leaked into the answer: {t}");
         for c in t.constants() {
             assert!(
-                !c.as_str().contains('#'),
-                "eigenvariable leaked into the answer: {t}"
+                prog.sig().const_ty(c.as_str()).is_some(),
+                "undeclared constant in the answer: {t}"
             );
         }
     }

@@ -13,7 +13,8 @@
 //! ```
 //!
 //! * `Π x:τ. G` (universal goal) introduces a fresh **eigenvariable** —
-//!   a scoped constant no pre-existing metavariable may leak into;
+//!   a scoped object-level variable that no pre-existing metavariable
+//!   may capture;
 //! * `D ⇒ G` (hypothetical implication) adds a clause for the duration
 //!   of `G`.
 //!

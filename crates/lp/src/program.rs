@@ -2,7 +2,7 @@
 
 use hoas_core::parse::{parse_term_with, MetaTable};
 use hoas_core::sig::Signature;
-use hoas_core::term::{fingerprint_admits, MetaEnv};
+use hoas_core::term::MetaEnv;
 use hoas_core::{MVar, Sym, Term, Ty};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -266,10 +266,11 @@ pub struct Program {
     sig: Signature,
     clauses: Vec<Clause>,
     /// Per clause (parallel to `clauses`), the shallow argument
-    /// fingerprint of its head ([`Term::arg_fingerprint`]): the solver
+    /// fingerprint of its head (see [`fingerprint_admits`]): the solver
     /// skips a clause whose fingerprint rejects the call's arguments
-    /// before renaming it apart or snapshotting any state.
-    fingerprints: Vec<Vec<Option<Sym>>>,
+    /// before renaming it apart or unifying its head. Program heads are
+    /// closed, so only constants occur.
+    fingerprints: Vec<Vec<Option<Rigid>>>,
     /// Clause positions and body callees per head predicate. Clauses
     /// whose head is not headed by a constant (ill-formed; rejected by
     /// `hoas-analyze` as HA011) are unindexed — backchaining can never
@@ -281,6 +282,67 @@ pub struct Program {
     /// not the whole story at runtime, which disqualifies them from
     /// tabling and committed-choice enforcement.
     hyp_heads: BTreeSet<Sym>,
+}
+
+/// The head of an application spine (the term itself when it is not an
+/// application).
+pub(crate) fn spine_head(t: &Term) -> &Term {
+    let mut head = t;
+    while let Term::App(f, _) = head {
+        head = f.term();
+    }
+    head
+}
+
+/// The rigid head of an atom or of an argument: a signature constant,
+/// or an eigenvariable named by its level, so that the same
+/// eigenvariable has the same key at every depth.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Rigid {
+    Const(Sym),
+    Eigen(u32),
+}
+
+impl Rigid {
+    /// The rigid head of `t`, a term at eigenvariable depth `depth`
+    /// (its free variables are the eigenvariables in scope).
+    pub(crate) fn of(t: &Term, depth: u32) -> Option<Rigid> {
+        match spine_head(t) {
+            Term::Const(c) => Some(Rigid::Const(c.clone())),
+            Term::Var(i) if *i < depth => Some(Rigid::Eigen(depth - 1 - i)),
+            _ => None,
+        }
+    }
+
+    /// Whether `t`, at depth `depth`, has a different rigid head.
+    fn clashes_with(&self, t: &Term, depth: u32) -> bool {
+        match (self, spine_head(t)) {
+            (Rigid::Const(c), Term::Const(d)) => c != d,
+            (Rigid::Eigen(l), Term::Var(i)) if *i < depth => *l != depth - 1 - i,
+            (Rigid::Const(_), Term::Var(i)) if *i < depth => true,
+            (Rigid::Eigen(_), Term::Const(_)) => true,
+            _ => false,
+        }
+    }
+}
+
+/// The shallow argument fingerprint of a clause head at depth `depth`:
+/// per spine argument, its [`Rigid`] head (`None` is a wildcard).
+pub(crate) fn fingerprint(head: &Term, depth: u32) -> Vec<Option<Rigid>> {
+    head.spine().1.iter().map(|a| Rigid::of(a, depth)).collect()
+}
+
+/// Whether a head fingerprint admits a call at depth `depth` with spine
+/// arguments `args`: `false` only when some position holds different
+/// rigid heads in the two. Skipping such a clause is sound because
+/// substitution and βη-conversion never change the rigid head of an
+/// application spine, and a constant and an eigenvariable, or two
+/// eigenvariables of different levels, never unify. Arities are not
+/// compared: a mismatch is a typing error, left for the unifier.
+pub(crate) fn fingerprint_admits(fp: &[Option<Rigid>], args: &[&Term], depth: u32) -> bool {
+    fp.iter()
+        .zip(args)
+        .all(|(want, arg)| want.as_ref().is_none_or(|w| !w.clashes_with(arg, depth)))
 }
 
 /// Collects the head predicates of all atoms in a goal, plus the heads
@@ -329,7 +391,7 @@ impl Program {
             entry.clauses.push(self.clauses.len());
             entry.callees.extend(calls);
         }
-        self.fingerprints.push(clause.head.arg_fingerprint());
+        self.fingerprints.push(fingerprint(&clause.head, 0));
         self.clauses.push(clause);
         self
     }
@@ -359,12 +421,13 @@ impl Program {
         self.by_pred.get(pred).map_or(&[], |e| &e.clauses)
     }
 
-    /// Whether clause `i`'s head fingerprint admits a call with spine
-    /// arguments `args` — `false` only when some argument position holds
-    /// different rigid constants in the call and the head, so the two
-    /// cannot unify (see [`hoas_core::term::fingerprint_admits`]).
-    pub fn clause_admits(&self, i: usize, args: &[&Term]) -> bool {
-        fingerprint_admits(&self.fingerprints[i], args)
+    /// Whether clause `i`'s head fingerprint admits a call at
+    /// eigenvariable depth `depth` with spine arguments `args` — `false`
+    /// only when some argument position holds a constant in the head and
+    /// a different rigid head (another constant, or an eigenvariable) in
+    /// the call, so the two cannot unify.
+    pub fn clause_admits(&self, i: usize, args: &[&Term], depth: u32) -> bool {
+        fingerprint_admits(&self.fingerprints[i], args, depth)
     }
 
     /// The predicates with at least one indexed clause.

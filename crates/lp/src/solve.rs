@@ -7,30 +7,45 @@
 //!
 //! # The machine
 //!
-//! Search state is explicit: a **branch** is `(St, work list, depth)`;
-//! a **choice point** is a [`Frame`] holding a snapshot of the branch
-//! plus the untried alternatives (clause candidates, or stored table
-//! answers). Backtracking pops work from the frame stack instead of
-//! unwinding host frames, so a 10⁵-deep right-recursive derivation
-//! costs 10⁵ heap frames and zero host stack — the OS stack can no
-//! longer overflow, and the search state is a plain data structure.
+//! Search state is explicit. One run owns a single proof state
+//! ([`St`]): a dense binding array indexed by metavariable id, an undo
+//! trail, the eigenvariable context and the hypothetical clauses in
+//! scope. A **branch** is a work list plus its depth budget; a **choice
+//! point** is a [`Frame`] holding a trail mark, the work list to resume
+//! and the untried alternatives (clause candidates, or stored table
+//! answers). Backtracking unwinds the trail to the frame's mark instead
+//! of restoring a copied state, and pops work from the frame stack
+//! instead of unwinding host frames, so a 10⁵-deep right-recursive
+//! derivation costs 10⁵ heap frames and zero host stack.
+//!
+//! Bindings are **triangular**: a binding may mention metavariables
+//! bound later, and terms are dereferenced through the array when a
+//! goal is selected. Binding a metavariable is O(1) in the number of
+//! bindings so far. Eigenvariables are de Bruijn variables over the
+//! eigenvariable context: `Π x:τ. G` pushes `τ` and runs `G` with `x`
+//! as `Var(0)`, and every metavariable carries the **level** (context
+//! length) it was created at. A binding may mention only eigenvariables
+//! below its metavariable's level; see `DESIGN.md` §10.
 //!
 //! Answer tabling ([`crate::table`]) runs *generators* for tabled call
-//! variants: a sub-search on the same machine whose answers land in the
-//! variant's table entry, restarted to a least fixpoint when the
-//! variant consumed its own in-progress entry (a same-SCC loop).
-//! Repeat calls replay stored answers through an
+//! variants: a sub-search on the same machine, with a proof state of its
+//! own, whose answers land in the variant's table entry, restarted to a
+//! least fixpoint when the variant consumed its own in-progress entry (a
+//! same-SCC loop). Repeat calls replay stored answers through an
 //! [`Alts::Answers`] choice point without searching.
 
 use crate::cert::ProgramCert;
-use crate::program::{Clause, Goal, Program};
+use crate::program::{fingerprint, fingerprint_admits, spine_head, Clause, Goal, Program, Rigid};
 use crate::table::{EntryState, SolveTables, TableAnswer, TableEntry, TableMode, TableStats};
+use hoas_core::ctx::Ctx;
 use hoas_core::sig::Signature;
-use hoas_core::term::{fingerprint_admits, MetaEnv};
-use hoas_core::{MVar, Sym, Term, TermRef, Ty};
-use hoas_unify::pattern;
-use hoas_unify::problem::Constraint;
-use hoas_unify::{MetaSubst, UnifyError};
+use hoas_core::term::{MetaEnv, MetaTypes};
+use hoas_core::{normalize, subst, MVar, Sym, Term, TermRef, Ty};
+use hoas_unify::msubst::Bindings;
+use hoas_unify::pattern::{self, Delta};
+use hoas_unify::problem::is_supported_meta_ty;
+use hoas_unify::UnifyError;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
@@ -162,6 +177,10 @@ pub struct Outcome {
     pub floundered: bool,
     /// Tabling counters for this solve (all zero when tabling is off).
     pub tables: TableStats,
+    /// Reads and writes of stored metavariable bindings: the solver's
+    /// binding work, a machine-independent measure of how the search
+    /// state scales with derivation length.
+    pub binding_visits: u64,
 }
 
 impl Outcome {
@@ -219,7 +238,10 @@ enum Work {
     /// table would consume its own in-progress entry and fixpoint at
     /// zero answers instead of producing any).
     AtomByClauses(Term),
+    /// Ends the scope of the newest hypothetical clause.
     PopClause,
+    /// Ends the scope of the newest eigenvariable.
+    PopEigen,
     /// Debug-build mode sanitizer marker (pushed only when a
     /// certificate mode matched the call): when this pops, the atom's
     /// subtree of work is fully discharged, so the recorded output
@@ -229,38 +251,353 @@ enum Work {
     ModeExit(Term, Vec<usize>),
 }
 
-#[derive(Clone)]
-struct St {
-    /// Shared copy-on-write: cloning a branch snapshot is one refcount
-    /// bump, and only a `Π`-goal's eigenvariable declaration pays for a
-    /// private copy ([`Rc::make_mut`]). The recursive solver deep-cloned
-    /// the signature once per candidate clause, which dominated large
-    /// programs.
-    sig: Rc<Signature>,
-    menv: MetaEnv,
-    meta_level: HashMap<u32, u32>,
-    eigen_level: HashMap<String, u32>,
-    next_meta: u32,
-    next_eigen: u32,
-    level: u32,
-    sol: MetaSubst,
-    /// Stack-scoped hypothetical clauses, newest last.
-    locals: Vec<Rc<Local>>,
-}
-
-/// A hypothetical clause in scope, with the head predicate and argument
-/// fingerprint precomputed when it is assumed, so candidate selection
-/// need not re-walk the head spine per call.
+/// A hypothetical clause in scope. Its terms live at the eigenvariable
+/// depth it was assumed at; the head predicate and argument
+/// fingerprint are precomputed then, so candidate selection need not
+/// re-walk the head spine per call.
 struct Local {
     clause: Clause,
-    pred: Option<Sym>,
-    fingerprint: Vec<Option<Sym>>,
+    depth: u32,
+    pred: Option<Rigid>,
+    fingerprint: Vec<Option<Rigid>>,
 }
 
-/// The current and-branch: proof state, remaining goals, remaining
-/// depth budget.
+impl Local {
+    fn new(clause: Clause, depth: u32) -> Local {
+        Local {
+            pred: Rigid::of(&clause.head, depth),
+            fingerprint: fingerprint(&clause.head, depth),
+            depth,
+            clause,
+        }
+    }
+}
+
+/// One metavariable's entry in the binding array.
+struct Slot {
+    ty: Ty,
+    /// The eigenvariable-context length the metavariable was created
+    /// at (lowered when an older metavariable's binding mentions it):
+    /// its binding may mention only eigenvariables below this level.
+    level: u32,
+    /// The binding, at the metavariable's own level: a free `Var(i)`
+    /// is the eigenvariable at level `level - 1 - i`. It may mention
+    /// metavariables bound later (a triangular substitution).
+    binding: Option<Term>,
+}
+
+/// One undoable change to a [`St`].
+enum Undo {
+    Bound(u32),
+    Lowered(u32, u32),
+    EigenPushed,
+    EigenPopped(Sym, Ty),
+    LocalPushed,
+    LocalPopped(Rc<Local>),
+}
+
+/// A position to backtrack to: the trail length and the number of
+/// allocated metavariables.
+#[derive(Clone, Copy)]
+struct Mark {
+    trail: usize,
+    metas: usize,
+}
+
+/// The proof state of one machine run.
+struct St {
+    slots: Vec<Slot>,
+    trail: Vec<Undo>,
+    /// Slots below this index predate the newest choice point, so only
+    /// their changes are trailed; younger slots are dropped wholesale
+    /// when the machine backtracks.
+    fence: usize,
+    /// Eigenvariable types, innermost last: `Var(i)` in a goal at the
+    /// current depth is the eigenvariable at level `len - 1 - i`.
+    eigen: Ctx,
+    /// Stack-scoped hypothetical clauses, newest last.
+    locals: Vec<Rc<Local>>,
+    /// Binding-array reads and writes (see [`Outcome::binding_visits`]).
+    visits: Cell<u64>,
+}
+
+impl St {
+    /// A state whose metavariables `0..k` have the given types, all at
+    /// level 0.
+    fn new(tys: &[Ty]) -> St {
+        St {
+            slots: tys
+                .iter()
+                .map(|ty| Slot {
+                    ty: ty.clone(),
+                    level: 0,
+                    binding: None,
+                })
+                .collect(),
+            trail: Vec::new(),
+            fence: 0,
+            eigen: Ctx::new(),
+            locals: Vec::new(),
+            visits: Cell::new(0),
+        }
+    }
+
+    /// The current eigenvariable depth.
+    fn depth(&self) -> u32 {
+        self.eigen.len() as u32
+    }
+
+    fn next_meta(&self) -> u32 {
+        self.slots.len() as u32
+    }
+
+    fn mark(&self) -> Mark {
+        Mark {
+            trail: self.trail.len(),
+            metas: self.slots.len(),
+        }
+    }
+
+    /// Undoes every change made since `m`.
+    fn undo(&mut self, m: Mark) {
+        while self.trail.len() > m.trail {
+            match self.trail.pop().expect("above the mark") {
+                Undo::Bound(id) => self.slots[id as usize].binding = None,
+                Undo::Lowered(id, level) => self.slots[id as usize].level = level,
+                Undo::EigenPushed => {
+                    self.eigen.pop_mut();
+                }
+                Undo::EigenPopped(hint, ty) => self.eigen.push_mut(hint, ty),
+                Undo::LocalPushed => {
+                    self.locals.pop();
+                }
+                Undo::LocalPopped(l) => self.locals.push(l),
+            }
+        }
+        self.slots.truncate(m.metas);
+    }
+
+    /// A fresh metavariable at the current level.
+    fn fresh(&mut self, hint: &Sym, ty: Ty) -> MVar {
+        let level = self.depth();
+        self.slots.push(Slot {
+            ty,
+            level,
+            binding: None,
+        });
+        MVar::new(self.next_meta() - 1, hint.clone())
+    }
+
+    fn push_eigen(&mut self, hint: Sym, ty: Ty) {
+        self.eigen.push_mut(hint, ty);
+        self.trail.push(Undo::EigenPushed);
+    }
+
+    fn pop_eigen(&mut self) {
+        let (hint, ty) = self.eigen.pop_mut().expect("scoped by PopEigen");
+        self.trail.push(Undo::EigenPopped(hint, ty));
+    }
+
+    fn push_local(&mut self, clause: Clause) {
+        let depth = self.depth();
+        self.locals.push(Rc::new(Local::new(clause, depth)));
+        self.trail.push(Undo::LocalPushed);
+    }
+
+    fn pop_local(&mut self) {
+        let l = self.locals.pop().expect("scoped by PopClause");
+        self.trail.push(Undo::LocalPopped(l));
+    }
+
+    fn visit(&self) {
+        self.visits.set(self.visits.get() + 1);
+    }
+
+    /// `t`, a term at the current depth, with every bound metavariable
+    /// dereferenced through the binding array, β-normal. Subterms no
+    /// binding reaches come back as the same nodes.
+    fn resolve(&self, t: &Term) -> Term {
+        match self.graft(t, self.depth()) {
+            Some(grafted) => normalize::nf(&grafted),
+            None if t.is_beta_normal() => t.clone(),
+            None => normalize::nf(t),
+        }
+    }
+
+    /// Replaces bound metavariables in `t` at absolute depth `depth`
+    /// (eigenvariables plus binders above `t`), or `None` when none
+    /// occurs. Redexes a λ-binding creates are left to the caller's
+    /// normalization.
+    fn graft(&self, t: &Term, depth: u32) -> Option<Term> {
+        if !t.has_metas() {
+            return None;
+        }
+        match t {
+            Term::Meta(m) => self.deref(m, depth),
+            Term::Var(_) | Term::Const(_) | Term::Int(_) | Term::Unit => None,
+            Term::Lam(h, b) => Some(Term::lam(h.clone(), self.graft_ref(b, depth + 1)?)),
+            Term::App(f, a) => self.graft_pair(f, a, depth).map(|(f, a)| Term::app(f, a)),
+            Term::Pair(a, b) => self.graft_pair(a, b, depth).map(|(a, b)| Term::pair(a, b)),
+            Term::Fst(p) => Some(Term::fst(self.graft_ref(p, depth)?)),
+            Term::Snd(p) => Some(Term::snd(self.graft_ref(p, depth)?)),
+        }
+    }
+
+    fn graft_ref(&self, t: &TermRef, depth: u32) -> Option<TermRef> {
+        if !t.has_meta() {
+            return None;
+        }
+        self.graft(t.term(), depth).map(TermRef::new)
+    }
+
+    fn graft_pair(&self, a: &TermRef, b: &TermRef, depth: u32) -> Option<(TermRef, TermRef)> {
+        match (self.graft_ref(a, depth), self.graft_ref(b, depth)) {
+            (None, None) => None,
+            (a2, b2) => Some((
+                a2.unwrap_or_else(|| a.clone()),
+                b2.unwrap_or_else(|| b.clone()),
+            )),
+        }
+    }
+
+    /// The binding of `m`, itself dereferenced, renumbered from the
+    /// metavariable's level to absolute depth `depth`. A chain of
+    /// bindings to bare metavariables (`?A ↦ ?B ↦ …`, which flex-flex
+    /// steps build one link per resolution step) is followed in a loop,
+    /// so host recursion is bounded by term depth, not chain length.
+    fn deref(&self, m: &MVar, depth: u32) -> Option<Term> {
+        let mut slot = self.slots.get(m.id() as usize)?;
+        let mut bound = slot.binding.as_ref()?;
+        debug_assert!(slot.level <= depth, "{m} is bound above its scope");
+        self.visit();
+        // A link's target has a level no higher than its source's, so
+        // shifting the end of the chain once covers every link.
+        while let Term::Meta(next) = bound {
+            let Some((next_slot, next_bound)) = self
+                .slots
+                .get(next.id() as usize)
+                .and_then(|s| Some((s, s.binding.as_ref()?)))
+            else {
+                break;
+            };
+            self.visit();
+            slot = next_slot;
+            bound = next_bound;
+        }
+        let resolved = self.graft(bound, slot.level);
+        Some(subst::shift(
+            resolved.as_ref().unwrap_or(bound),
+            depth - slot.level,
+        ))
+    }
+
+    /// Records the solutions of one unification (posed at the current
+    /// depth). Returns `false` when a solution would let a metavariable
+    /// mention an eigenvariable at or above its level; the state is
+    /// then partly updated and the caller backtracks.
+    fn merge(&mut self, delta: Delta) -> bool {
+        for (m, ty) in delta.fresh {
+            // The unifier numbered them from `next_meta`, in order.
+            let slot = self.fresh(m.hint(), ty);
+            debug_assert_eq!(slot, m);
+        }
+        let depth = self.depth();
+        delta
+            .subst
+            .iter()
+            .all(|(m, t)| self.bind(m.id() as usize, t, depth))
+    }
+
+    /// Binds slot `id` to `t`, a term at depth `depth`, converting it to
+    /// the metavariable's level. A metavariable at the current level
+    /// can mention every eigenvariable in scope, and (by the level
+    /// invariant) no metavariable in `t` has a higher level, so that
+    /// binding is O(1). An older one is checked for escape and passes
+    /// its level down to the metavariables `t` mentions.
+    fn bind(&mut self, id: usize, t: &Term, depth: u32) -> bool {
+        let level = self.slots[id].level;
+        let t = if level < depth {
+            let above = depth - level;
+            if mentions_vars_below(t, above, 0) {
+                return false;
+            }
+            self.lower_levels(t, level);
+            subst::unshift_above(t, above, 0)
+        } else {
+            t.clone()
+        };
+        if id < self.fence {
+            self.trail.push(Undo::Bound(id as u32));
+        }
+        self.slots[id].binding = Some(t);
+        self.visit();
+        true
+    }
+
+    /// Lowers every metavariable in `t` above `level` to it.
+    fn lower_levels(&mut self, t: &Term, level: u32) {
+        if !t.has_metas() {
+            return;
+        }
+        match t {
+            Term::Meta(m) => {
+                let id = m.id() as usize;
+                debug_assert!(self.slots[id].binding.is_none(), "{m} is bound");
+                let old = self.slots[id].level;
+                if old > level {
+                    if id < self.fence {
+                        self.trail.push(Undo::Lowered(id as u32, old));
+                    }
+                    self.slots[id].level = level;
+                }
+            }
+            Term::Lam(_, b) | Term::Fst(b) | Term::Snd(b) => self.lower_levels(b, level),
+            Term::App(a, b) | Term::Pair(a, b) => {
+                self.lower_levels(a, level);
+                self.lower_levels(b, level);
+            }
+            Term::Var(_) | Term::Const(_) | Term::Int(_) | Term::Unit => {}
+        }
+    }
+}
+
+/// Whether `t`, under `under` binders, mentions a free variable with
+/// index below `n` — an eigenvariable among the `n` innermost.
+fn mentions_vars_below(t: &Term, n: u32, under: u32) -> bool {
+    if t.max_free() <= under {
+        return false;
+    }
+    match t {
+        Term::Var(i) => *i >= under && i - under < n,
+        Term::Lam(_, b) => mentions_vars_below(b, n, under + 1),
+        Term::App(a, b) | Term::Pair(a, b) => {
+            mentions_vars_below(a, n, under) || mentions_vars_below(b, n, under)
+        }
+        Term::Fst(p) | Term::Snd(p) => mentions_vars_below(p, n, under),
+        Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => false,
+    }
+}
+
+impl MetaTypes for St {
+    fn meta_ty(&self, m: &MVar) -> Option<&Ty> {
+        self.slots.get(m.id() as usize).map(|s| &s.ty)
+    }
+}
+
+impl Bindings for St {
+    fn is_solved(&self, m: &MVar) -> bool {
+        self.slots
+            .get(m.id() as usize)
+            .is_some_and(|s| s.binding.is_some())
+    }
+
+    fn apply(&self, t: &Term) -> Term {
+        self.resolve(t)
+    }
+}
+
+/// The current and-branch: remaining goals and remaining depth budget.
 struct Branch {
-    st: St,
     work: Vec<Work>,
     depth: u32,
 }
@@ -268,8 +605,8 @@ struct Branch {
 /// One untried alternative source at a choice point.
 enum Alts {
     /// Clause resolution: candidates are hypothetical clauses (indices
-    /// into the saved state's `locals`, newest first) followed by
-    /// program clauses (indices into [`Program::clauses`]).
+    /// into the state's `locals` at the frame's mark, newest first)
+    /// followed by program clauses (indices into [`Program::clauses`]).
     Clauses {
         atom: Term,
         target: Ty,
@@ -290,26 +627,22 @@ enum Alts {
 
 #[derive(Clone, Copy)]
 enum Candidate {
-    /// Index into the frame's saved `st.locals`.
+    /// Index into the state's `locals`.
     Local(usize),
     /// Index into the program's clause list.
     Prog(usize),
 }
 
-/// A reified choice point: the branch snapshot to restore plus the
-/// alternatives not yet tried.
+/// A reified choice point: the trail mark to unwind to, the work to
+/// resume, and the alternatives not yet tried.
 struct Frame {
-    st: St,
+    mark: Mark,
     work: Vec<Work>,
     depth: u32,
     alts: Alts,
 }
 
 /// What [`Machine::step_atom`] did with the current branch.
-// `Continue` carries the branch by value on the per-resolution-step hot
-// path; boxing it to shrink the enum would trade one move for one heap
-// allocation per step.
-#[allow(clippy::large_enum_variant)]
 enum Step {
     /// The branch continues (deterministic path took it by move).
     Continue(Branch),
@@ -341,13 +674,11 @@ const TABLE_NEST_CAP: u32 = 200;
 
 struct Machine<'a> {
     prog: &'a Program,
-    /// The program signature, cloned once per solve and then shared
-    /// into every branch state.
-    base_sig: Rc<Signature>,
     cfg: &'a SolveConfig,
     cert: Option<&'a ProgramCert>,
     tables: Option<&'a mut SolveTables>,
     stats: TableStats,
+    binding_visits: u64,
     fuel: u64,
     floundered: bool,
     /// Depth budget for generator sub-searches (the strategy's current
@@ -378,12 +709,11 @@ pub fn solve(
 /// Like [`solve`], but enforcing the verdicts of an analysis
 /// certificate: calls to committed-choice predicates whose committed
 /// argument positions are ground (and for which no hypothetical clause
-/// is in scope) commit to the first matching clause without allocating
-/// the remaining choice points — no search-state clone per candidate —
-/// and, under [`TableMode::Certified`], calls the certificate marks
-/// table-eligible are answered from variant tables. In debug builds the
-/// dynamic sanitizers cross-check every enforced verdict (see
-/// [`crate::cert`]) and panic with the violated HA code.
+/// is in scope) commit to the first matching clause without pushing a
+/// choice point, and, under [`TableMode::Certified`], calls the
+/// certificate marks table-eligible are answered from variant tables.
+/// In debug builds the dynamic sanitizers cross-check every enforced
+/// verdict (see [`crate::cert`]) and panic with the violated HA code.
 ///
 /// A certificate that does not cover `prog` (fingerprint mismatch —
 /// e.g. minted for an earlier revision of the program) is ignored and
@@ -439,9 +769,14 @@ fn solve_inner(
     // hints recovered from the goal term may differ from the ones the
     // caller declared (and later looks answers up by via `Answer::get`).
     let mut query_metas = goal.metas();
+    let mut tys = Vec::with_capacity(query_metas.len());
     for m in &mut query_metas {
         match menv.get_key_value(m) {
-            Some((k, _)) => *m = k.clone(),
+            Some((k, ty)) => {
+                check_meta_ty(k, ty)?;
+                *m = k.clone();
+                tys.push(ty.clone());
+            }
             None => {
                 return Err(LpError::Unify(UnifyError::IllTyped(
                     hoas_core::Error::UnknownMeta { mvar: m.clone() },
@@ -449,6 +784,22 @@ fn solve_inner(
             }
         }
     }
+    // The binding array is indexed by id: number the query's
+    // metavariables `0..k` in first-occurrence order (usually already
+    // so), whatever ids the caller chose.
+    let dense;
+    let goal = if query_metas
+        .iter()
+        .enumerate()
+        .all(|(i, m)| m.id() as usize == i)
+    {
+        goal
+    } else {
+        let ids: HashMap<u32, u32> = (0..).zip(&query_metas).map(|(i, m)| (m.id(), i)).collect();
+        let rename = |m: &MVar| ids.get(&m.id()).map(|&i| MVar::new(i, m.hint().clone()));
+        dense = goal.map_terms(0, &mut |t, _| rename_metas(t, &rename));
+        &dense
+    };
     // Tabling with no caller-owned tables still wants intra-query
     // sharing: use a query-local scratch table set.
     let mut scratch;
@@ -462,18 +813,18 @@ fn solve_inner(
     };
     let mut machine = Machine {
         prog,
-        base_sig: Rc::new(prog.sig().clone()),
         cfg,
         cert,
         tables,
         stats: TableStats::default(),
+        binding_visits: 0,
         fuel: cfg.fuel,
         floundered: false,
         gen_depth: cfg.max_depth,
         nest: 0,
     };
     let mut out = Outcome::default();
-    let result = machine.drive(menv, goal, &query_metas, &mut out);
+    let result = machine.drive(&tys, goal, &query_metas, &mut out);
     // Whatever happened (including a hard error or a fuel abort),
     // in-flight table entries must not look complete.
     if let Some(t) = machine.tables.as_deref_mut() {
@@ -481,6 +832,7 @@ fn solve_inner(
     }
     out.floundered = machine.floundered;
     out.tables = machine.stats;
+    out.binding_visits = machine.binding_visits;
     hoas_core::store::record_table_events(
         out.tables.hits,
         out.tables.variant_misses,
@@ -491,28 +843,32 @@ fn solve_inner(
     Ok(out)
 }
 
+/// Rejects metavariable types outside the unifier's fragment, once,
+/// where the solver creates the metavariable.
+fn check_meta_ty(m: &MVar, ty: &Ty) -> Result<(), LpError> {
+    if is_supported_meta_ty(ty) {
+        Ok(())
+    } else {
+        Err(LpError::Unify(UnifyError::UnsupportedMetaType {
+            mvar: m.clone(),
+            ty: ty.clone(),
+        }))
+    }
+}
+
 impl<'a> Machine<'a> {
-    /// Runs the configured strategy to completion.
+    /// Runs the configured strategy to completion. The goal's
+    /// metavariables are numbered `0..k`, typed by `tys`, and reported
+    /// under the caller's names `query_metas`.
     fn drive(
         &mut self,
-        menv: &MetaEnv,
+        tys: &[Ty],
         goal: &Goal,
         query_metas: &[MVar],
         out: &mut Outcome,
     ) -> Result<(), LpError> {
-        let base_sig = Rc::clone(&self.base_sig);
-        let init = move |depth: u32| Branch {
-            st: St {
-                sig: Rc::clone(&base_sig),
-                menv: menv.clone(),
-                meta_level: menv.keys().map(|m| (m.id(), 0)).collect(),
-                eigen_level: HashMap::new(),
-                next_meta: menv.keys().map(|m| m.id() + 1).max().unwrap_or(0),
-                next_eigen: 0,
-                level: 0,
-                sol: MetaSubst::new(),
-                locals: Vec::new(),
-            },
+        let init = || St::new(tys);
+        let branch = |depth: u32| Branch {
             work: vec![Work::G(goal.clone())],
             depth,
         };
@@ -521,7 +877,8 @@ impl<'a> Machine<'a> {
                 self.gen_depth = self.cfg.max_depth;
                 let mut consumed = Vec::new();
                 let cut = self.run(
-                    init(self.cfg.max_depth),
+                    init(),
+                    branch(self.cfg.max_depth),
                     &mut Sink::Top {
                         query_metas,
                         answers: &mut out.answers,
@@ -539,7 +896,8 @@ impl<'a> Machine<'a> {
                     self.gen_depth = d;
                     let mut consumed = Vec::new();
                     let cut = self.run(
-                        init(d),
+                        init(),
+                        branch(d),
                         &mut Sink::Top {
                             query_metas,
                             answers: &mut out.answers,
@@ -563,13 +921,27 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    /// Runs one depth-first machine pass from `branch`, delivering
-    /// answers to `sink`. Returns the budget cut observed by this run
+    /// Runs one depth-first machine pass over its own proof state,
+    /// delivering answers to `sink`, and adds the state's binding visits
+    /// to the machine's. Returns the budget cut observed by this run
     /// (not counting enclosing runs). `consumed` collects the keys of
     /// in-progress table entries this run replayed from — the generator
     /// fixpoint protocol's dependency set.
     fn run(
         &mut self,
+        mut st: St,
+        branch: Branch,
+        sink: &mut Sink<'_>,
+        consumed: &mut Vec<TermRef>,
+    ) -> Result<Option<CutBy>, LpError> {
+        let result = self.run_on(&mut st, branch, sink, consumed);
+        self.binding_visits += st.visits.get();
+        result
+    }
+
+    fn run_on(
+        &mut self,
+        st: &mut St,
         branch: Branch,
         sink: &mut Sink<'_>,
         consumed: &mut Vec<TermRef>,
@@ -585,14 +957,14 @@ impl<'a> Machine<'a> {
                     let Some(f) = frames.last_mut() else {
                         return Ok(cut);
                     };
-                    match self.advance(f)? {
-                        Some(nb) => {
-                            cur = Some(nb);
-                            continue 'machine;
-                        }
-                        None => {
-                            frames.pop();
-                        }
+                    let (next, dry) = self.advance(st, f)?;
+                    if dry {
+                        frames.pop();
+                        st.fence = frames.last().map_or(0, |f| f.mark.metas);
+                    }
+                    if let Some(nb) = next {
+                        cur = Some(nb);
+                        continue 'machine;
                     }
                 }
             };
@@ -606,20 +978,25 @@ impl<'a> Machine<'a> {
                 self.fuel -= 1;
                 let Some(work) = b.work.pop() else {
                     // All goals discharged: deliver the answer.
-                    if self.deliver(&b.st, sink) {
+                    if self.deliver(st, sink) {
                         return Ok(cut);
                     }
                     break;
                 };
-                match work {
+                let atom = match work {
                     Work::PopClause => {
-                        b.st.locals.pop();
+                        st.pop_local();
+                        continue;
+                    }
+                    Work::PopEigen => {
+                        st.pop_eigen();
+                        continue;
                     }
                     Work::ModeExit(atom, outputs) => {
                         // Debug-build sanitizer: the moded call
                         // succeeded, so its output positions must now
                         // be ground.
-                        let atom = b.st.sol.apply(&atom);
+                        let atom = st.resolve(&atom);
                         let (_, args) = atom.spine();
                         for &i in &outputs {
                             assert!(
@@ -628,57 +1005,38 @@ impl<'a> Machine<'a> {
                                  not ground at exit despite a matched static mode",
                             );
                         }
+                        continue;
                     }
-                    Work::G(Goal::True) => {}
+                    Work::G(Goal::True) => continue,
                     Work::G(Goal::And(l, r)) => {
                         b.work.push(Work::G(*r));
                         b.work.push(Work::G(*l));
+                        continue;
                     }
                     Work::G(Goal::Impl(d, g)) => {
                         if !d.vars.is_empty() {
                             return Err(LpError::LocalClauseWithVars(d.to_string()));
                         }
-                        b.st.locals.push(Rc::new(Local {
-                            pred: d.head_pred().cloned(),
-                            fingerprint: d.head.arg_fingerprint(),
-                            clause: *d,
-                        }));
+                        st.push_local(*d);
                         b.work.push(Work::PopClause);
                         b.work.push(Work::G(*g));
+                        continue;
                     }
                     Work::G(Goal::All(hint, ty, body)) => {
-                        // Introduce a fresh eigenvariable as a scoped
-                        // constant.
-                        let name = format!("{}#{}", hint, b.st.next_eigen);
-                        b.st.next_eigen += 1;
-                        b.st.level += 1;
-                        Rc::make_mut(&mut b.st.sig)
-                            .declare_const(name.as_str(), hoas_core::TyScheme::mono(ty.clone()))
-                            .map_err(|e| LpError::Unify(UnifyError::IllTyped(e)))?;
-                        b.st.eigen_level.insert(name.clone(), b.st.level);
-                        let eigen = Term::cnst(name.as_str());
-                        let instantiated =
-                            body.map_terms(0, &mut |t, d| replace_and_lower(t, d, &eigen));
-                        b.work.push(Work::G(instantiated));
+                        // A fresh eigenvariable: the body's `Var(0)`,
+                        // typed by one more context entry.
+                        st.push_eigen(hint, ty);
+                        b.work.push(Work::PopEigen);
+                        b.work.push(Work::G(*body));
+                        continue;
                     }
-                    Work::G(Goal::Atom(t)) => {
-                        match self.step_atom(b, t, false, &mut frames, &mut cut, consumed)? {
-                            Step::Continue(nb) => {
-                                b = nb;
-                                continue;
-                            }
-                            Step::Fail | Step::Chose => break,
-                        }
-                    }
-                    Work::AtomByClauses(t) => {
-                        match self.step_atom(b, t, true, &mut frames, &mut cut, consumed)? {
-                            Step::Continue(nb) => {
-                                b = nb;
-                                continue;
-                            }
-                            Step::Fail | Step::Chose => break,
-                        }
-                    }
+                    Work::G(Goal::Atom(t)) => (t, false),
+                    Work::AtomByClauses(t) => (t, true),
+                };
+                let (t, by_clauses) = atom;
+                match self.step_atom(st, b, t, by_clauses, &mut frames, &mut cut, consumed)? {
+                    Step::Continue(nb) => b = nb,
+                    Step::Fail | Step::Chose => break,
                 }
             }
             // Branch ended; `cur` is already `None`, so the next
@@ -698,9 +1056,13 @@ impl<'a> Machine<'a> {
                 // Residual free metavariables are renamed apart
                 // ('A, 'B, …) — the solver's internal fresh names reuse
                 // hints, which would print ambiguously.
-                let raw: Vec<(MVar, Term)> = query_metas
-                    .iter()
-                    .filter_map(|m| st.sol.get(m).map(|t| (m.clone(), t.clone())))
+                let raw: Vec<(MVar, Term)> = (0..)
+                    .zip(query_metas.iter())
+                    .filter(|&(i, _)| st.slots[i as usize].binding.is_some())
+                    .map(|(i, m)| {
+                        let t = st.resolve(&Term::Meta(MVar::new(i, m.hint().clone())));
+                        (m.clone(), t)
+                    })
                     .collect();
                 answers.push(Answer {
                     bindings: canonicalize_free_metas(raw),
@@ -724,9 +1086,11 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Advances a choice point to its next viable alternative,
-    /// producing the branch to run, or `None` when the frame is dry.
-    fn advance(&mut self, f: &mut Frame) -> Result<Option<Branch>, LpError> {
+    /// Advances a choice point to its next viable alternative, producing
+    /// the branch to run, and reports whether the frame is now dry. A
+    /// clause frame is dry once its last candidate has been taken, so
+    /// the machine pops it right away and later bindings need no trail.
+    fn advance(&mut self, st: &mut St, f: &mut Frame) -> Result<(Option<Branch>, bool), LpError> {
         match &mut f.alts {
             Alts::Clauses {
                 atom,
@@ -737,37 +1101,26 @@ impl<'a> Machine<'a> {
                 while *next < candidates.len() {
                     let cand = candidates[*next];
                     *next += 1;
-                    let clause: &Clause = match cand {
-                        Candidate::Local(i) => &f.st.locals[i].clause,
-                        Candidate::Prog(i) => &self.prog.clauses()[i],
-                    };
-                    let mut st2 = f.st.clone();
-                    let (head, body) = freshen(&mut st2, clause);
-                    // Hypothetical clauses capture the goal's logic
-                    // variables, which may have been solved since the
-                    // clause was assumed.
-                    let head = st2.sol.apply(&head);
-                    match unify_heads(&st2, target, atom, &head) {
-                        Ok(solution) => {
-                            if !merge_solution(&mut st2, solution) {
-                                continue;
-                            }
-                            let mut work = f.work.clone();
-                            work.push(Work::G(body));
-                            return Ok(Some(Branch {
-                                st: st2,
-                                work,
-                                depth: f.depth - 1,
-                            }));
-                        }
-                        Err(e) if e.is_refutation() || matches!(e, UnifyError::Escape { .. }) => {}
-                        Err(UnifyError::NotPattern { .. }) => {
-                            self.floundered = true;
-                        }
-                        Err(e) => return Err(LpError::Unify(e)),
+                    st.undo(f.mark);
+                    if let Some(body) = self.try_clause(st, atom, target, cand)? {
+                        // The last candidate leaves the frame dry: it is
+                        // popped, so its work list moves to the branch.
+                        let dry = *next == candidates.len();
+                        let mut work = if dry {
+                            std::mem::take(&mut f.work)
+                        } else {
+                            f.work.clone()
+                        };
+                        work.push(Work::G(body));
+                        let branch = Branch {
+                            work,
+                            depth: f.depth - 1,
+                        };
+                        return Ok((Some(branch), dry));
                     }
                 }
-                Ok(None)
+                st.undo(f.mark);
+                Ok((None, true))
             }
             Alts::Answers {
                 atom,
@@ -775,6 +1128,7 @@ impl<'a> Machine<'a> {
                 key,
                 next,
             } => loop {
+                st.undo(f.mark);
                 let Some(ans) = self
                     .tables
                     .as_deref()
@@ -782,38 +1136,69 @@ impl<'a> Machine<'a> {
                     .and_then(|e| e.answers.get(*next))
                     .cloned()
                 else {
-                    return Ok(None);
+                    return Ok((None, true));
                 };
                 *next += 1;
-                let mut st2 = f.st.clone();
-                let head = instantiate_answer(&mut st2, &ans);
-                match unify_heads(&st2, target, atom, &head) {
-                    Ok(solution) => {
-                        if !merge_solution(&mut st2, solution) {
-                            continue;
-                        }
-                        self.stats.answers_reused += 1;
-                        return Ok(Some(Branch {
-                            st: st2,
-                            work: f.work.clone(),
-                            depth: f.depth - 1,
-                        }));
-                    }
-                    Err(e) if e.is_refutation() || matches!(e, UnifyError::Escape { .. }) => {}
-                    Err(UnifyError::NotPattern { .. }) => {
-                        self.floundered = true;
-                    }
-                    Err(e) => return Err(LpError::Unify(e)),
+                let head = instantiate_answer(st, &ans);
+                if self.unify_into(st, target, atom, &head)? {
+                    self.stats.answers_reused += 1;
+                    let branch = Branch {
+                        work: f.work.clone(),
+                        depth: f.depth - 1,
+                    };
+                    return Ok((Some(branch), false));
                 }
             },
+        }
+    }
+
+    /// Resolves the call `atom` against one candidate clause: renames
+    /// the clause apart, unifies its head with the call and records the
+    /// solution. Returns the clause body to prove, or `None` when the
+    /// head does not match (the state may then hold partial bindings
+    /// and fresh metavariables; the caller unwinds or discards them).
+    fn try_clause(
+        &mut self,
+        st: &mut St,
+        atom: &Term,
+        target: &Ty,
+        cand: Candidate,
+    ) -> Result<Option<Goal>, LpError> {
+        let (head, body) = match cand {
+            Candidate::Local(i) => instantiate_local(st, i),
+            Candidate::Prog(i) => freshen(st, &self.prog.clauses()[i])?,
+        };
+        Ok(self.unify_into(st, target, atom, &head)?.then_some(body))
+    }
+
+    /// Unifies a call atom with a clause or answer head and records the
+    /// solution. `false` means no match: a refutation, an eigenvariable
+    /// escape, or a flounder (noted on the machine).
+    fn unify_into(
+        &mut self,
+        st: &mut St,
+        target: &Ty,
+        atom: &Term,
+        head: &Term,
+    ) -> Result<bool, LpError> {
+        match unify_heads(self.prog.sig(), st, target, atom, head) {
+            Ok(delta) => Ok(st.merge(delta)),
+            Err(e) if e.is_refutation() || matches!(e, UnifyError::Escape { .. }) => Ok(false),
+            Err(UnifyError::NotPattern { .. }) => {
+                self.floundered = true;
+                Ok(false)
+            }
+            Err(e) => Err(LpError::Unify(e)),
         }
     }
 
     /// Resolves an atomic goal: flounder/error handling, the depth
     /// gate, then one of the committed-choice fast path, the tabling
     /// path, or an ordinary clause choice point.
+    #[allow(clippy::too_many_arguments)]
     fn step_atom(
         &mut self,
+        st: &mut St,
         b: Branch,
         atom: Term,
         by_clauses: bool,
@@ -824,25 +1209,26 @@ impl<'a> Machine<'a> {
         // Solution instantiation is graft + β-normalize; the
         // normalizer's operation memo replays repeated
         // (body, argument) contractions — the signature access pattern
-        // of resolution — in O(1). See `MetaSubst::apply` and
-        // `hoas_core::normalize`.
-        let atom = b.st.sol.apply(&atom);
-        let pred = match atom.spine().0 {
-            Term::Const(c) => c.clone(),
+        // of resolution — in O(1). See `hoas_core::normalize`.
+        let atom = st.resolve(&atom);
+        let depth = st.depth();
+        let bad = || LpError::BadAtom(atom.to_string());
+        let (pred, pred_ty) = match spine_head(&atom) {
+            Term::Const(c) => {
+                let ty = self.prog.sig().const_ty(c.as_str()).ok_or_else(bad)?;
+                (Rigid::Const(c.clone()), ty.as_mono().ok_or_else(bad)?)
+            }
+            Term::Var(i) if *i < depth => {
+                let ty = st.eigen.lookup(*i).expect("in scope").1;
+                (Rigid::Eigen(depth - 1 - i), ty)
+            }
             Term::Meta(_) => {
                 self.floundered = true;
                 return Ok(Step::Fail);
             }
-            _ => return Err(LpError::BadAtom(atom.to_string())),
+            _ => return Err(bad()),
         };
-        let pred_ty =
-            b.st.sig
-                .const_ty(pred.as_str())
-                .ok_or_else(|| LpError::BadAtom(atom.to_string()))?;
-        let target = match pred_ty.as_mono() {
-            Some(ty) => ty.uncurry().1.clone(),
-            None => return Err(LpError::BadAtom(atom.to_string())),
-        };
+        let target = pred_ty.uncurry().1.clone();
         if b.depth == 0 {
             note_cut(cut, CutBy::Depth);
             return Ok(Step::Fail);
@@ -853,118 +1239,122 @@ impl<'a> Machine<'a> {
         // predicate), which subsumes the choice-point skip. A generator
         // root (`by_clauses`) is the producer for its own variant and
         // must go to the clauses.
-        if !by_clauses && self.table_gate(&b.st, &pred, &atom) {
-            return self.step_tabled(b, atom, pred, target, frames, cut, consumed);
+        if let Rigid::Const(c) = &pred {
+            if !by_clauses && self.table_gate(st, c, &atom) {
+                return self.step_tabled(st, b, atom, c, target, frames, cut, consumed);
+            }
+            if let Some(commit) = commit_positions(self.cert, st, c, &atom.spine().1) {
+                return self.step_committed(st, b, atom, c, target, commit);
+            }
         }
-        if let Some(commit) = commit_positions(self.cert, &b.st, &pred, &atom.spine().1) {
-            return self.step_committed(b, atom, pred, target, commit);
-        }
-        Ok(self.push_clause_frame(b, atom, pred, target, frames))
+        self.push_clause_frame(st, b, atom, &pred, target, frames)
     }
 
     /// Pushes an ordinary clause-resolution choice point over the
-    /// branch, or fails it outright when no clause can match.
+    /// branch, or fails the branch outright when no clause can match.
     fn push_clause_frame(
         &mut self,
+        st: &mut St,
         mut b: Branch,
         atom: Term,
-        pred: Sym,
+        pred: &Rigid,
         target: Ty,
         frames: &mut Vec<Frame>,
-    ) -> Step {
+    ) -> Result<Step, LpError> {
         let args = atom.spine().1;
+        let depth = st.depth();
         // Local clauses first (newest first), then the program's bucket
         // for this predicate — O(locals + bucket), not a scan over every
         // program clause. Both are filtered by head predicate and
         // argument fingerprint, so a clause with a clashing rigid
-        // argument never costs a snapshot, a renaming or a unification.
-        let mut candidates: Vec<Candidate> =
-            b.st.locals
-                .iter()
-                .enumerate()
-                .rev()
-                .filter(|(_, l)| {
-                    l.pred.as_ref() == Some(&pred) && fingerprint_admits(&l.fingerprint, &args)
-                })
-                .map(|(i, _)| Candidate::Local(i))
-                .collect();
-        candidates.extend(
-            self.prog
-                .clause_indices_for(&pred)
-                .iter()
-                .filter(|&&i| self.prog.clause_admits(i, &args))
-                .map(|&i| Candidate::Prog(i)),
-        );
-        if candidates.is_empty() {
-            return Step::Fail;
+        // argument never costs a renaming or a unification.
+        let mut candidates: Vec<Candidate> = st
+            .locals
+            .iter()
+            .enumerate()
+            .rev()
+            .filter(|(_, l)| {
+                l.pred.as_ref() == Some(pred) && fingerprint_admits(&l.fingerprint, &args, depth)
+            })
+            .map(|(i, _)| Candidate::Local(i))
+            .collect();
+        if let Rigid::Const(c) = pred {
+            candidates.extend(
+                self.prog
+                    .clause_indices_for(c)
+                    .iter()
+                    .filter(|&&i| self.prog.clause_admits(i, &args, depth))
+                    .map(|&i| Candidate::Prog(i)),
+            );
+            push_mode_exit(self.cert, &mut b.work, c, &atom, &args);
         }
-        push_mode_exit(self.cert, &mut b.work, &pred, &atom, &args);
-        frames.push(Frame {
-            st: b.st,
-            work: b.work,
-            depth: b.depth,
-            alts: Alts::Clauses {
+        if candidates.is_empty() {
+            return Ok(Step::Fail);
+        }
+        push_frame(
+            st,
+            frames,
+            b,
+            Alts::Clauses {
                 atom,
                 target,
                 candidates,
                 next: 0,
             },
-        });
-        Step::Chose
+        );
+        Ok(Step::Chose)
     }
 
     /// The committed-choice fast path: the predicate's program clause
     /// heads are pairwise non-unifiable on `commit`, and those argument
     /// positions are ground here — so at most one clause head can
-    /// match, and the search state is threaded through **by move**
-    /// instead of being snapshotted in a choice point (each snapshot
-    /// copies the whole signature and metavariable maps, which
-    /// dominates subgoal-heavy workloads).
+    /// match, and no choice point is pushed.
     ///
-    /// Failed head unifications leave behind only unused fresh
-    /// metavariables (the environment is monotone), so trying the next
-    /// candidate on the same state is sound. The first full-head
-    /// success consumes the commitment: even if its eigenvariable scope
-    /// check then fails, no other clause could have matched the ground
-    /// committed positions, so the whole call fails rather than
-    /// backtracking.
+    /// A failed head unification records nothing (it leaves only
+    /// unused fresh metavariables), so trying the next candidate on the
+    /// same state is sound. The first full-head success consumes the
+    /// commitment: even if its eigenvariable scope check then fails, no
+    /// other clause could have matched the ground committed positions,
+    /// so the whole call fails rather than backtracking.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn step_committed(
         &mut self,
+        st: &mut St,
         mut b: Branch,
         atom: Term,
-        pred: Sym,
+        pred: &Sym,
         target: Ty,
         commit: &[usize],
     ) -> Result<Step, LpError> {
         let args = atom.spine().1;
-        push_mode_exit(self.cert, &mut b.work, &pred, &atom, &args);
-        let indices = self.prog.clause_indices_for(&pred);
-        let clauses: Vec<&Clause> = indices.iter().map(|&i| &self.prog.clauses()[i]).collect();
-        for (ci, clause) in clauses.iter().enumerate() {
-            if !self.prog.clause_admits(indices[ci], &args) {
+        let depth = st.depth();
+        push_mode_exit(self.cert, &mut b.work, pred, &atom, &args);
+        let indices = self.prog.clause_indices_for(pred);
+        for (ci, &i) in indices.iter().enumerate() {
+            if !self.prog.clause_admits(i, &args, depth) {
                 continue;
             }
-            let (head, body) = freshen(&mut b.st, clause);
-            let head = b.st.sol.apply(&head);
-            match unify_heads(&b.st, &target, &atom, &head) {
-                Ok(solution) => {
+            let (head, body) = freshen(st, &self.prog.clauses()[i])?;
+            match unify_heads(self.prog.sig(), st, &target, &atom, &head) {
+                Ok(delta) => {
                     // Sanitizer cross-check: no later clause may also
                     // match — two matches on ground committed positions
                     // falsify the determinacy verdict.
                     #[cfg(debug_assertions)]
-                    for other in &clauses[ci + 1..] {
-                        let mut scratch = b.st.clone();
-                        let (ohead, _) = freshen(&mut scratch, other);
-                        let ohead = scratch.sol.apply(&ohead);
+                    for &other in &indices[ci + 1..] {
+                        let mark = st.mark();
+                        let (ohead, _) = freshen(st, &self.prog.clauses()[other])?;
+                        let matched =
+                            unify_heads(self.prog.sig(), st, &target, &atom, &ohead).is_ok();
+                        st.undo(mark);
                         assert!(
-                            unify_heads(&scratch, &target, &atom, &ohead).is_err(),
+                            !matched,
                             "HA015 violated: committed-choice predicate `{pred}` \
                              has two matching clauses for `{atom}` \
                              (committed positions {commit:?})",
                         );
                     }
-                    if !merge_solution(&mut b.st, solution) {
+                    if !st.merge(delta) {
                         return Ok(Step::Fail);
                     }
                     b.work.push(Work::G(body));
@@ -984,21 +1374,12 @@ impl<'a> Machine<'a> {
     /// Whether this call is answered through the variant tables: the
     /// mode allows it, no hypothetical clause is in scope (a local for
     /// *any* predicate can reach the sub-derivation), the atom mentions
-    /// no eigenvariables (tables are context-free), and — under
+    /// no eigenvariable (tables are context-free; the atom's free
+    /// variables are exactly its eigenvariables), and — under
     /// [`TableMode::Certified`] — the certificate marks the predicate
     /// eligible and some admitted mode's input positions are ground.
     fn table_gate(&self, st: &St, pred: &Sym, atom: &Term) -> bool {
-        if self.tables.is_none() {
-            return false;
-        }
-        if !st.locals.is_empty() {
-            return false;
-        }
-        if atom
-            .constants()
-            .iter()
-            .any(|c| st.eigen_level.contains_key(c.as_str()))
-        {
+        if self.tables.is_none() || !st.locals.is_empty() || atom.max_free() > 0 {
             return false;
         }
         match self.cfg.table {
@@ -1030,18 +1411,20 @@ impl<'a> Machine<'a> {
     #[allow(clippy::too_many_arguments)]
     fn step_tabled(
         &mut self,
+        st: &mut St,
         mut b: Branch,
         atom: Term,
-        pred: Sym,
+        pred: &Sym,
         target: Ty,
         frames: &mut Vec<Frame>,
         cut: &mut Option<CutBy>,
         consumed: &mut Vec<TermRef>,
     ) -> Result<Step, LpError> {
-        let Some((key, canonical, call_tys)) = canonicalize_call(&b.st, &atom) else {
+        let Some((key, canonical, call_tys)) = canonicalize_call(st, &atom) else {
             // An untyped residual meta (cannot replay soundly): fall
             // back to plain resolution.
-            return Ok(self.push_clause_frame(b, atom, pred, target, frames));
+            let pred = Rigid::Const(pred.clone());
+            return self.push_clause_frame(st, b, atom, &pred, target, frames);
         };
         let state = self
             .tables
@@ -1065,10 +1448,11 @@ impl<'a> Machine<'a> {
                 if self.nest >= TABLE_NEST_CAP {
                     // Too many distinct in-flight variants on the host
                     // stack: resolve this one the ordinary way.
-                    return Ok(self.push_clause_frame(b, atom, pred, target, frames));
+                    let pred = Rigid::Const(pred.clone());
+                    return self.push_clause_frame(st, b, atom, &pred, target, frames);
                 }
                 self.stats.variant_misses += 1;
-                self.run_generator(&key, &pred, &canonical, &call_tys, cut, consumed)?;
+                self.run_generator(&key, pred, &canonical, &call_tys, cut, consumed)?;
             }
         }
         // In debug builds, cross-check the tabling verdict dynamically:
@@ -1078,23 +1462,23 @@ impl<'a> Machine<'a> {
         #[cfg(debug_assertions)]
         if self.cfg.table == TableMode::Certified {
             assert!(
-                self.table_gate(&b.st, &pred, &atom),
+                self.table_gate(st, pred, &atom),
                 "HA021 violated: call `{atom}` lost tabling eligibility \
                  between gate and table lookup",
             );
         }
-        push_mode_exit(self.cert, &mut b.work, &pred, &atom, &atom.spine().1);
-        frames.push(Frame {
-            st: b.st,
-            work: b.work,
-            depth: b.depth,
-            alts: Alts::Answers {
+        push_mode_exit(self.cert, &mut b.work, pred, &atom, &atom.spine().1);
+        push_frame(
+            st,
+            frames,
+            b,
+            Alts::Answers {
                 atom,
                 target,
                 key,
                 next: 0,
             },
-        });
+        );
         Ok(Step::Chose)
     }
 
@@ -1143,14 +1527,18 @@ impl<'a> Machine<'a> {
         let final_state = loop {
             let before = self.answers_in(key);
             let floundered_before = self.floundered;
+            // A fresh proof state: no eigenvariables and no locals (the
+            // gate guarantees the call mentions neither), and the
+            // canonical call's metavariables at level 0.
+            let sub_st = St::new(call_tys);
             let sub = Branch {
-                st: self.subsearch_st(canonical, call_tys),
                 work: vec![Work::AtomByClauses(canonical.clone())],
                 depth: self.gen_depth,
             };
             let mut sub_consumed = Vec::new();
             self.nest += 1;
             let sub_cut = self.run(
+                sub_st,
                 sub,
                 &mut Sink::Table { key: key.clone() },
                 &mut sub_consumed,
@@ -1207,100 +1595,42 @@ impl<'a> Machine<'a> {
             .and_then(|t| t.entries.get(key))
             .map_or(0, |e| e.answers.len())
     }
-
-    /// A fresh proof state for a generator sub-search: the program's
-    /// signature (no eigenvariables, no locals — the gate guarantees
-    /// the call mentions neither) and the canonical call's
-    /// metavariables at level 0.
-    fn subsearch_st(&self, canonical: &Term, call_tys: &[Ty]) -> St {
-        let mut menv = MetaEnv::new();
-        let mut meta_level = HashMap::new();
-        for m in canonical.metas() {
-            meta_level.insert(m.id(), 0);
-            menv.insert(m.clone(), call_tys[m.id() as usize].clone());
-        }
-        St {
-            sig: Rc::clone(&self.base_sig),
-            menv,
-            meta_level,
-            eigen_level: HashMap::new(),
-            next_meta: call_tys.len() as u32,
-            next_eigen: 0,
-            level: 0,
-            sol: MetaSubst::new(),
-            locals: Vec::new(),
-        }
-    }
 }
 
-/// Unifies a call atom against a clause (or answer) head over a
-/// **restricted** metavariable environment: just the metas occurring in
-/// the two terms, plus a sentinel pinning the unifier's fresh ids above
-/// `st.next_meta` ([`pattern::unify_constraints`] allocates fresh metas
-/// starting past the environment's largest id). The full environment
-/// grows with derivation length; cloning and re-validating it per
-/// resolution step — as passing `st.menv` would — made deep
-/// derivations quadratic. The sentinel is stripped from the returned
-/// solution, so its environment is exactly "restricted input + fresh
-/// metas" and [`merge_solution`] can fold the new entries back in.
+/// Pushes a choice point over branch `b` at the current trail mark.
+/// Slots allocated from here on are dropped wholesale on backtracking,
+/// so only older ones need their changes trailed.
+fn push_frame(st: &mut St, frames: &mut Vec<Frame>, b: Branch, alts: Alts) {
+    let mark = st.mark();
+    st.fence = mark.metas;
+    frames.push(Frame {
+        mark,
+        work: b.work,
+        depth: b.depth,
+        alts,
+    });
+}
+
+/// Unifies a call atom against a clause (or answer) head, both at the
+/// current eigenvariable depth. The unifier reads metavariable types and
+/// bindings from the state itself (no per-call environment), and its
+/// fresh metavariables are numbered from the state's next free id.
 fn unify_heads(
+    sig: &Signature,
     st: &St,
     target: &Ty,
     atom: &Term,
     head: &Term,
-) -> Result<pattern::PatternSolution, UnifyError> {
-    let mut menv = MetaEnv::new();
-    for m in atom.metas().into_iter().chain(head.metas()) {
-        if let Some(ty) = st.menv.get(&m) {
-            menv.insert(m, ty.clone());
-        }
-    }
-    let sentinel = MVar::new(st.next_meta, "fence");
-    menv.insert(sentinel.clone(), Ty::Int);
-    let constraint = Constraint::closed(target.clone(), atom.clone(), head.clone());
-    let mut solution = pattern::unify_constraints(&st.sig, &menv, vec![constraint])?;
-    solution.menv.remove(&sentinel);
-    Ok(solution)
-}
-
-/// Merges a [`unify_heads`] solution into `st`, checking eigenvariable
-/// scope: a metavariable may only mention eigenvariables that existed
-/// when it was created. Returns `false` (state partially updated,
-/// caller must discard the branch) on a scope violation.
-fn merge_solution(st: &mut St, solution: pattern::PatternSolution) -> bool {
-    // Fold the unifier's fresh metas (pruning, flex-flex) into the full
-    // environment. (`meta_level` needs no entries for them — reads
-    // default to level 0, matching their creation inside a level-0
-    // unification problem... they inherit the *binding* level through
-    // the scope check below instead, which conservatively treats an
-    // unleveled meta as level 0, the strictest choice.)
-    for (m, ty) in solution.menv.iter() {
-        if !st.menv.contains_key(m) {
-            st.menv.insert(m.clone(), ty.clone());
-            st.next_meta = st.next_meta.max(m.id() + 1);
-        }
-    }
-    // No eigenvariables in scope ⇒ no possible escape: skip the
-    // constant scan (it walks each binding's term, which on long
-    // committed chains would re-walk ever-growing ground arguments).
-    if !st.eigen_level.is_empty() {
-        for (m, t) in solution.subst.iter() {
-            let lvl = st.meta_level.get(&m.id()).copied().unwrap_or(0);
-            for c in t.constants() {
-                if let Some(&el) = st.eigen_level.get(c.as_str()) {
-                    if el > lvl {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    for (m, t) in solution.subst.iter() {
-        if !st.sol.contains(m) {
-            st.sol.bind(m.clone(), t.clone());
-        }
-    }
-    true
+) -> Result<Delta, UnifyError> {
+    pattern::unify_against(
+        sig,
+        st,
+        st.next_meta(),
+        st.eigen.clone(),
+        target.clone(),
+        atom.clone(),
+        head.clone(),
+    )
 }
 
 /// Whether the certificate allows committing to the first matching
@@ -1317,7 +1647,11 @@ fn commit_positions<'c>(
 ) -> Option<&'c [usize]> {
     let verdict = cert?.verdict(pred)?;
     let commit = verdict.commit.as_deref()?;
-    if st.locals.iter().any(|l| l.pred.as_ref() == Some(pred)) {
+    if st
+        .locals
+        .iter()
+        .any(|l| matches!(&l.pred, Some(Rigid::Const(c)) if c == pred))
+    {
         return None;
     }
     commit
@@ -1372,27 +1706,32 @@ fn push_mode_exit(
 ) {
 }
 
+/// Renames the free metavariables of `t` to `0..k` in first-occurrence
+/// order, returning the renamed term and the originals.
+fn rename_canonically(t: &Term) -> (Term, Vec<MVar>) {
+    let metas = t.metas();
+    if metas.is_empty() {
+        return (t.clone(), metas);
+    }
+    let map: HashMap<u32, MVar> = metas
+        .iter()
+        .enumerate()
+        .map(|(i, m)| (m.id(), MVar::new(i as u32, m.hint().clone())))
+        .collect();
+    (rename_metas(t, &|m| map.get(&m.id()).cloned()), metas)
+}
+
 /// Canonicalizes a (solution-applied) call atom into its variant key:
 /// free metavariables renamed to `0..k` in first-occurrence order, the
 /// result interned so variant lookup is one node-id hash probe. Returns
 /// `None` when some residual meta has no recorded type (no sound
 /// replay possible).
 fn canonicalize_call(st: &St, atom: &Term) -> Option<(TermRef, Term, Vec<Ty>)> {
-    let metas = atom.metas();
-    let mut tys = Vec::with_capacity(metas.len());
-    for m in &metas {
-        tys.push(st.menv.get(m)?.clone());
-    }
-    let canonical = if metas.is_empty() {
-        atom.clone()
-    } else {
-        let map: HashMap<u32, MVar> = metas
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.id(), MVar::new(i as u32, m.hint().clone())))
-            .collect();
-        rename_metas(atom, u32::MAX, &map)
-    };
+    let (canonical, metas) = rename_canonically(atom);
+    let tys = metas
+        .iter()
+        .map(|m| st.meta_ty(m).cloned())
+        .collect::<Option<Vec<Ty>>>()?;
     Some((TermRef::new(canonical.clone()), canonical, tys))
 }
 
@@ -1400,158 +1739,112 @@ fn canonicalize_call(st: &St, atom: &Term) -> Option<(TermRef, Term, Vec<Ty>)> {
 /// stored answer: residual metas renamed to `0..k` in first-occurrence
 /// order, their types recorded for replay.
 fn canonicalize_answer(st: &St, call: &Term) -> Option<TableAnswer> {
-    let t = st.sol.apply(call);
-    let metas = t.metas();
-    let mut meta_tys = Vec::with_capacity(metas.len());
-    for m in &metas {
-        meta_tys.push(st.menv.get(m)?.clone());
-    }
-    let term = if metas.is_empty() {
-        t
-    } else {
-        let map: HashMap<u32, MVar> = metas
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.id(), MVar::new(i as u32, m.hint().clone())))
-            .collect();
-        rename_metas(&t, u32::MAX, &map)
-    };
+    let (term, metas) = rename_canonically(&st.resolve(call));
+    let meta_tys = metas
+        .iter()
+        .map(|m| st.meta_ty(m).cloned())
+        .collect::<Option<Vec<Ty>>>()?;
     Some(TableAnswer { term, meta_tys })
 }
 
 /// Instantiates a stored answer for replay: its canonical metas
-/// (`0..k`) become globally fresh metavariables in `st` at the current
-/// level.
+/// (`0..k`) become fresh metavariables in `st` at the current level.
 fn instantiate_answer(st: &mut St, ans: &TableAnswer) -> Term {
     if ans.meta_tys.is_empty() {
         return ans.term.clone();
     }
-    let mut map: HashMap<u32, MVar> = HashMap::with_capacity(ans.meta_tys.len());
+    let mut fresh: Vec<Option<MVar>> = vec![None; ans.meta_tys.len()];
     for m in ans.term.metas() {
-        let fresh = MVar::new(st.next_meta, m.hint().clone());
-        st.next_meta += 1;
-        st.menv
-            .insert(fresh.clone(), ans.meta_tys[m.id() as usize].clone());
-        st.meta_level.insert(fresh.id(), st.level);
-        map.insert(m.id(), fresh);
+        let k = m.id() as usize;
+        fresh[k] = Some(st.fresh(m.hint(), ans.meta_tys[k].clone()));
     }
-    rename_metas(&ans.term, ans.meta_tys.len() as u32, &map)
+    rename_metas(&ans.term, &|m| {
+        fresh.get(m.id() as usize).cloned().flatten()
+    })
 }
 
 /// Renames the residual free metavariables across an answer's bindings to
 /// distinct display names (`'A`, `'B`, …) in first-occurrence order.
 fn canonicalize_free_metas(bindings: Vec<(MVar, Term)>) -> Vec<(MVar, Term)> {
-    let mut order: Vec<MVar> = Vec::new();
+    let mut seen: HashSet<u32> = HashSet::new();
+    let mut renames: HashMap<u32, MVar> = HashMap::new();
     for (_, t) in &bindings {
         for m in t.metas() {
-            if !order.contains(&m) {
-                order.push(m);
+            if seen.insert(m.id()) {
+                let i = renames.len();
+                let hint = if i < 26 {
+                    ((b'A' + i as u8) as char).to_string()
+                } else {
+                    format!("V{i}")
+                };
+                renames.insert(m.id(), MVar::new(m.id(), hint));
             }
         }
     }
-    let renames: HashMap<u32, MVar> = order
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let hint = if i < 26 {
-                ((b'A' + i as u8) as char).to_string()
-            } else {
-                format!("V{i}")
-            };
-            (m.id(), MVar::new(m.id(), hint))
-        })
-        .collect();
     bindings
         .into_iter()
-        .map(|(q, t)| (q, rename_metas(&t, u32::MAX, &renames)))
+        .map(|(q, t)| (q, rename_metas(&t, &|m| renames.get(&m.id()).cloned())))
         .collect()
 }
 
-/// Renames a clause's own universal variables to globally fresh
-/// metavariables at the current eigen level.
-fn freshen(st: &mut St, clause: &Clause) -> (Term, Goal) {
+/// Renames a program clause's own universal variables (ids `0..n`) to
+/// fresh metavariables at the current level.
+fn freshen(st: &mut St, clause: &Clause) -> Result<(Term, Goal), LpError> {
     if clause.vars.is_empty() {
-        return (clause.head.clone(), clause.body.clone());
+        return Ok((clause.head.clone(), clause.body.clone()));
     }
-    let n = clause.vars.len() as u32;
-    let mut map: HashMap<u32, MVar> = HashMap::new();
-    for (i, (hint, ty)) in clause.vars.iter().enumerate() {
-        let m = MVar::new(st.next_meta, hint.clone());
-        st.next_meta += 1;
-        st.menv.insert(m.clone(), ty.clone());
-        st.meta_level.insert(m.id(), st.level);
-        map.insert(i as u32, m);
+    let mut fresh = Vec::with_capacity(clause.vars.len());
+    for (hint, ty) in &clause.vars {
+        let m = st.fresh(hint, ty.clone());
+        check_meta_ty(&m, ty)?;
+        fresh.push(m);
     }
-    let mut rename = |t: &Term, _depth: u32| rename_metas(t, n, &map);
-    let head = rename(&clause.head, 0);
-    let body = clause.body.map_terms(0, &mut rename);
+    let map = |m: &MVar| fresh.get(m.id() as usize).cloned();
+    let head = rename_metas(&clause.head, &map);
+    let body = clause.body.map_terms(0, &mut |t, _| rename_metas(t, &map));
+    Ok((head, body))
+}
+
+/// A hypothetical clause's head and body at the current depth: its
+/// terms were assumed `k` eigenvariables ago, so their free variables
+/// shift up by `k`, and the head's captured goal metavariables are
+/// dereferenced (they may have been bound since).
+fn instantiate_local(st: &St, i: usize) -> (Term, Goal) {
+    let local = Rc::clone(&st.locals[i]);
+    let k = st.depth() - local.depth;
+    let clause = &local.clause;
+    if k == 0 {
+        return (st.resolve(&clause.head), clause.body.clone());
+    }
+    let head = st.resolve(&subst::shift(&clause.head, k));
+    let body = clause
+        .body
+        .map_terms(0, &mut |t, under| subst::shift_above(t, k, under));
     (head, body)
 }
 
-fn rename_metas(t: &Term, n: u32, map: &HashMap<u32, MVar>) -> Term {
+fn rename_metas(t: &Term, map: &dyn Fn(&MVar) -> Option<MVar>) -> Term {
     // Meta-free subtrees (cached annotation) are fixed points of the
     // renaming: share them instead of deep-cloning the clause.
     if !t.has_metas() {
         return t.clone();
     }
     match t {
-        Term::Meta(m) if m.id() < n && map.contains_key(&m.id()) => {
-            Term::Meta(map[&m.id()].clone())
-        }
-        Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-        Term::Lam(h, b) => Term::lam(h.clone(), rename_metas_ref(b, n, map)),
-        Term::App(f, a) => Term::app(rename_metas_ref(f, n, map), rename_metas_ref(a, n, map)),
-        Term::Pair(a, b) => Term::pair(rename_metas_ref(a, n, map), rename_metas_ref(b, n, map)),
-        Term::Fst(p) => Term::fst(rename_metas_ref(p, n, map)),
-        Term::Snd(p) => Term::snd(rename_metas_ref(p, n, map)),
+        Term::Meta(m) => map(m).map_or_else(|| t.clone(), Term::Meta),
+        Term::Var(_) | Term::Const(_) | Term::Int(_) | Term::Unit => t.clone(),
+        Term::Lam(h, b) => Term::lam(h.clone(), rename_metas_ref(b, map)),
+        Term::App(f, a) => Term::app(rename_metas_ref(f, map), rename_metas_ref(a, map)),
+        Term::Pair(a, b) => Term::pair(rename_metas_ref(a, map), rename_metas_ref(b, map)),
+        Term::Fst(p) => Term::fst(rename_metas_ref(p, map)),
+        Term::Snd(p) => Term::snd(rename_metas_ref(p, map)),
     }
 }
 
-fn rename_metas_ref(t: &TermRef, n: u32, map: &HashMap<u32, MVar>) -> TermRef {
+fn rename_metas_ref(t: &TermRef, map: &dyn Fn(&MVar) -> Option<MVar>) -> TermRef {
     if !t.has_meta() {
         t.clone()
     } else {
-        TermRef::new(rename_metas(t, n, map))
-    }
-}
-
-/// Replaces `Var(k)` with the closed term `c`, decrementing variables
-/// above `k` (goal-level binder instantiation).
-fn replace_and_lower(t: &Term, k: u32, c: &Term) -> Term {
-    // No free variable at or above `k`: identity, share the subtree.
-    if t.max_free() <= k {
-        return t.clone();
-    }
-    match t {
-        Term::Var(i) => {
-            if *i == k {
-                c.clone()
-            } else if *i > k {
-                Term::Var(i - 1)
-            } else {
-                t.clone()
-            }
-        }
-        Term::Lam(h, b) => Term::lam(h.clone(), replace_and_lower_ref(b, k + 1, c)),
-        Term::App(f, a) => Term::app(
-            replace_and_lower_ref(f, k, c),
-            replace_and_lower_ref(a, k, c),
-        ),
-        Term::Pair(a, b) => Term::pair(
-            replace_and_lower_ref(a, k, c),
-            replace_and_lower_ref(b, k, c),
-        ),
-        Term::Fst(p) => Term::fst(replace_and_lower_ref(p, k, c)),
-        Term::Snd(p) => Term::snd(replace_and_lower_ref(p, k, c)),
-        Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-    }
-}
-
-fn replace_and_lower_ref(t: &TermRef, k: u32, c: &Term) -> TermRef {
-    if t.max_free() <= k {
-        t.clone()
-    } else {
-        TermRef::new(replace_and_lower(t, k, c))
+        TermRef::new(rename_metas(t, map))
     }
 }
 
@@ -1576,3 +1869,157 @@ pub fn query_menv(
 
 /// `Ty` re-export for goal construction convenience.
 pub use hoas_core::Ty as GoalTy;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::examples::stlc_program;
+    use hoas_testkit::prelude::*;
+
+    fn tm() -> Ty {
+        Ty::base("tm")
+    }
+
+    /// A `tm` argument at the state's eigenvariable depth, under `bound`
+    /// binders of its own: `app`, `lam`, eigenvariables, bound
+    /// variables, and (outside binders) fresh metavariables of `st`.
+    fn gen_tm(rng: &mut SmallRng, st: &mut St, size: u32, bound: u32) -> Term {
+        let vars = st.depth() + bound;
+        if bound == 0 && (vars == 0 || rng.gen_bool(0.15)) {
+            return Term::Meta(st.fresh(&Sym::new("M"), tm()));
+        }
+        let leaf = size == 0 || rng.gen_bool(0.4);
+        match rng.gen_range(0..if leaf { 1 } else { 3 }) {
+            0 if vars > 0 => Term::Var(rng.gen_range(0..vars)),
+            0 => Term::cnst("app"),
+            1 => Term::apps(
+                Term::cnst("app"),
+                [
+                    gen_tm(rng, st, size - 1, bound),
+                    gen_tm(rng, st, size - 1, bound),
+                ],
+            ),
+            _ => Term::app(
+                Term::cnst("lam"),
+                Term::lam("y", gen_tm(rng, st, size - 1, bound + 1)),
+            ),
+        }
+    }
+
+    /// A `tp` argument: `base`, `arr`, or a fresh metavariable.
+    fn gen_tp(rng: &mut SmallRng, st: &mut St, size: u32) -> Term {
+        match rng.gen_range(0..if size == 0 { 2 } else { 3 }) {
+            0 => Term::Meta(st.fresh(&Sym::new("T"), Ty::base("tp"))),
+            1 => Term::cnst("base"),
+            _ => Term::apps(
+                Term::cnst("arr"),
+                [gen_tp(rng, st, size - 1), gen_tp(rng, st, size - 1)],
+            ),
+        }
+    }
+
+    fn of(x: Term, t: Term) -> Term {
+        Term::apps(Term::cnst("of"), [x, t])
+    }
+
+    /// Whether the unifier refutes `call ≐ head` at the state's depth.
+    fn refuted(prog: &Program, st: &St, call: &Term, head: &Term) -> bool {
+        matches!(
+            unify_heads(prog.sig(), st, &Ty::base("o"), call, head),
+            Err(e) if e.is_refutation()
+        )
+    }
+
+    props! {
+        fn candidate_filter_rejections_are_refutations(
+            seed in seeds(), assumed in 0u32..3, extra in 0u32..3
+        ) {
+            // A local `of` clause assumed under `assumed` eigenvariables,
+            // a call `extra` eigenvariables deeper, and the STLC program
+            // clauses. Whenever the filter drops a candidate (a local by
+            // level, a program clause by constant), the unifier must
+            // refute it under the same eigenvariable context: the filter
+            // never drops a clause that could resolve.
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let prog = stlc_program();
+            let mut st = St::new(&[]);
+            for _ in 0..assumed {
+                st.push_eigen(Sym::new("x"), tm());
+            }
+            let local_head = {
+                let x = gen_tm(&mut rng, &mut st, 2, 0);
+                of(x, gen_tp(&mut rng, &mut st, 1))
+            };
+            st.push_local(Clause::fact(vec![], local_head));
+            for _ in 0..extra {
+                st.push_eigen(Sym::new("x"), tm());
+            }
+            let depth = st.depth();
+            let call = {
+                let x = gen_tm(&mut rng, &mut st, 2, 0);
+                of(x, gen_tp(&mut rng, &mut st, 1))
+            };
+            let args = call.spine().1;
+            if !fingerprint_admits(&st.locals[0].fingerprint, &args, depth) {
+                let (head, _) = instantiate_local(&st, 0);
+                prop_assert!(
+                    refuted(&prog, &st, &call, &head),
+                    "the filter drops local `{}` for `{}` at depth {}, but it unifies",
+                    head, call, depth
+                );
+            }
+            for &i in prog.clause_indices_for(&Sym::new("of")) {
+                if prog.clause_admits(i, &args, depth) {
+                    continue;
+                }
+                let mark = st.mark();
+                let (head, _) = freshen(&mut st, &prog.clauses()[i]).unwrap();
+                let ok = refuted(&prog, &st, &call, &head);
+                st.undo(mark);
+                prop_assert!(
+                    ok,
+                    "the filter drops clause `{}` for `{}` at depth {}, but it unifies",
+                    prog.clauses()[i], call, depth
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_filter_compares_eigenvariables_by_level() {
+        // Each rejection arm once, with the unifier agreeing: `of x₀ base`
+        // assumed at depth 1, called at depth 2 with the same
+        // eigenvariable (admitted), the newer one (rejected), or `app`
+        // (rejected); `of (app _ _) _` against an eigenvariable call.
+        let prog = stlc_program();
+        let mut st = St::new(&[]);
+        st.push_eigen(Sym::new("x"), tm());
+        st.push_local(Clause::fact(vec![], of(Term::Var(0), Term::cnst("base"))));
+        st.push_eigen(Sym::new("x"), tm());
+        let t = st.fresh(&Sym::new("T"), Ty::base("tp"));
+        let m = st.fresh(&Sym::new("M"), tm());
+        let admits = |st: &St, x: Term| {
+            let call = of(x, Term::Meta(t.clone()));
+            let args = call.spine().1;
+            let local = fingerprint_admits(&st.locals[0].fingerprint, &args, 2);
+            let (head, _) = instantiate_local(st, 0);
+            assert_eq!(local, !refuted(&prog, st, &call, &head), "{call} vs {head}");
+            local
+        };
+        assert!(admits(&st, Term::Var(1)), "x₀ is x₀ at every depth");
+        assert!(!admits(&st, Term::Var(0)), "x₁ is not x₀");
+        let app = Term::apps(Term::cnst("app"), [Term::Var(0), Term::Var(1)]);
+        assert!(!admits(&st, app), "a constant is not an eigenvariable");
+        assert!(admits(&st, Term::Meta(m)), "a metavariable is a wildcard");
+        let call = of(Term::Var(0), Term::Meta(t));
+        let app_clause = prog
+            .clause_indices_for(&Sym::new("of"))
+            .iter()
+            .copied()
+            .find(|&i| prog.clauses()[i].head.to_string().starts_with("of (app"))
+            .expect("STLC has an application clause");
+        assert!(!prog.clause_admits(app_clause, &call.spine().1, 2));
+        let (head, _) = freshen(&mut st, &prog.clauses()[app_clause]).unwrap();
+        assert!(refuted(&prog, &st, &call, &head));
+    }
+}

@@ -1362,7 +1362,7 @@ mod cache_tests {
         let rs = not_not(&s);
         let e = Engine::new(&s, &rs);
         let t = parse_term(&s, "and (and r r) (not (not r))").unwrap().term;
-        let canon = normalize::canon(&s, &Default::default(), &Ctx::new(), &t, &o()).unwrap();
+        let canon = normalize::canon(&s, &MetaEnv::new(), &Ctx::new(), &t, &o()).unwrap();
         let (next, _) = e.rewrite_once(&o(), &canon).unwrap().unwrap();
         let (_, before_apps) = canon.spine_apps();
         let (_, after_apps) = next.spine_apps();

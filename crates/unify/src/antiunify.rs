@@ -110,7 +110,7 @@ pub fn anti_unify_in(
 
 struct AntiUnifier<'s> {
     sig: &'s Signature,
-    gen: MetaGen,
+    gen: MetaGen<'static>,
     left: MetaSubst,
     right: MetaSubst,
     /// Disagreement pairs already generalized, keyed by the pair and the

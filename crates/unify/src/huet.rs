@@ -123,7 +123,7 @@ pub fn pre_unify_terms(
 
 #[derive(Clone)]
 struct State {
-    gen: MetaGen,
+    gen: MetaGen<'static>,
     sol: MetaSubst,
     work: Vec<Constraint>,
 }
@@ -267,7 +267,7 @@ enum BindingKind {
 /// type (simple types admit no other way for `xₖ ā` to land in `B`).
 fn candidate_kinds(
     sig: &Signature,
-    gen: &MetaGen,
+    gen: &MetaGen<'_>,
     ctx: &Ctx,
     local: u32,
     m: &MVar,
@@ -319,7 +319,7 @@ fn candidate_kinds(
 }
 
 /// Builds the solution term for a binding kind.
-fn build_binding(gen: &mut MetaGen, m: &MVar, kind: &BindingKind) -> Result<Term, UnifyError> {
+fn build_binding(gen: &mut MetaGen<'_>, m: &MVar, kind: &BindingKind) -> Result<Term, UnifyError> {
     let mty = gen.ty_of(m)?.clone();
     let (arg_tys, _target) = mty.uncurry();
     let arg_tys: Vec<Ty> = arg_tys.into_iter().cloned().collect();

@@ -40,6 +40,36 @@ pub(crate) fn solution_lams(n: usize, body: TermRef) -> Term {
     })
 }
 
+/// Read access to the solved metavariables a unification problem is
+/// posed against: whether a metavariable is solved, whether a term
+/// mentions a solved one, and the term with every solution substituted.
+/// The unifiers read their caller's bindings only through this, so a
+/// [`MetaSubst`] and a solver's own binding array serve the same
+/// unifier.
+pub trait Bindings {
+    /// Whether `m` has a solution (the lookup the unifiers need: they
+    /// read solutions only through [`Bindings::apply`]).
+    fn is_solved(&self, m: &MVar) -> bool;
+
+    /// Whether some solved metavariable occurs in `t`. Walks only the
+    /// subterms that contain metavariables (cached annotation).
+    fn occurs_in(&self, t: &Term) -> bool {
+        if !t.has_metas() {
+            return false;
+        }
+        match t {
+            Term::Meta(m) => self.is_solved(m),
+            Term::Lam(_, b) | Term::Fst(b) | Term::Snd(b) => self.occurs_in(b),
+            Term::App(a, b) | Term::Pair(a, b) => self.occurs_in(a) || self.occurs_in(b),
+            Term::Var(_) | Term::Const(_) | Term::Int(_) | Term::Unit => false,
+        }
+    }
+
+    /// `t` with every solved metavariable replaced by its solution, in
+    /// the ambient scope of the problem, β-normalized.
+    fn apply(&self, t: &Term) -> Term;
+}
+
 /// A finite map from metavariables to solution terms (in ambient scope).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct MetaSubst {
@@ -116,20 +146,6 @@ impl MetaSubst {
             *v = single.apply(v);
         }
         self.map.insert(m, solution);
-    }
-
-    /// Whether some metavariable solved here occurs in `t`. Walks only
-    /// the subterms that contain metavariables (cached annotation).
-    pub(crate) fn occurs_in(&self, t: &Term) -> bool {
-        if self.map.is_empty() || !t.has_metas() {
-            return false;
-        }
-        match t {
-            Term::Meta(m) => self.map.contains_key(m),
-            Term::Lam(_, b) | Term::Fst(b) | Term::Snd(b) => self.occurs_in(b),
-            Term::App(a, b) | Term::Pair(a, b) => self.occurs_in(a) || self.occurs_in(b),
-            Term::Var(_) | Term::Const(_) | Term::Int(_) | Term::Unit => false,
-        }
     }
 
     /// Applies the substitution to a term and β-normalizes the result.
@@ -254,6 +270,16 @@ impl MetaSubst {
                 .map(|(m, t)| (m.clone(), t.clone()))
                 .collect(),
         }
+    }
+}
+
+impl Bindings for MetaSubst {
+    fn is_solved(&self, m: &MVar) -> bool {
+        self.map.contains_key(m)
+    }
+
+    fn apply(&self, t: &Term) -> Term {
+        MetaSubst::apply(self, t)
     }
 }
 

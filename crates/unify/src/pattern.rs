@@ -15,11 +15,12 @@
 //! dispatch pattern-shaped pairs deterministically before searching.
 
 use crate::error::UnifyError;
-use crate::msubst::{solution_lams, MetaSubst};
+use crate::msubst::{solution_lams, Bindings, MetaSubst};
 use crate::problem::{
     eta_expand_var, flex_view, head_ty, resolve_side, validate_meta_types, Constraint, MetaGen,
 };
-use hoas_core::term::{Head, MetaEnv};
+use hoas_core::ctx::Ctx;
+use hoas_core::term::{Head, MetaEnv, MetaTypes};
 use hoas_core::{normalize, MVar, Sym, Term, TermRef, Ty};
 
 /// A successful pattern unification: the most general unifier plus the
@@ -51,18 +52,80 @@ pub fn unify_constraints(
     constraints: Vec<Constraint>,
 ) -> Result<PatternSolution, UnifyError> {
     validate_meta_types(menv)?;
+    let next = menv.keys().map(|m| m.id() + 1).max().unwrap_or(0);
+    let delta = run_solver(sig, MetaGen::over(menv, next), None, constraints)?;
+    let mut menv = menv.clone();
+    menv.extend(delta.fresh);
+    Ok(PatternSolution {
+        subst: delta.subst,
+        menv,
+    })
+}
+
+/// What one [`unify_against`] call adds to the metavariable state it
+/// was posed against.
+#[derive(Clone, Debug)]
+pub struct Delta {
+    /// Solutions for metavariables the state leaves unsolved. They are
+    /// idempotent among themselves and mention no metavariable that the
+    /// state or `subst` solves.
+    pub subst: MetaSubst,
+    /// The metavariables pruning and flex-flex steps allocated, with
+    /// their types, in allocation (id) order.
+    pub fresh: Vec<(MVar, Ty)>,
+}
+
+/// Unifies `left ≐ right : ty` under the ambient context `ctx` against
+/// a caller-owned metavariable state: types are read through
+/// [`MetaTypes`] and existing solutions through [`Bindings`], so nothing
+/// of the state is copied. Fresh metavariables are numbered from `next`
+/// upward, which must lie above every id the state uses.
+///
+/// The state's metavariable types are trusted to be in the supported
+/// fragment (the caller validates them once, where it creates them).
+///
+/// # Errors
+///
+/// As for [`unify_constraints`].
+pub fn unify_against<S: MetaTypes + Bindings>(
+    sig: &hoas_core::sig::Signature,
+    state: &S,
+    next: u32,
+    ctx: Ctx,
+    ty: Ty,
+    left: Term,
+    right: Term,
+) -> Result<Delta, UnifyError> {
+    let constraint = Constraint::in_ambient(ctx, ty, left, right);
+    run_solver(
+        sig,
+        MetaGen::over(state, next),
+        Some(state),
+        vec![constraint],
+    )
+}
+
+fn run_solver(
+    sig: &hoas_core::sig::Signature,
+    gen: MetaGen<'_>,
+    base: Option<&dyn Bindings>,
+    constraints: Vec<Constraint>,
+) -> Result<Delta, UnifyError> {
     let mut solver = Solver {
         sig,
-        gen: MetaGen::new(menv.clone()),
+        gen,
+        base,
         sol: MetaSubst::new(),
         inputs: constraints.len(),
         work: constraints,
         fuel: DEFAULT_FUEL,
     };
     solver.run()?;
-    Ok(PatternSolution {
+    let mut fresh: Vec<(MVar, Ty)> = solver.gen.menv.into_iter().collect();
+    fresh.sort_unstable_by_key(|(m, _)| m.id());
+    Ok(Delta {
         subst: solver.sol,
-        menv: solver.gen.menv,
+        fresh,
     })
 }
 
@@ -97,7 +160,7 @@ pub fn unify(
 /// pattern fragment), or [`UnifyError::NotPattern`] if a nested flexible
 /// occurrence cannot be pruned.
 pub(crate) fn solve_flex_rigid(
-    gen: &mut MetaGen,
+    gen: &mut MetaGen<'_>,
     sol: &mut MetaSubst,
     m: &MVar,
     spine: &[u32],
@@ -124,7 +187,7 @@ pub(crate) fn solve_flex_rigid(
 ///   escape (prunable only under a flexible head);
 /// * ambient (`≥ under + local`): renumbered past the λ-binders.
 fn invert(
-    gen: &mut MetaGen,
+    gen: &mut MetaGen<'_>,
     sol: &mut MetaSubst,
     m: &MVar,
     spine: &[u32],
@@ -184,7 +247,7 @@ fn invert(
 /// a fixed point of the inversion.
 #[allow(clippy::too_many_arguments)]
 fn invert_ref(
-    gen: &mut MetaGen,
+    gen: &mut MetaGen<'_>,
     sol: &mut MetaSubst,
     m: &MVar,
     spine: &[u32],
@@ -203,7 +266,7 @@ fn invert_ref(
 /// pruning arguments of `?N` that mention unmappable local variables.
 #[allow(clippy::too_many_arguments)]
 fn invert_flex(
-    gen: &mut MetaGen,
+    gen: &mut MetaGen<'_>,
     sol: &mut MetaSubst,
     m: &MVar,
     spine: &[u32],
@@ -284,7 +347,7 @@ fn invert_flex(
 
 /// `?M x̄ ≐ ?M ȳ`: keep positions where the spines agree.
 pub(crate) fn flex_flex_same(
-    gen: &mut MetaGen,
+    gen: &mut MetaGen<'_>,
     sol: &mut MetaSubst,
     m: &MVar,
     s1: &[u32],
@@ -313,7 +376,7 @@ pub(crate) fn flex_flex_same(
 /// `?M x̄ ≐ ?N ȳ` with `M ≠ N`: both become a fresh metavariable over the
 /// variables common to both spines.
 pub(crate) fn flex_flex_diff(
-    gen: &mut MetaGen,
+    gen: &mut MetaGen<'_>,
     sol: &mut MetaSubst,
     m: &MVar,
     s1: &[u32],
@@ -368,7 +431,7 @@ pub(crate) fn flex_flex_diff(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decompose_step(
     sig: &hoas_core::sig::Signature,
-    gen: &mut MetaGen,
+    gen: &mut MetaGen<'_>,
     sol: &mut MetaSubst,
     work: &mut Vec<Constraint>,
     ctx: hoas_core::ctx::Ctx,
@@ -437,7 +500,7 @@ pub(crate) fn decompose_step(
 #[allow(clippy::too_many_arguments)]
 fn decompose_base(
     sig: &hoas_core::sig::Signature,
-    gen: &mut MetaGen,
+    gen: &mut MetaGen<'_>,
     sol: &mut MetaSubst,
     work: &mut Vec<Constraint>,
     ctx: hoas_core::ctx::Ctx,
@@ -507,7 +570,7 @@ fn decompose_base(
 /// canonical at their types.
 fn rigid_rigid(
     sig: &hoas_core::sig::Signature,
-    gen: &MetaGen,
+    gen: &MetaGen<'_>,
     work: &mut Vec<Constraint>,
     ctx: hoas_core::ctx::Ctx,
     local: u32,
@@ -598,7 +661,11 @@ fn neutral(t: &Term) -> Option<(Head, Vec<Elim<'_>>)> {
 
 struct Solver<'s> {
     sig: &'s hoas_core::sig::Signature,
-    gen: MetaGen,
+    gen: MetaGen<'s>,
+    /// The caller's existing solutions, applied to the input
+    /// constraints when they are first canonicalized.
+    base: Option<&'s dyn Bindings>,
+    /// Solutions found by this run.
     sol: MetaSubst,
     /// Constraint stack. Entries below `inputs` are the caller's
     /// constraints, not yet canonicalized; everything above was pushed by
@@ -651,7 +718,15 @@ impl Solver<'_> {
     }
 
     fn resolve(&self, raw: bool, c: &Constraint, side: &Term) -> Result<Term, UnifyError> {
-        if raw || self.sol.occurs_in(side) {
+        if raw {
+            match self.base {
+                Some(base) if base.occurs_in(side) => {
+                    let side = base.apply(side);
+                    resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, &side)
+                }
+                _ => resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side),
+            }
+        } else if !self.sol.is_empty() && self.sol.occurs_in(side) {
             resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side)
         } else {
             debug_assert_eq!(
@@ -932,6 +1007,65 @@ mod tests {
         assert_eq!(sol.subst.len(), 1);
         let (_, p_sol) = sol.subst.iter().next().unwrap();
         assert_eq!(p_sol.metas().len(), 1, "?R should remain in ?P's solution");
+    }
+
+    /// A caller-owned state: types in a [`MetaEnv`], solutions in a
+    /// [`MetaSubst`].
+    struct State(MetaEnv, MetaSubst);
+
+    impl MetaTypes for State {
+        fn meta_ty(&self, m: &MVar) -> Option<&Ty> {
+            self.0.get(m)
+        }
+    }
+
+    impl Bindings for State {
+        fn is_solved(&self, m: &MVar) -> bool {
+            self.1.is_solved(m)
+        }
+
+        fn apply(&self, t: &Term) -> Term {
+            self.1.apply(t)
+        }
+    }
+
+    #[test]
+    fn unify_against_reads_the_callers_solutions() {
+        // With ?P := r in the caller's state, `and ?P ?Q ≐ and r (not r)`
+        // adds only ?Q := not r, and `and ?P ?Q ≐ and (not r) r` clashes.
+        let sig = fol_sig();
+        let (p, q) = (MVar::new(0, "P"), MVar::new(1, "Q"));
+        let menv: MetaEnv = [(p.clone(), o()), (q.clone(), o())].into_iter().collect();
+        let mut solved = MetaSubst::new();
+        solved.bind(p.clone(), Term::cnst("r"));
+        let state = State(menv, solved);
+        let and = |a: Term, b: Term| Term::apps(Term::cnst("and"), [a, b]);
+        let not_r = Term::app(Term::cnst("not"), Term::cnst("r"));
+        let flex = and(Term::Meta(p), Term::Meta(q.clone()));
+        let delta = unify_against(
+            &sig,
+            &state,
+            2,
+            Ctx::new(),
+            o(),
+            flex.clone(),
+            and(Term::cnst("r"), not_r.clone()),
+        )
+        .unwrap();
+        assert_eq!(delta.subst.len(), 1);
+        assert_eq!(delta.subst.get(&q), Some(&not_r));
+        assert!(delta.fresh.is_empty());
+        let err = unify_against(
+            &sig,
+            &state,
+            2,
+            Ctx::new(),
+            o(),
+            flex,
+            and(not_r, Term::cnst("r")),
+        )
+        .unwrap_err();
+        assert!(err.is_refutation(), "{err:?}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::error::UnifyError;
 use crate::msubst::MetaSubst;
 use hoas_core::ctx::Ctx;
 use hoas_core::sig::Signature;
-use hoas_core::term::{Head, MetaEnv};
+use hoas_core::term::{Head, MetaEnv, MetaTypes};
 use hoas_core::{normalize, MVar, Sym, Term, Ty};
 
 /// One equation `left ≐ right : ty` in context `ctx`.
@@ -64,20 +64,55 @@ impl std::fmt::Display for Constraint {
 }
 
 /// Supplies fresh metavariables and tracks their types alongside the
-/// problem's original [`MetaEnv`].
-#[derive(Clone, Debug)]
-pub struct MetaGen {
-    /// Types for all metavariables, original and generated.
+/// problem's original ones.
+///
+/// The original types are either owned ([`MetaGen::new`]: `menv` holds
+/// everything) or borrowed from the caller ([`MetaGen::over`]: `menv`
+/// holds only the fresh metavariables, and lookups fall through to the
+/// caller's [`MetaTypes`]), so a solver posing many small problems over
+/// one large environment need not copy it per problem.
+#[derive(Clone)]
+pub struct MetaGen<'e> {
+    /// Types for the metavariables this generator owns: original and
+    /// generated for [`MetaGen::new`], generated only for
+    /// [`MetaGen::over`].
     pub menv: MetaEnv,
+    base: Option<&'e dyn MetaTypes>,
     next: u32,
 }
 
-impl MetaGen {
+impl std::fmt::Debug for MetaGen<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MetaGen")
+            .field("menv", &self.menv)
+            .field("borrows_base", &self.base.is_some())
+            .field("next", &self.next)
+            .finish()
+    }
+}
+
+impl MetaGen<'static> {
     /// Builds a generator whose fresh ids start above everything in
     /// `menv`.
-    pub fn new(menv: MetaEnv) -> MetaGen {
+    pub fn new(menv: MetaEnv) -> MetaGen<'static> {
         let next = menv.keys().map(|m| m.id() + 1).max().unwrap_or(0);
-        MetaGen { menv, next }
+        MetaGen {
+            menv,
+            base: None,
+            next,
+        }
+    }
+}
+
+impl<'e> MetaGen<'e> {
+    /// Builds a generator over borrowed types, handing out fresh ids
+    /// from `next` (which must lie above every id `base` knows).
+    pub fn over(base: &'e dyn MetaTypes, next: u32) -> MetaGen<'e> {
+        MetaGen {
+            menv: MetaEnv::new(),
+            base: Some(base),
+            next,
+        }
     }
 
     /// Allocates a fresh metavariable of the given type.
@@ -94,9 +129,16 @@ impl MetaGen {
     ///
     /// [`UnifyError::IllTyped`] if unknown.
     pub fn ty_of(&self, m: &MVar) -> Result<&Ty, UnifyError> {
+        self.meta_ty(m)
+            .ok_or_else(|| UnifyError::IllTyped(hoas_core::Error::UnknownMeta { mvar: m.clone() }))
+    }
+}
+
+impl MetaTypes for MetaGen<'_> {
+    fn meta_ty(&self, m: &MVar) -> Option<&Ty> {
         self.menv
             .get(m)
-            .ok_or_else(|| UnifyError::IllTyped(hoas_core::Error::UnknownMeta { mvar: m.clone() }))
+            .or_else(|| self.base.and_then(|b| b.meta_ty(m)))
     }
 }
 
@@ -108,15 +150,8 @@ impl MetaGen {
 ///
 /// [`UnifyError::UnsupportedMetaType`] on the first violation.
 pub fn validate_meta_types(menv: &MetaEnv) -> Result<(), UnifyError> {
-    fn ok(ty: &Ty) -> bool {
-        match ty {
-            Ty::Base(_) | Ty::Int => true,
-            Ty::Arrow(a, b) => ok(a) && ok(b),
-            Ty::Prod(..) | Ty::Unit | Ty::Var(_) => false,
-        }
-    }
     for (m, ty) in menv {
-        if !ok(ty) {
+        if !is_supported_meta_ty(ty) {
             return Err(UnifyError::UnsupportedMetaType {
                 mvar: m.clone(),
                 ty: ty.clone(),
@@ -124,6 +159,16 @@ pub fn validate_meta_types(menv: &MetaEnv) -> Result<(), UnifyError> {
         }
     }
     Ok(())
+}
+
+/// Whether a metavariable type is within the supported fragment: arrows
+/// over base types and `int`.
+pub fn is_supported_meta_ty(ty: &Ty) -> bool {
+    match ty {
+        Ty::Base(_) | Ty::Int => true,
+        Ty::Arrow(a, b) => is_supported_meta_ty(a) && is_supported_meta_ty(b),
+        Ty::Prod(..) | Ty::Unit | Ty::Var(_) => false,
+    }
 }
 
 /// Applies the current solution and brings a side to canonical form at the
@@ -134,14 +179,14 @@ pub fn validate_meta_types(menv: &MetaEnv) -> Result<(), UnifyError> {
 /// [`UnifyError::IllTyped`] if canonicalization fails.
 pub fn resolve_side(
     sig: &Signature,
-    gen: &MetaGen,
+    gen: &MetaGen<'_>,
     sol: &MetaSubst,
     ctx: &Ctx,
     ty: &Ty,
     t: &Term,
 ) -> Result<Term, UnifyError> {
     let t = sol.apply(t);
-    normalize::canon(sig, &gen.menv, ctx, &t, ty).map_err(UnifyError::IllTyped)
+    normalize::canon(sig, gen, ctx, &t, ty).map_err(UnifyError::IllTyped)
 }
 
 /// Synthesizes the (monomorphic) type of a neutral head.
@@ -150,7 +195,12 @@ pub fn resolve_side(
 ///
 /// Unknown constants/variables/metas, and [`UnifyError::PolyConst`] for
 /// polymorphic constants.
-pub fn head_ty(sig: &Signature, gen: &MetaGen, ctx: &Ctx, head: &Head) -> Result<Ty, UnifyError> {
+pub fn head_ty(
+    sig: &Signature,
+    gen: &MetaGen<'_>,
+    ctx: &Ctx,
+    head: &Head,
+) -> Result<Ty, UnifyError> {
     match head {
         Head::Var(i) => ctx
             .lookup(*i)

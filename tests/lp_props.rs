@@ -15,7 +15,7 @@ use hoas::lp::solve::{query_menv, solve, solve_certified, SolveConfig};
 use hoas::lp::{Clause, CutBy, Goal, LpError, Program};
 use hoas::unify::pattern;
 use hoas_core::sig::Signature;
-use hoas_core::term::{fingerprint_admits, MetaEnv};
+use hoas_core::term::MetaEnv;
 use hoas_core::{MVar, Term, Ty, TyScheme};
 use hoas_testkit::gen;
 use hoas_testkit::prelude::*;
@@ -300,37 +300,27 @@ props! {
     }
 
     fn fingerprint_rejections_are_refutations(seed in seeds(), depth in 1u32..4) {
-        // Whenever a clause's head fingerprint rejects a call, the pattern
-        // unifier must refute call ≐ head: the solver's candidate filter
-        // never drops a clause that could resolve. Hypothetical `of`
-        // clauses over eigenvariables ride along with the STLC program.
+        // Whenever a program clause's head fingerprint rejects a closed
+        // call, the pattern unifier must refute call ≐ head: the
+        // solver's candidate filter never drops a clause that could
+        // resolve. (`x#0`/`x#1` are extra constants here; hypothetical
+        // clauses and calls over eigenvariables are covered by the
+        // solver's own unit property.)
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut stlc_sig = stlc_program().sig().clone();
-        for x in ["x#0", "x#1"] {
-            stlc_sig.declare_const(x, TyScheme::mono(Ty::base("tm"))).unwrap();
-        }
-        let of = |x: &str, ty: Term| Term::apps(Term::cnst("of"), [Term::cnst(x), ty]);
-        // `of x#0 ?A` with ?A a logic variable of the enclosing goal
-        // (declared as a clause variable here only to give it a type).
-        let hyps = vec![
-            Clause::fact(
-                vec![(hoas_core::Sym::new("A"), Ty::base("tp"))],
-                of("x#0", Term::Meta(MVar::new(0, "A"))),
-            ),
-            Clause::fact(vec![], of("x#1", Term::cnst("base"))),
-        ];
         let mut eval_sig = examples::eval_program().sig().clone();
         for x in ["x#0", "x#1"] {
+            stlc_sig.declare_const(x, TyScheme::mono(Ty::base("tm"))).unwrap();
             eval_sig.declare_const(x, TyScheme::mono(Ty::base("tm"))).unwrap();
         }
         let cases = vec![
-            (stlc_program(), stlc_sig, "of", vec!["tm", "tp"], hyps),
-            (examples::eval_program(), eval_sig, "eval", vec!["tm", "tm"], vec![]),
+            (stlc_program(), stlc_sig, "of", vec!["tm", "tp"]),
+            (examples::eval_program(), eval_sig, "eval", vec!["tm", "tm"]),
             (examples::append_program(), examples::append_program().sig().clone(),
-             "append", vec!["list", "list", "list"], vec![]),
-            (nat_program(), nat_program().sig().clone(), "nat", vec!["nat"], vec![]),
+             "append", vec!["list", "list", "list"]),
+            (nat_program(), nat_program().sig().clone(), "nat", vec!["nat"]),
         ];
-        for (prog, sig, pred, arg_tys, locals) in &cases {
+        for (prog, sig, pred, arg_tys) in &cases {
             for _ in 0..8 {
                 let mut menv = MetaEnv::new();
                 let args: Vec<Term> = arg_tys
@@ -339,17 +329,11 @@ props! {
                     .collect();
                 let call = Term::apps(Term::cnst(*pred), args);
                 let call_args = call.spine().1;
-                let clauses = prog
-                    .clause_indices_for(&hoas_core::Sym::new(*pred))
-                    .iter()
-                    .map(|&i| (prog.clauses()[i].clone(), prog.clause_admits(i, &call_args)))
-                    .chain(locals.iter().map(|c| {
-                        (c.clone(), fingerprint_admits(&c.head.arg_fingerprint(), &call_args))
-                    }));
-                for (clause, admitted) in clauses {
-                    if admitted {
+                for &i in prog.clause_indices_for(&hoas_core::Sym::new(*pred)) {
+                    if prog.clause_admits(i, &call_args, 0) {
                         continue;
                     }
+                    let clause = &prog.clauses()[i];
                     let mut both = menv.clone();
                     both.extend(clause.var_menv());
                     let result = pattern::unify(sig, &both, &Ty::base("o"), &call, &clause.head);
@@ -825,4 +809,152 @@ fn under_applied_atom_is_an_error_not_a_failure() {
     ));
     let out = solve(&prog, &MetaEnv::new(), &goal, &SolveConfig::default());
     assert!(matches!(out, Err(LpError::Unify(_))), "got {out:?}");
+}
+
+#[test]
+fn unifier_created_metas_take_the_level_of_their_binders() {
+    // `same (\z. ?G z) (\z. ?H)` against `same ?A ?A` is a flex-flex
+    // pair: the unifier solves ?G and ?H through one fresh ?N. Under
+    // `pi x`, ?G and ?H live at the eigenvariable's level, so ?N must
+    // too, and `same2 ?H x` may then bind ?N to x. A fresh ?N read as
+    // level 0 fails the query.
+    let sig = Signature::parse(
+        "type i. type o. const c : i.
+         const same : (i -> i) -> (i -> i) -> o. const same2 : i -> i -> o.
+         const k : i -> o. const top : o. const topc : o.",
+    )
+    .unwrap();
+    let mut prog = Program::new(sig);
+    prog.push(Clause::parse(prog.sig(), &[("A", "i -> i")], "same ?A ?A", &[]).unwrap());
+    prog.push(Clause::parse(prog.sig(), &[("B", "i")], "same2 ?B ?B", &[]).unwrap());
+    prog.push(
+        Clause::parse(
+            prog.sig(),
+            &[("X", "i"), ("G", "i -> i"), ("H", "i")],
+            "k ?X",
+            &[r"same (\z. ?G z) (\z. ?H)", "same2 ?H ?X"],
+        )
+        .unwrap(),
+    );
+    prog.push(Clause {
+        vars: vec![],
+        head: Term::cnst("top"),
+        body: Goal::pi(
+            "x",
+            Ty::base("i"),
+            Goal::Atom(Term::app(Term::cnst("k"), Term::Var(0))),
+        ),
+    });
+    prog.push(Clause::parse(prog.sig(), &[], "topc", &["k c"]).unwrap());
+    let cfg = SolveConfig::default();
+    let menv = MetaEnv::new();
+    let ask = |goal: &str| {
+        let (goal, menv2) = query_menv(prog.sig(), goal, &[]).unwrap();
+        assert_eq!(menv2, menv);
+        solve(&prog, &menv, &goal, &cfg).unwrap().answers.len()
+    };
+    assert_eq!(ask("topc"), 1, "control: no eigenvariable involved");
+    assert_eq!(ask("top"), 1, "the pruned metavariable may mention x");
+}
+
+/// The chain `p0 ?X :- p1 ?X. … p(n-1) ?X :- pn ?X. pn ?X.` asked
+/// `p0 a` (or `p0 ?Y` when `ask_var`): n resolution steps, each binding
+/// one fresh clause variable. Returns the solver's binding-visit count.
+fn chain_binding_visits(n: usize, ask_var: bool) -> u64 {
+    let mut sig = Signature::parse("type i. type o. const a : i.").unwrap();
+    for i in 0..=n {
+        sig.declare_const(
+            format!("p{i}").as_str(),
+            TyScheme::mono(Ty::arrow(Ty::base("i"), Ty::base("o"))),
+        )
+        .unwrap();
+    }
+    let x = || Term::Meta(MVar::new(0, "X"));
+    let p = |i: usize| Term::cnst(format!("p{i}").as_str());
+    let mut prog = Program::new(sig);
+    for i in 0..=n {
+        prog.push(Clause {
+            vars: vec![(hoas_core::Sym::new("X"), Ty::base("i"))],
+            head: Term::app(p(i), x()),
+            body: if i < n {
+                Goal::Atom(Term::app(p(i + 1), x()))
+            } else {
+                Goal::True
+            },
+        });
+    }
+    let y = MVar::new(0, "Y");
+    let (arg, menv) = if ask_var {
+        let menv: MetaEnv = [(y.clone(), Ty::base("i"))].into_iter().collect();
+        (Term::Meta(y), menv)
+    } else {
+        (Term::cnst("a"), MetaEnv::new())
+    };
+    let goal = Goal::Atom(Term::app(p(0), arg));
+    let cfg = SolveConfig {
+        max_depth: n as u32 + 8,
+        fuel: 20_000_000,
+        ..SolveConfig::default()
+    };
+    let out = solve(&prog, &menv, &goal, &cfg).unwrap();
+    assert_eq!(out.answers.len(), 1, "p0 is provable");
+    if let Some(t) = out.answers[0].get("Y") {
+        assert!(matches!(t, Term::Meta(_)), "?Y stays free, got {t}");
+    }
+    out.binding_visits
+}
+
+#[test]
+fn binding_work_is_linear_in_derivation_length() {
+    let small = chain_binding_visits(1_000, false);
+    let large = chain_binding_visits(10_000, false);
+    assert!(small > 0, "the counter is live");
+    assert!(
+        large <= 11 * small,
+        "binding visits grew superlinearly: {small} at n = 10^3, {large} at n = 10^4"
+    );
+}
+
+#[test]
+fn variable_link_chains_dereference_on_a_2mib_stack() {
+    // Asked `p0 ?Y`, each step's flex-flex pair links the previous
+    // variable to a fresh one, so delivering the answer dereferences a
+    // chain ?Y ↦ ?K₁ ↦ … ↦ ?Kₙ of 10⁴ links: it must cost neither host
+    // stack per link nor more than linear binding work.
+    let (small, large) = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            (
+                chain_binding_visits(1_000, true),
+                chain_binding_visits(10_000, true),
+            )
+        })
+        .unwrap()
+        .join()
+        .expect("the chain dereferences without overflowing the stack");
+    assert!(
+        large <= 11 * small,
+        "binding visits grew superlinearly: {small} at n = 10^3, {large} at n = 10^4"
+    );
+}
+
+#[test]
+fn query_metavariable_ids_may_be_sparse_and_large() {
+    // The caller's ids are its own business: a query variable numbered
+    // near `u32::MAX` is answered like any other.
+    let prog = examples::append_program();
+    let z = MVar::new(u32::MAX - 1, "Z");
+    let mut menv = MetaEnv::new();
+    menv.insert(z.clone(), Ty::base("i"));
+    let list = |src: &str| hoas_core::parse::parse_term(prog.sig(), src).unwrap().term;
+    let goal = Goal::Atom(Term::apps(
+        Term::cnst("append"),
+        [list("cons a nil"), list("cons b nil"), Term::Meta(z)],
+    ));
+    let out = solve(&prog, &menv, &goal, &SolveConfig::default()).unwrap();
+    assert_eq!(out.answers.len(), 1);
+    assert_eq!(
+        out.answers[0].get("Z").unwrap().to_string(),
+        "cons a (cons b nil)"
+    );
 }
