@@ -31,13 +31,13 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
-/// Runs the solver-smoke fold workload (certified tabling, one cold
+/// Runs the depth-10 tabled fold workload (certified tabling, one cold
 /// pass and one warm pass over shared tables) in-process and returns
-/// the table counters it accrues, as a deterministic fingerprint of
-/// tabling behavior for the report's meta block.
-fn solver_table_fingerprint() -> hoas_core::store::InternStats {
+/// the table counters the two solves report, summed, as a deterministic
+/// fingerprint of tabling behavior for the report's meta block.
+fn solver_table_fingerprint() -> hoas_lp::TableStats {
     use hoas_lp::solve::{query_menv, solve_with, SolveConfig};
-    use hoas_lp::{Clause, Program, SolveTables, TableMode};
+    use hoas_lp::{Clause, Program, SolveTables, TableMode, TableStats};
 
     let sig = hoas_core::sig::Signature::parse(
         "type e. type o.
@@ -71,13 +71,14 @@ fn solver_table_fingerprint() -> hoas_core::store::InternStats {
         table: TableMode::Certified,
         ..SolveConfig::default()
     };
-    let before = hoas_core::store::stats();
     let mut tables = SolveTables::for_program(&prog);
+    let mut total = TableStats::default();
     for _ in 0..2 {
         let out = solve_with(&prog, &menv, &goal, &cfg, Some(&cert), &mut tables).expect("solves");
         assert_eq!(out.answers.len(), 1, "fold workload must solve");
+        total.merge(&out.tables);
     }
-    hoas_core::store::stats().since(&before)
+    total
 }
 
 /// One measured benchmark, keyed by its `group/function/param` id.
@@ -206,21 +207,17 @@ fn main() -> ExitCode {
         .ok()
         .filter(|&n| n > 0)
         .unwrap_or(threads);
-    // The benched runs happen in child processes, so the driver's
-    // thread-local table counters see none of them; run the canonical
-    // tabled workload (the solver-smoke shape) here instead, so the
-    // meta block records a stable tabling fingerprint — same workload,
-    // same expected counters — comparable across reports.
+    // The benched runs happen in child processes, so their solves are
+    // not visible here; run the canonical tabled fold workload instead,
+    // so the meta block records a stable tabling fingerprint — same
+    // workload, same expected counters — comparable across reports.
     let table = solver_table_fingerprint();
     let mut json = format!(
         "[\n  {{\"meta\": \"host\", \"available_parallelism\": {threads}, \
          \"host_cpus\": {host_cpus}, \"table_hits\": {}, \
          \"table_variant_misses\": {}, \"table_suspensions\": {}, \
          \"table_answers_reused\": {}}},\n",
-        table.table_hits,
-        table.table_variant_misses,
-        table.table_suspensions,
-        table.table_answers_reused,
+        table.hits, table.variant_misses, table.suspensions, table.answers_reused,
     );
     let mut first = true;
     for (id, e) in &entries {

@@ -7,13 +7,14 @@
 //! cargo run --release -p hoas-bench --bin hoas-image -- inspect PATH
 //! ```
 //!
-//! * `save PATH` — normalize the bundled prenex workload (the same
-//!   instances as `cache-smoke`), then serialize the term store and the
-//!   engine's cache bundle to `PATH`.
+//! * `save PATH` — normalize the bundled prenex workload (seed
+//!   `workloads::SEED`, depth 5, 10 formulas), then serialize the term
+//!   store and the engine's cache bundle to `PATH`.
 //! * `load PATH` — the CI round-trip gate: reload `PATH` into a fresh
 //!   process, replay the same workload, and **fail** unless the warm
 //!   caches answer everything — zero rule-NF cache misses, nonzero
-//!   root-memo hits, and nonzero persistence counters.
+//!   root-memo hits, and a load that moved bytes, remapped ids,
+//!   reloaded entries and created nodes.
 //! * `inspect PATH` — full validation (checksum, pool digest, semantic
 //!   decode) plus a section-by-section content report, without touching
 //!   any live cache.
@@ -35,8 +36,8 @@ use hoas_rewrite::rulesets::fol_prenex;
 use hoas_rewrite::{Engine, EngineCaches, EngineConfig};
 use std::process::ExitCode;
 
-/// The tabled solver workload both sides replay (the `solver-smoke`
-/// fold shape at depth 10).
+/// The tabled solver workload both sides replay (the fold shape of
+/// `tests/lp_table_props.rs` at depth 10).
 fn solver_workload() -> (
     Program,
     hoas_lp::Goal,
@@ -127,6 +128,7 @@ fn save(path: &str) -> ExitCode {
     let (sig, encoded) = workload();
     let rules = fol_prenex::rules(&sig).expect("connectives present");
     let caches = EngineCaches::new();
+    let before = hoas_core::store::stats();
     let engine = Engine::with_caches(&sig, &rules, EngineConfig::default(), caches.clone());
     for e in &encoded {
         let out = engine.normalize(&fol::o(), e).expect("well-typed");
@@ -143,13 +145,12 @@ fn save(path: &str) -> ExitCode {
         eprintln!("hoas-image: cannot write {path}: {e}");
         return ExitCode::FAILURE;
     }
-    let stats = engine.stats();
     println!(
-        "hoas-image: saved {} bytes to {path} ({} nodes hashed, {} cache lookups warm, \
+        "hoas-image: saved {} bytes to {path} ({} nodes created, {} cache lookups warm, \
          {} solver variants, {} stored answers)",
         image.len(),
-        stats.hashed_nodes,
-        stats.cache_lookups,
+        hoas_core::store::stats().since(&before).distinct_nodes,
+        engine.stats().cache_lookups,
         tables.len(),
         tables.answer_count(),
     );
@@ -175,6 +176,7 @@ fn load(path: &str) -> ExitCode {
         std::hint::black_box(hoas_core::TermRef::new(Term::Int(0x5a17 + k)));
     }
     let caches = EngineCaches::new();
+    let before = hoas_core::store::stats();
     let (loaded, solver_entries) = match load_warm_image_with_tables(&image, &caches) {
         Ok(s) => s,
         Err(e) => {
@@ -189,18 +191,18 @@ fn load(path: &str) -> ExitCode {
         assert!(out.fixpoint, "prenex workload must normalize");
     }
     let stats = engine.stats();
+    let created = hoas_core::store::stats().since(&before).distinct_nodes;
     println!(
         "hoas-image: warm replay: {} rule-NF lookups, {} misses, {} memo hits; \
          image {} bytes, {} ids remapped, {} entries reloaded, {} dropped, \
-         {} nodes hashed",
+         {created} nodes created",
         stats.cache_lookups,
         stats.cache_misses,
         stats.memo_hits,
-        stats.image_bytes,
-        stats.remapped_ids,
-        stats.cache_entries_reloaded,
-        stats.cache_entries_dropped,
-        stats.hashed_nodes,
+        loaded.bytes,
+        loaded.remapped_ids,
+        loaded.entries_reloaded,
+        loaded.entries_dropped,
     );
     let mut ok = true;
     if stats.cache_misses != 0 {
@@ -215,16 +217,13 @@ fn load(path: &str) -> ExitCode {
         ok = false;
     }
     // The persistence counters CI asserts on (nonzero by construction
-    // after a real load; zero means the gauges came unwired).
-    if stats.image_bytes == 0
-        || stats.remapped_ids == 0
-        || stats.cache_entries_reloaded == 0
-        || stats.hashed_nodes == 0
+    // after a real load into a salted store).
+    if loaded.bytes == 0 || loaded.remapped_ids == 0 || loaded.entries_reloaded == 0 || created == 0
     {
         eprintln!(
             "hoas-image: FAIL — persistence counters not all nonzero \
-             (bytes {}, remapped {}, reloaded {}, hashed {})",
-            stats.image_bytes, stats.remapped_ids, stats.cache_entries_reloaded, stats.hashed_nodes,
+             (bytes {}, remapped {}, reloaded {}, created {created})",
+            loaded.bytes, loaded.remapped_ids, loaded.entries_reloaded,
         );
         ok = false;
     }

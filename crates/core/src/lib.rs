@@ -69,7 +69,6 @@ pub mod normalize;
 mod opmemo;
 pub mod parse;
 pub mod print;
-pub mod scratch;
 pub mod sig;
 pub mod store;
 pub mod sub;

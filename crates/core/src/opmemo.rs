@@ -28,8 +28,8 @@
 //! Soundness: `NodeId`s are process-wide and never reused, an entry's key
 //! pins exact operand identities, and every cached operation is
 //! deterministic in those identities — a hit is always the same term the
-//! recomputation would rebuild (the scratch-transparency suite locks this
-//! down against a reference implementation).
+//! recomputation would rebuild (`tests/kernel_reference_props.rs` locks
+//! this down against an always-intern reference kernel).
 //!
 //! [`NodeId`]: crate::store::NodeId
 

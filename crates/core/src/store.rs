@@ -134,38 +134,9 @@ pub struct InternStats {
     /// Lookups answered by an existing node (no allocation).
     pub hits: u64,
     /// Distinct nodes this thread created (misses; monotonic, ignores
-    /// deaths).
+    /// deaths). Every lookup is a hit or creates a node, so
+    /// `hits + distinct_nodes == lookups`.
     pub distinct_nodes: u64,
-    /// Content hashes computed by this thread — one per created node
-    /// (every miss hashes exactly once; hits reuse the stored hash).
-    pub hashed_nodes: u64,
-    /// Transient nodes built in a [`crate::scratch`] arena: candidate
-    /// terms that existed only as uninterned scratch storage. The gap
-    /// between this and [`InternStats::batch_interned`] is work the old
-    /// always-intern path would have paid for intermediates that died
-    /// inside hereditary contraction.
-    pub scratch_nodes: u64,
-    /// Nodes interned through the bottom-up batch entry point (one
-    /// interner session per finished scratch tree, borrowed-parts probe —
-    /// no owned `Term` is built on a hit).
-    pub batch_interned: u64,
-    /// *Estimated* atomic reference-count operations avoided by the
-    /// scratch/batch path versus per-node interning: ~4 per batch front
-    /// hit (the owned probe `Term`'s child clone/drop pairs) and ~6 per
-    /// scratch node that was never interned at all. An observability
-    /// gauge, not an exact accounting.
-    pub refcount_ops_saved: u64,
-    /// Solver-table lookups answered by a complete variant entry
-    /// (recorded by `hoas-lp` via [`record_table_events`]).
-    pub table_hits: u64,
-    /// Solver-table lookups that ran (or re-ran) a generator for a new
-    /// or incomplete call variant.
-    pub table_variant_misses: u64,
-    /// Solver calls that consumed an in-progress table entry — a
-    /// same-SCC loop handled by the restart-fixpoint protocol.
-    pub table_suspensions: u64,
-    /// Stored table answers replayed into callers without search.
-    pub table_answers_reused: u64,
 }
 
 impl InternStats {
@@ -186,14 +157,6 @@ impl InternStats {
             lookups: self.lookups - earlier.lookups,
             hits: self.hits - earlier.hits,
             distinct_nodes: self.distinct_nodes - earlier.distinct_nodes,
-            hashed_nodes: self.hashed_nodes - earlier.hashed_nodes,
-            scratch_nodes: self.scratch_nodes - earlier.scratch_nodes,
-            batch_interned: self.batch_interned - earlier.batch_interned,
-            refcount_ops_saved: self.refcount_ops_saved - earlier.refcount_ops_saved,
-            table_hits: self.table_hits - earlier.table_hits,
-            table_variant_misses: self.table_variant_misses - earlier.table_variant_misses,
-            table_suspensions: self.table_suspensions - earlier.table_suspensions,
-            table_answers_reused: self.table_answers_reused - earlier.table_answers_reused,
         }
     }
 }
@@ -383,12 +346,11 @@ fn term_matches(t: &Term, node: &TermNode) -> bool {
 }
 
 /// A *borrowed* description of one node to intern, with the children
-/// already interned: the batch-intern twin of passing an owned [`Term`]
-/// to [`intern`]. On a cache hit nothing is cloned — no child `Arc`
-/// bump, no `Sym` refcount touch — which is what makes the
-/// scratch-arena finish pass ([`crate::scratch`]) refcount-lean: the
-/// owned `Term` (and its clone/drop churn) is built only on a genuine
-/// miss, when the node must be allocated anyway.
+/// already interned: the session twin of passing an owned [`Term`] to
+/// [`intern`]. On a cache hit nothing is cloned — no child `Arc` bump,
+/// no `Sym` refcount touch — which keeps the kernel traversals and the
+/// parser refcount-lean: the owned `Term` (and its clone/drop churn) is
+/// built only on a genuine miss, when the node must be allocated anyway.
 pub(crate) enum NodeView<'a> {
     /// `Term::Var`.
     Var(u32),
@@ -447,18 +409,6 @@ impl<'a> NodeView<'a> {
             NodeView::Pair(a, b) => Term::Pair((*a).clone(), (*b).clone()),
             NodeView::Fst(p) => Term::Fst((*p).clone()),
             NodeView::Snd(p) => Term::Snd((*p).clone()),
-        }
-    }
-
-    /// Estimated atomic refcount ops a front hit on this view avoids
-    /// versus probing with an owned `Term`: one clone/drop pair per
-    /// child `Arc` and per carried `Sym`/[`MVar`] hint.
-    fn refcount_ops_avoided(&self) -> u64 {
-        match self {
-            NodeView::Var(_) | NodeView::Int(_) | NodeView::Unit => 0,
-            NodeView::Const(_) | NodeView::Meta(_) => 2,
-            NodeView::Fst(_) | NodeView::Snd(_) => 2,
-            NodeView::Lam(..) | NodeView::App(..) | NodeView::Pair(..) => 4,
         }
     }
 }
@@ -951,14 +901,6 @@ struct ThreadCtx {
     lookups: u64,
     hits: u64,
     distinct: u64,
-    hashed: u64,
-    scratch: u64,
-    batch: u64,
-    saved: u64,
-    table_hits: u64,
-    table_variant_misses: u64,
-    table_suspensions: u64,
-    table_answers_reused: u64,
 }
 
 /// A per-thread, lock-free, direct-mapped cache of recently interned
@@ -1006,45 +948,30 @@ thread_local! {
             lookups: 0,
             hits: 0,
             distinct: 0,
-            hashed: 0,
-            scratch: 0,
-            batch: 0,
-            saved: 0,
-            table_hits: 0,
-            table_variant_misses: 0,
-            table_suspensions: 0,
-            table_answers_reused: 0,
         })
     };
 }
 
 /// An open interner session: the thread-local context (current store,
 /// front cache, counters) borrowed **once** for a whole batch of
-/// interns, instead of once per node. This is the batch-intern entry
-/// point the scratch arena's finish pass drives: one `CTX` access and
-/// one epoch resolution per *tree*, one [`InternSession::intern_view`]
-/// per distinct subtree class.
+/// interns, instead of once per node: one `CTX` access per traversal,
+/// one [`InternSession::intern_view`] per node it builds.
 ///
 /// While a session is open the thread context stays mutably borrowed, so
 /// code running inside [`with_session`] must not re-enter the store —
 /// no [`TermRef::new`](crate::term::TermRef::new), no smart
 /// constructors, no [`StoreHandle::enter`] — only the session's own
 /// methods. The callers are the kernel's session-threaded traversals
-/// ([`crate::subst`], [`crate::normalize`]), the term parser
-/// ([`crate::parse`]) and the scratch arena's finish pass
-/// ([`crate::scratch`]); all observe that discipline by construction —
+/// ([`crate::subst`], [`crate::normalize`]) and the term parser
+/// ([`crate::parse`]); both observe that discipline by construction —
 /// they only walk already-interned children (interning any fresh root
-/// *before* opening the session), source tokens, or arena nodes.
+/// *before* opening the session) or source tokens.
 pub(crate) struct InternSession<'a> {
     store: &'a TermStore,
     front: &'a mut Front,
     lookups: &'a mut u64,
     hits: &'a mut u64,
     distinct: &'a mut u64,
-    hashed: &'a mut u64,
-    scratch: &'a mut u64,
-    batch: &'a mut u64,
-    saved: &'a mut u64,
 }
 
 /// Opens an interner session on the thread's current store and runs `f`
@@ -1058,11 +985,6 @@ pub(crate) fn with_session<R>(f: impl FnOnce(&mut InternSession<'_>) -> R) -> R 
             lookups,
             hits,
             distinct,
-            hashed,
-            scratch,
-            batch,
-            saved,
-            ..
         } = &mut *borrow;
         let store: &TermStore = match current {
             Some(h) => &h.0,
@@ -1074,10 +996,6 @@ pub(crate) fn with_session<R>(f: impl FnOnce(&mut InternSession<'_>) -> R) -> R 
             lookups,
             hits,
             distinct,
-            hashed,
-            scratch,
-            batch,
-            saved,
         })
     })
 }
@@ -1088,7 +1006,6 @@ impl InternSession<'_> {
     /// (the returned node) and touches no child or `Sym` refcount.
     pub(crate) fn intern_view(&mut self, v: &NodeView<'_>) -> TermRef {
         *self.lookups += 1;
-        *self.batch += 1;
         let store = self.store;
         let hash = view_hash(v);
         let slot = (hash as usize) & (FRONT_SLOTS - 1);
@@ -1098,14 +1015,12 @@ impl InternSession<'_> {
         } else if let Some(node) = &self.front.slots[slot] {
             if view_matches(v, node) {
                 *self.hits += 1;
-                *self.saved += v.refcount_ops_avoided();
                 return TermRef::from_node(Arc::clone(node));
             }
         }
         let (node, missed) = store.intern_view_in_shard(hash, v);
         if missed {
             *self.distinct += 1;
-            *self.hashed += 1;
         } else {
             *self.hits += 1;
         }
@@ -1140,7 +1055,6 @@ impl InternSession<'_> {
         let (node, missed) = store.intern_in_shard(NodeKey::of(&term), hash, term);
         if missed {
             *self.distinct += 1;
-            *self.hashed += 1;
         } else {
             *self.hits += 1;
         }
@@ -1148,14 +1062,6 @@ impl InternSession<'_> {
             self.front.slots[slot] = Some(Arc::clone(&node));
         }
         node
-    }
-
-    /// Records that `built` transient nodes were constructed in a scratch
-    /// arena and `dead` of them died uninterned (each dead node saves the
-    /// full per-node intern cost: ~6 estimated refcount ops).
-    pub(crate) fn record_scratch(&mut self, built: u64, dead: u64) {
-        *self.scratch += built;
-        *self.saved += dead.saturating_mul(6);
     }
 
     /// Token of the store this session interns into. Keys the per-thread
@@ -1201,31 +1107,8 @@ pub fn stats() -> InternStats {
             lookups: ctx.lookups,
             hits: ctx.hits,
             distinct_nodes: ctx.distinct,
-            hashed_nodes: ctx.hashed,
-            scratch_nodes: ctx.scratch,
-            batch_interned: ctx.batch,
-            refcount_ops_saved: ctx.saved,
-            table_hits: ctx.table_hits,
-            table_variant_misses: ctx.table_variant_misses,
-            table_suspensions: ctx.table_suspensions,
-            table_answers_reused: ctx.table_answers_reused,
         }
     })
-}
-
-/// Accumulates one solve's answer-table counters into this thread's
-/// [`InternStats`] gauges. Called by `hoas-lp` after every solve (the
-/// term store is where the table keys live, so table traffic is part of
-/// the node-sharing story this module reports on); a no-op for solves
-/// with tabling off, since all four deltas are zero.
-pub fn record_table_events(hits: u64, variant_misses: u64, suspensions: u64, answers_reused: u64) {
-    CTX.with(|ctx| {
-        let mut ctx = ctx.borrow_mut();
-        ctx.table_hits += hits;
-        ctx.table_variant_misses += variant_misses;
-        ctx.table_suspensions += suspensions;
-        ctx.table_answers_reused += answers_reused;
-    });
 }
 
 /// Evicts every dead class of the thread's current store *now* and
@@ -1284,7 +1167,7 @@ mod tests {
                 FxBuild.hash_one(NodeKey::of(&t)),
                 "probe/key hash divergence on {t:?}"
             );
-            // The borrowed batch-intern view must land in the same shard
+            // The borrowed session view must land in the same shard
             // and bucket as both the term probe and the owned key.
             assert_eq!(
                 view_hash(&NodeView::of(&t)),
@@ -1301,7 +1184,7 @@ mod tests {
             assert!(term_matches(&t, &node));
             assert!(view_matches(&NodeView::of(&t), &node));
             assert!(!term_matches(&Term::Var(999), &node) || matches!(t, Term::Var(999)));
-            // Batch-interning the same skeleton through the view path
+            // Interning the same skeleton through the view path
             // returns the very same node.
             let via_view = with_session(|s| s.intern_view(&NodeView::of(&t)));
             assert_eq!(via_view.id(), node.id);
@@ -1321,7 +1204,9 @@ mod tests {
     fn stats_count_hits_and_misses() {
         // Stats are per-thread, so concurrently running tests cannot
         // perturb the deltas; `a` stays live, so the rebuild is
-        // guaranteed to dedup even if another thread sweeps.
+        // guaranteed to dedup even if another thread sweeps. Every lookup
+        // either hits or creates exactly one node, on both intern paths.
+        let balanced = |d: &InternStats| d.hits + d.distinct_nodes == d.lookups;
         let before = stats();
         let t = || Term::app(Term::cnst("store-test-c"), Term::Int(41));
         let a = TermRef::new(t());
@@ -1336,7 +1221,34 @@ mod tests {
         // The second build is fully deduplicated.
         assert_eq!(d2.hits, 3);
         assert_eq!(d2.distinct_nodes, 0);
+        assert!(balanced(&d1) && balanced(&d2));
         assert!(after_second.dedup_ratio() > 0.0);
+
+        // The session/view path, which `parse_term` and the kernel
+        // traversals intern through, keeps the same books.
+        let name = Sym::from("store-test-view");
+        let build = || {
+            with_session(|s| {
+                let c = s.intern_view(&NodeView::Const(&name));
+                let n = s.intern_view(&NodeView::Int(43));
+                s.intern_view(&NodeView::App(&c, &n))
+            })
+        };
+        let before = stats();
+        let a = build();
+        let after_first = stats();
+        let b = build();
+        let after_second = stats();
+        assert!(TermRef::ptr_eq(&a, &b));
+        let d1 = after_first.since(&before);
+        let d2 = after_second.since(&after_first);
+        assert_eq!(d1.lookups, 3);
+        // The constant is fresh, so it and the application are created.
+        assert!(d1.distinct_nodes >= 2);
+        assert_eq!(d2.lookups, 3);
+        assert_eq!(d2.hits, 3);
+        assert_eq!(d2.distinct_nodes, 0);
+        assert!(balanced(&d1) && balanced(&d2));
     }
 
     #[test]

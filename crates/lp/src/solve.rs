@@ -833,12 +833,6 @@ fn solve_inner(
     out.floundered = machine.floundered;
     out.tables = machine.stats;
     out.binding_visits = machine.binding_visits;
-    hoas_core::store::record_table_events(
-        out.tables.hits,
-        out.tables.variant_misses,
-        out.tables.suspensions,
-        out.tables.answers_reused,
-    );
     result?;
     Ok(out)
 }

@@ -43,8 +43,8 @@ use hoas_core::{Sym, Term, TermRef, Ty};
 use std::collections::{HashMap, HashSet};
 
 /// Per-solve tabling counters, reported on
-/// [`crate::solve::Outcome::tables`] and accumulated into the
-/// process-wide [`hoas_core::store::InternStats`].
+/// [`crate::solve::Outcome::tables`]; sum them with
+/// [`TableStats::merge`] for totals over several solves.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Calls answered entirely from a complete table entry.

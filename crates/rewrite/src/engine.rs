@@ -41,12 +41,11 @@ use crate::rule::{RewriteError, Rule, RuleSet};
 use hoas_core::ctx::Ctx;
 use hoas_core::sig::Signature;
 use hoas_core::term::{fingerprint_admits, MetaEnv, TermRef};
-use hoas_core::{normalize, store, typeck, NodeId, Sym, Term, Ty};
+use hoas_core::{normalize, typeck, NodeId, Sym, Term, Ty};
 use hoas_unify::classify::PatternClass;
 use hoas_unify::matching::{match_pattern, match_term, MatchConfig};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Traversal strategy.
@@ -171,59 +170,11 @@ pub struct EngineStats {
     pub memo_hits: u64,
     /// Root-step memo lookups that fell through to a full traversal.
     pub memo_misses: u64,
-    /// Term-store intern lookups (one per constructed node); thread-wide,
-    /// see [`hoas_core::store::stats`].
-    pub intern_lookups: u64,
-    /// Intern lookups answered by an existing node (no allocation; the
-    /// dedup that makes node-id caching effective).
-    pub intern_hits: u64,
-    /// Distinct nodes created in the term store (thread-wide, monotonic).
-    pub intern_distinct: u64,
     /// Number of buckets in the rule discrimination index (head buckets
     /// plus the flex fallback when nonempty).
     pub index_buckets: usize,
     /// Size of the largest index bucket.
     pub index_max_bucket: usize,
-    /// Content hashes computed by the term store — one per node created
-    /// on this thread (see [`hoas_core::InternStats::hashed_nodes`]).
-    pub hashed_nodes: u64,
-    /// Transient scratch-arena nodes built by kernel hot paths on this
-    /// thread — intermediates that were never interned (see
-    /// [`hoas_core::InternStats::scratch_nodes`]).
-    pub scratch_nodes: u64,
-    /// Nodes interned through the bottom-up batch path (one store-session
-    /// borrow per finished tree; see
-    /// [`hoas_core::InternStats::batch_interned`]).
-    pub batch_interned: u64,
-    /// Estimated refcount operations the scratch/batch path avoided
-    /// versus intern-every-intermediate (see
-    /// [`hoas_core::InternStats::refcount_ops_saved`]).
-    pub refcount_ops_saved: u64,
-    /// Solver answer-table hits: tabled calls answered entirely from a
-    /// completed table (thread-wide; see
-    /// [`hoas_core::InternStats::table_hits`]).
-    pub table_hits: u64,
-    /// Tabled calls whose variant key was new, forcing a generator run
-    /// (see [`hoas_core::InternStats::table_variant_misses`]).
-    pub table_variant_misses: u64,
-    /// Tabled calls suspended on an in-progress producer (same-SCC
-    /// loops; see [`hoas_core::InternStats::table_suspensions`]).
-    pub table_suspensions: u64,
-    /// Table answers replayed into consumers instead of re-derived (see
-    /// [`hoas_core::InternStats::table_answers_reused`]).
-    pub table_answers_reused: u64,
-    /// Size in bytes of the last warm image loaded into this cache
-    /// bundle (`0` when none was).
-    pub image_bytes: u64,
-    /// Pool nodes whose writer-process id was remapped to a different id
-    /// by the last warm-image load.
-    pub remapped_ids: u64,
-    /// Cache entries (all four layers) re-keyed and absorbed by the last
-    /// warm-image load.
-    pub cache_entries_reloaded: u64,
-    /// Cache entries the last warm-image load had to drop because their
-    /// key node was not in the image's pool.
-    pub cache_entries_dropped: u64,
 }
 
 impl EngineStats {
@@ -244,25 +195,8 @@ impl EngineStats {
             canon_misses: self.canon_misses - earlier.canon_misses,
             memo_hits: self.memo_hits - earlier.memo_hits,
             memo_misses: self.memo_misses - earlier.memo_misses,
-            intern_lookups: self.intern_lookups - earlier.intern_lookups,
-            intern_hits: self.intern_hits - earlier.intern_hits,
-            intern_distinct: self.intern_distinct - earlier.intern_distinct,
             index_buckets: self.index_buckets,
             index_max_bucket: self.index_max_bucket,
-            hashed_nodes: self.hashed_nodes - earlier.hashed_nodes,
-            scratch_nodes: self.scratch_nodes - earlier.scratch_nodes,
-            batch_interned: self.batch_interned - earlier.batch_interned,
-            refcount_ops_saved: self.refcount_ops_saved - earlier.refcount_ops_saved,
-            table_hits: self.table_hits - earlier.table_hits,
-            table_variant_misses: self.table_variant_misses - earlier.table_variant_misses,
-            table_suspensions: self.table_suspensions - earlier.table_suspensions,
-            table_answers_reused: self.table_answers_reused - earlier.table_answers_reused,
-            // Persistence gauges describe the cache bundle's last image
-            // load, not per-call work: carried over like the index shape.
-            image_bytes: self.image_bytes,
-            remapped_ids: self.remapped_ids,
-            cache_entries_reloaded: self.cache_entries_reloaded,
-            cache_entries_dropped: self.cache_entries_dropped,
         }
     }
 
@@ -273,16 +207,6 @@ impl EngineStats {
             0.0
         } else {
             self.cache_hits as f64 / self.cache_lookups as f64
-        }
-    }
-
-    /// Fraction of term-store intern lookups deduplicated to an existing
-    /// node, in `[0, 1]` (0 when nothing was constructed).
-    pub fn intern_dedup_ratio(&self) -> f64 {
-        if self.intern_lookups == 0 {
-            0.0
-        } else {
-            self.intern_hits as f64 / self.intern_lookups as f64
         }
     }
 }
@@ -455,21 +379,6 @@ pub struct EngineCaches {
     /// subject, an entire rewrite run re-played on the same input
     /// collapses to one probe per step.
     pub(crate) root_memo: Arc<Mutex<HashMap<RootKey, Vec<RootEntry>>>>,
-    /// Gauges describing the last warm-image load into this bundle (zero
-    /// until one happens); written by the crate's `image` module,
-    /// surfaced through [`EngineStats`].
-    pub(crate) persist: Arc<PersistStats>,
-}
-
-/// Persistence gauges of a cache bundle — set (not accumulated) by each
-/// warm-image load, so they always describe the bundle's current warm
-/// state.
-#[derive(Debug, Default)]
-pub(crate) struct PersistStats {
-    pub(crate) image_bytes: AtomicU64,
-    pub(crate) remapped_ids: AtomicU64,
-    pub(crate) entries_reloaded: AtomicU64,
-    pub(crate) entries_dropped: AtomicU64,
 }
 
 impl EngineCaches {
@@ -588,14 +497,13 @@ impl<'a> Engine<'a> {
 
     /// Cumulative work counters since the engine was created.
     ///
-    /// The canonical-form memo and interner counters are properties of
-    /// shared state (the cache bundle and the thread's term store), so
-    /// they are cumulative over everything that touched that state, not
-    /// just this engine; per-call deltas via [`NormalizeResult::stats`]
-    /// are attributable to the call that reports them.
+    /// The canonical-form memo counters are a property of the shared
+    /// cache bundle, so they are cumulative over every engine that used
+    /// it, not just this one; per-call deltas via
+    /// [`NormalizeResult::stats`] are attributable to the call that
+    /// reports them. Interner counters live in [`hoas_core::store::stats`].
     pub fn stats(&self) -> EngineStats {
         let (index_buckets, index_max_bucket) = self.rules.index_stats();
-        let intern = store::stats();
         EngineStats {
             nodes_visited: self.counters.nodes_visited.get(),
             cache_lookups: self.counters.cache_lookups.get(),
@@ -608,23 +516,8 @@ impl<'a> Engine<'a> {
             canon_misses: self.caches.canon.misses(),
             memo_hits: self.counters.memo_hits.get(),
             memo_misses: self.counters.memo_misses.get(),
-            intern_lookups: intern.lookups,
-            intern_hits: intern.hits,
-            intern_distinct: intern.distinct_nodes,
             index_buckets,
             index_max_bucket,
-            hashed_nodes: intern.hashed_nodes,
-            scratch_nodes: intern.scratch_nodes,
-            batch_interned: intern.batch_interned,
-            refcount_ops_saved: intern.refcount_ops_saved,
-            table_hits: intern.table_hits,
-            table_variant_misses: intern.table_variant_misses,
-            table_suspensions: intern.table_suspensions,
-            table_answers_reused: intern.table_answers_reused,
-            image_bytes: self.caches.persist.image_bytes.load(Ordering::Relaxed),
-            remapped_ids: self.caches.persist.remapped_ids.load(Ordering::Relaxed),
-            cache_entries_reloaded: self.caches.persist.entries_reloaded.load(Ordering::Relaxed),
-            cache_entries_dropped: self.caches.persist.entries_dropped.load(Ordering::Relaxed),
         }
     }
 

@@ -171,10 +171,10 @@ impl MetaSubst {
         // grafting a solution `λx̄. b` onto a spine `?M a₁ … aₙ` replay
         // from the operation memo when the same (body, argument) pairs
         // recur — the signature pattern of resolution and rewriting. (A
-        // fused graft+normalize over the scratch arena was measured here
-        // and lost: it forfeits the cached `max_free`/`beta_normal`
-        // guards and the memo, which beat avoided interning of the
-        // transient spine — see DESIGN §7.)
+        // fused graft+normalize over uninterned transient nodes was
+        // measured here and lost: it forfeits the cached
+        // `max_free`/`beta_normal` guards and the memo, which beat
+        // avoided interning of the transient spine — see DESIGN §7.)
         match self.graft(t, 0) {
             Some(grafted) => normalize::nf(&grafted),
             None if t.is_beta_normal() => t.clone(),

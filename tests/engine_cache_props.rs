@@ -114,12 +114,15 @@ fn miniml_ruleset_cache_transparent() {
 
 /// The cache must actually fire on a realistic multi-pass workload: the
 /// bench prenex instances restart from the root after every rewrite, so
-/// already-proven subtrees are revisited and must hit.
+/// already-proven subtrees are revisited and must hit. Rewriting also
+/// rebuilds shared subterms constantly, so the term store must answer a
+/// share of its lookups from existing nodes.
 #[test]
 fn prenex_workload_has_cache_hits() {
     let vocab = fol::Vocabulary::small();
     let sig = vocab.signature();
     let rules = fol_prenex::rules(&sig).unwrap();
+    let before = hoas::core::store::stats();
     let engine = Engine::new(&sig, &rules);
     let mut rng = SmallRng::seed_from_u64(0x4F_50_55_53);
     let mut hits = 0;
@@ -134,6 +137,13 @@ fn prenex_workload_has_cache_hits() {
     let total = engine.stats();
     assert!(hits > 0, "no cache hits on the prenex workload: {total:?}");
     assert!(total.cache_hit_rate() > 0.0);
+    assert_eq!(total.cache_hits + total.cache_misses, total.cache_lookups);
+    let interned = hoas::core::store::stats().since(&before);
+    assert!(interned.lookups > 0, "the workload interned nothing");
+    assert!(
+        interned.dedup_ratio() > 0.0,
+        "the term store deduplicated nothing on the prenex workload: {interned:?}"
+    );
 }
 
 /// Caches survive their engine: a second engine built over the first

@@ -11,9 +11,9 @@
 //!    search itself completes — even on cyclic graphs where plain
 //!    search exhausts its depth budget.
 //! 2. Table counters are live: a cold pass records variant misses and
-//!    insertions, a warm pass over the same tables answers by replay
-//!    (nonzero hits, zero generator runs), and both reach the
-//!    process-wide `hoas_core::store` mirror.
+//!    insertions, and a warm pass over the same tables answers by replay
+//!    (nonzero hits and reused answers, zero generator runs), as read
+//!    from each solve's `Outcome::tables`.
 //! 3. `TableMode::Certified` respects the certificate: a predicate the
 //!    analysis marks ineligible (STLC `of`, whose derivations carry
 //!    hypothetical clauses) never populates a table.
@@ -23,14 +23,13 @@
 
 use hoas::analyze::modes;
 use hoas::lp::examples::stlc_program;
-use hoas::lp::solve::{query_menv, solve, solve_with, SolveConfig};
+use hoas::lp::solve::{query_menv, solve, solve_certified, solve_with, SolveConfig};
 use hoas::lp::{Clause, EntryState, Program, SolveTables, TableAnswer, TableMode};
 use hoas::rewrite::image::{
     load_warm_image_with_tables, save_warm_image_with_tables, SolverTableEntry,
 };
 use hoas::rewrite::EngineCaches;
 use hoas_core::sig::Signature;
-use hoas_core::store;
 use hoas_testkit::gen;
 use hoas_testkit::prelude::*;
 use std::collections::BTreeSet;
@@ -47,7 +46,8 @@ fn reach_program(spec: &gen::LpSpec) -> Program {
     prog
 }
 
-/// The shared-subtree `opt` workload (the `solver-smoke` shape).
+/// The shared-subtree `opt` workload: tabling collapses its
+/// exponentially many identical subgoals to one generator each.
 fn fold_program() -> Program {
     let sig = Signature::parse(
         "type e. type o.
@@ -170,7 +170,6 @@ props! {
             table: TableMode::Force,
             ..SolveConfig::default()
         };
-        let before = store::stats();
         let mut tables = SolveTables::for_program(&prog);
         let cold = solve_with(&prog, &menv, &goal, &cfg, None, &mut tables).unwrap();
         let warm = solve_with(&prog, &menv, &goal, &cfg, None, &mut tables).unwrap();
@@ -180,13 +179,58 @@ props! {
         prop_assert!(cold.tables.variant_misses > 0, "cold pass never ran a generator");
         prop_assert!(cold.tables.answers_inserted > 0, "cold pass never stored an answer");
         prop_assert!(warm.tables.hits > 0, "warm pass scored no table hit");
+        prop_assert!(warm.tables.answers_reused > 0, "warm pass replayed no answer");
         prop_assert_eq!(warm.tables.variant_misses, 0, "warm pass re-ran a generator");
-        let delta = store::stats().since(&before);
-        prop_assert!(
-            delta.table_hits > 0 && delta.table_answers_reused > 0,
-            "table counters never reached the store-stats mirror"
-        );
     }
+}
+
+/// The depth-10 fold query under `TableMode::Certified` with the mode
+/// analysis's certificate: the tabled answer equals the untabled one, a
+/// cold pass populates the tables, and a warm pass over the same tables
+/// answers by replay alone. A gate or key change that silently stops
+/// tabling would otherwise show only as a slow benchmark.
+#[test]
+fn certified_fold_tables_populate_then_replay() {
+    let depth = 10;
+    let prog = fold_program();
+    let cert = modes::analyze_program(&prog).cert;
+    let (goal, menv) = query_menv(
+        prog.sig(),
+        &format!("opt {} ?Z", shared_tree(depth)),
+        &[("Z", "e")],
+    )
+    .unwrap();
+    let cfg = SolveConfig {
+        max_depth: 1 << (depth + 3),
+        fuel: 100_000_000,
+        ..SolveConfig::default()
+    };
+    let tabled = SolveConfig {
+        table: TableMode::Certified,
+        ..cfg
+    };
+    let plain = solve_certified(&prog, &menv, &goal, &cfg, &cert).unwrap();
+    let mut tables = SolveTables::for_program(&prog);
+    let cold = solve_with(&prog, &menv, &goal, &tabled, Some(&cert), &mut tables).unwrap();
+    let warm = solve_with(&prog, &menv, &goal, &tabled, Some(&cert), &mut tables).unwrap();
+    assert_eq!(plain.answers.len(), 1);
+    assert_eq!(cold.answers.len(), 1);
+    assert_eq!(warm.answers.len(), 1);
+    assert_eq!(
+        plain.answers[0].to_string(),
+        cold.answers[0].to_string(),
+        "tabled answer differs from untabled"
+    );
+    let (c, w) = (cold.tables, warm.tables);
+    assert!(
+        c.variant_misses > 0 && c.answers_inserted > 0,
+        "cold pass never populated a table: {c:?}"
+    );
+    assert!(
+        w.hits > 0 && w.answers_reused > 0,
+        "warm pass never replayed from the tables: {w:?}"
+    );
+    assert_eq!(w.variant_misses, 0, "warm pass re-ran a generator: {w:?}");
 }
 
 /// `TableMode::Certified` defers to the certificate: STLC `of` carries
