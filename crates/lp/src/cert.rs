@@ -73,9 +73,12 @@ pub struct PredVerdict {
     pub table: bool,
 }
 
+/// The initial value of [`Program::fingerprint64`]'s running hash.
+pub(crate) const FINGERPRINT_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// Mixes one 64-bit word into a running fingerprint (same scheme as
 /// `hoas_rewrite::cert`, duplicated to keep the crates independent).
-fn mix(h: u64, w: u64) -> u64 {
+pub(crate) fn mix(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(0x0100_0000_01b3).rotate_left(23)
 }
 
@@ -107,26 +110,14 @@ fn mix_goal(mut h: u64, g: &Goal) -> u64 {
     }
 }
 
-fn mix_clause(mut h: u64, c: &Clause) -> u64 {
+/// Folds one clause into [`Program::fingerprint64`]'s running hash.
+pub(crate) fn mix_clause(mut h: u64, c: &Clause) -> u64 {
     h = mix(h, c.vars.len() as u64);
     for (x, ty) in &c.vars {
         h = mix_bytes(h, x.as_str().as_bytes());
         h = mix_bytes(h, ty.to_string().as_bytes());
     }
     mix_goal(mix_term(h, &c.head), &c.body)
-}
-
-impl Program {
-    /// A store-independent fingerprint of the program's clauses (heads,
-    /// bodies, universal variables). Clause order matters — it is the
-    /// solver's trial order.
-    pub fn fingerprint64(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for c in self.clauses() {
-            h = mix_clause(h, c);
-        }
-        mix(h, self.clauses().len() as u64)
-    }
 }
 
 /// Proof token: mode and determinacy verdicts for one specific
@@ -189,6 +180,26 @@ mod tests {
             body: Goal::True,
         });
         assert!(!cert.covers(&extended));
+    }
+
+    #[test]
+    fn fingerprint_is_kept_incrementally_with_stable_values() {
+        // `push` folds each clause into a running hash; the result must
+        // equal a fold over the whole clause list, and keep the values
+        // certificates and tables were pinned to before it was
+        // incremental.
+        for (prog, want) in [
+            (examples::append_program(), 0x8910_3590_a447_ff96),
+            (examples::stlc_program(), 0x0a70_0292_167a_2e78),
+            (examples::eval_program(), 0x4474_1172_c88f_5be3),
+        ] {
+            let folded = prog.clauses().iter().fold(FINGERPRINT_SEED, mix_clause);
+            assert_eq!(
+                prog.fingerprint64(),
+                mix(folded, prog.clauses().len() as u64)
+            );
+            assert_eq!(prog.fingerprint64(), want);
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Programs, clauses, and goals.
 
+use hoas_core::ctx::Ctx;
 use hoas_core::parse::{parse_term_with, MetaTable};
 use hoas_core::sig::Signature;
-use hoas_core::term::MetaEnv;
-use hoas_core::{MVar, Sym, Term, Ty};
+use hoas_core::term::{MetaEnv, MetaTypes};
+use hoas_core::{normalize, MVar, Sym, Term, Ty, TyScheme};
+use hoas_unify::UnifyError;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A goal formula of the hereditary Harrop fragment.
 ///
@@ -83,6 +86,44 @@ impl Goal {
         let mut acc = Vec::new();
         go(self, &mut acc);
         acc
+    }
+
+    /// The goal with every atom, and every term of its `⇒`-clauses, in
+    /// canonical (η-long β-normal) form. `metas` types the goal's
+    /// metavariables and `ctx` the enclosing `Π` binders. A `⇒`-clause
+    /// with universal variables of its own is kept as it is: the
+    /// machine rejects it when it is reached.
+    ///
+    /// # Errors
+    ///
+    /// [`UnifyError::IllTyped`] when a term is not well-typed.
+    pub(crate) fn canonical(
+        &self,
+        sig: &Signature,
+        metas: &dyn MetaTypes,
+        ctx: &mut Ctx,
+    ) -> Result<Goal, UnifyError> {
+        Ok(match self {
+            Goal::True => Goal::True,
+            Goal::Atom(t) => Goal::Atom(canonical_atom(sig, metas, ctx, t)?),
+            Goal::And(a, b) => {
+                Goal::and(a.canonical(sig, metas, ctx)?, b.canonical(sig, metas, ctx)?)
+            }
+            Goal::Impl(d, g) => {
+                let d = if d.vars.is_empty() {
+                    d.canonical_under(sig, metas, ctx)?
+                } else {
+                    (**d).clone()
+                };
+                Goal::implies(d, g.canonical(sig, metas, ctx)?)
+            }
+            Goal::All(h, ty, b) => {
+                ctx.push_mut(h.clone(), ty.clone());
+                let b = b.canonical(sig, metas, ctx);
+                ctx.pop_mut();
+                Goal::pi(h.clone(), ty.clone(), b?)
+            }
+        })
     }
 
     /// Applies `f` to every term in the goal, tracking the number of
@@ -212,6 +253,29 @@ impl Clause {
         }
     }
 
+    /// The clause in canonical (η-long β-normal) form: its head and the
+    /// atoms of its body, typed by its own variables.
+    ///
+    /// # Errors
+    ///
+    /// [`UnifyError::IllTyped`] when a term is not well-typed.
+    pub(crate) fn canonical(&self, sig: &Signature) -> Result<Clause, UnifyError> {
+        self.canonical_under(sig, &self.var_menv(), &mut Ctx::new())
+    }
+
+    fn canonical_under(
+        &self,
+        sig: &Signature,
+        metas: &dyn MetaTypes,
+        ctx: &mut Ctx,
+    ) -> Result<Clause, UnifyError> {
+        Ok(Clause {
+            vars: self.vars.clone(),
+            head: canonical_atom(sig, metas, ctx, &self.head)?,
+            body: self.body.canonical(sig, metas, ctx)?,
+        })
+    }
+
     pub(crate) fn map_terms(&self, depth: u32, f: &mut impl FnMut(&Term, u32) -> Term) -> Clause {
         Clause {
             vars: self.vars.clone(),
@@ -245,6 +309,31 @@ impl fmt::Display for Clause {
     }
 }
 
+/// An atom in canonical form at the target type of its head. An atom
+/// whose head has no type here (an unknown or polymorphic constant, a
+/// variable out of scope, a λ) is only β-normalized: the machine
+/// rejects it as a bad atom before unifying it.
+fn canonical_atom(
+    sig: &Signature,
+    metas: &dyn MetaTypes,
+    ctx: &Ctx,
+    t: &Term,
+) -> Result<Term, UnifyError> {
+    let t = normalize::nf(t);
+    let head_ty = match spine_head(&t) {
+        Term::Const(c) => sig.const_ty(c.as_str()).and_then(TyScheme::as_mono),
+        Term::Var(i) => ctx.lookup(*i).map(|(_, ty)| ty),
+        Term::Meta(m) => metas.meta_ty(m),
+        _ => None,
+    };
+    match head_ty {
+        Some(ty) => {
+            normalize::canon(sig, metas, ctx, &t, ty.uncurry().1).map_err(UnifyError::IllTyped)
+        }
+        None => Ok(t),
+    }
+}
+
 /// Per-predicate call-pattern index entry: where the predicate's
 /// clauses live and which predicates its bodies call. Maintained
 /// incrementally by [`Program::push`] and consumed by the solver's
@@ -261,10 +350,23 @@ struct PredIndex {
 
 /// A logic program: a signature plus an ordered clause list, indexed by
 /// head predicate for backchaining.
+///
+/// The solver resolves against each clause in canonical (η-long
+/// β-normal) form, computed the first time it selects the clause and
+/// kept for the program's lifetime; [`Program::clauses`] and everything
+/// else see the clauses as they were pushed. A clause whose head or
+/// body is ill-typed cannot be canonicalized: every solve that selects
+/// it (its head predicate is called and its argument fingerprint admits
+/// the call) fails with [`crate::LpError::Unify`], whether or not the
+/// ill-typed part would have been reached.
 #[derive(Clone, Debug)]
 pub struct Program {
     sig: Signature,
     clauses: Vec<Clause>,
+    /// Per clause (parallel to `clauses`), its canonical form or the
+    /// error canonicalizing it, filled in when the solver first selects
+    /// the clause.
+    canonical: Vec<OnceLock<Result<Clause, UnifyError>>>,
     /// Per clause (parallel to `clauses`), the shallow argument
     /// fingerprint of its head (see [`fingerprint_admits`]): the solver
     /// skips a clause whose fingerprint rejects the call's arguments
@@ -282,6 +384,9 @@ pub struct Program {
     /// not the whole story at runtime, which disqualifies them from
     /// tabling and committed-choice enforcement.
     hyp_heads: BTreeSet<Sym>,
+    /// The fingerprint hash folded over `clauses` in order (see
+    /// [`Program::fingerprint64`]).
+    clause_hash: u64,
 }
 
 /// The head of an application spine (the term itself when it is not an
@@ -376,9 +481,11 @@ impl Program {
         Program {
             sig,
             clauses: Vec::new(),
+            canonical: Vec::new(),
             fingerprints: Vec::new(),
             by_pred: HashMap::new(),
             hyp_heads: BTreeSet::new(),
+            clause_hash: crate::cert::FINGERPRINT_SEED,
         }
     }
 
@@ -392,8 +499,17 @@ impl Program {
             entry.callees.extend(calls);
         }
         self.fingerprints.push(fingerprint(&clause.head, 0));
+        self.clause_hash = crate::cert::mix_clause(self.clause_hash, &clause);
+        self.canonical.push(OnceLock::new());
         self.clauses.push(clause);
         self
+    }
+
+    /// A store-independent fingerprint of the program's clauses (heads,
+    /// bodies, universal variables). Clause order matters — it is the
+    /// solver's trial order. O(1): [`Program::push`] folds each clause in.
+    pub fn fingerprint64(&self) -> u64 {
+        crate::cert::mix(self.clause_hash, self.clauses.len() as u64)
     }
 
     /// The program's signature.
@@ -404,6 +520,15 @@ impl Program {
     /// The clauses, in order.
     pub fn clauses(&self) -> &[Clause] {
         &self.clauses
+    }
+
+    /// Clause `i` in canonical form, the form the solver resolves
+    /// against (see [`Program`]).
+    pub(crate) fn canonical_clause(&self, i: usize) -> Result<&Clause, UnifyError> {
+        self.canonical[i]
+            .get_or_init(|| self.clauses[i].canonical(&self.sig))
+            .as_ref()
+            .map_err(UnifyError::clone)
     }
 
     /// The clauses whose head predicate is `pred`, in insertion order —

@@ -696,7 +696,9 @@ struct Machine<'a> {
 /// # Errors
 ///
 /// [`LpError`] on malformed programs/goals; an unprovable goal yields an
-/// empty [`Outcome`] instead.
+/// empty [`Outcome`] instead. An ill-typed goal, or an ill-typed program
+/// clause the search selects (see [`Program`]), is
+/// [`LpError::Unify`]`(`[`UnifyError::IllTyped`]`(..))`.
 pub fn solve(
     prog: &Program,
     menv: &MetaEnv,
@@ -800,6 +802,11 @@ fn solve_inner(
         dense = goal.map_terms(0, &mut |t, _| rename_metas(t, &rename));
         &dense
     };
+    // Resolution keeps terms canonical (canonical forms are closed under
+    // the hereditary substitution `St::resolve` performs), so the query
+    // is canonicalized once here and the program's clauses once per
+    // program; the unifier then takes both sides as they are.
+    let goal = goal.canonical(prog.sig(), &St::new(&tys), &mut Ctx::new())?;
     // Tabling with no caller-owned tables still wants intra-query
     // sharing: use a query-local scratch table set.
     let mut scratch;
@@ -824,7 +831,7 @@ fn solve_inner(
         nest: 0,
     };
     let mut out = Outcome::default();
-    let result = machine.drive(&tys, goal, &query_metas, &mut out);
+    let result = machine.drive(&tys, &goal, &query_metas, &mut out);
     // Whatever happened (including a hard error or a fuel abort),
     // in-flight table entries must not look complete.
     if let Some(t) = machine.tables.as_deref_mut() {
@@ -1160,7 +1167,7 @@ impl<'a> Machine<'a> {
     ) -> Result<Option<Goal>, LpError> {
         let (head, body) = match cand {
             Candidate::Local(i) => instantiate_local(st, i),
-            Candidate::Prog(i) => freshen(st, &self.prog.clauses()[i])?,
+            Candidate::Prog(i) => freshen(st, self.prog.canonical_clause(i)?)?,
         };
         Ok(self.unify_into(st, target, atom, &head)?.then_some(body))
     }
@@ -1328,7 +1335,7 @@ impl<'a> Machine<'a> {
             if !self.prog.clause_admits(i, &args, depth) {
                 continue;
             }
-            let (head, body) = freshen(st, &self.prog.clauses()[i])?;
+            let (head, body) = freshen(st, self.prog.canonical_clause(i)?)?;
             match unify_heads(self.prog.sig(), st, &target, &atom, &head) {
                 Ok(delta) => {
                     // Sanitizer cross-check: no later clause may also
@@ -1337,7 +1344,7 @@ impl<'a> Machine<'a> {
                     #[cfg(debug_assertions)]
                     for &other in &indices[ci + 1..] {
                         let mark = st.mark();
-                        let (ohead, _) = freshen(st, &self.prog.clauses()[other])?;
+                        let (ohead, _) = freshen(st, self.prog.canonical_clause(other)?)?;
                         let matched =
                             unify_heads(self.prog.sig(), st, &target, &atom, &ohead).is_ok();
                         st.undo(mark);
@@ -1605,10 +1612,11 @@ fn push_frame(st: &mut St, frames: &mut Vec<Frame>, b: Branch, alts: Alts) {
     });
 }
 
-/// Unifies a call atom against a clause (or answer) head, both at the
-/// current eigenvariable depth. The unifier reads metavariable types and
-/// bindings from the state itself (no per-call environment), and its
-/// fresh metavariables are numbered from the state's next free id.
+/// Unifies a call atom against a clause (or answer) head, both
+/// canonical and at the current eigenvariable depth. The unifier reads
+/// metavariable types and bindings from the state itself (no per-call
+/// environment), and its fresh metavariables are numbered from the
+/// state's next free id.
 fn unify_heads(
     sig: &Signature,
     st: &St,
@@ -1782,7 +1790,8 @@ fn canonicalize_free_metas(bindings: Vec<(MVar, Term)>) -> Vec<(MVar, Term)> {
 }
 
 /// Renames a program clause's own universal variables (ids `0..n`) to
-/// fresh metavariables at the current level.
+/// fresh metavariables at the current level. Pass the canonical clause
+/// ([`Program::canonical_clause`]): the unifier takes its head as it is.
 fn freshen(st: &mut St, clause: &Clause) -> Result<(Term, Goal), LpError> {
     if clause.vars.is_empty() {
         return Ok((clause.head.clone(), clause.body.clone()));
@@ -1967,7 +1976,7 @@ mod tests {
                     continue;
                 }
                 let mark = st.mark();
-                let (head, _) = freshen(&mut st, &prog.clauses()[i]).unwrap();
+                let (head, _) = freshen(&mut st, prog.canonical_clause(i).unwrap()).unwrap();
                 let ok = refuted(&prog, &st, &call, &head);
                 st.undo(mark);
                 prop_assert!(
@@ -2013,7 +2022,7 @@ mod tests {
             .find(|&i| prog.clauses()[i].head.to_string().starts_with("of (app"))
             .expect("STLC has an application clause");
         assert!(!prog.clause_admits(app_clause, &call.spine().1, 2));
-        let (head, _) = freshen(&mut st, &prog.clauses()[app_clause]).unwrap();
+        let (head, _) = freshen(&mut st, prog.canonical_clause(app_clause).unwrap()).unwrap();
         assert!(refuted(&prog, &st, &call, &head));
     }
 }

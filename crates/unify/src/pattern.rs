@@ -81,6 +81,14 @@ pub struct Delta {
 /// of the state is copied. Fresh metavariables are numbered from `next`
 /// upward, which must lie above every id the state uses.
 ///
+/// Both sides must be **canonical** (η-long β-normal) at `ty` under
+/// `ctx`, and the state's solutions canonical at their types: the sides
+/// are not re-canonicalized, only the state's solutions are applied to
+/// them (hereditary substitution keeps them canonical), and only when a
+/// solved metavariable occurs. Debug builds assert the precondition.
+/// The returned solutions are canonical too. Use [`unify_constraints`]
+/// for arbitrary well-typed input.
+///
 /// The state's metavariable types are trusted to be in the supported
 /// fragment (the caller validates them once, where it creates them).
 ///
@@ -663,12 +671,14 @@ struct Solver<'s> {
     sig: &'s hoas_core::sig::Signature,
     gen: MetaGen<'s>,
     /// The caller's existing solutions, applied to the input
-    /// constraints when they are first canonicalized.
+    /// constraints when they are first popped. With a base the input
+    /// sides are canonical already ([`unify_against`]); without one
+    /// ([`unify_constraints`]) they are canonicalized then.
     base: Option<&'s dyn Bindings>,
     /// Solutions found by this run.
     sol: MetaSubst,
     /// Constraint stack. Entries below `inputs` are the caller's
-    /// constraints, not yet canonicalized; everything above was pushed by
+    /// constraints, not yet resolved; everything above was pushed by
     /// [`decompose_step`] and has canonical sides.
     work: Vec<Constraint>,
     inputs: usize,
@@ -682,10 +692,12 @@ impl Solver<'_> {
                 return Err(UnifyError::BudgetExhausted);
             }
             self.fuel -= 1;
-            // An input constraint is canonicalized once. A decomposed one
-            // is canonical already (the subterms of a canonical term are
-            // canonical at their types) and only needs re-resolving when
-            // it mentions a metavariable solved since it was pushed.
+            // An input constraint of `unify_constraints` is canonicalized
+            // once. Every other side is canonical already (an input of
+            // `unify_against` by contract, a decomposed one because the
+            // subterms of a canonical term are canonical at their types)
+            // and only needs re-resolving when it mentions a solved
+            // metavariable.
             let raw = self.work.len() < self.inputs;
             if raw {
                 self.inputs = self.work.len();
@@ -718,24 +730,26 @@ impl Solver<'_> {
     }
 
     fn resolve(&self, raw: bool, c: &Constraint, side: &Term) -> Result<Term, UnifyError> {
-        if raw {
-            match self.base {
-                Some(base) if base.occurs_in(side) => {
-                    let side = base.apply(side);
-                    resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, &side)
-                }
-                _ => resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side),
+        match self.base {
+            None if raw => resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side),
+            Some(base) if raw && base.occurs_in(side) => {
+                self.resolve_canonical(c, &base.apply(side))
             }
-        } else if !self.sol.is_empty() && self.sol.occurs_in(side) {
-            resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side)
-        } else {
-            debug_assert_eq!(
-                resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side).ok(),
-                Some(side.clone()),
-                "decomposed side `{side}` is not canonical"
-            );
-            Ok(side.clone())
+            _ => self.resolve_canonical(c, side),
         }
+    }
+
+    /// Applies this run's solutions to a canonical side.
+    fn resolve_canonical(&self, c: &Constraint, side: &Term) -> Result<Term, UnifyError> {
+        if !self.sol.is_empty() && self.sol.occurs_in(side) {
+            return resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side);
+        }
+        debug_assert_eq!(
+            resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side).ok(),
+            Some(side.clone()),
+            "side `{side}` is not canonical"
+        );
+        Ok(side.clone())
     }
 }
 
@@ -1066,6 +1080,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.is_refutation(), "{err:?}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is not canonical")]
+    fn unify_against_asserts_canonical_sides() {
+        // `forall p` is η-short; its canonical form is `forall (\x. p x)`.
+        // The two unify, but `unify_against` does not canonicalize its
+        // sides, so a debug build rejects the short one.
+        let sig = fol_sig();
+        let state = State(MetaEnv::new(), MetaSubst::new());
+        let forall = |t: Term| Term::app(Term::cnst("forall"), t);
+        let long = Term::lam("x", Term::app(Term::cnst("p"), Term::Var(0)));
+        let _ = unify_against(
+            &sig,
+            &state,
+            0,
+            Ctx::new(),
+            o(),
+            forall(Term::cnst("p")),
+            forall(long),
+        );
     }
 
     #[test]

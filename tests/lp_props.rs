@@ -12,7 +12,7 @@ use hoas::langs::miniml::Exp;
 use hoas::langs::miniml_types::{self, MlTy};
 use hoas::lp::examples::{self, stlc_program};
 use hoas::lp::solve::{query_menv, solve, solve_certified, SolveConfig};
-use hoas::lp::{Clause, CutBy, Goal, LpError, Program};
+use hoas::lp::{Clause, CutBy, Goal, LpError, Program, TableMode};
 use hoas::unify::pattern;
 use hoas_core::sig::Signature;
 use hoas_core::term::MetaEnv;
@@ -97,6 +97,12 @@ fn to_lp_syntax(t: &LTerm) -> String {
 /// number of occurrences) by the self-application `x x`, which no simple
 /// type admits.
 fn self_apply_var(t: &LTerm, k: usize) -> LTerm {
+    replace_var(t, k, |x| LTerm::app(x.clone(), x.clone()))
+}
+
+/// Replaces one variable occurrence `x` of `t` (the `k`-th, modulo the
+/// number of occurrences) by `with(x)`.
+fn replace_var(t: &LTerm, k: usize, with: impl Fn(&LTerm) -> LTerm) -> LTerm {
     fn count(t: &LTerm) -> usize {
         match t {
             LTerm::Var(_) => 1,
@@ -104,25 +110,72 @@ fn self_apply_var(t: &LTerm, k: usize) -> LTerm {
             LTerm::App(f, a) => count(f) + count(a),
         }
     }
-    fn go(t: &LTerm, k: &mut usize) -> LTerm {
+    fn go(t: &LTerm, k: &mut usize, with: &impl Fn(&LTerm) -> LTerm) -> LTerm {
         match t {
             LTerm::Var(_) => {
                 let hit = *k == 0;
                 *k = k.wrapping_sub(1);
                 if hit {
-                    LTerm::app(t.clone(), t.clone())
+                    with(t)
                 } else {
                     t.clone()
                 }
             }
-            LTerm::Lam(x, b) => LTerm::lam(x.clone(), go(b, k)),
+            LTerm::Lam(x, b) => LTerm::lam(x.clone(), go(b, k, with)),
             LTerm::App(f, a) => {
-                let f = go(f, k);
-                LTerm::app(f, go(a, k))
+                let f = go(f, k, with);
+                LTerm::app(f, go(a, k, with))
             }
         }
     }
-    go(t, &mut (k % count(t)))
+    go(t, &mut (k % count(t)), &with)
+}
+
+/// The STLC program with the η-long spelling of the `lam` clause's
+/// head, `of (lam (\x. ?F x)) (arr ?A ?B)`, in place of `of (lam ?F) …`.
+fn stlc_program_eta_long() -> Program {
+    let short = stlc_program();
+    let mut prog = Program::new(short.sig().clone());
+    for c in short.clauses() {
+        let mut c = c.clone();
+        if c.head.to_string().starts_with("of (lam") {
+            let f = Term::Meta(MVar::new(0, "F"));
+            let (a, b) = (Term::Meta(MVar::new(1, "A")), Term::Meta(MVar::new(2, "B")));
+            c.head = Term::apps(
+                Term::cnst("of"),
+                [
+                    Term::app(
+                        Term::cnst("lam"),
+                        Term::lam("x", Term::app(f, Term::Var(0))),
+                    ),
+                    Term::apps(Term::cnst("arr"), [a, b]),
+                ],
+            );
+        }
+        prog.push(c);
+    }
+    prog
+}
+
+/// Solves `of <query> ?T` with every gate-allowed call tabled, and
+/// renders what the caller can observe: answers, table counters, cut
+/// and flounder.
+fn typing_observables(prog: &Program, query: &Term) -> String {
+    let t = MVar::new(0, "T");
+    let menv: MetaEnv = [(t.clone(), Ty::base("tp"))].into_iter().collect();
+    let goal = Goal::Atom(Term::apps(Term::cnst("of"), [query.clone(), Term::Meta(t)]));
+    let cfg = SolveConfig {
+        max_depth: 256,
+        fuel: 200_000,
+        table: TableMode::Force,
+        ..SolveConfig::default()
+    };
+    let out = solve(prog, &menv, &goal, &cfg).unwrap();
+    let answers: Vec<String> = out.answers.iter().map(|a| a.to_string()).collect();
+    format!(
+        "{answers:?} {:?} cut {:?} floundered {}",
+        out.tables, out.cut, out.floundered
+    )
 }
 
 /// Church arithmetic: `add`/`mul` trees of depth at most `depth` over
@@ -271,6 +324,34 @@ props! {
         }
     }
 
+    fn eta_short_and_long_spellings_agree(
+        seed in seeds(), size in 2usize..25, k in 0usize..64
+    ) {
+        // A generated term with one variable occurrence `x` η-expanded to
+        // `λz. x z`, whose encoding `lam (\z. app x z)` has the η-short
+        // spelling `lam (app x)`. The η-short and η-long spellings of the
+        // query, and of the `lam` clause's head, must be
+        // indistinguishable: same answers, same table counters.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let term = replace_var(&lambda::gen_closed(&mut rng, size), k, |x| {
+            LTerm::lam("eta", LTerm::app(x.clone(), LTerm::var("eta")))
+        });
+        let long = lambda::encode(&term).unwrap();
+        let short = hoas_core::normalize::eta_contract(&long);
+        prop_assert!(short != long, "nothing to contract in {}", long);
+        let reference = typing_observables(&stlc_program(), &long);
+        prop_assert_eq!(
+            typing_observables(&stlc_program(), &short),
+            reference.clone(),
+            "η-short query {}", short
+        );
+        prop_assert_eq!(
+            typing_observables(&stlc_program_eta_long(), &long),
+            reference,
+            "η-long lam clause on {}", long
+        );
+    }
+
     fn lp_church_eval_agrees_with_native_normalization(seed in seeds(), depth in 0u32..3) {
         // CBV `eval` stops at the outermost λ, so its value's *full* normal
         // form (computed on the named AST, no HOAS involved) must be the
@@ -393,6 +474,66 @@ props! {
             }
         }
     }
+}
+
+#[test]
+fn eta_spellings_of_clause_and_query_agree() {
+    // `\f. \x. f x` spelled η-long and η-short (`lam (\f. lam (app f))`)
+    // against both spellings of the `lam` clause: one principal type,
+    // and the top-level call tabled the same way.
+    let sig = stlc_program().sig().clone();
+    let parse = |src: &str| hoas_core::parse::parse_term(&sig, src).unwrap().term;
+    let long = parse(r"lam (\f. lam (\x. app f x))");
+    let short = parse(r"lam (\f. lam (app f))");
+    let want = typing_observables(&stlc_program(), &long);
+    assert!(want.starts_with(r#"["?T = arr (arr "#), "{want}");
+    assert!(want.contains("variant_misses: 1"), "{want}");
+    for prog in [stlc_program(), stlc_program_eta_long()] {
+        for query in [&long, &short] {
+            assert_eq!(typing_observables(&prog, query), want, "{query}");
+        }
+    }
+}
+
+#[test]
+fn ill_typed_query_or_clause_is_an_error_not_a_failure() {
+    // `lam base` applies `lam` to a `tp`. Wherever it appears — in the
+    // query, in a clause head, or in a clause body — the solve returns a
+    // unification error rather than failing the search or panicking.
+    let stlc = stlc_program();
+    let sig = stlc.sig().clone();
+    let parse = |src: &str| hoas_core::parse::parse_term(&sig, src).unwrap().term;
+    let ill = || Term::app(Term::cnst("lam"), Term::cnst("base"));
+    let of = |x: Term, t: Term| Term::apps(Term::cnst("of"), [x, t]);
+    let identity = || parse(r"lam (\x. x)");
+    let ask = |prog: &Program, x: Term| {
+        let goal = Goal::Atom(of(x, parse("arr base base")));
+        solve(prog, &MetaEnv::new(), &goal, &SolveConfig::default())
+    };
+    assert!(matches!(ask(&stlc, identity()), Ok(out) if out.answers.len() == 1));
+
+    let out = ask(&stlc, ill());
+    assert!(matches!(out, Err(LpError::Unify(_))), "query: {out:?}");
+
+    let with_clause = |clause: Clause| {
+        let mut prog = Program::new(sig.clone());
+        prog.push(clause);
+        for c in stlc.clauses() {
+            prog.push(c.clone());
+        }
+        prog
+    };
+    let head = with_clause(Clause::fact(vec![], of(ill(), parse("arr base base"))));
+    let out = ask(&head, identity());
+    assert!(matches!(out, Err(LpError::Unify(_))), "head: {out:?}");
+
+    let body = with_clause(Clause {
+        vars: vec![],
+        head: of(identity(), parse("arr base base")),
+        body: Goal::Atom(of(ill(), parse("base"))),
+    });
+    let out = ask(&body, identity());
+    assert!(matches!(out, Err(LpError::Unify(_))), "body: {out:?}");
 }
 
 #[test]
