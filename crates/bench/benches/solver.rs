@@ -1,8 +1,8 @@
 //! E11 — answer tabling: tabled vs untabled search on challenge
 //! problems whose derivations repeat subgoals.
 //!
-//! Three shapes, each run both ways so `BENCH_pr10.json` carries the
-//! paired medians:
+//! Four shapes, each run both ways so the paired medians print side by
+//! side:
 //!
 //! * `reach-fail` — diamond-ladder DAG reachability with an unreachable
 //!   target: plain DFS refutes all `2^layers` paths, the tabled solver

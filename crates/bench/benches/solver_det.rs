@@ -5,7 +5,7 @@
 //! The committed-choice verdict lets [`hoas_lp::solve_certified`] commit
 //! to the first matching clause instead of cloning the whole solver
 //! state per candidate; each `paired` benchmark runs the same query both
-//! ways so the speedup is visible side by side in `BENCH_pr8.json`.
+//! ways so the speedup is visible side by side.
 
 use hoas_analyze::modes;
 use hoas_lp::examples::{append_program, eval_program};

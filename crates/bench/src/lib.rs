@@ -3,25 +3,24 @@
 //! Support code for reproducing the paper's evaluation (see
 //! `EXPERIMENTS.md` at the workspace root for the experiment index):
 //!
-//! * [`workloads`] — deterministic seeded workload generators shared by
-//!   the Criterion benches and the report harness;
+//! * [`workloads`] — deterministic seeded workload generators for the
+//!   report harness;
 //! * [`baseline`] — hand-written **first-order** implementations of the
 //!   paper's transformations (prenex normal form with explicit renaming,
 //!   an imperative-language optimizer on the named AST). These are the
 //!   comparators: the code HOAS renders unnecessary;
-//! * [`history`] — parsing and diffing of the committed `BENCH_pr*.json`
-//!   perf baselines, shared by the `report` and `bench-baseline` bins;
 //! * [`parallel`] — the work-stealing batch driver that fans independent
 //!   normalization queries across a thread pool over one shared term
 //!   store (the scaling harness for the sharded interner).
 //!
 //! Run `cargo run --release -p hoas-bench --bin report` to regenerate
-//! every experiment table, or `cargo bench` for the Criterion series.
+//! every experiment table. The `solver` and `solver_det` bench suites
+//! time tabling and committed choice; end-to-end timing lives in the
+//! separate `perfbench` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod history;
 pub mod parallel;
 pub mod workloads;

@@ -6,7 +6,7 @@
 //! batch are independent (one subject each, no cross-talk), so the only
 //! shared state is the interner and — when a shared cache bundle is
 //! passed — the engine memo tables. Each worker `enter`s the
-//! coordinator's [`StoreHandle`] and builds a *private* [`Engine`]
+//! coordinator's [`StoreHandle`](hoas_core::StoreHandle) and builds a *private* [`Engine`]
 //! (per-engine counters stay single-threaded `Cell`s) around either a
 //! fresh or the shared cache bundle.
 //!

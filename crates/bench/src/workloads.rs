@@ -1,5 +1,6 @@
-//! Deterministic seeded workloads shared by the Criterion benches and the
-//! report harness. Each function documents which experiment(s) it feeds.
+//! Deterministic seeded workloads for the report harness (and the warm
+//! image and parallel-engine tests). Each function documents which
+//! experiment(s) it feeds.
 
 use hoas_core::{Term, Ty};
 use hoas_firstorder::{convert, DbTree, Tree};
@@ -13,8 +14,8 @@ use hoas_testkit::rng::SmallRng;
 pub const SEED: u64 = 0x4F_50_55_53;
 
 /// E1/E2 — a substitution instance: a body with free variable `subj`,
-/// an argument term, and the precomputed representations of all three
-/// systems.
+/// an argument term, and the first-order representations (the HOAS ones
+/// come from [`SubstInstance::hoas`], in the caller's store).
 pub struct SubstInstance {
     /// The named body (free variable `subj`).
     pub body: LTerm,
@@ -28,10 +29,15 @@ pub struct SubstInstance {
     pub body_db: DbTree,
     /// De Bruijn argument.
     pub arg_db: DbTree,
-    /// HOAS: `λsubj. body` encoded.
-    pub hoas_abs: Term,
-    /// HOAS: argument encoded.
-    pub hoas_arg: Term,
+}
+
+impl SubstInstance {
+    /// The HOAS operands `λsubj. body` and the argument, encoded into the
+    /// thread's current store.
+    pub fn hoas(&self) -> (Term, Term) {
+        let abs = lambda::encode(&LTerm::lam("subj", self.body.clone())).expect("closed");
+        (abs, lambda::encode(&self.arg).expect("closed"))
+    }
 }
 
 /// Builds a substitution instance of roughly `size` body nodes with at
@@ -46,9 +52,6 @@ pub fn subst_instance(seed: u64, size: usize) -> SubstInstance {
     let arg_tree = lambda::to_tree(&arg);
     let body_db = convert::to_debruijn(&body_tree);
     let arg_db = convert::to_debruijn(&arg_tree);
-    let lam_body = LTerm::lam("subj", body.clone());
-    let hoas_abs = lambda::encode(&lam_body).expect("closed");
-    let hoas_arg = lambda::encode(&arg).expect("closed");
     SubstInstance {
         body,
         arg,
@@ -56,8 +59,6 @@ pub fn subst_instance(seed: u64, size: usize) -> SubstInstance {
         arg_tree,
         body_db,
         arg_db,
-        hoas_abs,
-        hoas_arg,
     }
 }
 
@@ -251,7 +252,8 @@ mod tests {
             convert::to_debruijn(&lambda::to_tree(&named_result)),
             db_result
         );
-        let hoas_result = hoas_langs::lambda::subst_hoas(&inst.hoas_abs, &inst.hoas_arg).unwrap();
+        let (abs, arg) = inst.hoas();
+        let hoas_result = hoas_langs::lambda::subst_hoas(&abs, &arg).unwrap();
         assert_eq!(
             lambda::encode(&named_result).unwrap(),
             hoas_result,

@@ -73,7 +73,7 @@ pub fn hsnd(p: Term) -> Term {
 /// (cached `max_free`/`beta_normal` check) are shared, not copied. Rebuilt
 /// spines are interned bottom-up in one store session through borrowed
 /// views, and the top interned-subtree levels of the rebuild are memoized
-/// by [`NodeId`] ([`crate::opmemo`]): instantiating the same
+/// by [`NodeId`] (`crate::opmemo`): instantiating the same
 /// (body, argument) pair again — the signature pattern of rewrite engines
 /// — is a single probe, while fresh-id workloads pay only a constant
 /// handful of probes per call.
@@ -253,7 +253,7 @@ fn hered_ref(
 /// O(1) on terms whose cached `beta_normal` annotation already holds;
 /// normal subterms are shared, not rebuilt. Everything else is normalized
 /// in one store session, with the top interned-subtree levels memoized by
-/// [`NodeId`] ([`crate::opmemo`]): normalizing a term seen before (in
+/// [`NodeId`] (`crate::opmemo`): normalizing a term seen before (in
 /// this call or an earlier one) replays from a single probe.
 ///
 /// [`NodeId`]: crate::store::NodeId
@@ -591,7 +591,7 @@ pub fn canon_with(
 /// pure optimization).
 const CANON_CACHE_CAP: usize = 1 << 20;
 
-/// A [`NodeId`]-keyed memo table for [`canon_with`].
+/// A [`NodeId`](crate::NodeId)-keyed memo table for [`canon_with`].
 ///
 /// Each entry maps an interned term node (by its stable id) to its
 /// canonical form at a specific type, together with everything the
@@ -748,7 +748,7 @@ impl CanonCache {
     }
 
     /// Re-inserts an exported entry under an already-remapped key.
-    /// Sound for the same reason [`CanonCache::insert`] is: the entry
+    /// Sound for the same reason `CanonCache::insert` is: the entry
     /// asserts "the node now known by `key` canonicalizes to `result` at
     /// `ty` under these free-variable types", and the remap table maps
     /// the writer's id to the node of the *same α-class* in this store,

@@ -71,6 +71,8 @@ struct TermPrinter<'a> {
     /// With `counts`, this makes freshening amortized O(1) however deep
     /// the binders nest.
     next_suffix: HashMap<String, u32, FxBuild>,
+    /// Names of metavariables by id; an id past the end prints its hint.
+    metas: &'a [&'a str],
     f: &'a mut dyn fmt::Write,
 }
 
@@ -84,6 +86,7 @@ impl<'a> TermPrinter<'a> {
             env: Vec::new(),
             counts: HashMap::default(),
             next_suffix: HashMap::default(),
+            metas: &[],
             f,
         }
     }
@@ -161,7 +164,10 @@ impl<'a> TermPrinter<'a> {
                 }
             }
             Term::Const(c) => self.f.write_str(c.as_str()),
-            Term::Meta(m) => write!(self.f, "?{}", m.hint()),
+            Term::Meta(m) => match self.metas.get(m.id() as usize) {
+                Some(name) => write!(self.f, "?{name}"),
+                None => write!(self.f, "?{}", m.hint()),
+            },
             Term::Int(n) => write!(self.f, "{n}"),
             Term::Unit => self.f.write_str("()"),
             Term::Lam(h, b) => {
@@ -243,8 +249,18 @@ pub fn term_to_string(t: &Term) -> String {
 /// Renders a term whose free de Bruijn variables should be shown with the
 /// given names (outermost first).
 pub fn term_to_string_in(t: &Term, scope: &[&str]) -> String {
+    term_to_string_with(t, scope, &[])
+}
+
+/// Renders a term like [`term_to_string_in`], showing the metavariable
+/// with id `i` as `?{metas[i]}` (ids past the end of `metas` show their
+/// hint). A metavariable's hint is the first one interned for its id,
+/// so a printer that knows the names its metavariables were declared
+/// with (a clause's variables) passes them here.
+pub fn term_to_string_with(t: &Term, scope: &[&str], metas: &[&str]) -> String {
     let mut s = String::new();
     let mut p = TermPrinter::new(&mut s);
+    p.metas = metas;
     for name in scope {
         p.push(Rc::from(*name));
     }

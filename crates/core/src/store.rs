@@ -1,5 +1,5 @@
 //! Sharded, hash-consed term store: every
-//! [`TermRef`](crate::term::TermRef) is interned here.
+//! [`TermRef`] is interned here.
 //!
 //! [`TermRef::new`](crate::term::TermRef::new) computes a shallow
 //! structural key over the de Bruijn skeleton of the node — children are
@@ -14,13 +14,13 @@
 //! # Concurrency model
 //!
 //! Since PR 6 the store is **shared between threads**: nodes are
-//! `Arc<TermNode>` and the store is split into [`SHARDS`] independent
+//! `Arc<TermNode>` and the store is split into `SHARDS` independent
 //! shards, each a mutex around its slice of the interning map. A shard is
 //! selected by the high bits of the skeleton hash, so concurrent interns
 //! of unrelated terms take unrelated locks; one intern touches exactly
 //! one shard (children are already interned), so there is no lock
 //! ordering and no deadlock. Each *thread* additionally keeps a private,
-//! lock-free, direct-mapped front cache of [`FRONT_SLOTS`] recently
+//! lock-free, direct-mapped front cache of `FRONT_SLOTS` recently
 //! interned nodes, so steady-state rebuild loops (hereditary
 //! substitution, normalization) intern without touching a lock at all.
 //!
@@ -71,7 +71,7 @@
 //! holds. A concurrent *release* can at worst leave a freshly dead entry
 //! looking live for one sweep — it is collected by the next. The same
 //! argument covers [`trim`]. Per-thread front caches hold strong refs,
-//! which pins at most [`FRONT_SLOTS`] nodes per thread; every sweep bumps
+//! which pins at most `FRONT_SLOTS` nodes per thread; every sweep bumps
 //! the store's epoch, and a front that observes a stale epoch discards
 //! itself on its next probe, so those pins are transient.
 //!
@@ -105,7 +105,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// so callers may use [`NodeId::SENTINEL`] as a "no node" slot in packed
 /// keys.
 ///
-/// Within one store, two **live** [`TermRef`](crate::term::TermRef)s
+/// Within one store, two **live** [`TermRef`]s
 /// carry the same id iff they are α-equivalent modulo binder hints.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(u64);

@@ -21,13 +21,13 @@
 //! # Refcount-lean rebuilds
 //!
 //! The traversals that *do* rebuild are single-pass and session-threaded:
-//! one interner session ([`crate::store::with_session`]) is opened per
+//! one interner session (`store::with_session`) is opened per
 //! call, each rebuilt node is interned bottom-up through a borrowed
-//! [`NodeView`] (one `Arc` clone on a hit, no child or `Sym` refcount
+//! `NodeView` (one `Arc` clone on a hit, no child or `Sym` refcount
 //! churn), and subtrees the sharing guard admits are returned as pointer
 //! copies. On top of that, compound interned-subtree steps in the **top
-//! [`opmemo::MEMO_LVLS`] levels** of each call consult the per-thread
-//! operation memo ([`crate::opmemo`], borrowed once per call):
+//! `opmemo::MEMO_LVLS` levels** of each call consult the per-thread
+//! operation memo (`crate::opmemo`, borrowed once per call):
 //! hash-consing makes `shift`/`subst` pure functions of [`NodeId`]s, so a
 //! (subtree, substituend, cutoff) triple computed once — in this call
 //! because the subtree occurs twice, or in an earlier call — is replayed
@@ -39,7 +39,6 @@
 //! is cheaper than a table hit.
 //!
 //! [`NodeId`]: crate::store::NodeId
-//! [`NodeView`]: crate::store::NodeView
 
 use crate::opmemo::{self, Key, Table, MEMO_LVLS, OP_INST, OP_SHIFT_DOWN, OP_SHIFT_UP, OP_SUBST};
 use crate::store::{self, InternSession, NodeView};

@@ -40,7 +40,7 @@
 //! α-equivalence — and downstream caches key durably on [`NodeId`]
 //! (see [`crate::store`] for the no-reuse argument).
 //!
-//! Annotations cannot go stale: [`TermNode`] internals are crate-private,
+//! Annotations cannot go stale: `TermNode` internals are crate-private,
 //! every node is built by [`TermRef::new`] (directly or via the [`Term`]
 //! smart constructors), and the node is immutable afterwards.
 

@@ -167,6 +167,42 @@ pub fn eval_program() -> Program {
 mod tests {
     use super::*;
     use crate::solve::{query_menv, solve, SolveConfig};
+    use hoas_core::{MVar, StoreHandle, TermRef};
+
+    /// A metavariable's hint is the first one interned for its id, so
+    /// clauses must print their variables by the names they declare.
+    #[test]
+    fn clauses_print_with_their_declared_names() {
+        StoreHandle::isolated().enter(|| {
+            let _decoys: Vec<TermRef> = (0..5)
+                .map(|i| TermRef::new(Term::Meta(MVar::new(i, format!("D{i}")))))
+                .collect();
+            let printed = |prog: Program| -> Vec<String> {
+                prog.clauses().iter().map(Clause::to_string).collect()
+            };
+            assert_eq!(
+                printed(append_program()),
+                [
+                    "append nil ?Y ?Y",
+                    "append (cons ?X ?XS) ?Y (cons ?X ?ZS) :- append ?XS ?Y ?ZS",
+                ]
+            );
+            assert_eq!(
+                printed(stlc_program()),
+                [
+                    "of (app ?M ?N) ?B :- (of ?M (arr ?A ?B), of ?N ?A)",
+                    "of (lam ?F) (arr ?A ?B) :- (pi x:tm. (of #0 ?A => of (?F #0) ?B))",
+                ]
+            );
+            assert_eq!(
+                printed(eval_program()),
+                [
+                    "eval (lam ?F) (lam ?F)",
+                    "eval (app ?M ?N) ?V :- ((eval ?M (lam ?F), eval ?N ?U), eval (?F ?U) ?V)",
+                ]
+            );
+        })
+    }
 
     #[test]
     fn stlc_infers_identity() {

@@ -4,7 +4,7 @@ use hoas_core::ctx::Ctx;
 use hoas_core::parse::{parse_term_with, MetaTable};
 use hoas_core::sig::Signature;
 use hoas_core::term::{MetaEnv, MetaTypes};
-use hoas_core::{normalize, MVar, Sym, Term, Ty, TyScheme};
+use hoas_core::{normalize, print, MVar, Sym, Term, Ty, TyScheme};
 use hoas_unify::UnifyError;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -142,17 +142,38 @@ impl Goal {
             }
         }
     }
+
+    /// Writes the goal, showing metavariable `i` as `?{metas[i]}`.
+    fn fmt_with(&self, metas: &[&str], f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Goal::True => f.write_str("true"),
+            Goal::Atom(t) => f.write_str(&print::term_to_string_with(t, &[], metas)),
+            Goal::And(a, b) => {
+                f.write_str("(")?;
+                a.fmt_with(metas, f)?;
+                f.write_str(", ")?;
+                b.fmt_with(metas, f)?;
+                f.write_str(")")
+            }
+            Goal::Impl(d, g) => {
+                f.write_str("(")?;
+                d.fmt_with(metas, f)?;
+                f.write_str(" => ")?;
+                g.fmt_with(metas, f)?;
+                f.write_str(")")
+            }
+            Goal::All(h, ty, b) => {
+                write!(f, "(pi {h}:{ty}. ")?;
+                b.fmt_with(metas, f)?;
+                f.write_str(")")
+            }
+        }
+    }
 }
 
 impl fmt::Display for Goal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Goal::True => f.write_str("true"),
-            Goal::Atom(t) => write!(f, "{t}"),
-            Goal::And(a, b) => write!(f, "({a}, {b})"),
-            Goal::Impl(d, g) => write!(f, "({d} => {g})"),
-            Goal::All(h, ty, b) => write!(f, "(pi {h}:{ty}. {b})"),
-        }
+        self.fmt_with(&[], f)
     }
 }
 
@@ -297,15 +318,30 @@ impl Clause {
         });
         acc
     }
+
+    /// Writes the clause with each of its own variables under its
+    /// declared name. A clause without variables of its own (one added
+    /// by `⇒`) mentions the enclosing goal's, named by `outer`.
+    fn fmt_with(&self, outer: &[&str], f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let own: Vec<&str>;
+        let metas = if self.vars.is_empty() {
+            outer
+        } else {
+            own = self.vars.iter().map(|(h, _)| h.as_str()).collect();
+            &own
+        };
+        f.write_str(&print::term_to_string_with(&self.head, &[], metas))?;
+        if self.body != Goal::True {
+            f.write_str(" :- ")?;
+            self.body.fmt_with(metas, f)?;
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for Clause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.head)?;
-        if self.body != Goal::True {
-            write!(f, " :- {}", self.body)?;
-        }
-        Ok(())
+        self.fmt_with(&[], f)
     }
 }
 

@@ -8,10 +8,10 @@
 //! # The machine
 //!
 //! Search state is explicit. One run owns a single proof state
-//! ([`St`]): a dense binding array indexed by metavariable id, an undo
+//! (`St`): a dense binding array indexed by metavariable id, an undo
 //! trail, the eigenvariable context and the hypothetical clauses in
 //! scope. A **branch** is a work list plus its depth budget; a **choice
-//! point** is a [`Frame`] holding a trail mark, the work list to resume
+//! point** is a `Frame` holding a trail mark, the work list to resume
 //! and the untried alternatives (clause candidates, or stored table
 //! answers). Backtracking unwinds the trail to the frame's mark instead
 //! of restoring a copied state, and pops work from the frame stack
@@ -32,7 +32,7 @@
 //! own, whose answers land in the variant's table entry, restarted to a
 //! least fixpoint when the variant consumed its own in-progress entry (a
 //! same-SCC loop). Repeat calls replay stored answers through an
-//! [`Alts::Answers`] choice point without searching.
+//! `Alts::Answers` choice point without searching.
 
 use crate::cert::ProgramCert;
 use crate::program::{fingerprint, fingerprint_admits, spine_head, Clause, Goal, Program, Rigid};

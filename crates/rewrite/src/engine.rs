@@ -11,7 +11,7 @@
 //! # Normalization cache and dispatch index
 //!
 //! Three layers keep a `normalize` call from re-doing work. All of them
-//! key on stable [`NodeId`](hoas_core::NodeId)s from the hash-consed term
+//! key on stable [`NodeId`]s from the hash-consed term
 //! store — durable keys that are never reused — so the caches live in a
 //! shareable [`EngineCaches`] handle that can outlive any single engine
 //! instance (see [`Engine::with_caches`]):

@@ -8,7 +8,7 @@
 //! section is read. The body then carries the four cache tables of an
 //! [`EngineCaches`] bundle — canonical-form memo, rule-normal-form
 //! cache, head-type table, and root-step memo — each with its
-//! [`NodeId`] keys written as the *writer's* raw ids.
+//! [`NodeId`](hoas_core::NodeId) keys written as the *writer's* raw ids.
 //!
 //! [`load_warm_image`] replays the pool into the current store and
 //! translates every key through the decoder's `old id → new id` remap
@@ -405,8 +405,8 @@ pub fn load_warm_image_with_tables(
 
 /// Decodes a warm image into a throwaway cache bundle (the pool still
 /// re-interns into the current store), returning what it contained.
-/// This is the `hoas-image inspect` entry point: full validation —
-/// checksum, digest, semantic decode — without touching live caches.
+/// Full validation — checksum, digest, semantic decode — without
+/// touching live caches.
 ///
 /// # Errors
 ///

@@ -8,10 +8,9 @@
 //! nanosecond-scale benchmarks measurable). Reported numbers are per-call
 //! min / median / mean.
 //!
-//! Output: one human-readable line per benchmark on stdout. When
-//! `HOAS_BENCH_JSON=<path>` is set, a JSON report of every result is also
-//! written to `<path>` at [`Criterion::final_summary`] time (called by the
-//! `criterion_main!` replacement).
+//! Output: one human-readable line per benchmark on stdout, and a count
+//! at [`Criterion::final_summary`] time (called by the `criterion_main!`
+//! replacement).
 //!
 //! Running under `cargo test --benches` passes `--test`; the harness
 //! detects it and switches to a smoke run (one batch of one iteration) so
@@ -21,17 +20,6 @@ use std::time::{Duration, Instant};
 
 /// Target minimum duration of one measurement sample.
 pub const MIN_SAMPLE_TIME: Duration = Duration::from_millis(2);
-
-/// Minimum number of timed samples per benchmark, settable via
-/// `HOAS_BENCH_SAMPLES`. Individual groups pick small sample counts for
-/// quick interactive runs; a recorded baseline (`bench-baseline`) raises
-/// the floor so medians are robust against scheduler jitter.
-fn sample_floor() -> usize {
-    std::env::var("HOAS_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
 
 /// Re-export so benches can `black_box` without naming `std::hint`.
 pub use std::hint::black_box;
@@ -66,15 +54,6 @@ impl From<String> for BenchmarkId {
     }
 }
 
-/// Throughput annotation (recorded in the JSON report).
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    /// Elements processed per iteration.
-    Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
-}
-
 /// One finished measurement.
 #[derive(Clone, Debug)]
 pub struct BenchResult {
@@ -88,8 +67,6 @@ pub struct BenchResult {
     pub mean: Duration,
     /// Total calls measured (samples × batch).
     pub iterations: u64,
-    /// Optional throughput annotation.
-    pub throughput: Option<Throughput>,
 }
 
 /// The harness root: collects results across groups.
@@ -116,53 +93,13 @@ impl Criterion {
             criterion: self,
             name: name.into(),
             sample_size: 20,
-            throughput: None,
         }
     }
 
-    /// Prints the closing summary and writes the JSON report if
-    /// `HOAS_BENCH_JSON` is set. Called by the `criterion_main!`
+    /// Prints the closing summary. Called by the `criterion_main!`
     /// replacement after all groups ran.
     pub fn final_summary(&self) {
         println!("# {} benchmarks measured", self.results.len());
-        if let Ok(path) = std::env::var("HOAS_BENCH_JSON") {
-            if !path.is_empty() {
-                match std::fs::write(&path, self.to_json()) {
-                    Ok(()) => println!("# JSON report written to {path}"),
-                    Err(e) => eprintln!("# failed to write {path}: {e}"),
-                }
-            }
-        }
-    }
-
-    /// The results serialized as a JSON array (hand-rolled — no external
-    /// dependencies).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let thr = match r.throughput {
-                Some(Throughput::Elements(n)) => format!(r#", "elements": {n}"#),
-                Some(Throughput::Bytes(n)) => format!(r#", "bytes": {n}"#),
-                None => String::new(),
-            };
-            out.push_str(&format!(
-                r#"  {{"id": "{}", "min_ns": {}, "median_ns": {}, "mean_ns": {}, "iterations": {}{}}}"#,
-                escape_json(&r.id),
-                r.min.as_nanos(),
-                r.median.as_nanos(),
-                r.mean.as_nanos(),
-                r.iterations,
-                thr,
-            ));
-            out.push_str(if i + 1 < self.results.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push(']');
-        out.push('\n');
-        out
     }
 
     /// All results so far.
@@ -171,28 +108,17 @@ impl Criterion {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// A group of related benchmarks sharing a name prefix and sample count.
 pub struct BenchGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
-    throughput: Option<Throughput>,
 }
 
 impl BenchGroup<'_> {
     /// Sets the number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(2);
-        self
-    }
-
-    /// Annotates subsequent benchmarks with a throughput.
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
         self
     }
 
@@ -229,8 +155,7 @@ impl BenchGroup<'_> {
     }
 
     fn record(&mut self, id: String, b: Bencher) {
-        if let Some(mut r) = b.into_result(id) {
-            r.throughput = self.throughput;
+        if let Some(r) = b.into_result(id) {
             println!(
                 "{:<56} min {:>12} median {:>12} mean {:>12} ({} iters)",
                 r.id,
@@ -272,7 +197,7 @@ pub struct Bencher {
 impl Bencher {
     fn new(sample_size: usize, smoke: bool) -> Bencher {
         Bencher {
-            sample_size: sample_size.max(sample_floor()),
+            sample_size,
             smoke,
             samples: None,
             iterations: 0,
@@ -331,7 +256,6 @@ impl Bencher {
             median,
             mean,
             iterations: self.iterations,
-            throughput: None,
         })
     }
 }
@@ -382,25 +306,6 @@ mod tests {
         assert_eq!(r.id, "unit/spin");
         assert!(r.min <= r.median && r.median <= r.mean * 2);
         assert!(r.iterations >= 3);
-    }
-
-    #[test]
-    fn json_report_is_well_formed_enough() {
-        let mut c = Criterion::new();
-        c.results.push(BenchResult {
-            id: "g/f\"q\"/1".into(),
-            min: Duration::from_nanos(10),
-            median: Duration::from_nanos(20),
-            mean: Duration::from_nanos(21),
-            iterations: 100,
-            throughput: Some(Throughput::Elements(8)),
-        });
-        let j = c.to_json();
-        assert!(j.starts_with("[\n"));
-        assert!(j.contains(r#""median_ns": 20"#));
-        assert!(j.contains(r#"\"q\""#));
-        assert!(j.contains(r#""elements": 8"#));
-        assert!(j.trim_end().ends_with(']'));
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //!   well-typed canonical terms, λProlog reachability programs (with an
 //!   oracle), and terminating rewrite systems — all built on `hoas-core`'s
 //!   builders;
-//! * [`bench`] — a wall-clock micro-benchmark timer with a
-//!   Criterion-shaped API ([`criterion_group!`]/[`criterion_main!`]) and a
-//!   JSON report.
+//! * [`bench`](mod@bench) — a wall-clock micro-benchmark timer with a
+//!   Criterion-shaped API ([`criterion_group!`]/[`criterion_main!`]).
 //!
 //! Determinism contract: every suite runs under the fixed default seed
 //! [`prop::DEFAULT_SEED`]; the same seed always produces the same case

@@ -1,15 +1,24 @@
 //! Integration tests for warm images (PR 7): a store + cache bundle
 //! saved from one isolated store and reloaded into another must replay
 //! the same workload with **zero rule-NF cache misses**, identical
-//! results, and live persistence counters; corrupted images must be
-//! rejected outright.
+//! results, and live persistence counters; one image carries the
+//! rewrite caches and the solver's answer tables together; corrupted
+//! images must be rejected outright.
 
 use hoas::core::prelude::*;
 use hoas::langs::fol;
-use hoas::rewrite::image::{inspect_warm_image, load_warm_image, save_warm_image};
+use hoas::lp::solve::{query_menv, solve_with, SolveConfig};
+use hoas::lp::{SolveTables, TableMode};
+use hoas::rewrite::image::{
+    inspect_warm_image, load_warm_image, load_warm_image_with_tables, save_warm_image,
+    save_warm_image_with_tables,
+};
 use hoas::rewrite::rulesets::fol_prenex;
 use hoas::rewrite::{Engine, EngineCaches, EngineConfig};
 use hoas_bench::workloads;
+
+mod common;
+use common::{absorb_tables, export_tables, fold_program, shared_tree};
 
 /// Builds the shared workload inside the current store.
 fn workload() -> (Signature, Vec<Term>) {
@@ -73,6 +82,71 @@ fn warm_reload_replays_with_zero_misses() {
         assert!(es.memo_hits > 0, "root memo never hit on warm replay");
         // The load created nodes in this fresh store.
         assert!(hoas::core::store::stats().since(&before).distinct_nodes > 0);
+    });
+}
+
+/// One image holds both warm prenex caches and fold-program solver
+/// tables; loaded into a salted isolated store, it replays the rewrite
+/// workload with zero rule-NF misses and answers the solver query from
+/// the tables alone.
+#[test]
+fn one_image_replays_rewrite_caches_and_solver_tables() {
+    // The program is built in each store: its clauses' nodes must live
+    // in the store the solver runs in.
+    let query = format!("opt {} ?Z", shared_tree(10));
+    let cfg = SolveConfig {
+        max_depth: 1 << 13,
+        fuel: 100_000_000,
+        table: TableMode::Force,
+        ..SolveConfig::default()
+    };
+    let (image, cold_results) = StoreHandle::isolated().enter(|| {
+        let caches = EngineCaches::new();
+        let (results, _) = normalize_all(caches.clone());
+        let prog = fold_program();
+        let (goal, menv) = query_menv(prog.sig(), &query, &[("Z", "e")]).expect("query parses");
+        let mut tables = SolveTables::for_program(&prog);
+        let out = solve_with(&prog, &menv, &goal, &cfg, None, &mut tables).expect("solves");
+        assert_eq!(out.answers.len(), 1, "fold workload must solve");
+        let image = save_warm_image_with_tables(&caches, &export_tables(&tables));
+        (image, results)
+    });
+
+    StoreHandle::isolated().enter(|| {
+        // Salt terms the writer never interned shift the id counter, so
+        // the loader must translate ids for real.
+        let _salt: Vec<TermRef> = (0..7)
+            .map(|k| TermRef::new(Term::Int(0x5a17 + k)))
+            .collect();
+        let caches = EngineCaches::new();
+        let before = hoas::core::store::stats();
+        let (loaded, entries) = load_warm_image_with_tables(&image, &caches).expect("image loads");
+        let created = hoas::core::store::stats().since(&before).distinct_nodes;
+        assert!(loaded.bytes > 0, "load moved no bytes");
+        assert!(loaded.remapped_ids > 0, "salted store must remap ids");
+        assert!(loaded.entries_reloaded > 0, "load reloaded no entries");
+        assert!(loaded.pool_nodes > 0, "image carried no pool nodes");
+        assert!(created > 0, "load created no nodes");
+        assert!(loaded.solver_table_entries > 0, "image carried no tables");
+        let inspected = inspect_warm_image(&image).expect("image inspects");
+        assert_eq!(inspected.solver_table_entries, loaded.solver_table_entries);
+
+        let (warm_results, es) = normalize_all(caches);
+        assert_eq!(warm_results, cold_results, "warm results differ from cold");
+        assert_eq!(es.cache_misses, 0, "warm replay took rule-NF misses");
+        assert!(es.memo_hits > 0, "root memo never hit on warm replay");
+
+        let prog = fold_program();
+        let (goal, menv) = query_menv(prog.sig(), &query, &[("Z", "e")]).expect("query parses");
+        let mut tables = absorb_tables(&prog, entries);
+        assert!(tables.answer_count() > 0, "absorbed tables hold no answers");
+        let out = solve_with(&prog, &menv, &goal, &cfg, None, &mut tables).expect("solves");
+        assert_eq!(out.answers.len(), 1);
+        assert!(out.tables.hits > 0, "reloaded tables scored no hit");
+        assert_eq!(
+            out.tables.variant_misses, 0,
+            "reloaded tables re-ran a generator"
+        );
     });
 }
 

@@ -24,15 +24,16 @@
 use hoas::analyze::modes;
 use hoas::lp::examples::stlc_program;
 use hoas::lp::solve::{query_menv, solve, solve_certified, solve_with, SolveConfig};
-use hoas::lp::{Clause, EntryState, Program, SolveTables, TableAnswer, TableMode};
-use hoas::rewrite::image::{
-    load_warm_image_with_tables, save_warm_image_with_tables, SolverTableEntry,
-};
+use hoas::lp::{Clause, Program, SolveTables, TableMode};
+use hoas::rewrite::image::{load_warm_image_with_tables, save_warm_image_with_tables};
 use hoas::rewrite::EngineCaches;
 use hoas_core::sig::Signature;
 use hoas_testkit::gen;
 use hoas_testkit::prelude::*;
 use std::collections::BTreeSet;
+
+mod common;
+use common::{absorb_tables, export_tables, fold_program, shared_tree};
 
 /// Builds the `edge`/`path` program of a generated graph spec.
 fn reach_program(spec: &gen::LpSpec) -> Program {
@@ -44,39 +45,6 @@ fn reach_program(spec: &gen::LpSpec) -> Program {
         prog.push(Clause::parse(prog.sig(), &vars, &head, &body).unwrap());
     }
     prog
-}
-
-/// The shared-subtree `opt` workload: tabling collapses its
-/// exponentially many identical subgoals to one generator each.
-fn fold_program() -> Program {
-    let sig = Signature::parse(
-        "type e. type o.
-         const zero : e. const one : e.
-         const plus : e -> e -> e.
-         const opt : e -> e -> o.",
-    )
-    .unwrap();
-    let mut prog = Program::new(sig);
-    prog.push(Clause::parse(prog.sig(), &[], "opt zero zero", &[]).unwrap());
-    prog.push(Clause::parse(prog.sig(), &[], "opt one one", &[]).unwrap());
-    prog.push(
-        Clause::parse(
-            prog.sig(),
-            &[("X", "e"), ("Y", "e"), ("A", "e"), ("B", "e")],
-            "opt (plus ?X ?Y) (plus ?A ?B)",
-            &["opt ?X ?A", "opt ?Y ?B"],
-        )
-        .unwrap(),
-    );
-    prog
-}
-
-fn shared_tree(depth: usize) -> String {
-    let mut tree = String::from("one");
-    for _ in 0..depth {
-        tree = format!("(plus {tree} {tree})");
-    }
-    tree
 }
 
 /// Renders the `Z`-bindings of an outcome as a canonical answer set.
@@ -325,20 +293,7 @@ fn tables_survive_a_warm_image_round_trip() {
     assert_eq!(cold.answers.len(), 1);
 
     // Export through the image's engine-neutral entry form.
-    let exported: Vec<SolverTableEntry> = tables
-        .entries()
-        .map(|(_, e)| SolverTableEntry {
-            pred: e.pred.clone(),
-            call: e.call.clone(),
-            call_tys: e.call_tys.clone(),
-            answers: e
-                .answers
-                .iter()
-                .map(|a| (a.term.clone(), a.meta_tys.clone()))
-                .collect(),
-            complete: e.state == EntryState::Complete,
-        })
-        .collect();
+    let exported = export_tables(&tables);
     assert!(!exported.is_empty());
     let caches = EngineCaches::new();
     let image = save_warm_image_with_tables(&caches, &exported);
@@ -350,19 +305,7 @@ fn tables_survive_a_warm_image_round_trip() {
         exported.iter().map(|e| e.answers.len()).sum::<usize>()
     );
 
-    let mut warm_tables = SolveTables::for_program(&prog);
-    for e in reloaded {
-        warm_tables.absorb(
-            e.pred,
-            e.call,
-            e.call_tys,
-            e.answers
-                .into_iter()
-                .map(|(term, meta_tys)| TableAnswer { term, meta_tys })
-                .collect(),
-            e.complete,
-        );
-    }
+    let mut warm_tables = absorb_tables(&prog, reloaded);
     assert_eq!(warm_tables.len(), tables.len());
     assert_eq!(warm_tables.answer_count(), tables.answer_count());
 
