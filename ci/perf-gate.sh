@@ -1,8 +1,9 @@
 #!/bin/sh
 # Timing gate: runs every perfbench workload as alternating base/change
-# pairs and fails if any run's answers are not all correct, or if the
-# median change/base jobs_per_s ratio of a workload is below 0.75 (the
-# 0.25 bound BENCHMARK.json sets on jobs_per_s). Prints every pair.
+# pairs (the base first in odd pairs, the change first in even ones) and
+# fails if any run's answers are not all correct, or if the median
+# change/base jobs_per_s ratio of a workload is below 0.75 (the 0.25
+# bound BENCHMARK.json sets on jobs_per_s). Prints every pair.
 #
 # Usage, from anywhere inside the repository (offline, needs the base
 # revision in the local clone):
@@ -46,8 +47,15 @@ for w in rewrite-cold lp-cold rewrite-warm; do
     ratios=
     i=1
     while [ "$i" -le "$pairs" ]; do
-        b=$(run "$tmp/base" "$w") || exit 1
-        c=$(run "$root" "$w") || exit 1
+        # Alternate which side runs first, so drift within a pair (a
+        # warming or throttling host) does not always favour one side.
+        if [ $((i % 2)) -eq 0 ]; then
+            c=$(run "$root" "$w") || exit 1
+            b=$(run "$tmp/base" "$w") || exit 1
+        else
+            b=$(run "$tmp/base" "$w") || exit 1
+            c=$(run "$root" "$w") || exit 1
+        fi
         r=$(awk -v b="$b" -v c="$c" 'BEGIN { printf "%.3f", c / b }')
         awk -v w="$w" -v i="$i" -v b="$b" -v c="$c" -v r="$r" 'BEGIN {
             printf "%s pair %d: base %.0f, change %.0f jobs_per_s, ratio %s\n", w, i, b, c, r }'

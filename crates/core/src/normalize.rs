@@ -12,6 +12,18 @@
 //!   (η-long β-normal) form, on which adequacy of encodings is stated;
 //! * [`eta_contract`] — untyped η-contraction, useful for printing.
 //!
+//! # One traversal
+//!
+//! [`hinstantiate`] (behind [`happly`]) and [`nf`] hold no traversal of
+//! their own: they are entry points over the kernel's one de Bruijn
+//! traversal in [`crate::subst`], the same one `shift` and `subst` run
+//! on. Hereditary substitution is its "open index 0" operation with
+//! redex contraction switched on; `nf` is the operation whose only
+//! variable action is the identity. Both contract a β-redex they create
+//! or meet by hereditary substitution of the argument into the λ's body,
+//! and a projection redex by taking the pair's component, so sharing,
+//! interning and the operation memo work the same for all of them.
+//!
 //! # Termination
 //!
 //! Hereditary substitution terminates on all *well-typed* terms. The
@@ -22,10 +34,8 @@
 use crate::ctx::Ctx;
 use crate::error::Error;
 use crate::intern::Sym;
-use crate::opmemo::{self, Key, Table, MEMO_LVLS, OP_HSUB, OP_NF};
 use crate::sig::Signature;
-use crate::store::{self, InternSession, NodeView};
-use crate::subst::{shift, shift_interned};
+use crate::subst::{self, shift, Op};
 use crate::term::{MetaEnv, MetaTypes, Term, TermRef};
 use crate::ty::Ty;
 use std::collections::HashMap;
@@ -70,297 +80,31 @@ pub fn hsnd(p: Term) -> Term {
 /// every redex created at substitution sites.
 ///
 /// Subterms that are β-normal and cannot mention the opened variable
-/// (cached `max_free`/`beta_normal` check) are shared, not copied. Rebuilt
-/// spines are interned bottom-up in one store session through borrowed
-/// views, and the top interned-subtree levels of the rebuild are memoized
-/// by [`NodeId`] (`crate::opmemo`): instantiating the same
-/// (body, argument) pair again — the signature pattern of rewrite engines
-/// — is a single probe, while fresh-id workloads pay only a constant
-/// handful of probes per call.
-///
-/// [`NodeId`]: crate::store::NodeId
+/// (cached `max_free`/`beta_normal` check) are shared, not copied. It runs
+/// on the kernel's one traversal (see [`crate::subst`]): instantiating the
+/// same (body, argument) pair again — the signature pattern of rewrite
+/// engines — replays from the operation memo with a single probe.
 pub fn hinstantiate(body: &Term, arg: &Term) -> Term {
     if body.max_free() == 0 && body.is_beta_normal() {
         return body.clone();
     }
-    // Intern the substituend once, before opening the session: its id
-    // keys the hereditary-substitution memo.
-    let aref = TermRef::new(arg.clone());
-    store::with_session(|sess| {
-        opmemo::with_table(sess.store_token(), |tab| hsub_root(body, &aref, sess, tab))
-    })
-}
-
-/// Hereditary substitution at the call root (cutoff 0): substitutes `s`
-/// for variable 0 of `t`, decrements the remaining free variables, and
-/// contracts every redex created. Returns an owned (uninterned) root.
-fn hsub_root(t: &Term, s: &TermRef, sess: &mut InternSession<'_>, tab: &mut Table) -> Term {
-    match t {
-        // Cutoff 0: a hit needs no shift, and no variable lies below it.
-        Term::Var(i) => {
-            if *i == 0 {
-                s.as_ref().clone()
-            } else {
-                Term::Var(*i - 1)
-            }
-        }
-        Term::Lam(h, b) => Term::Lam(h.clone(), hsub_ref(b, 1, s, sess, tab, 0)),
-        Term::App(f, a) => {
-            let a2 = hsub_ref(a, 0, s, sess, tab, 0);
-            let f2 = hsub_ref(f, 0, s, sess, tab, 0);
-            if let Term::Lam(_, body) = f2.as_ref() {
-                let body = body.clone();
-                hered_root(&body, &a2, sess, tab)
-            } else {
-                Term::App(f2, a2)
-            }
-        }
-        Term::Pair(a, b) => Term::Pair(
-            hsub_ref(a, 0, s, sess, tab, 0),
-            hsub_ref(b, 0, s, sess, tab, 0),
-        ),
-        Term::Fst(p) => {
-            let p2 = hsub_ref(p, 0, s, sess, tab, 0);
-            if let Term::Pair(a, _) = p2.as_ref() {
-                a.as_ref().clone()
-            } else {
-                Term::Fst(p2)
-            }
-        }
-        Term::Snd(p) => {
-            let p2 = hsub_ref(p, 0, s, sess, tab, 0);
-            if let Term::Pair(_, b) = p2.as_ref() {
-                b.as_ref().clone()
-            } else {
-                Term::Snd(p2)
-            }
-        }
-        Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-    }
-}
-
-/// Hereditary substitution over an interned subtree: share when the
-/// subtree is β-normal and cannot mention variable `k`, replay from the
-/// operation memo, or rebuild bottom-up through the session.
-fn hsub_ref(
-    t: &TermRef,
-    k: u32,
-    s: &TermRef,
-    sess: &mut InternSession<'_>,
-    tab: &mut Table,
-    lvl: u32,
-) -> TermRef {
-    if t.max_free() <= k && t.is_beta_normal() {
-        return t.clone();
-    }
-    // A variable resolves in O(1) (or one shift) — skip the memo.
-    if let Term::Var(i) = t.as_ref() {
-        return if *i == k {
-            shift_interned(s, k, sess, tab)
-        } else if *i > k {
-            sess.intern_view(&NodeView::Var(*i - 1))
-        } else {
-            sess.intern_view(&NodeView::Var(*i))
-        };
-    }
-    let memo = lvl < MEMO_LVLS;
-    let key = Key {
-        op: OP_HSUB,
-        t: t.id().get(),
-        s: s.id().get(),
-        k: u64::from(k),
-    };
-    if memo {
-        if let Some(hit) = tab.probe(&key) {
-            return hit;
-        }
-    }
-    let out = match t.as_ref() {
-        Term::Lam(h, b) => {
-            let b2 = hsub_ref(b, k + 1, s, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Lam(h, &b2))
-        }
-        Term::App(f, a) => {
-            let a2 = hsub_ref(a, k, s, sess, tab, lvl + 1);
-            let f2 = hsub_ref(f, k, s, sess, tab, lvl + 1);
-            if let Term::Lam(_, body) = f2.as_ref() {
-                let body = body.clone();
-                hered_ref(&body, &a2, sess, tab, lvl)
-            } else {
-                sess.intern_view(&NodeView::App(&f2, &a2))
-            }
-        }
-        Term::Pair(a, b) => {
-            let a2 = hsub_ref(a, k, s, sess, tab, lvl + 1);
-            let b2 = hsub_ref(b, k, s, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Pair(&a2, &b2))
-        }
-        Term::Fst(p) => {
-            let p2 = hsub_ref(p, k, s, sess, tab, lvl + 1);
-            if let Term::Pair(a, _) = p2.as_ref() {
-                a.clone()
-            } else {
-                sess.intern_view(&NodeView::Fst(&p2))
-            }
-        }
-        Term::Snd(p) => {
-            let p2 = hsub_ref(p, k, s, sess, tab, lvl + 1);
-            if let Term::Pair(_, b) = p2.as_ref() {
-                b.clone()
-            } else {
-                sess.intern_view(&NodeView::Snd(&p2))
-            }
-        }
-        Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-    };
-    if memo {
-        tab.insert(key, &out);
-    }
-    out
-}
-
-/// In-session [`hinstantiate`] with an uninterned root: contracts the
-/// redex a substitution created at the call root.
-fn hered_root(
-    body: &TermRef,
-    arg: &TermRef,
-    sess: &mut InternSession<'_>,
-    tab: &mut Table,
-) -> Term {
-    if body.max_free() == 0 && body.is_beta_normal() {
-        return body.as_ref().clone();
-    }
-    hsub_root(body, arg, sess, tab)
-}
-
-/// In-session [`hinstantiate`] below the root: contracts a redex created
-/// at a substitution site, returning the interned contractum.
-fn hered_ref(
-    body: &TermRef,
-    arg: &TermRef,
-    sess: &mut InternSession<'_>,
-    tab: &mut Table,
-    lvl: u32,
-) -> TermRef {
-    if body.max_free() == 0 && body.is_beta_normal() {
-        return body.clone();
-    }
-    hsub_ref(body, 0, arg, sess, tab, lvl)
+    let s = TermRef::new(arg.clone());
+    subst::run(Op::Hsub(&s), body, 0)
 }
 
 /// Full β-normal form (also contracts projection redexes).
 ///
 /// O(1) on terms whose cached `beta_normal` annotation already holds;
-/// normal subterms are shared, not rebuilt. Everything else is normalized
-/// in one store session, with the top interned-subtree levels memoized by
-/// [`NodeId`] (`crate::opmemo`): normalizing a term seen before (in
-/// this call or an earlier one) replays from a single probe.
-///
-/// [`NodeId`]: crate::store::NodeId
+/// normal subterms are shared, not rebuilt. Everything else runs on the
+/// kernel's one traversal (see [`crate::subst`]), so normalizing a term
+/// seen before replays from the operation memo.
 ///
 /// Diverges on ill-typed divergent terms; see [`nf_fuel`].
 pub fn nf(t: &Term) -> Term {
     if t.is_beta_normal() {
         return t.clone();
     }
-    store::with_session(|sess| opmemo::with_table(sess.store_token(), |tab| nf_root(t, sess, tab)))
-}
-
-/// [`nf`] at the call root, returning an owned (uninterned) root.
-fn nf_root(t: &Term, sess: &mut InternSession<'_>, tab: &mut Table) -> Term {
-    match t {
-        Term::App(f, a) => {
-            let f2 = nf_ref(f, sess, tab, 0);
-            let a2 = nf_ref(a, sess, tab, 0);
-            if let Term::Lam(_, body) = f2.as_ref() {
-                let body = body.clone();
-                hered_root(&body, &a2, sess, tab)
-            } else {
-                Term::App(f2, a2)
-            }
-        }
-        Term::Lam(h, b) => Term::Lam(h.clone(), nf_ref(b, sess, tab, 0)),
-        Term::Pair(a, b) => Term::Pair(nf_ref(a, sess, tab, 0), nf_ref(b, sess, tab, 0)),
-        Term::Fst(p) => {
-            let p2 = nf_ref(p, sess, tab, 0);
-            if let Term::Pair(a, _) = p2.as_ref() {
-                a.as_ref().clone()
-            } else {
-                Term::Fst(p2)
-            }
-        }
-        Term::Snd(p) => {
-            let p2 = nf_ref(p, sess, tab, 0);
-            if let Term::Pair(_, b) = p2.as_ref() {
-                b.as_ref().clone()
-            } else {
-                Term::Snd(p2)
-            }
-        }
-        Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-    }
-}
-
-/// [`nf`] over an interned subtree: share cached-normal nodes, replay
-/// from the operation memo, or normalize and intern bottom-up.
-fn nf_ref(t: &TermRef, sess: &mut InternSession<'_>, tab: &mut Table, lvl: u32) -> TermRef {
-    if t.is_beta_normal() {
-        return t.clone();
-    }
-    let memo = lvl < MEMO_LVLS;
-    let key = Key {
-        op: OP_NF,
-        t: t.id().get(),
-        s: 0,
-        k: 0,
-    };
-    if memo {
-        if let Some(hit) = tab.probe(&key) {
-            return hit;
-        }
-    }
-    let out = match t.as_ref() {
-        Term::App(f, a) => {
-            let f2 = nf_ref(f, sess, tab, lvl + 1);
-            let a2 = nf_ref(a, sess, tab, lvl + 1);
-            if let Term::Lam(_, body) = f2.as_ref() {
-                let body = body.clone();
-                hered_ref(&body, &a2, sess, tab, lvl)
-            } else {
-                sess.intern_view(&NodeView::App(&f2, &a2))
-            }
-        }
-        Term::Lam(h, b) => {
-            let b2 = nf_ref(b, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Lam(h, &b2))
-        }
-        Term::Pair(a, b) => {
-            let a2 = nf_ref(a, sess, tab, lvl + 1);
-            let b2 = nf_ref(b, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Pair(&a2, &b2))
-        }
-        Term::Fst(p) => {
-            let p2 = nf_ref(p, sess, tab, lvl + 1);
-            if let Term::Pair(a, _) = p2.as_ref() {
-                a.clone()
-            } else {
-                sess.intern_view(&NodeView::Fst(&p2))
-            }
-        }
-        Term::Snd(p) => {
-            let p2 = nf_ref(p, sess, tab, lvl + 1);
-            if let Term::Pair(_, b) = p2.as_ref() {
-                b.clone()
-            } else {
-                sess.intern_view(&NodeView::Snd(&p2))
-            }
-        }
-        Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-    };
-    if memo {
-        tab.insert(key, &out);
-    }
-    out
+    subst::run(Op::Nf, t, 0)
 }
 
 /// Weak head normal form: reduces only the head redex chain, leaving
@@ -373,7 +117,7 @@ pub fn whnf(t: &Term) -> Term {
         Term::App(f, a) => {
             let fw = whnf(f);
             match fw {
-                Term::Lam(_, body) => whnf(&crate::subst::instantiate(&body, a)),
+                Term::Lam(_, body) => whnf(&subst::instantiate(&body, a)),
                 _ => Term::app(fw, a.as_ref().clone()),
             }
         }
@@ -452,7 +196,7 @@ fn nf_fueled(t: &Term, budget: &mut u64) -> Result<Term, FuelExhausted> {
                 match f2 {
                     Term::Lam(_, body) => {
                         spend(budget)?;
-                        cur = crate::subst::instantiate(&body, &a2);
+                        cur = subst::instantiate(&body, &a2);
                     }
                     _ => return Ok(Term::app(f2, a2)),
                 }
@@ -502,7 +246,7 @@ pub fn eta_contract(t: &Term) -> Term {
             let b2 = eta_contract(b);
             if let Term::App(f, a) = &b2 {
                 if matches!(a.as_ref(), Term::Var(0)) && !f.occurs_free(0) {
-                    return crate::subst::unshift_above(f, 1, 0);
+                    return subst::unshift_above(f, 1, 0);
                 }
             }
             Term::lam(h.clone(), b2)

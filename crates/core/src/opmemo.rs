@@ -9,15 +9,16 @@
 //! * **Across calls**: rewrite engines and benchmarks instantiate the same
 //!   (subtree, substituend) pairs over and over; every repeat after the
 //!   first is O(1) instead of O(tree).
-//! * **Within a call**: interning dedups α-equivalent subtrees, so a term
-//!   that is a DAG in the store is traversed per *distinct* class, not per
-//!   occurrence.
+//! * **Within a call**: a substituend shifted at several variable
+//!   occurrences under the same binder depth is shifted once; every later
+//!   occurrence replays the first.
 //!
 //! The table is a fixed-size, direct-mapped, per-thread array (overwrite on
-//! conflict, so recency wins and the footprint is bounded). A kernel entry
-//! point borrows it **once** via [`with_table`] and threads `&mut Table`
-//! through the traversal, so per-node cost is a hash and a slot compare —
-//! no TLS access, no `RefCell` bookkeeping. Entries hold strong
+//! conflict, so recency wins and the footprint is bounded). The kernel's
+//! one traversal (`crate::subst`) borrows it **once** per call via
+//! [`with_table`] and probes it only at the top level of the call (see the
+//! `subst` module docs), so a probe is a hash and a slot compare — no TLS
+//! access, no `RefCell` bookkeeping. Entries hold strong
 //! [`TermRef`]s, pinning at most [`SLOTS`] classes per thread against
 //! [`crate::store::trim`] — same bounded-pin contract as the interner's
 //! front cache. The table records the owning store's token: switching
@@ -65,15 +66,6 @@ pub(crate) struct Key {
 
 /// Entries per thread (direct-mapped). 4096 × ~40 B ≈ 160 KiB.
 const SLOTS: usize = 1 << 12;
-
-/// How many interned-subtree levels below a kernel entry point consult
-/// the memo. Replay of a repeated operation only needs the *top* probes
-/// to hit — a hit returns the whole cached subtree — so gating the memo
-/// to the first level keeps the O(1) warm path while charging cold,
-/// fresh-id workloads (where the memo cannot hit) only a couple of
-/// probes per call instead of one cache-missing table access per rebuilt
-/// node.
-pub(crate) const MEMO_LVLS: u32 = 1;
 
 /// The thread's operation memo, lent out whole by [`with_table`].
 pub(crate) struct Table {

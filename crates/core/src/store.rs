@@ -167,13 +167,14 @@ impl InternStats {
 /// hints. O(1) to build and hash because children are already interned.
 ///
 /// Built only on the intern slow path: the hot path hashes and compares
-/// the *borrowed* term directly ([`probe_hash`], [`term_matches`]), so a
-/// warm rebuild (front or map hit on a `Const`) never pays the `Sym`
-/// `Arc` refcount bump that `NodeKey::of` needs for the owned key.
-#[derive(PartialEq, Eq, Debug)]
+/// the borrowed [`NodeView`] directly ([`view_hash`], [`view_matches`]),
+/// so a warm rebuild never pays the `Sym` refcount bump of an owned key.
+/// The map hashes its keys itself; `view_hash` only has to be a function
+/// of the skeleton, so that one α-class always lands in one shard.
+#[derive(PartialEq, Eq, Hash, Debug)]
 enum NodeKey {
     Var(u32),
-    Const(crate::intern::Sym),
+    Const(Sym),
     Meta(u32),
     Int(i64),
     Unit,
@@ -184,173 +185,12 @@ enum NodeKey {
     Snd(NodeId),
 }
 
-/// Constructor tags shared by [`NodeKey`]'s `Hash` and [`probe_hash`] —
-/// the two must stay bit-for-bit identical: the probe hash picks the
-/// shard and the map bucket that the owned key is then inserted under.
-mod tag {
-    pub const VAR: u8 = 0;
-    pub const CONST: u8 = 1;
-    pub const META: u8 = 2;
-    pub const INT: u8 = 3;
-    pub const UNIT: u8 = 4;
-    pub const LAM: u8 = 5;
-    pub const APP: u8 = 6;
-    pub const PAIR: u8 = 7;
-    pub const FST: u8 = 8;
-    pub const SND: u8 = 9;
-}
-
-impl Hash for NodeKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            NodeKey::Var(i) => {
-                state.write_u8(tag::VAR);
-                state.write_u32(*i);
-            }
-            NodeKey::Const(c) => {
-                state.write_u8(tag::CONST);
-                c.hash(state);
-            }
-            NodeKey::Meta(m) => {
-                state.write_u8(tag::META);
-                state.write_u32(*m);
-            }
-            NodeKey::Int(n) => {
-                state.write_u8(tag::INT);
-                state.write_i64(*n);
-            }
-            NodeKey::Unit => state.write_u8(tag::UNIT),
-            NodeKey::Lam(b) => {
-                state.write_u8(tag::LAM);
-                state.write_u64(b.0);
-            }
-            NodeKey::App(f, a) => {
-                state.write_u8(tag::APP);
-                state.write_u64(f.0);
-                state.write_u64(a.0);
-            }
-            NodeKey::Pair(a, b) => {
-                state.write_u8(tag::PAIR);
-                state.write_u64(a.0);
-                state.write_u64(b.0);
-            }
-            NodeKey::Fst(p) => {
-                state.write_u8(tag::FST);
-                state.write_u64(p.0);
-            }
-            NodeKey::Snd(p) => {
-                state.write_u8(tag::SND);
-                state.write_u64(p.0);
-            }
-        }
-    }
-}
-
-impl NodeKey {
-    fn of_view(v: &NodeView<'_>) -> NodeKey {
-        match v {
-            NodeView::Var(i) => NodeKey::Var(*i),
-            NodeView::Const(c) => NodeKey::Const((*c).clone()),
-            NodeView::Meta(m) => NodeKey::Meta(m.id()),
-            NodeView::Int(n) => NodeKey::Int(*n),
-            NodeView::Unit => NodeKey::Unit,
-            NodeView::Lam(_, b) => NodeKey::Lam(b.id()),
-            NodeView::App(f, a) => NodeKey::App(f.id(), a.id()),
-            NodeView::Pair(a, b) => NodeKey::Pair(a.id(), b.id()),
-            NodeView::Fst(p) => NodeKey::Fst(p.id()),
-            NodeView::Snd(p) => NodeKey::Snd(p.id()),
-        }
-    }
-
-    fn of(t: &Term) -> NodeKey {
-        match t {
-            Term::Var(i) => NodeKey::Var(*i),
-            Term::Const(c) => NodeKey::Const(c.clone()),
-            Term::Meta(m) => NodeKey::Meta(m.id()),
-            Term::Int(n) => NodeKey::Int(*n),
-            Term::Unit => NodeKey::Unit,
-            Term::Lam(_, b) => NodeKey::Lam(b.id()),
-            Term::App(f, a) => NodeKey::App(f.id(), a.id()),
-            Term::Pair(a, b) => NodeKey::Pair(a.id(), b.id()),
-            Term::Fst(p) => NodeKey::Fst(p.id()),
-            Term::Snd(p) => NodeKey::Snd(p.id()),
-        }
-    }
-}
-
-/// The borrowed twin of hashing `NodeKey::of(t)`: same tags, same write
-/// sequence, same [`FxHasher`] — asserted bit-for-bit by a unit test —
-/// but no `Sym` clone and no key allocation on the lookup path.
-fn probe_hash(t: &Term) -> u64 {
-    let mut h = FxHasher::default();
-    match t {
-        Term::Var(i) => {
-            h.write_u8(tag::VAR);
-            h.write_u32(*i);
-        }
-        Term::Const(c) => {
-            h.write_u8(tag::CONST);
-            c.hash(&mut h);
-        }
-        Term::Meta(m) => {
-            h.write_u8(tag::META);
-            h.write_u32(m.id());
-        }
-        Term::Int(n) => {
-            h.write_u8(tag::INT);
-            h.write_i64(*n);
-        }
-        Term::Unit => h.write_u8(tag::UNIT),
-        Term::Lam(_, b) => {
-            h.write_u8(tag::LAM);
-            h.write_u64(b.id().0);
-        }
-        Term::App(f, a) => {
-            h.write_u8(tag::APP);
-            h.write_u64(f.id().0);
-            h.write_u64(a.id().0);
-        }
-        Term::Pair(a, b) => {
-            h.write_u8(tag::PAIR);
-            h.write_u64(a.id().0);
-            h.write_u64(b.id().0);
-        }
-        Term::Fst(p) => {
-            h.write_u8(tag::FST);
-            h.write_u64(p.id().0);
-        }
-        Term::Snd(p) => {
-            h.write_u8(tag::SND);
-            h.write_u64(p.id().0);
-        }
-    }
-    h.finish()
-}
-
-/// Does `t`'s skeleton denote `node`? Shallow — children compare by id —
-/// so O(1); verifies front-cache candidates without building a key.
-fn term_matches(t: &Term, node: &TermNode) -> bool {
-    match (t, &node.term) {
-        (Term::Var(i), Term::Var(j)) => i == j,
-        (Term::Const(c), Term::Const(d)) => c == d,
-        (Term::Meta(m), Term::Meta(n)) => m.id() == n.id(),
-        (Term::Int(a), Term::Int(b)) => a == b,
-        (Term::Unit, Term::Unit) => true,
-        (Term::Lam(_, b), Term::Lam(_, b2)) => b.id() == b2.id(),
-        (Term::App(f, a), Term::App(f2, a2)) => f.id() == f2.id() && a.id() == a2.id(),
-        (Term::Pair(a, b), Term::Pair(a2, b2)) => a.id() == a2.id() && b.id() == b2.id(),
-        (Term::Fst(p), Term::Fst(p2)) => p.id() == p2.id(),
-        (Term::Snd(p), Term::Snd(p2)) => p.id() == p2.id(),
-        _ => false,
-    }
-}
-
 /// A *borrowed* description of one node to intern, with the children
-/// already interned: the session twin of passing an owned [`Term`] to
-/// [`intern`]. On a cache hit nothing is cloned — no child `Arc` bump,
-/// no `Sym` refcount touch — which keeps the kernel traversals and the
-/// parser refcount-lean: the owned `Term` (and its clone/drop churn) is
-/// built only on a genuine miss, when the node must be allocated anyway.
+/// already interned: the store's one intern path ([`intern`] views its
+/// owned term). On a cache hit nothing is cloned — no child `Arc` bump, no `Sym`
+/// refcount touch — which keeps the kernel traversals and the parser
+/// refcount-lean: the owned `Term` (and its clone/drop churn) is built
+/// only on a genuine miss, when the node must be allocated anyway.
 pub(crate) enum NodeView<'a> {
     /// `Term::Var`.
     Var(u32),
@@ -396,8 +236,8 @@ impl<'a> NodeView<'a> {
 
     /// The owned term this view denotes; built only on the intern miss
     /// path (children are cloned — an `Arc` bump each — because the new
-    /// node must own them).
-    fn to_term(&self) -> Term {
+    /// node must own them) and for the owned root of a kernel traversal.
+    pub(crate) fn to_term(&self) -> Term {
         match self {
             NodeView::Var(i) => Term::Var(*i),
             NodeView::Const(c) => Term::Const((*c).clone()),
@@ -411,66 +251,81 @@ impl<'a> NodeView<'a> {
             NodeView::Snd(p) => Term::Snd((*p).clone()),
         }
     }
+
+    /// The owned map key of the view's skeleton.
+    fn key(&self) -> NodeKey {
+        match *self {
+            NodeView::Var(i) => NodeKey::Var(i),
+            NodeView::Const(c) => NodeKey::Const(c.clone()),
+            NodeView::Meta(m) => NodeKey::Meta(m.id()),
+            NodeView::Int(n) => NodeKey::Int(n),
+            NodeView::Unit => NodeKey::Unit,
+            NodeView::Lam(_, b) => NodeKey::Lam(b.id()),
+            NodeView::App(f, a) => NodeKey::App(f.id(), a.id()),
+            NodeView::Pair(a, b) => NodeKey::Pair(a.id(), b.id()),
+            NodeView::Fst(p) => NodeKey::Fst(p.id()),
+            NodeView::Snd(p) => NodeKey::Snd(p.id()),
+        }
+    }
 }
 
-/// [`probe_hash`] for a borrowed [`NodeView`]: same tags, same write
-/// sequence, same hasher as `NodeKey`'s `Hash` — the view denotes the
-/// same skeleton its `to_term()` would, so the three hash paths must
-/// agree bit for bit (unit-test asserted alongside the term probe).
+/// The skeleton hash of a view: the constructor's tag, then its fields,
+/// with binder hints left out. It picks the shard and the front-cache
+/// slot.
 fn view_hash(v: &NodeView<'_>) -> u64 {
     let mut h = FxHasher::default();
     match v {
         NodeView::Var(i) => {
-            h.write_u8(tag::VAR);
+            h.write_u8(0);
             h.write_u32(*i);
         }
         NodeView::Const(c) => {
-            h.write_u8(tag::CONST);
+            h.write_u8(1);
             c.hash(&mut h);
         }
         NodeView::Meta(m) => {
-            h.write_u8(tag::META);
+            h.write_u8(2);
             h.write_u32(m.id());
         }
         NodeView::Int(n) => {
-            h.write_u8(tag::INT);
+            h.write_u8(3);
             h.write_i64(*n);
         }
-        NodeView::Unit => h.write_u8(tag::UNIT),
+        NodeView::Unit => h.write_u8(4),
         NodeView::Lam(_, b) => {
-            h.write_u8(tag::LAM);
+            h.write_u8(5);
             h.write_u64(b.id().get());
         }
         NodeView::App(f, a) => {
-            h.write_u8(tag::APP);
+            h.write_u8(6);
             h.write_u64(f.id().get());
             h.write_u64(a.id().get());
         }
         NodeView::Pair(a, b) => {
-            h.write_u8(tag::PAIR);
+            h.write_u8(7);
             h.write_u64(a.id().get());
             h.write_u64(b.id().get());
         }
         NodeView::Fst(p) => {
-            h.write_u8(tag::FST);
+            h.write_u8(8);
             h.write_u64(p.id().get());
         }
         NodeView::Snd(p) => {
-            h.write_u8(tag::SND);
+            h.write_u8(9);
             h.write_u64(p.id().get());
         }
     }
     h.finish()
 }
 
-/// Does the view's skeleton denote `node`? The borrowed twin of
-/// [`term_matches`], shallow and `Sym`-refcount-free.
-fn view_matches(v: &NodeView<'_>, node: &TermNode) -> bool {
-    match (v, &node.term) {
-        (NodeView::Var(i), Term::Var(j)) => *i == *j,
+/// Does the view denote the skeleton of the interned term `node`?
+/// Shallow — children compare by id — so O(1), and `Sym`-refcount-free.
+fn view_matches(v: &NodeView<'_>, node: &Term) -> bool {
+    match (v, node) {
+        (NodeView::Var(i), Term::Var(j)) => i == j,
         (NodeView::Const(c), Term::Const(d)) => *c == d,
         (NodeView::Meta(m), Term::Meta(n)) => m.id() == n.id(),
-        (NodeView::Int(a), Term::Int(b)) => *a == *b,
+        (NodeView::Int(a), Term::Int(b)) => a == b,
         (NodeView::Unit, Term::Unit) => true,
         (NodeView::Lam(_, b), Term::Lam(_, b2)) => b.id() == b2.id(),
         (NodeView::App(f, a), Term::App(f2, a2)) => f.id() == f2.id() && a.id() == a2.id(),
@@ -720,19 +575,21 @@ impl TermStore {
         NodeId(NEXT_ID.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// The slow path: probe-or-insert in the owning shard. `front_miss`
-    /// is true when the caller's front cache was consulted and missed
-    /// (i.e. the map hit still counts as a hit for the stats).
-    fn intern_in_shard(&self, key: NodeKey, hash: u64, term: Term) -> (Arc<TermNode>, bool) {
+    /// The slow path: probe-or-insert in the owning shard. Returns the
+    /// node and whether it was created (a miss). The owned `Term` (with
+    /// its child `Arc` clones) is materialized only inside the vacant arm,
+    /// where the node must own its children anyway.
+    fn intern_in_shard(&self, hash: u64, v: &NodeView<'_>) -> (Arc<TermNode>, bool) {
         let shard = &self.shards[(hash >> 60) as usize & (SHARDS - 1)];
         let mut guard = lock(shard);
         let tables = &mut *guard;
         let mut missed = false;
         // Single-hash probe-or-insert: the miss path must not hash twice.
-        let node = match tables.map.entry(key) {
+        let node = match tables.map.entry(v.key()) {
             Entry::Occupied(e) => Arc::clone(e.get()),
             Entry::Vacant(e) => {
                 missed = true;
+                let term = v.to_term();
                 let node = Arc::new(TermNode {
                     id: TermStore::fresh_id(),
                     max_free: term.max_free(),
@@ -753,39 +610,6 @@ impl TermStore {
             // the race-freedom argument. Entry drops release child refs,
             // which may turn further entries dead — they go in a later
             // sweep.
-            tables.map.retain(|_, node| Arc::strong_count(node) > 1);
-            tables.sweep_at = (tables.map.len() * 2).max(SHARD_MIN_SWEEP);
-            self.sweep_epoch.fetch_add(1, Ordering::Relaxed);
-        }
-        (node, missed)
-    }
-
-    /// [`TermStore::intern_in_shard`] for a borrowed [`NodeView`]: the
-    /// owned `Term` (with its child `Arc` clones) is materialized only
-    /// inside the vacant arm, where the node must own its children anyway.
-    fn intern_view_in_shard(&self, hash: u64, v: &NodeView<'_>) -> (Arc<TermNode>, bool) {
-        let shard = &self.shards[(hash >> 60) as usize & (SHARDS - 1)];
-        let mut guard = lock(shard);
-        let tables = &mut *guard;
-        let mut missed = false;
-        let node = match tables.map.entry(NodeKey::of_view(v)) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
-            Entry::Vacant(e) => {
-                missed = true;
-                let term = v.to_term();
-                let node = Arc::new(TermNode {
-                    id: TermStore::fresh_id(),
-                    max_free: term.max_free(),
-                    has_meta: term.has_metas(),
-                    beta_normal: term.is_beta_normal(),
-                    content: content_hash_of(&term),
-                    term,
-                });
-                e.insert(Arc::clone(&node));
-                node
-            }
-        };
-        if missed && tables.map.len() >= tables.sweep_at {
             tables.map.retain(|_, node| Arc::strong_count(node) > 1);
             tables.sweep_at = (tables.map.len() * 2).max(SHARD_MIN_SWEEP);
             self.sweep_epoch.fetch_add(1, Ordering::Relaxed);
@@ -1013,12 +837,12 @@ impl InternSession<'_> {
         if self.front.store != store.store_token || self.front.epoch != epoch {
             self.front.reset(store.store_token, epoch);
         } else if let Some(node) = &self.front.slots[slot] {
-            if view_matches(v, node) {
+            if view_matches(v, &node.term) {
                 *self.hits += 1;
                 return TermRef::from_node(Arc::clone(node));
             }
         }
-        let (node, missed) = store.intern_view_in_shard(hash, v);
+        let (node, missed) = store.intern_in_shard(hash, v);
         if missed {
             *self.distinct += 1;
         } else {
@@ -1033,37 +857,6 @@ impl InternSession<'_> {
         TermRef::from_node(node)
     }
 
-    /// Interns an owned term — the classic single-node path, shared by
-    /// [`intern`] so both entry points run identical probe/publish logic.
-    fn intern_owned(&mut self, term: Term) -> Arc<TermNode> {
-        *self.lookups += 1;
-        let store = self.store;
-        // Borrowed probe: hash and front-match the term itself; the owned
-        // key (with its `Sym` clone for `Const`) is built only after both
-        // caches missed, off the warm-rebuild hot path.
-        let hash = probe_hash(&term);
-        let slot = (hash as usize) & (FRONT_SLOTS - 1);
-        let epoch = store.sweep_epoch.load(Ordering::Relaxed);
-        if self.front.store != store.store_token || self.front.epoch != epoch {
-            self.front.reset(store.store_token, epoch);
-        } else if let Some(node) = &self.front.slots[slot] {
-            if term_matches(&term, node) {
-                *self.hits += 1;
-                return Arc::clone(node);
-            }
-        }
-        let (node, missed) = store.intern_in_shard(NodeKey::of(&term), hash, term);
-        if missed {
-            *self.distinct += 1;
-        } else {
-            *self.hits += 1;
-        }
-        if store.sweep_epoch.load(Ordering::Relaxed) == epoch {
-            self.front.slots[slot] = Some(Arc::clone(&node));
-        }
-        node
-    }
-
     /// Token of the store this session interns into. Keys the per-thread
     /// operation memo ([`crate::opmemo`]) so cached results never leak
     /// across a [`StoreHandle::enter`] switch.
@@ -1072,10 +865,11 @@ impl InternSession<'_> {
     }
 }
 
-/// Interns `term` in the thread's current store; called by
+/// Interns `term` (its children already interned) in the thread's current
+/// store, through the same view path as every session; called by
 /// [`TermRef::new`](crate::term::TermRef::new).
-pub(crate) fn intern(term: Term) -> Arc<TermNode> {
-    with_session(|s| s.intern_owned(term))
+pub(crate) fn intern(term: Term) -> TermRef {
+    with_session(|s| s.intern_view(&NodeView::of(&term)))
 }
 
 /// A fresh id that is *not* associated with any store entry, for the
@@ -1146,9 +940,9 @@ mod tests {
 
     #[test]
     fn borrowed_probe_agrees_with_owned_key_for_every_constructor() {
-        // The probe hash picks the shard and bucket that the owned key is
-        // inserted under; any divergence would split one α-class across
-        // buckets. Cover all ten constructors.
+        // `intern` and every session intern through one view path, so an
+        // owned term and its view must land on one node. Cover all ten
+        // constructors.
         let samples = [
             Term::Var(7),
             Term::cnst("append"),
@@ -1162,32 +956,14 @@ mod tests {
             Term::snd(Term::pair(Term::Unit, Term::Unit)),
         ];
         for t in samples {
-            assert_eq!(
-                probe_hash(&t),
-                FxBuild.hash_one(NodeKey::of(&t)),
-                "probe/key hash divergence on {t:?}"
-            );
-            // The borrowed session view must land in the same shard
-            // and bucket as both the term probe and the owned key.
-            assert_eq!(
-                view_hash(&NodeView::of(&t)),
-                probe_hash(&t),
-                "view/probe hash divergence on {t:?}"
-            );
-            assert_eq!(
-                FxBuild.hash_one(NodeKey::of_view(&NodeView::of(&t))),
-                FxBuild.hash_one(NodeKey::of(&t)),
-                "view/owned key divergence on {t:?}"
-            );
-            assert_eq!(NodeView::of(&t).to_term(), t, "view round-trip on {t:?}");
+            let v = NodeView::of(&t);
+            assert_eq!(v.to_term(), t, "view round-trip on {t:?}");
             let node = intern(t.clone());
-            assert!(term_matches(&t, &node));
-            assert!(view_matches(&NodeView::of(&t), &node));
-            assert!(!term_matches(&Term::Var(999), &node) || matches!(t, Term::Var(999)));
-            // Interning the same skeleton through the view path
-            // returns the very same node.
-            let via_view = with_session(|s| s.intern_view(&NodeView::of(&t)));
-            assert_eq!(via_view.id(), node.id);
+            assert!(view_matches(&v, node.term()));
+            // `intern(t)` and a session intern of its view return the
+            // very same node.
+            let via_view = with_session(|s| s.intern_view(&v));
+            assert_eq!(via_view.id(), node.id());
         }
     }
 

@@ -1,4 +1,5 @@
-//! De Bruijn index manipulation: shifting and substitution.
+//! De Bruijn index manipulation: shifting and substitution, and the one
+//! traversal every kernel operation runs on.
 //!
 //! These are the capture-avoiding primitives that the metalanguage provides
 //! *once and for all*; every object language encoded with HOAS inherits
@@ -8,39 +9,50 @@
 //! Plain [`subst`]/[`instantiate`] may create β-redexes; the *hereditary*
 //! variants that keep terms normal live in [`crate::normalize`].
 //!
-//! # Sharing fast paths
+//! # One traversal
 //!
-//! Every traversal here consults the cached `max_free` annotation (see
-//! [`crate::term::TermRef`]) before descending: a subterm whose free
-//! variables all lie below the cutoff cannot be changed by a shift or a
-//! substitution, so the traversal returns the **same** interned node — a
-//! pointer copy under the same [`crate::store::NodeId`], zero allocations
-//! and zero store lookups. On closed subterms (`max_free == 0`) every
-//! operation in this module is O(1).
+//! [`shift_above`], [`unshift_above`], [`subst`], [`instantiate`],
+//! hereditary substitution ([`crate::normalize::hinstantiate`]) and
+//! [`crate::normalize::nf`] are thin entry points over one de Bruijn
+//! traversal, parameterised by an operation (`Op`). The operation supplies
+//! four things: its sharing guard, its action on a free variable (shift
+//! it above a cutoff, replace variable `j`, or open index 0), its memo
+//! key, and whether it contracts the β- and projection redexes it creates
+//! (hereditary substitution and `nf` do; a contraction is hereditary
+//! substitution of the argument into the λ's body).
 //!
-//! # Refcount-lean rebuilds
+//! * **Sharing.** The guard reads the cached `max_free`/`beta_normal`
+//!   annotations (see [`crate::term::TermRef`]) before descending: a
+//!   subterm the operation cannot change comes back as the **same**
+//!   interned node, with zero allocations and zero store lookups. On
+//!   closed subterms every shift and substitution is O(1).
+//! * **One rebuild step.** Each call opens one interner session
+//!   (`store::with_session`) and rebuilds the root as an owned [`Term`];
+//!   every node below it is interned bottom-up through a borrowed
+//!   `NodeView` (one `Arc` clone on a hit, no child or `Sym` refcount
+//!   churn). The root and the interned nodes share one step; only what
+//!   the step builds differs.
+//! * **Memo at the top level.** Hash-consing makes every operation a pure
+//!   function of [`NodeId`]s, so a (subtree, operand, depth) triple
+//!   computed once is replayed from the per-thread operation memo
+//!   (`crate::opmemo`) with one probe. Only the top level probes: the
+//!   root's children, a substituend shifted at a variable hit, and the
+//!   body of a redex contracted at the top. A repeat replays from its
+//!   topmost probe anyway, while fresh-id workloads (where the memo cannot
+//!   hit) pay a constant handful of probes per call rather than a
+//!   cache-missing table access per rebuilt node. Variables skip the memo:
+//!   renumbering one is cheaper than a table hit.
 //!
-//! The traversals that *do* rebuild are single-pass and session-threaded:
-//! one interner session (`store::with_session`) is opened per
-//! call, each rebuilt node is interned bottom-up through a borrowed
-//! `NodeView` (one `Arc` clone on a hit, no child or `Sym` refcount
-//! churn), and subtrees the sharing guard admits are returned as pointer
-//! copies. On top of that, compound interned-subtree steps in the **top
-//! `opmemo::MEMO_LVLS` levels** of each call consult the per-thread
-//! operation memo (`crate::opmemo`, borrowed once per call):
-//! hash-consing makes `shift`/`subst` pure functions of [`NodeId`]s, so a
-//! (subtree, substituend, cutoff) triple computed once — in this call
-//! because the subtree occurs twice, or in an earlier call — is replayed
-//! with a single probe instead of a traversal. Gating the memo to the top
-//! levels is deliberate: a repeat replays from its topmost probe anyway,
-//! while fresh-id workloads (where the memo cannot hit) pay a constant
-//! handful of probes per call rather than a cache-missing table access
-//! per rebuilt node. Leaves always skip the memo: renumbering a variable
-//! is cheaper than a table hit.
+//! Each operation keeps its child order: hereditary substitution visits
+//! an application's argument before its function, every other operation
+//! the function first. The direct-mapped memo's surviving entries, and so
+//! the store's intern counters, depend on that order.
 //!
 //! [`NodeId`]: crate::store::NodeId
 
-use crate::opmemo::{self, Key, Table, MEMO_LVLS, OP_INST, OP_SHIFT_DOWN, OP_SHIFT_UP, OP_SUBST};
+use crate::opmemo::{
+    self, Key, Table, OP_HSUB, OP_INST, OP_NF, OP_SHIFT_DOWN, OP_SHIFT_UP, OP_SUBST,
+};
 use crate::store::{self, InternSession, NodeView};
 use crate::term::{Term, TermRef};
 
@@ -48,17 +60,11 @@ use crate::term::{Term, TermRef};
 ///
 /// Returns a clone of the input (sharing all subterm nodes) when no free
 /// variable reaches the cutoff — in particular, O(1) on closed terms.
-/// Rebuilt spines are interned bottom-up in one store session and
-/// memoized per interned subtree (see the module docs).
 pub fn shift_above(t: &Term, d: u32, cutoff: u32) -> Term {
     if d == 0 || t.max_free() <= cutoff {
         return t.clone();
     }
-    store::with_session(|sess| {
-        opmemo::with_table(sess.store_token(), |tab| {
-            reindex_root(t, d, cutoff, true, sess, tab)
-        })
-    })
+    run(Op::Shift(d), t, cutoff)
 }
 
 /// Shifts every free variable up by `d`. O(1) on closed terms.
@@ -77,135 +83,7 @@ pub fn unshift_above(t: &Term, d: u32, cutoff: u32) -> Term {
     if d == 0 || t.max_free() <= cutoff {
         return t.clone();
     }
-    store::with_session(|sess| {
-        opmemo::with_table(sess.store_token(), |tab| {
-            reindex_root(t, d, cutoff, false, sess, tab)
-        })
-    })
-}
-
-/// Renumbers one variable occurrence: the shared index arithmetic of
-/// [`shift_above`] (`up`) and [`unshift_above`] (`!up`).
-fn reindex_var(i: u32, d: u32, cutoff: u32, up: bool) -> u32 {
-    if i < cutoff {
-        i
-    } else if up {
-        i + d
-    } else {
-        assert!(
-            i >= cutoff + d,
-            "unshift_above: variable {i} would dangle (cutoff {cutoff}, d {d})"
-        );
-        i - d
-    }
-}
-
-/// Root of the shared shift/unshift traversal: rebuilds the top node as an
-/// owned (uninterned) [`Term`] whose children come out of [`reindex_ref`].
-fn reindex_root(
-    t: &Term,
-    d: u32,
-    cutoff: u32,
-    up: bool,
-    sess: &mut InternSession<'_>,
-    tab: &mut Table,
-) -> Term {
-    match t {
-        Term::Var(i) => Term::Var(reindex_var(*i, d, cutoff, up)),
-        Term::Lam(h, b) => Term::Lam(h.clone(), reindex_ref(b, d, cutoff + 1, up, sess, tab, 0)),
-        Term::App(f, a) => Term::App(
-            reindex_ref(f, d, cutoff, up, sess, tab, 0),
-            reindex_ref(a, d, cutoff, up, sess, tab, 0),
-        ),
-        Term::Pair(a, b) => Term::Pair(
-            reindex_ref(a, d, cutoff, up, sess, tab, 0),
-            reindex_ref(b, d, cutoff, up, sess, tab, 0),
-        ),
-        Term::Fst(p) => Term::Fst(reindex_ref(p, d, cutoff, up, sess, tab, 0)),
-        Term::Snd(p) => Term::Snd(reindex_ref(p, d, cutoff, up, sess, tab, 0)),
-        Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-    }
-}
-
-/// Shift/unshift over an interned subtree: share below the cutoff, replay
-/// from the operation memo, or rebuild bottom-up through the session.
-fn reindex_ref(
-    t: &TermRef,
-    d: u32,
-    cutoff: u32,
-    up: bool,
-    sess: &mut InternSession<'_>,
-    tab: &mut Table,
-    lvl: u32,
-) -> TermRef {
-    if t.max_free() <= cutoff {
-        return t.clone();
-    }
-    // A variable renumbers in O(1) — cheaper than a memo round-trip.
-    if let Term::Var(i) = t.as_ref() {
-        return sess.intern_view(&NodeView::Var(reindex_var(*i, d, cutoff, up)));
-    }
-    let memo = lvl < MEMO_LVLS;
-    let key = Key {
-        op: if up { OP_SHIFT_UP } else { OP_SHIFT_DOWN },
-        t: t.id().get(),
-        s: u64::from(d),
-        k: u64::from(cutoff),
-    };
-    if memo {
-        if let Some(hit) = tab.probe(&key) {
-            return hit;
-        }
-    }
-    let out = match t.as_ref() {
-        Term::Lam(h, b) => {
-            let b2 = reindex_ref(b, d, cutoff + 1, up, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Lam(h, &b2))
-        }
-        Term::App(f, a) => {
-            let f2 = reindex_ref(f, d, cutoff, up, sess, tab, lvl + 1);
-            let a2 = reindex_ref(a, d, cutoff, up, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::App(&f2, &a2))
-        }
-        Term::Pair(a, b) => {
-            let a2 = reindex_ref(a, d, cutoff, up, sess, tab, lvl + 1);
-            let b2 = reindex_ref(b, d, cutoff, up, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Pair(&a2, &b2))
-        }
-        Term::Fst(p) => {
-            let p2 = reindex_ref(p, d, cutoff, up, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Fst(&p2))
-        }
-        Term::Snd(p) => {
-            let p2 = reindex_ref(p, d, cutoff, up, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Snd(&p2))
-        }
-        // `Var` returned above; other leaves are closed, so the cutoff
-        // guard already returned them.
-        Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-    };
-    if memo {
-        tab.insert(key, &out);
-    }
-    out
-}
-
-/// `shift(s, d)` for an already-interned substituend, inside a session.
-/// Used at variable-hit sites by [`subst`], [`instantiate`], and the
-/// hereditary traversals in [`crate::normalize`].
-pub(crate) fn shift_interned(
-    s: &TermRef,
-    d: u32,
-    sess: &mut InternSession<'_>,
-    tab: &mut Table,
-) -> TermRef {
-    if d == 0 {
-        return s.clone();
-    }
-    // A fresh logical operation: restart the memo gate at level 0 so a
-    // substituend shifted once per occurrence replays in O(1) from the
-    // second occurrence on.
-    reindex_ref(s, d, 0, true, sess, tab, 0)
+    run(Op::Unshift(d), t, cutoff)
 }
 
 /// Substitutes `s` for the free variable `j` of `t`, *keeping* the variable
@@ -213,119 +91,15 @@ pub(crate) fn shift_interned(
 ///
 /// `s` is interpreted in the same context as `t`; it is shifted as the
 /// traversal crosses binders. Subterms that cannot mention variable `j`
-/// (cached `max_free` check) are shared, not copied; rebuilt spines are
-/// interned bottom-up in one store session and memoized per interned
-/// subtree.
+/// are shared, not copied.
 pub fn subst(t: &Term, j: u32, s: &Term) -> Term {
-    // Variable `j` cannot occur: identity, share.
     if t.max_free() <= j {
         return t.clone();
     }
-    // Intern the substituend once, *before* opening the session: its id
-    // keys the memo, and `TermRef::new` must not run while the session
-    // holds the thread context.
-    let sref = TermRef::new(s.clone());
-    store::with_session(|sess| {
-        opmemo::with_table(sess.store_token(), |tab| subst_root(t, j, &sref, sess, tab))
-    })
-}
-
-/// Root of [`subst`] (binder depth 0): rebuilds the top node as an owned
-/// [`Term`].
-fn subst_root(
-    t: &Term,
-    j: u32,
-    s: &TermRef,
-    sess: &mut InternSession<'_>,
-    tab: &mut Table,
-) -> Term {
-    match t {
-        // Depth 0: a hit needs no shift.
-        Term::Var(i) => {
-            if *i == j {
-                s.as_ref().clone()
-            } else {
-                Term::Var(*i)
-            }
-        }
-        Term::Lam(h, b) => Term::Lam(h.clone(), subst_ref(b, j, s, 1, sess, tab, 0)),
-        Term::App(f, a) => Term::App(
-            subst_ref(f, j, s, 0, sess, tab, 0),
-            subst_ref(a, j, s, 0, sess, tab, 0),
-        ),
-        Term::Pair(a, b) => Term::Pair(
-            subst_ref(a, j, s, 0, sess, tab, 0),
-            subst_ref(b, j, s, 0, sess, tab, 0),
-        ),
-        Term::Fst(p) => Term::Fst(subst_ref(p, j, s, 0, sess, tab, 0)),
-        Term::Snd(p) => Term::Snd(subst_ref(p, j, s, 0, sess, tab, 0)),
-        Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-    }
-}
-
-/// [`subst`] over an interned subtree at binder depth `depth`. The memo
-/// key carries both `j` and `depth`: a binder crossing changes which
-/// variable is hit *and* how far the substituend is shifted.
-fn subst_ref(
-    t: &TermRef,
-    j: u32,
-    s: &TermRef,
-    depth: u32,
-    sess: &mut InternSession<'_>,
-    tab: &mut Table,
-    lvl: u32,
-) -> TermRef {
-    if t.max_free() <= j + depth {
-        return t.clone();
-    }
-    if let Term::Var(i) = t.as_ref() {
-        return if *i == j + depth {
-            shift_interned(s, depth, sess, tab)
-        } else {
-            sess.intern_view(&NodeView::Var(*i))
-        };
-    }
-    let memo = lvl < MEMO_LVLS;
-    let key = Key {
-        op: OP_SUBST,
-        t: t.id().get(),
-        s: s.id().get(),
-        k: (u64::from(j) << 32) | u64::from(depth),
-    };
-    if memo {
-        if let Some(hit) = tab.probe(&key) {
-            return hit;
-        }
-    }
-    let out = match t.as_ref() {
-        Term::Lam(h, b) => {
-            let b2 = subst_ref(b, j, s, depth + 1, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Lam(h, &b2))
-        }
-        Term::App(f, a) => {
-            let f2 = subst_ref(f, j, s, depth, sess, tab, lvl + 1);
-            let a2 = subst_ref(a, j, s, depth, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::App(&f2, &a2))
-        }
-        Term::Pair(a, b) => {
-            let a2 = subst_ref(a, j, s, depth, sess, tab, lvl + 1);
-            let b2 = subst_ref(b, j, s, depth, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Pair(&a2, &b2))
-        }
-        Term::Fst(p) => {
-            let p2 = subst_ref(p, j, s, depth, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Fst(&p2))
-        }
-        Term::Snd(p) => {
-            let p2 = subst_ref(p, j, s, depth, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Snd(&p2))
-        }
-        Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-    };
-    if memo {
-        tab.insert(key, &out);
-    }
-    out
+    // Intern the substituend once, *before* the session opens: its id
+    // keys the memo, and `TermRef::new` must not run inside a session.
+    let s = TermRef::new(s.clone());
+    run(Op::Subst(j, &s), t, 0)
 }
 
 /// Opens the body of a binder: substitutes `arg` for the binder's variable
@@ -336,106 +110,232 @@ fn subst_ref(
 /// The result may contain new β-redexes; see
 /// [`crate::normalize::hinstantiate`] for the redex-contracting version.
 /// Subterms not mentioning the opened variable (or anything freer) are
-/// shared, not copied; rebuilt spines are interned bottom-up in one store
-/// session and memoized per interned subtree.
+/// shared, not copied.
 pub fn instantiate(body: &Term, arg: &Term) -> Term {
-    // No free variable at all: nothing to replace or renumber.
     if body.max_free() == 0 {
         return body.clone();
     }
-    let aref = TermRef::new(arg.clone());
+    let s = TermRef::new(arg.clone());
+    run(Op::Inst(&s), body, 0)
+}
+
+/// A kernel operation: the parameter of the one traversal, one variant
+/// per memo tag. The traversal's depth `k` counts the binders crossed,
+/// starting from the cutoff for the shifts and from 0 otherwise.
+#[derive(Clone, Copy)]
+pub(crate) enum Op<'a> {
+    /// Shifts the variables at or above the cutoff up by `d`.
+    Shift(u32),
+    /// Shifts the variables at or above the cutoff down by `d`.
+    Unshift(u32),
+    /// Replaces free variable `j` by `s`; no other variable moves.
+    Subst(u32, &'a TermRef),
+    /// Opens index 0 with `s`: replaces it and steps every freer variable
+    /// down by one.
+    Inst(&'a TermRef),
+    /// Hereditary substitution: [`Op::Inst`], contracting every redex it
+    /// creates.
+    Hsub(&'a TermRef),
+    /// β-normal form, contracting β- and projection redexes.
+    Nf,
+}
+
+impl<'a> Op<'a> {
+    /// Does the operation leave a node with these annotations unchanged at
+    /// depth `k`? Then the node is shared, not rebuilt.
+    fn shares(self, max_free: u32, beta_normal: bool, k: u32) -> bool {
+        match self {
+            Op::Shift(d) | Op::Unshift(d) => d == 0 || max_free <= k,
+            Op::Subst(j, _) => max_free <= j + k,
+            Op::Inst(_) => max_free <= k,
+            Op::Hsub(_) => max_free <= k && beta_normal,
+            Op::Nf => beta_normal,
+        }
+    }
+
+    /// Whether the operation contracts the redexes it creates or meets.
+    fn contracts(self) -> bool {
+        matches!(self, Op::Hsub(_) | Op::Nf)
+    }
+
+    /// The substituend that variable `i` at depth `k` is replaced by, if
+    /// any (it is then shifted by `k`).
+    fn hit(self, i: u32, k: u32) -> Option<&'a TermRef> {
+        match self {
+            Op::Subst(j, s) if i == j + k => Some(s),
+            Op::Inst(s) | Op::Hsub(s) if i == k => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Where variable `i` at depth `k` goes when it is not replaced.
+    fn renumber(self, i: u32, k: u32) -> u32 {
+        match self {
+            Op::Subst(..) | Op::Nf => i,
+            _ if i < k => i,
+            Op::Shift(d) => i + d,
+            Op::Unshift(d) => {
+                assert!(
+                    i >= k + d,
+                    "unshift_above: variable {i} would dangle (cutoff {k}, d {d})"
+                );
+                i - d
+            }
+            Op::Inst(_) | Op::Hsub(_) => i - 1,
+        }
+    }
+
+    /// The memo key of the operation on subtree `t` at depth `k`.
+    fn key(self, t: &TermRef, k: u32) -> Key {
+        let k = u64::from(k);
+        let (op, s, k) = match self {
+            Op::Shift(d) => (OP_SHIFT_UP, u64::from(d), k),
+            Op::Unshift(d) => (OP_SHIFT_DOWN, u64::from(d), k),
+            Op::Subst(j, s) => (OP_SUBST, s.id().get(), (u64::from(j) << 32) | k),
+            Op::Inst(s) => (OP_INST, s.id().get(), k),
+            Op::Hsub(s) => (OP_HSUB, s.id().get(), k),
+            Op::Nf => (OP_NF, 0, 0),
+        };
+        let t = t.id().get();
+        Key { op, t, s, k }
+    }
+}
+
+/// Runs `op` over the owned root `t` at depth `k`, in one interner session
+/// and one borrow of the operation memo. The caller has already checked
+/// that `op` does not share `t`.
+pub(crate) fn run(op: Op<'_>, t: &Term, k: u32) -> Term {
     store::with_session(|sess| {
-        opmemo::with_table(sess.store_token(), |tab| inst_root(body, &aref, sess, tab))
+        opmemo::with_table(sess.store_token(), |tab| {
+            Walk { sess, tab }.step(op, t, k, false)
+        })
     })
 }
 
-/// Root of [`instantiate`] (binder depth 0).
-fn inst_root(t: &Term, arg: &TermRef, sess: &mut InternSession<'_>, tab: &mut Table) -> Term {
-    match t {
-        Term::Var(i) => {
-            if *i == 0 {
-                arg.as_ref().clone()
-            } else {
-                Term::Var(*i - 1)
-            }
-        }
-        Term::Lam(h, b) => Term::Lam(h.clone(), inst_ref(b, arg, 1, sess, tab, 0)),
-        Term::App(f, a) => Term::App(
-            inst_ref(f, arg, 0, sess, tab, 0),
-            inst_ref(a, arg, 0, sess, tab, 0),
-        ),
-        Term::Pair(a, b) => Term::Pair(
-            inst_ref(a, arg, 0, sess, tab, 0),
-            inst_ref(b, arg, 0, sess, tab, 0),
-        ),
-        Term::Fst(p) => Term::Fst(inst_ref(p, arg, 0, sess, tab, 0)),
-        Term::Snd(p) => Term::Snd(inst_ref(p, arg, 0, sess, tab, 0)),
-        Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
+/// What one step builds: the owned call root ([`Term`]) or an interned
+/// node below it ([`TermRef`]).
+trait Built: Sized {
+    /// Whether this is the root, whose children form the top level.
+    const ROOT: bool;
+    /// Builds a node whose children are already interned.
+    fn build(w: &mut Walk<'_, '_>, v: &NodeView<'_>) -> Self;
+    /// Passes an interned result through.
+    fn of_ref(r: TermRef) -> Self;
+}
+
+impl Built for Term {
+    const ROOT: bool = true;
+    fn build(_: &mut Walk<'_, '_>, v: &NodeView<'_>) -> Term {
+        v.to_term()
+    }
+    fn of_ref(r: TermRef) -> Term {
+        r.into_term()
     }
 }
 
-/// [`instantiate`] over an interned subtree at binder depth `depth`.
-fn inst_ref(
-    t: &TermRef,
-    arg: &TermRef,
-    depth: u32,
-    sess: &mut InternSession<'_>,
-    tab: &mut Table,
-    lvl: u32,
-) -> TermRef {
-    if t.max_free() <= depth {
-        return t.clone();
+impl Built for TermRef {
+    const ROOT: bool = false;
+    fn build(w: &mut Walk<'_, '_>, v: &NodeView<'_>) -> TermRef {
+        w.sess.intern_view(v)
     }
-    if let Term::Var(i) = t.as_ref() {
-        return if *i == depth {
-            shift_interned(arg, depth, sess, tab)
-        } else if *i > depth {
-            sess.intern_view(&NodeView::Var(*i - 1))
-        } else {
-            sess.intern_view(&NodeView::Var(*i))
-        };
+    fn of_ref(r: TermRef) -> TermRef {
+        r
     }
-    let memo = lvl < MEMO_LVLS;
-    let key = Key {
-        op: OP_INST,
-        t: t.id().get(),
-        s: arg.id().get(),
-        k: u64::from(depth),
-    };
-    if memo {
-        if let Some(hit) = tab.probe(&key) {
+}
+
+/// The interner session and operation memo one call threads through.
+struct Walk<'w, 's> {
+    sess: &'w mut InternSession<'s>,
+    tab: &'w mut Table,
+}
+
+impl Walk<'_, '_> {
+    /// `op` over an interned subtree at depth `k`: share it, replay it
+    /// from the memo (`top` level only), or rebuild and intern it.
+    fn visit(&mut self, op: Op<'_>, t: &TermRef, k: u32, top: bool) -> TermRef {
+        if op.shares(t.max_free(), t.is_beta_normal(), k) {
+            return t.clone();
+        }
+        let key = (top && !matches!(t.as_ref(), Term::Var(_))).then(|| op.key(t, k));
+        if let Some(hit) = key.as_ref().and_then(|key| self.tab.probe(key)) {
             return hit;
         }
+        let out: TermRef = self.step(op, t, k, top);
+        if let Some(key) = key {
+            self.tab.insert(key, &out);
+        }
+        out
     }
-    let out = match t.as_ref() {
-        Term::Lam(h, b) => {
-            let b2 = inst_ref(b, arg, depth + 1, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Lam(h, &b2))
-        }
-        Term::App(f, a) => {
-            let f2 = inst_ref(f, arg, depth, sess, tab, lvl + 1);
-            let a2 = inst_ref(a, arg, depth, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::App(&f2, &a2))
-        }
-        Term::Pair(a, b) => {
-            let a2 = inst_ref(a, arg, depth, sess, tab, lvl + 1);
-            let b2 = inst_ref(b, arg, depth, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Pair(&a2, &b2))
-        }
-        Term::Fst(p) => {
-            let p2 = inst_ref(p, arg, depth, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Fst(&p2))
-        }
-        Term::Snd(p) => {
-            let p2 = inst_ref(p, arg, depth, sess, tab, lvl + 1);
-            sess.intern_view(&NodeView::Snd(&p2))
-        }
-        Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
-    };
-    if memo {
-        tab.insert(key, &out);
+
+    /// `shift(s, d)` of an interned substituend: a fresh operation, so it
+    /// starts at the top level and a substituend shifted once per
+    /// occurrence replays from the second occurrence on.
+    fn shift(&mut self, s: &TermRef, d: u32) -> TermRef {
+        self.visit(Op::Shift(d), s, 0, true)
     }
-    out
+
+    /// The one rebuild step: `op` applied to node `t` at depth `k`, its
+    /// children visited (at the top level if `t` is the root) and the node
+    /// rebuilt — or, for a contracting `op`, the redex it forms contracted.
+    /// `top` says whether `t` itself stands at the top level.
+    fn step<R: Built>(&mut self, op: Op<'_>, t: &Term, k: u32, top: bool) -> R {
+        // The root's children form the top level.
+        let child_top = R::ROOT;
+        match t {
+            Term::Var(i) => match op.hit(*i, k) {
+                Some(s) => R::of_ref(self.shift(s, k)),
+                None => R::build(self, &NodeView::Var(op.renumber(*i, k))),
+            },
+            Term::Lam(h, b) => {
+                let b2 = self.visit(op, b, k + 1, child_top);
+                R::build(self, &NodeView::Lam(h, &b2))
+            }
+            Term::App(f, a) => {
+                // Hereditary substitution visits the argument first.
+                let (f2, a2) = if matches!(op, Op::Hsub(_)) {
+                    let a2 = self.visit(op, a, k, child_top);
+                    (self.visit(op, f, k, child_top), a2)
+                } else {
+                    let f2 = self.visit(op, f, k, child_top);
+                    (f2, self.visit(op, a, k, child_top))
+                };
+                match f2.as_ref() {
+                    Term::Lam(_, body) if op.contracts() => {
+                        // Hereditary substitution of the argument: at the
+                        // root the contractum is the new owned root.
+                        let op = Op::Hsub(&a2);
+                        if R::ROOT && !op.shares(body.max_free(), body.is_beta_normal(), 0) {
+                            self.step(op, body, 0, top)
+                        } else {
+                            R::of_ref(self.visit(op, body, 0, top))
+                        }
+                    }
+                    _ => R::build(self, &NodeView::App(&f2, &a2)),
+                }
+            }
+            Term::Pair(a, b) => {
+                let a2 = self.visit(op, a, k, child_top);
+                let b2 = self.visit(op, b, k, child_top);
+                R::build(self, &NodeView::Pair(&a2, &b2))
+            }
+            Term::Fst(p) | Term::Snd(p) => {
+                let p2 = self.visit(op, p, k, child_top);
+                match (t, p2.as_ref()) {
+                    (Term::Fst(_), Term::Pair(c, _)) | (Term::Snd(_), Term::Pair(_, c))
+                        if op.contracts() =>
+                    {
+                        R::of_ref(c.clone())
+                    }
+                    (Term::Fst(_), _) => R::build(self, &NodeView::Fst(&p2)),
+                    _ => R::build(self, &NodeView::Snd(&p2)),
+                }
+            }
+            // Closed leaves: every guard shares them before a step.
+            Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => {
+                R::build(self, &NodeView::of(t))
+            }
+        }
+    }
 }
 
 #[cfg(test)]

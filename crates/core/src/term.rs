@@ -178,7 +178,7 @@ impl TermRef {
     /// annotations computed in O(1) from the (already interned) children,
     /// and a fresh [`NodeId`] assigned.
     pub fn new(term: Term) -> TermRef {
-        TermRef(store::intern(term))
+        store::intern(term)
     }
 
     /// The underlying term.

@@ -191,7 +191,7 @@ mod tests {
                 printed(stlc_program()),
                 [
                     "of (app ?M ?N) ?B :- (of ?M (arr ?A ?B), of ?N ?A)",
-                    "of (lam ?F) (arr ?A ?B) :- (pi x:tm. (of #0 ?A => of (?F #0) ?B))",
+                    "of (lam ?F) (arr ?A ?B) :- (pi x:tm. (of x ?A => of (?F x) ?B))",
                 ]
             );
             assert_eq!(

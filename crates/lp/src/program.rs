@@ -143,28 +143,31 @@ impl Goal {
         }
     }
 
-    /// Writes the goal, showing metavariable `i` as `?{metas[i]}`.
-    fn fmt_with(&self, metas: &[&str], f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Writes the goal, showing metavariable `i` as `?{metas[i]}` and the
+    /// variables bound by the enclosing `Π`s by their names in `scope`
+    /// (outermost first).
+    fn fmt_with(&self, scope: &[&str], metas: &[&str], f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Goal::True => f.write_str("true"),
-            Goal::Atom(t) => f.write_str(&print::term_to_string_with(t, &[], metas)),
+            Goal::Atom(t) => f.write_str(&print::term_to_string_with(t, scope, metas)),
             Goal::And(a, b) => {
                 f.write_str("(")?;
-                a.fmt_with(metas, f)?;
+                a.fmt_with(scope, metas, f)?;
                 f.write_str(", ")?;
-                b.fmt_with(metas, f)?;
+                b.fmt_with(scope, metas, f)?;
                 f.write_str(")")
             }
             Goal::Impl(d, g) => {
                 f.write_str("(")?;
-                d.fmt_with(metas, f)?;
+                d.fmt_with(scope, metas, f)?;
                 f.write_str(" => ")?;
-                g.fmt_with(metas, f)?;
+                g.fmt_with(scope, metas, f)?;
                 f.write_str(")")
             }
             Goal::All(h, ty, b) => {
                 write!(f, "(pi {h}:{ty}. ")?;
-                b.fmt_with(metas, f)?;
+                let inner: Vec<&str> = scope.iter().copied().chain([h.as_str()]).collect();
+                b.fmt_with(&inner, metas, f)?;
                 f.write_str(")")
             }
         }
@@ -173,7 +176,7 @@ impl Goal {
 
 impl fmt::Display for Goal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_with(&[], f)
+        self.fmt_with(&[], &[], f)
     }
 }
 
@@ -321,8 +324,9 @@ impl Clause {
 
     /// Writes the clause with each of its own variables under its
     /// declared name. A clause without variables of its own (one added
-    /// by `⇒`) mentions the enclosing goal's, named by `outer`.
-    fn fmt_with(&self, outer: &[&str], f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// by `⇒`) mentions the enclosing goal's, named by `outer`, and the
+    /// variables of the enclosing `Π`s, named by `scope`.
+    fn fmt_with(&self, scope: &[&str], outer: &[&str], f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let own: Vec<&str>;
         let metas = if self.vars.is_empty() {
             outer
@@ -330,10 +334,10 @@ impl Clause {
             own = self.vars.iter().map(|(h, _)| h.as_str()).collect();
             &own
         };
-        f.write_str(&print::term_to_string_with(&self.head, &[], metas))?;
+        f.write_str(&print::term_to_string_with(&self.head, scope, metas))?;
         if self.body != Goal::True {
             f.write_str(" :- ")?;
-            self.body.fmt_with(metas, f)?;
+            self.body.fmt_with(scope, metas, f)?;
         }
         Ok(())
     }
@@ -341,7 +345,7 @@ impl Clause {
 
 impl fmt::Display for Clause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_with(&[], f)
+        self.fmt_with(&[], &[], f)
     }
 }
 
@@ -700,7 +704,7 @@ mod tests {
         let g = Goal::all_of(vec![Goal::True, Goal::True, Goal::True]);
         assert!(matches!(g, Goal::And(..)));
         let g = Goal::pi("x", Ty::base("i"), Goal::Atom(Term::Var(0)));
-        assert_eq!(g.to_string(), "(pi x:i. #0)");
+        assert_eq!(g.to_string(), "(pi x:i. x)");
     }
 
     #[test]

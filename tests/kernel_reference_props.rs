@@ -381,6 +381,39 @@ props! {
         assert_id_identical(&normalize::nf(&open), &reference::nf(&open), "nf (open)");
     }
 
+    fn interleaved_operations_never_replay_each_other(seed in seeds(), depth in 1u32..5, d in 1u32..4) {
+        // One (t, s) pair through every kernel operation, twice each and
+        // interleaved. `subst(t, 0, s)`, `instantiate` and `hinstantiate`
+        // key the memo with the same substituend id and depth and differ
+        // only in the operation tag, so a result replayed into the wrong
+        // operation would show here; the second round runs on a warm memo.
+        // The memoized top level of `t` holds a β-redex, which `nf` and
+        // hereditary substitution contract and the others keep.
+        let redex = Term::app(Term::lam("y", open_term(seed, depth)), Term::Var(0));
+        let t = Term::pair(redex, Term::Var(1));
+        let s = open_term(seed ^ 0x0DD5, depth);
+        for round in 0..2 {
+            let what = |op: &str| format!("{op} (round {round})");
+            assert_id_identical(
+                &subst::instantiate(&t, &s),
+                &reference::instantiate(&t, &s),
+                &what("instantiate"),
+            );
+            assert_id_identical(
+                &normalize::hinstantiate(&t, &s),
+                &reference::hinstantiate(&t, &s),
+                &what("hinstantiate"),
+            );
+            assert_id_identical(
+                &subst::subst(&t, 0, &s),
+                &reference::subst(&t, 0, &s),
+                &what("subst"),
+            );
+            assert_id_identical(&subst::shift(&t, d), &reference::shift(&t, d), &what("shift"));
+            assert_id_identical(&normalize::nf(&t), &reference::nf(&t), &what("nf"));
+        }
+    }
+
     fn msubst_apply_matches_reference(seed in seeds(), depth in 1u32..4) {
         // ?F applied under a binder, with a λ solution so grafting creates
         // redexes — the exact shape the engine's Miller fast path and the
