@@ -69,6 +69,7 @@ pub mod normalize;
 mod opmemo;
 pub mod parse;
 pub mod print;
+pub mod scope;
 pub mod sig;
 pub mod store;
 pub mod sub;

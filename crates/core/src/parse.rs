@@ -14,7 +14,9 @@
 //! ```
 //!
 //! Identifiers are resolved against the enclosing binders first (yielding
-//! de Bruijn variables), then against the signature's constants.
+//! de Bruijn variables; the innermost binder of a name wins, found in O(1)
+//! through a [`crate::scope::Scope`]), then against the signature's
+//! constants.
 //! Metavariables are written `?Name`; parse results report the mapping
 //! from names to [`MVar`]s so that rule left- and right-hand sides can
 //! share metavariables via a [`MetaTable`].
@@ -29,6 +31,7 @@
 
 use crate::error::Error;
 use crate::intern::Sym;
+use crate::scope::Scope;
 use crate::sig::Signature;
 use crate::store::{self, InternSession, NodeView};
 use crate::term::{MVar, Term, TermRef};
@@ -328,7 +331,7 @@ struct Parser<'s, 'g> {
     pos: usize,
     sig: Option<&'g Signature>,
     /// The binders in scope, outermost first.
-    binders: Vec<&'s str>,
+    binders: Scope<&'s str>,
     metas: MetaTable,
     tyvars: HashMap<&'s str, u32>,
     /// Enclosing type constructs, bounded by [`MAX_TY_NESTING`].
@@ -341,7 +344,7 @@ impl<'s, 'g> Parser<'s, 'g> {
             toks: lex(src)?,
             pos: 0,
             sig,
-            binders: Vec::new(),
+            binders: Scope::new(),
             metas,
             tyvars: HashMap::new(),
             ty_depth: 0,
@@ -585,8 +588,8 @@ impl<'s, 'g> Parser<'s, 'g> {
         Ok(match self.bump() {
             Tok::Ident(name) => {
                 // The innermost binder of that name wins.
-                if let Some(pos) = self.binders.iter().rposition(|b| *b == name) {
-                    Node::Built(Term::Var((self.binders.len() - 1 - pos) as u32))
+                if let Some(index) = self.binders.index_of(name) {
+                    Node::Built(Term::Var(index))
                 } else if let Some(c) = self.sig.and_then(|g| g.const_sym(name)) {
                     Node::Const(c)
                 } else {

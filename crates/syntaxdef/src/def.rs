@@ -1,9 +1,9 @@
 //! Language definitions: sorts and productions with binding annotations.
 
+use crate::table::Table;
 use hoas_core::sig::Signature;
-use hoas_core::{Ty, TyScheme};
-use std::collections::HashSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An argument position of a production.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -45,14 +45,6 @@ impl Arg {
         Arg::Binding {
             binders: binders.into_iter().map(Into::into).collect(),
             body: body.into(),
-        }
-    }
-
-    /// Number of variables this argument binds.
-    pub fn binder_count(&self) -> usize {
-        match self {
-            Arg::Binding { binders, .. } => binders.len(),
-            _ => 0,
         }
     }
 }
@@ -119,6 +111,8 @@ pub struct LanguageDef {
     name: String,
     sorts: Vec<String>,
     prods: Vec<Production>,
+    /// The definition compiled for the bridge, on first use.
+    table: OnceLock<Result<Table, DefError>>,
 }
 
 impl LanguageDef {
@@ -128,6 +122,7 @@ impl LanguageDef {
             name: name.into(),
             sorts: Vec::new(),
             prods: Vec::new(),
+            table: OnceLock::new(),
         }
     }
 
@@ -135,6 +130,7 @@ impl LanguageDef {
     #[must_use]
     pub fn sort(mut self, s: impl Into<String>) -> Self {
         self.sorts.push(s.into());
+        self.table = OnceLock::new();
         self
     }
 
@@ -151,6 +147,7 @@ impl LanguageDef {
             sort: sort.into(),
             args: args.into_iter().collect(),
         });
+        self.table = OnceLock::new();
         self
     }
 
@@ -180,58 +177,17 @@ impl LanguageDef {
     ///
     /// See [`DefError`].
     pub fn validate(&self) -> Result<(), DefError> {
-        if self.sorts.is_empty() {
-            return Err(DefError::Empty);
-        }
-        let mut seen = HashSet::new();
-        for s in &self.sorts {
-            if !seen.insert(s.as_str()) {
-                return Err(DefError::DuplicateSort(s.clone()));
-            }
-        }
-        let sorts: HashSet<&str> = self.sorts.iter().map(|s| s.as_str()).collect();
-        let mut pseen = HashSet::new();
-        for p in &self.prods {
-            if !pseen.insert(p.name.as_str()) || sorts.contains(p.name.as_str()) {
-                return Err(DefError::DuplicateProduction(p.name.clone()));
-            }
-            let check = |s: &str| -> Result<(), DefError> {
-                if sorts.contains(s) {
-                    Ok(())
-                } else {
-                    Err(DefError::UnknownSort {
-                        production: p.name.clone(),
-                        sort: s.to_string(),
-                    })
-                }
-            };
-            check(&p.sort)?;
-            for a in &p.args {
-                match a {
-                    Arg::Sort(s) => check(s)?,
-                    Arg::Int => {}
-                    Arg::Binding { binders, body } => {
-                        for b in binders {
-                            check(b)?;
-                        }
-                        check(body)?;
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.table().map(drop)
     }
 
-    /// The metalanguage type of one argument position.
-    pub fn arg_ty(arg: &Arg) -> Ty {
-        match arg {
-            Arg::Sort(s) => Ty::base(s.as_str()),
-            Arg::Int => Ty::Int,
-            Arg::Binding { binders, body } => Ty::arrows(
-                binders.iter().map(|b| Ty::base(b.as_str())),
-                Ty::base(body.as_str()),
-            ),
-        }
+    /// The definition compiled to a production [`Table`], once.
+    ///
+    /// # Errors
+    ///
+    /// Validation errors ([`DefError`]).
+    pub fn table(&self) -> Result<&Table, DefError> {
+        let table = self.table.get_or_init(|| Table::new(self));
+        table.as_ref().map_err(Clone::clone)
     }
 
     /// Compiles to a signature: one base type per sort, one constant per
@@ -241,18 +197,7 @@ impl LanguageDef {
     ///
     /// Validation errors ([`DefError`]).
     pub fn compile(&self) -> Result<Signature, DefError> {
-        self.validate()?;
-        let mut sig = Signature::new();
-        for s in &self.sorts {
-            sig.declare_type(s.as_str())
-                .expect("validated: no duplicate sorts");
-        }
-        for p in &self.prods {
-            let ty = Ty::arrows(p.args.iter().map(Self::arg_ty), Ty::base(p.sort.as_str()));
-            sig.declare_const(p.name.as_str(), TyScheme::mono(ty))
-                .expect("validated: no duplicate productions, sorts declared");
-        }
-        Ok(sig)
+        self.table().map(|t| t.signature().clone())
     }
 }
 
@@ -343,43 +288,5 @@ mod tests {
         assert_eq!(def.sorts(), &["tm".to_string()]);
         assert_eq!(def.productions().len(), 2);
         assert_eq!(def.name(), "lc");
-    }
-
-    #[test]
-    fn reproduces_the_imp_signature() {
-        // The same grammar declaration as hoas-langs' hand-written imp
-        // signature — the facility generates an identical signature.
-        let def = LanguageDef::new("imp")
-            .sort("loc")
-            .sort("aexp")
-            .sort("bexp")
-            .sort("cmd")
-            .prod("lit", "aexp", [Arg::Int])
-            .prod("deref", "aexp", [Arg::sort("loc")])
-            .prod("add", "aexp", [Arg::sort("aexp"), Arg::sort("aexp")])
-            .prod("sub", "aexp", [Arg::sort("aexp"), Arg::sort("aexp")])
-            .prod("mul", "aexp", [Arg::sort("aexp"), Arg::sort("aexp")])
-            .prod("le", "bexp", [Arg::sort("aexp"), Arg::sort("aexp")])
-            .prod("eqb", "bexp", [Arg::sort("aexp"), Arg::sort("aexp")])
-            .prod("notb", "bexp", [Arg::sort("bexp")])
-            .prod("andb", "bexp", [Arg::sort("bexp"), Arg::sort("bexp")])
-            .prod("skip", "cmd", [])
-            .prod("assign", "cmd", [Arg::sort("loc"), Arg::sort("aexp")])
-            .prod("seq", "cmd", [Arg::sort("cmd"), Arg::sort("cmd")])
-            .prod(
-                "ifc",
-                "cmd",
-                [Arg::sort("bexp"), Arg::sort("cmd"), Arg::sort("cmd")],
-            )
-            .prod("while", "cmd", [Arg::sort("bexp"), Arg::sort("cmd")])
-            .prod("print", "cmd", [Arg::sort("aexp")])
-            .prod(
-                "local",
-                "cmd",
-                [Arg::sort("aexp"), Arg::binding("loc", "cmd")],
-            );
-        let generated = def.compile().unwrap();
-        let hand_written = hoas_langs::imp::signature();
-        assert_eq!(generated.to_string(), hand_written.to_string());
     }
 }

@@ -12,11 +12,16 @@
 //! * [`def`] — [`def::LanguageDef`]: a builder for declaring sorts and
 //!   productions (with [`def::Arg::binding`] marking binder positions),
 //!   validated and compiled to a [`hoas_core::sig::Signature`];
-//! * [`bridge`] — a **generic** encoder/decoder between the first-order
-//!   trees of `hoas-firstorder` and metalanguage terms, derived from the
-//!   `LanguageDef` — so a new object language gets adequate HOAS
-//!   encode/decode *for free*, without writing the per-language code in
-//!   `hoas-langs` by hand;
+//! * [`table`] — [`table::Table`]: a `LanguageDef` compiled to its
+//!   signature and a production table indexed by constant, with the one
+//!   explicit-stack encoder and decoder over it. Sorts, arities, `int`
+//!   positions, λs at binding positions and binder freshening are
+//!   checked there once; an object language supplies a *view* of its AST
+//!   and a *builder* for it, so a new object language gets adequate HOAS
+//!   encode/decode *for free* (`hoas-langs`' four languages are such
+//!   views and builders);
+//! * [`bridge`] — the view and builder for the first-order trees of
+//!   `hoas-firstorder`: generic encode/decode of any `LanguageDef`;
 //! * [`grammar`] — the textual front end: `language lc { sort tm; prod
 //!   lam : (tm) tm -> tm; … }` parsed to a `LanguageDef` (and printed
 //!   back via `Display`).
@@ -27,7 +32,9 @@
 pub mod bridge;
 pub mod def;
 pub mod grammar;
+pub mod table;
 
-pub use bridge::{decode, encode};
+pub use bridge::{decode, encode, BridgeError};
 pub use def::{Arg, DefError, LanguageDef, Production};
 pub use grammar::parse_language_def;
+pub use table::{Head, Part, Pieces, Table};

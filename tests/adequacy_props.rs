@@ -41,6 +41,21 @@ props! {
         prop_assert!(fol::decode(&e).unwrap().alpha_eq(&f));
     }
 
+    fn fol_roundtrip_over_another_vocabulary(seed in seeds(), depth in 1u32..6) {
+        // Predicates and functions the decoder has never heard of: the
+        // FOL table reads every unlisted constant at an open sort.
+        let vocab = fol::Vocabulary {
+            functions: vec![("c".into(), 0), ("zz".into(), 3)],
+            predicates: vec![("h".into(), 4), ("t0".into(), 0)],
+        };
+        let sig = vocab.signature();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let f = fol::gen_formula(&vocab, &mut rng, depth);
+        let e = fol::encode(&f).unwrap();
+        typeck::check_closed(&sig, &e, &fol::o()).unwrap();
+        prop_assert!(fol::decode(&e).unwrap().alpha_eq(&f));
+    }
+
     fn imp_roundtrip_and_trace(seed in seeds(), depth in 1u32..5) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let c = imp::gen_cmd(&mut rng, depth);
@@ -143,4 +158,150 @@ fn exotic_terms_rejected_across_languages() {
     // Dangling de Bruijn indices are exotic too.
     assert!(lambda::decode(&Term::Var(0)).is_err());
     assert!(fol::decode(&Term::Var(3)).is_err());
+
+    // What the production tables check for every language: a term of the
+    // wrong sort at an argument, an integer at a sort position (and, in
+    // `imp`, the only language with an `int` position, the reverse), a
+    // non-λ at each binding position, and the wrong number of arguments.
+    let c = |name: &str| Term::cnst(name);
+    let app = |f: &str, args: Vec<Term>| Term::apps(c(f), args);
+    let lit = |n| app("lit", vec![Term::Int(n)]);
+    let id = || Term::lam("x", Term::Var(0));
+    let lambda_cases = [
+        app("app", vec![app("lam", vec![id()]), c("z")]), // unknown constant
+        app("app", vec![Term::Int(3), app("lam", vec![id()])]),
+        app("lam", vec![app("lam", vec![id()])]),
+        app("app", vec![app("lam", vec![id()])]),
+        app("lam", vec![id(), id()]),
+    ];
+    for t in &lambda_cases {
+        assert!(lambda::decode(t).is_err(), "lambda accepted {t}");
+    }
+    let p = |args: Vec<Term>| app("p", args);
+    let fol_cases = [
+        p(vec![app("and", vec![c("r"), c("r")])]), // a formula as an individual
+        app("forall", vec![Term::lam("x", Term::Var(0))]), // an individual as a formula
+        p(vec![Term::Int(3)]),
+        app("not", vec![Term::Int(3)]),
+        app("forall", vec![c("r")]),
+        app("exists", vec![app("not", vec![c("r")])]),
+        app("and", vec![c("r")]),
+        app("not", vec![c("r"), c("r")]),
+    ];
+    for t in &fol_cases {
+        assert!(fol::decode(t).is_err(), "fol accepted {t}");
+    }
+    let imp_cases = [
+        app("print", vec![c("skip")]),
+        app("seq", vec![lit(1), c("skip")]),
+        app("print", vec![Term::Int(3)]),
+        app("lit", vec![lit(1)]),
+        app("local", vec![lit(0), app("print", vec![lit(0)])]),
+        app("seq", vec![c("skip")]),
+        app("skip", vec![c("skip")]),
+    ];
+    for t in &imp_cases {
+        assert!(imp::decode(t).is_err(), "imp accepted {t}");
+    }
+    let miniml_cases = [
+        app("s", vec![c("skip")]),
+        app("s", vec![Term::Int(3)]),
+        app("case", vec![c("z"), c("z"), c("z")]),
+        app("lam", vec![c("z")]),
+        app("letv", vec![c("z"), c("z")]),
+        app("fix", vec![app("s", vec![c("z")])]),
+        app("s", vec![c("z"), c("z")]),
+        app("case", vec![c("z"), c("z")]),
+    ];
+    for t in &miniml_cases {
+        assert!(miniml::decode(t).is_err(), "miniml accepted {t}");
+    }
+}
+
+#[test]
+fn grammar_signatures_print_as_the_hand_written_ones() {
+    // Each language's signature is compiled from grammar text; it must
+    // print exactly as the hand-written declarations it replaced, which
+    // is the text consumers (the end-to-end benchmark among them) parse.
+    let hand_written = [
+        (
+            lambda::signature().to_string(),
+            "type tm.
+             const lam : (tm -> tm) -> tm.
+             const app : tm -> tm -> tm.",
+        ),
+        (
+            fol::Vocabulary::small().signature().to_string(),
+            "type i.
+             type o.
+             const and : o -> o -> o.
+             const or : o -> o -> o.
+             const imp : o -> o -> o.
+             const not : o -> o.
+             const forall : (i -> o) -> o.
+             const exists : (i -> o) -> o.
+             const a : i.
+             const b : i.
+             const f : i -> i.
+             const g : i -> i -> i.
+             const p : i -> o.
+             const q : i -> i -> o.
+             const r : o.",
+        ),
+        (
+            miniml::signature().to_string(),
+            "type exp.
+             const z : exp.
+             const s : exp -> exp.
+             const case : exp -> exp -> (exp -> exp) -> exp.
+             const lam : (exp -> exp) -> exp.
+             const app : exp -> exp -> exp.
+             const letv : exp -> (exp -> exp) -> exp.
+             const fix : (exp -> exp) -> exp.",
+        ),
+        (
+            imp::signature().to_string(),
+            "type loc.
+             type aexp.
+             type bexp.
+             type cmd.
+             const lit : int -> aexp.
+             const deref : loc -> aexp.
+             const add : aexp -> aexp -> aexp.
+             const sub : aexp -> aexp -> aexp.
+             const mul : aexp -> aexp -> aexp.
+             const le : aexp -> aexp -> bexp.
+             const eqb : aexp -> aexp -> bexp.
+             const notb : bexp -> bexp.
+             const andb : bexp -> bexp -> bexp.
+             const skip : cmd.
+             const assign : loc -> aexp -> cmd.
+             const seq : cmd -> cmd -> cmd.
+             const ifc : bexp -> cmd -> cmd -> cmd.
+             const while : bexp -> cmd -> cmd.
+             const print : aexp -> cmd.
+             const local : aexp -> (loc -> cmd) -> cmd.",
+        ),
+    ];
+    for (compiled, text) in hand_written {
+        assert_eq!(compiled, Signature::parse(text).unwrap().to_string());
+    }
+}
+
+#[test]
+fn syntax_facility_bridge_agrees_with_the_lambda_codec() {
+    use hoas::syntaxdef::{self, Arg, LanguageDef};
+    let def = LanguageDef::new("lc")
+        .sort("tm")
+        .prod("lam", "tm", [Arg::binding("tm", "tm")])
+        .prod("app", "tm", [Arg::sort("tm"), Arg::sort("tm")]);
+    let mut rng = SmallRng::seed_from_u64(21);
+    for _ in 0..50 {
+        let term = lambda::gen_closed(&mut rng, 40);
+        let via_bridge = syntaxdef::encode(&def, "tm", &lambda::to_tree(&term)).unwrap();
+        let via_lambda = lambda::encode(&term).unwrap();
+        assert_eq!(via_bridge, via_lambda);
+        let back = syntaxdef::decode(&def, "tm", &via_lambda).unwrap();
+        assert_eq!(back, lambda::to_tree(&lambda::decode(&via_lambda).unwrap()));
+    }
 }

@@ -355,3 +355,159 @@ fn printing_deeply_nested_same_hint_binders_is_linear() {
     assert!(printed.ends_with(r"\x1999. x1999"));
     assert!(elapsed < std::time::Duration::from_secs(1), "{elapsed:?}");
 }
+
+// ------------------------------------------------ deep object codecs --
+
+/// Decodes `term` and encodes the result on a 2 MiB thread, asserts the
+/// round trip, and returns the AST. The ASTs' own `Drop` recurses, so
+/// callers drop them on a wide stack.
+fn deep_roundtrip<A: Send + 'static>(
+    term: Term,
+    decode: fn(&Term) -> Result<A, hoas::langs::LangError>,
+    encode: fn(&A) -> Result<Term, hoas::langs::LangError>,
+) -> A {
+    let (ast, back, term) = on_2mib_stack(move || {
+        let ast = decode(&term).expect("decodes");
+        let back = encode(&ast).expect("encodes");
+        (ast, back, term)
+    });
+    assert_eq!(back, term);
+    ast
+}
+
+fn drop_wide<A: Send>(ast: A) {
+    hoas_testkit::with_stack(256, move || drop(ast));
+}
+
+const DEEP: usize = 100_000;
+
+#[test]
+fn deep_lambda_and_miniml_encodings_round_trip_on_a_2mib_stack() {
+    use hoas::langs::lambda::{self, LTerm};
+    use hoas::langs::miniml;
+    let ast = deep_roundtrip(nested_lam(DEEP), lambda::decode, lambda::encode);
+    let (mut t, mut depth) = (&ast, 0);
+    while let LTerm::Lam(_, body) = t {
+        (t, depth) = (body, depth + 1);
+    }
+    assert_eq!(depth, DEEP);
+    drop_wide(ast);
+
+    let numeral = (0..DEEP).fold(Term::cnst("z"), |t, _| Term::app(Term::cnst("s"), t));
+    let ast = deep_roundtrip(numeral, miniml::decode, miniml::encode);
+    assert_eq!(ast.as_num(), Some(DEEP as u64));
+    drop_wide(ast);
+}
+
+#[test]
+fn deep_fol_and_imp_encodings_round_trip_on_a_2mib_stack() {
+    use hoas::langs::fol::{self, Formula};
+    use hoas::langs::imp::{self, Cmd};
+    // ∀x. ¬∀x. ¬ … p(x), alternating quantifiers and negations.
+    let atom = Term::app(Term::cnst("p"), Term::Var(0));
+    let formula = (0..DEEP / 2).fold(atom, |t, _| {
+        let not = Term::app(Term::cnst("not"), t);
+        Term::app(Term::cnst("forall"), Term::lam("x", not))
+    });
+    let ast = deep_roundtrip(formula, fol::decode, fol::encode);
+    let (mut f, mut depth) = (&ast, 0);
+    while let Formula::Forall(_, body) | Formula::Not(body) = f {
+        (f, depth) = (body, depth + 1);
+    }
+    assert!(matches!(f, Formula::Pred(p, _) if p == "p"));
+    assert_eq!(depth, DEEP);
+    drop_wide(ast);
+
+    // local x := 0 in { x := 1; local x := 0 in { … skip } }.
+    let lit = |n| Term::app(Term::cnst("lit"), Term::Int(n));
+    let program = (0..DEEP / 2).fold(Term::cnst("skip"), |c, _| {
+        let assign = Term::apps(Term::cnst("assign"), [Term::Var(0), lit(1)]);
+        let seq = Term::apps(Term::cnst("seq"), [assign, c]);
+        Term::apps(Term::cnst("local"), [lit(0), Term::lam("x", seq)])
+    });
+    let ast = deep_roundtrip(program, imp::decode, imp::encode);
+    let (mut c, mut depth) = (&ast, 0);
+    loop {
+        c = match c {
+            Cmd::Local(_, _, body) => body,
+            Cmd::Seq(_, rest) => rest,
+            _ => break,
+        };
+        depth += 1;
+    }
+    assert_eq!((c, depth), (&Cmd::Skip, DEEP));
+    drop_wide(ast);
+}
+
+#[test]
+fn deep_syntax_facility_trees_round_trip_on_a_2mib_stack() {
+    use hoas::firstorder::Tree;
+    use hoas::syntaxdef::{self, parse_language_def};
+    // letx (lit 1) (\x. plus x (letx (lit 1) (\x. …))).
+    let lit = |n| Term::app(Term::cnst("lit"), Term::Int(n));
+    let term = (0..DEEP / 2).fold(lit(0), |e, _| {
+        let plus = Term::apps(Term::cnst("plus"), [Term::Var(0), e]);
+        Term::apps(Term::cnst("letx"), [lit(1), Term::lam("x", plus)])
+    });
+    let (tree, back, term) = on_2mib_stack(move || {
+        let def = parse_language_def(
+            "language arith {
+               sort e;
+               prod lit : int -> e;
+               prod plus : e e -> e;
+               prod letx : e (e) e -> e;
+             }",
+        )
+        .unwrap();
+        let tree = syntaxdef::decode(&def, "e", &term).expect("decodes");
+        let back = syntaxdef::encode(&def, "e", &tree).expect("encodes");
+        (tree, back, term)
+    });
+    assert_eq!(back, term);
+    let (mut t, mut depth) = (&tree, 0);
+    while let Tree::Node(op, scopes) = t {
+        match op.as_str() {
+            "letx" | "plus" => (t, depth) = (&scopes[1].body, depth + 1),
+            _ => break,
+        }
+    }
+    assert_eq!(depth, DEEP);
+    drop_wide(tree);
+}
+
+#[test]
+fn decoding_same_hint_binders_freshens_in_linear_time_without_capture() {
+    use hoas::langs::lambda::{self, LTerm};
+    // λx. λx. … x₀, every binder hinted `x`, the body the outermost one.
+    let same_hints = |n: usize| {
+        (0..n).fold(Term::Var(n as u32 - 1), |t, _| {
+            Term::app(Term::cnst("lam"), Term::lam("x", t))
+        })
+    };
+    let decode_timed = |term: Term| {
+        on_2mib_stack(move || {
+            let start = std::time::Instant::now();
+            let ast = lambda::decode(&term).expect("decodes");
+            (ast, start.elapsed())
+        })
+    };
+    let (small, small_elapsed) = decode_timed(same_hints(DEEP / 10));
+    let (ast, elapsed) = decode_timed(same_hints(DEEP));
+    let mut names = std::collections::HashSet::new();
+    let mut t = &ast;
+    while let LTerm::Lam(x, body) = t {
+        names.insert(x.clone());
+        t = body;
+    }
+    let body = t.clone();
+    drop_wide((small, ast));
+    assert_eq!(names.len(), DEEP, "every binder's name is distinct");
+    assert_eq!(body, LTerm::var("x"), "the body names the outermost binder");
+    // Ten times the binders: about ten times the time (caches make it
+    // somewhat more), where scanning the scope per binder would take a
+    // hundred times as long.
+    assert!(
+        elapsed < small_elapsed * 60,
+        "{small_elapsed:?} → {elapsed:?}"
+    );
+}
