@@ -15,16 +15,6 @@ use std::collections::BTreeSet;
 /// validator over both sides of every rule (HA010), and size-change
 /// termination (HA016/HA017, with HA020 when a certificate is minted).
 pub fn check_ruleset(target: &str, sig: &Signature, rs: &RuleSet) -> Report {
-    let mut report = check_ruleset_gen1(target, sig, rs);
-    push_ruleset_verdicts(&mut report, rs);
-    report
-}
-
-/// The first-generation rule-set checks only (HA001–HA010) — everything
-/// [`check_ruleset`] reports except the size-change verdicts. Split out
-/// so the `analyze` bench suite keeps timing a fixed workload across
-/// PRs; the verdict passes are timed separately (`verdicts` suite).
-pub fn check_ruleset_gen1(target: &str, sig: &Signature, rs: &RuleSet) -> Report {
     let mut report = Report::new(target);
     push_analysis(&mut report, &rs.analyze(sig));
     for rule in rs.rules() {
@@ -46,6 +36,7 @@ pub fn check_ruleset_gen1(target: &str, sig: &Signature, rs: &RuleSet) -> Report
         check_unused_consts(&mut report, sig, &used, "rule set");
     }
     check_type_const_collisions(&mut report, sig);
+    push_ruleset_verdicts(&mut report, rs);
     report
 }
 
@@ -157,17 +148,6 @@ fn push_analysis(report: &mut Report, analysis: &RuleSetAnalysis) {
 /// mode/determinacy analysis (HA013–HA015, HA019, with HA020 when a
 /// certificate is minted).
 pub fn check_program(target: &str, prog: &Program) -> Report {
-    let mut report = check_program_gen1(target, prog);
-    push_program_verdicts(&mut report, prog);
-    report
-}
-
-/// The first-generation logic-program checks only (HA001, HA008–HA012)
-/// — everything [`check_program`] reports except the mode/determinacy
-/// verdicts. Split out so the `analyze` bench suite keeps timing a
-/// fixed workload across PRs; the verdict passes are timed separately
-/// (`verdicts` suite).
-pub fn check_program_gen1(target: &str, prog: &Program) -> Report {
     let mut report = Report::new(target);
     let mut used: BTreeSet<String> = BTreeSet::new();
     for (ci, clause) in prog.clauses().iter().enumerate() {
@@ -218,6 +198,7 @@ pub fn check_program_gen1(target: &str, prog: &Program) -> Report {
     }
     check_unused_consts(&mut report, prog.sig(), &used, "program");
     check_type_const_collisions(&mut report, prog.sig());
+    push_program_verdicts(&mut report, prog);
     report
 }
 

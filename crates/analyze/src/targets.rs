@@ -2,7 +2,7 @@
 //! program shipped by the workspace, addressable by name from the
 //! `hoas-analyze` CLI.
 
-use crate::checks::{check_program, check_program_gen1, check_ruleset, check_ruleset_gen1};
+use crate::checks::{check_program, check_ruleset};
 use crate::diag::Report;
 use hoas_langs::fol::Vocabulary;
 use hoas_langs::{imp, miniml};
@@ -70,40 +70,6 @@ pub fn run_all() -> Vec<Report> {
         .collect()
 }
 
-/// Like [`run`], but with only the first-generation checks — the fixed
-/// workload the perf-tracked `analyze` bench suite has timed since it
-/// was introduced. The second-generation verdict passes (size-change
-/// termination, mode/determinacy) are timed by the `verdicts` suite.
-pub fn run_gen1(name: &str) -> Option<Report> {
-    let report = match name {
-        "fol-prenex" => {
-            let sig = Vocabulary::small().signature();
-            let rs = fol_prenex::rules(&sig).expect("bundled ruleset builds");
-            check_ruleset_gen1(name, &sig, &rs)
-        }
-        "fol-cnf" => {
-            let sig = Vocabulary::small().signature();
-            let rs = fol_cnf::rules(&sig).expect("bundled ruleset builds");
-            check_ruleset_gen1(name, &sig, &rs)
-        }
-        "imp-opt" => {
-            let sig = imp::signature();
-            let rs = imp_opt::rules(sig).expect("bundled ruleset builds");
-            check_ruleset_gen1(name, sig, &rs)
-        }
-        "miniml-opt" => {
-            let sig = miniml::signature();
-            let rs = miniml_opt::rules(sig).expect("bundled ruleset builds");
-            check_ruleset_gen1(name, sig, &rs)
-        }
-        "lp-append" => check_program_gen1(name, &examples::append_program()),
-        "lp-stlc" => check_program_gen1(name, &examples::stlc_program()),
-        "lp-eval" => check_program_gen1(name, &examples::eval_program()),
-        _ => return None,
-    };
-    Some(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,27 +114,6 @@ mod tests {
         // append declares list atoms its clauses never mention.
         let append = run("lp-append").unwrap();
         assert!(append.diagnostics.iter().any(|d| d.code == "HA008"));
-    }
-
-    #[test]
-    fn gen1_is_a_prefix_of_the_full_report() {
-        for (name, _) in TARGETS {
-            let full = run(name).unwrap();
-            let gen1 = run_gen1(name).unwrap();
-            // The fixed bench workload reports no second-generation code…
-            assert!(gen1.diagnostics.iter().all(|d| d.code < "HA013"), "{name}");
-            // …and the full report is exactly gen1 plus appended verdicts.
-            assert!(full.diagnostics.len() >= gen1.diagnostics.len());
-            for (f, g) in full.diagnostics.iter().zip(&gen1.diagnostics) {
-                assert_eq!((&f.code, &f.subject), (&g.code, &g.subject), "{name}");
-            }
-            assert!(
-                full.diagnostics[gen1.diagnostics.len()..]
-                    .iter()
-                    .all(|d| d.code >= "HA013"),
-                "{name}"
-            );
-        }
     }
 
     #[test]

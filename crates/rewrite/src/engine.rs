@@ -8,10 +8,10 @@
 //! (so matched subterms may mention them), and the instantiated
 //! right-hand side is spliced back at the same depth.
 //!
-//! # Normalization cache and dispatch index
+//! # Memo layers and rule dispatch
 //!
-//! Three layers keep a `normalize` call from re-doing work. All of them
-//! key on stable [`NodeId`]s from the hash-consed term
+//! Three memo layers keep a `normalize` call from re-doing work. All of
+//! them key on stable [`NodeId`]s from the hash-consed term
 //! store — durable keys that are never reused — so the caches live in a
 //! shareable [`EngineCaches`] handle that can outlive any single engine
 //! instance (see [`Engine::with_caches`]):
@@ -23,16 +23,19 @@
 //!   nodes, so their cache entries survive and the restart-from-root loop
 //!   degenerates to a resume-at-site traversal while producing identical
 //!   [`RewriteStep`] traces;
-//! * a **head-type table** filled lazily from the signature, so
-//!   descending a neutral spine no longer re-synthesizes the head's type
-//!   at every application node;
 //! * a **canonical-form memo** ([`normalize::CanonCache`]) so that
 //!   canonicalizing each rewrite's replacement only pays for the fresh
 //!   right-hand-side skeleton, never for the matched subject subtrees it
 //!   shares by pointer;
-//! * the [`RuleSet`] **discrimination index**, which hands each position
-//!   only the rules whose left-hand-side head (and shallow argument
-//!   fingerprint) could match there.
+//! * a **root-step memo** that replays one whole strategy step on a
+//!   closed subject (rewritten term, rule, position) by the root's
+//!   shallow node-id identity, so a repeated subject costs one probe per
+//!   step (see [`Engine::normalize`]).
+//!
+//! At each position, rule dispatch scans the [`RuleSet`] in insertion
+//! order and attempts a full match only for rules whose left-hand-side
+//! head constant, subject type and shallow argument fingerprint admit
+//! the subject ([`RuleSet::candidates`]).
 //!
 //! [`EngineStats`] counts what each layer did, so the wins are measurable
 //! rather than asserted.
@@ -44,6 +47,7 @@ use hoas_core::term::{fingerprint_admits, MetaEnv, TermRef};
 use hoas_core::{normalize, typeck, NodeId, Sym, Term, Ty};
 use hoas_unify::classify::PatternClass;
 use hoas_unify::matching::{match_pattern, match_term, MatchConfig};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -68,10 +72,11 @@ pub struct EngineConfig {
     pub max_steps: usize,
     /// Traversal strategy.
     pub strategy: Strategy,
-    /// Whether to keep the rule-normal-form cache (on by default).
-    /// Disabling it forces the pre-cache full re-traversal; results are
-    /// identical either way, which `tests/engine_cache_props.rs`
-    /// property-checks.
+    /// Whether to use the memo layers (on by default): the
+    /// rule-normal-form cache, the canonical-form memo and the root-step
+    /// memo. Disabling it forces a full re-traversal and
+    /// re-canonicalization at every step; results are identical either
+    /// way, which `tests/engine_cache_props.rs` property-checks.
     pub cache: bool,
 }
 
@@ -138,8 +143,8 @@ impl std::fmt::Display for RewriteStep {
 }
 
 /// Work counters for an engine (or the delta of one [`Engine::normalize`]
-/// call): traversal volume, cache effectiveness, dispatch-index shape,
-/// and match attempts by [`MatchPath`].
+/// call): traversal volume, cache effectiveness, and match attempts by
+/// [`MatchPath`].
 ///
 /// Invariant: `cache_hits + cache_misses == cache_lookups`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -170,17 +175,11 @@ pub struct EngineStats {
     pub memo_hits: u64,
     /// Root-step memo lookups that fell through to a full traversal.
     pub memo_misses: u64,
-    /// Number of buckets in the rule discrimination index (head buckets
-    /// plus the flex fallback when nonempty).
-    pub index_buckets: usize,
-    /// Size of the largest index bucket.
-    pub index_max_bucket: usize,
 }
 
 impl EngineStats {
-    /// Counter difference `self - earlier` (index shape fields, which are
-    /// static per engine, are carried over unchanged). Used to report
-    /// per-call stats from cumulative engine counters.
+    /// Counter difference `self - earlier`. Used to report per-call stats
+    /// from cumulative engine counters.
     #[must_use]
     pub fn delta(&self, earlier: &EngineStats) -> EngineStats {
         EngineStats {
@@ -195,8 +194,6 @@ impl EngineStats {
             canon_misses: self.canon_misses - earlier.canon_misses,
             memo_hits: self.memo_hits - earlier.memo_hits,
             memo_misses: self.memo_misses - earlier.memo_misses,
-            index_buckets: self.index_buckets,
-            index_max_bucket: self.index_max_bucket,
         }
     }
 
@@ -253,11 +250,11 @@ fn bump(c: &Cell<u64>) {
 /// with its free de Bruijn variables typed `free_tys` — the only inputs
 /// (besides the node's own structure) that rule matching consults.
 #[derive(Clone, Debug)]
-pub(crate) struct CacheEntry {
+struct CacheEntry {
     /// Subject type at which the subterm was proven rule-normal.
-    pub(crate) ty: Ty,
+    ty: Ty,
     /// Types of the subterm's free variables, innermost (`Var(0)`) first.
-    pub(crate) free_tys: Vec<Ty>,
+    free_tys: Vec<Ty>,
 }
 
 /// Shallow identity of a composite root: a variant tag plus the stable
@@ -313,38 +310,17 @@ pub(crate) const ROOT_MEMO_CAP: usize = 1 << 20;
 /// bound because keepalive pins tied its size to live terms; a durable
 /// shared cache can outlive every subject, so it gets the same cap
 /// discipline as the other memo layers.
-pub(crate) const RULE_NF_CAP: usize = 1 << 20;
-
-/// The head-type table's value: uncurried argument types for a
-/// monomorphic constant, `None` for a polymorphic one.
-pub(crate) type HeadArgTys = Option<Arc<Vec<Ty>>>;
-
-/// Argument types of a neutral spine's head: shared from the head-type
-/// table for a constant, owned otherwise (a variable head's types are
-/// cloned out of the context, which the descent goes on to extend).
-enum ArgTys {
-    Shared(Arc<Vec<Ty>>),
-    Owned(Vec<Ty>),
-}
-
-impl ArgTys {
-    fn get(&self, i: usize) -> Option<&Ty> {
-        match self {
-            ArgTys::Shared(v) => v.get(i),
-            ArgTys::Owned(v) => v.get(i),
-        }
-    }
-}
+const RULE_NF_CAP: usize = 1 << 20;
 
 /// The engine's durable cache state: rule-normal-form cache, root-step
-/// memo, canonical-form memo, and head-type table, bundled behind one
-/// cheaply clonable handle (`Clone` shares, it does not copy).
+/// memo, and canonical-form memo, bundled behind one cheaply clonable
+/// handle (`Clone` shares, it does not copy).
 ///
-/// Every key in here is a stable [`NodeId`] (or a signature symbol), so
-/// the handle stays sound after the engine — and even every subject term
-/// — is gone: ids are never reused, process-wide, so an entry for a dead
-/// node can never be probed again. Warm caches can therefore be carried
-/// from one engine instance to the next with
+/// Every key in here is a stable [`NodeId`], so the handle stays sound
+/// after the engine — and even every subject term — is gone: ids are
+/// never reused, process-wide, so an entry for a dead node can never be
+/// probed again. Warm caches can therefore be carried from one engine
+/// instance to the next with
 /// [`Engine::caches`]/[`Engine::with_caches`] — and, the bundle being
 /// `Send + Sync` (each table behind its own mutex), shared between
 /// *threads*: workers over one term store build private `Engine`s around
@@ -358,13 +334,6 @@ impl ArgTys {
 /// in different stores must not share one.
 #[derive(Clone, Debug, Default)]
 pub struct EngineCaches {
-    /// Memoized uncurried argument types per (monomorphic) constant,
-    /// filled lazily on first use: descending a neutral spine costs a
-    /// hash lookup instead of a `typeck::synth` call per node, and
-    /// engine construction stays O(1) no matter how large the signature
-    /// (analysis passes build an engine per rule). `None` records a
-    /// polymorphic constant, which must take the synthesis path.
-    pub(crate) head_arg_tys: Arc<Mutex<HashMap<Sym, HeadArgTys>>>,
     /// Canonical-form memo for replacement canonicalization (see
     /// [`hoas_core::normalize::CanonCache`] for the soundness argument).
     pub(crate) canon: Arc<normalize::CanonCache>,
@@ -372,7 +341,7 @@ pub struct EngineCaches {
     /// invalidated: whether a rule fires inside a node is a function of
     /// its α-class (plus the recorded types), which the id pins down
     /// forever.
-    pub(crate) rule_nf: Arc<Mutex<HashMap<NodeId, Vec<CacheEntry>>>>,
+    rule_nf: Arc<Mutex<HashMap<NodeId, Vec<CacheEntry>>>>,
     /// Root-step memo: the outcome of one whole strategy step on a
     /// closed subject, keyed by the root's shallow id identity. Because
     /// interning hands back id-identical subtrees for a repeated
@@ -503,7 +472,6 @@ impl<'a> Engine<'a> {
     /// [`NormalizeResult::stats`] are attributable to the call that
     /// reports them. Interner counters live in [`hoas_core::store::stats`].
     pub fn stats(&self) -> EngineStats {
-        let (index_buckets, index_max_bucket) = self.rules.index_stats();
         EngineStats {
             nodes_visited: self.counters.nodes_visited.get(),
             cache_lookups: self.counters.cache_lookups.get(),
@@ -516,8 +484,6 @@ impl<'a> Engine<'a> {
             canon_misses: self.caches.canon.misses(),
             memo_hits: self.counters.memo_hits.get(),
             memo_misses: self.counters.memo_misses.get(),
-            index_buckets,
-            index_max_bucket,
         }
     }
 
@@ -544,9 +510,9 @@ impl<'a> Engine<'a> {
         ty: &Ty,
         t: &Term,
     ) -> Result<Option<(Term, String, MatchPath)>, RewriteError> {
-        // Discrimination key: the subject's rigid head constant, found
-        // without materializing the argument list — most positions have
-        // no candidate rules at all, and the allocation would be wasted.
+        // Dispatch key: the subject's rigid head constant, found without
+        // materializing the argument list — most positions have no
+        // candidate rules at all, and the allocation would be wasted.
         let subject_head = t.rigid_head();
         // Spine arguments, materialized lazily for the first candidate
         // that carries a shallow fingerprint.
@@ -722,7 +688,7 @@ impl<'a> Engine<'a> {
         t: &TermRef,
     ) -> Result<Option<(Term, RewriteStep)>, RewriteError> {
         // Childless nodes bypass the cache entirely: re-proving a leaf
-        // rule-normal costs one indexed candidate probe, which is cheaper
+        // rule-normal costs one candidate scan, which is cheaper
         // than a cache entry (key, type clones) plus a lookup.
         let cacheable = self.cfg.cache
             && !matches!(
@@ -836,39 +802,6 @@ impl<'a> Engine<'a> {
         });
     }
 
-    /// Argument types for descending a neutral spine: memo table for
-    /// constant heads, context lookup for variable heads, full synthesis
-    /// otherwise (also the error path for unknown heads).
-    fn arg_tys_for(&self, ctx: &Ctx, head: &Term) -> Result<ArgTys, RewriteError> {
-        match head {
-            Term::Const(c) => {
-                let memo = lock(&self.caches.head_arg_tys)
-                    .entry(c.clone())
-                    .or_insert_with(|| {
-                        self.sig.const_ty(c.as_str()).and_then(|scheme| {
-                            scheme.as_mono().map(|ty| {
-                                Arc::new(ty.uncurry().0.into_iter().cloned().collect::<Vec<Ty>>())
-                            })
-                        })
-                    })
-                    .clone();
-                if let Some(tys) = memo {
-                    return Ok(ArgTys::Shared(tys));
-                }
-            }
-            Term::Var(i) => {
-                if let Some((_, ty)) = ctx.lookup(*i) {
-                    return Ok(ArgTys::Owned(ty.uncurry().0.into_iter().cloned().collect()));
-                }
-            }
-            _ => {}
-        }
-        let head_ty =
-            typeck::synth(self.sig, &Default::default(), ctx, head).map_err(RewriteError::Core)?;
-        let (args, _) = head_ty.uncurry();
-        Ok(ArgTys::Owned(args.into_iter().cloned().collect()))
-    }
-
     fn step_children(
         &self,
         ctx: &mut Ctx,
@@ -899,15 +832,36 @@ impl<'a> Engine<'a> {
                     .map(|(b2, step)| (Term::Pair(a.clone(), TermRef::new(b2)), at(step, 1))))
             }
             _ => {
-                // Neutral (or literal): descend into spine arguments using
-                // the head's argument types.
+                // Neutral (or literal): descend into the spine arguments,
+                // walking the head's type along them. The type is
+                // borrowed from the signature for a monomorphic constant,
+                // cloned out of the context for a variable (the descent
+                // goes on to extend it), and synthesized otherwise (also
+                // the error path for unknown heads).
                 let (head, apps) = t.spine_apps();
                 if apps.is_empty() {
                     return Ok(None);
                 }
-                let arg_tys = self.arg_tys_for(ctx, head)?;
+                let mono = match head {
+                    Term::Const(c) => self
+                        .sig
+                        .const_ty(c.as_str())
+                        .and_then(|s| s.as_mono())
+                        .map(Cow::Borrowed),
+                    Term::Var(i) => ctx.lookup(*i).map(|(_, ty)| Cow::Owned(ty.clone())),
+                    _ => None,
+                };
+                let head_ty = match mono {
+                    Some(ty) => ty,
+                    None => Cow::Owned(
+                        typeck::synth(self.sig, &Default::default(), ctx, head)
+                            .map_err(RewriteError::Core)?,
+                    ),
+                };
+                let mut rest = head_ty.as_ref();
                 for (i, (prefix, arg)) in apps.iter().enumerate() {
-                    let Some(aty) = arg_tys.get(i) else { break };
+                    let Ty::Arrow(aty, cod) = rest else { break };
+                    rest = cod;
                     if let Some((a2, step)) = self.step_ref(ctx, aty, arg)? {
                         // Splice the new argument onto the unchanged
                         // prefix node, then re-attach the sibling
@@ -1001,6 +955,7 @@ mod tests {
              const or : o -> o -> o.
              const not : o -> o.
              const forall : (i -> o) -> o.
+             const g : ((o -> o) -> o) -> o.
              const p : i -> o.
              const r : o.",
         )
@@ -1059,6 +1014,31 @@ mod tests {
         assert_eq!(r.steps, 3);
         assert_eq!(r.term, Term::cnst("r"));
         assert!(r.applied.iter().all(|n| n == "not-not"));
+    }
+
+    #[test]
+    fn rewrites_inside_the_argument_of_a_bound_variable_head() {
+        // `f` heads a spine: its argument type comes from the context,
+        // not the signature.
+        let s = sig();
+        let rs = not_not();
+        let t = parse_term(&s, r"g (\f. f (not (not r)))").unwrap().term;
+        let cached = Engine::new(&s, &rs).normalize(&o(), &t).unwrap();
+        let uncached = Engine::with_config(
+            &s,
+            &rs,
+            EngineConfig {
+                cache: false,
+                ..EngineConfig::default()
+            },
+        )
+        .normalize(&o(), &t)
+        .unwrap();
+        assert_eq!(cached.term, parse_term(&s, r"g (\f. f r)").unwrap().term);
+        let trace: Vec<String> = cached.trace.iter().map(ToString::to_string).collect();
+        assert_eq!(trace, ["not-not @ [0.0.0]"]);
+        assert_eq!(cached.term, uncached.term);
+        assert_eq!(cached.trace, uncached.trace);
     }
 
     #[test]
@@ -1188,7 +1168,6 @@ mod cache_tests {
             r.stats.cache_lookups
         );
         assert!(r.stats.nodes_visited > 0);
-        assert_eq!(r.stats.index_buckets, 1, "only `not` is indexed");
         // Cumulative engine stats cover the call.
         let total = e.stats();
         assert!(total.cache_lookups >= r.stats.cache_lookups);

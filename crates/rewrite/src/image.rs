@@ -5,10 +5,11 @@
 //! the store snapshot: [`save_warm_image`] registers every live node
 //! from [`hoas_core::store::image::snapshot`] into the encoder pool, so
 //! decoding the pool re-interns the entire store before any cache
-//! section is read. The body then carries the four cache tables of an
-//! [`EngineCaches`] bundle — canonical-form memo, rule-normal-form
-//! cache, head-type table, and root-step memo — each with its
-//! [`NodeId`](hoas_core::NodeId) keys written as the *writer's* raw ids.
+//! section is read. The body then carries the two memo tables of an
+//! [`EngineCaches`] bundle that warm replay reads — the canonical-form
+//! memo and the root-step memo — each with its
+//! [`NodeId`](hoas_core::NodeId) keys written as the *writer's* raw ids,
+//! followed by any solver variant tables.
 //!
 //! [`load_warm_image`] replays the pool into the current store and
 //! translates every key through the decoder's `old id → new id` remap
@@ -16,10 +17,11 @@
 //! normalize and save, so it never reached the pool) drops that entry —
 //! counted, never guessed. Everything else lands id-correct in the
 //! target bundle, so a re-built subject re-interns onto pool nodes and
-//! replays against the warm caches with zero rule-NF misses: the root
-//! memo hands back whole strategy steps, and the canon memo hands back
-//! replacement canonicalizations, without traversing the subject at
-//! all.
+//! replays against the warm caches without traversing the subject at
+//! all: the root memo hands back whole strategy steps, and the canon
+//! memo hands back the subject's canonicalization. The rule-normal-form
+//! cache is consulted only by traversals, so a warm replay never reads
+//! it and the image does not carry it.
 //!
 //! The image does **not** carry the signature or rule set (persist those
 //! with [`hoas_core::codec::encode_signature`] and
@@ -28,14 +30,12 @@
 //! which is the same contract [`EngineCaches`] already imposes on
 //! cross-engine sharing.
 
-use crate::engine::{lock, CacheEntry, EngineCaches, RootEntry, RootKey};
+use crate::engine::{lock, EngineCaches, RootEntry, RootKey};
 use crate::engine::{MatchPath, RewriteStep, Strategy};
 use hoas_core::codec::{CodecError, Decoder, Encoder, Kind};
 use hoas_core::normalize::CanonExport;
 use hoas_core::store;
 use hoas_core::{Sym, Term, TermRef, Ty};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One solver variant-table entry in engine-neutral form, for carrying
 /// `hoas_lp` answer tables inside a warm image without a crate
@@ -75,10 +75,6 @@ pub struct ImageStats {
     pub remapped_ids: u64,
     /// Canonical-form memo entries carried by the image.
     pub canon_entries: u64,
-    /// Rule-normal-form cache entries carried by the image.
-    pub rule_nf_entries: u64,
-    /// Head-type table entries carried by the image.
-    pub head_ty_entries: u64,
     /// Root-step memo entries carried by the image.
     pub root_memo_entries: u64,
     /// Solver variant-table entries carried by the image.
@@ -126,41 +122,6 @@ pub fn save_warm_image_with_tables(caches: &EngineCaches, tables: &[SolverTableE
         enc.put_ty(&e.ty);
         put_tys(&mut enc, &e.free_tys);
         enc.put_term_ref(&e.result);
-    }
-
-    // Rule-normal-form cache, sorted by key for a deterministic image.
-    {
-        let map = lock(&caches.rule_nf);
-        let mut keys: Vec<_> = map.keys().copied().collect();
-        keys.sort_unstable();
-        enc.put_u64(keys.len() as u64);
-        for key in keys {
-            let bucket = &map[&key];
-            enc.put_u64(key.get());
-            enc.put_u64(bucket.len() as u64);
-            for e in bucket {
-                enc.put_ty(&e.ty);
-                put_tys(&mut enc, &e.free_tys);
-            }
-        }
-    }
-
-    // Head-type table (symbol-keyed, so no remap on load).
-    {
-        let map = lock(&caches.head_arg_tys);
-        let mut entries: Vec<(&Sym, &Option<Arc<Vec<Ty>>>)> = map.iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        enc.put_u64(entries.len() as u64);
-        for (sym, tys) in entries {
-            enc.put_sym(sym);
-            match tys {
-                Some(tys) => {
-                    enc.put_bool(true);
-                    put_tys(&mut enc, tys);
-                }
-                None => enc.put_bool(false),
-            }
-        }
     }
 
     // Root-step memo, sorted by key tuple.
@@ -280,41 +241,6 @@ pub fn load_warm_image_with_tables(
         }
     }
 
-    // Rule-normal-form cache.
-    let n_keys = dec.get_u64()?;
-    for _ in 0..n_keys {
-        let old = dec.get_u64()?;
-        let n_entries = dec.get_u64()?;
-        let mut bucket = Vec::new();
-        for _ in 0..n_entries {
-            let ty = dec.get_ty()?;
-            let free_tys = get_tys(&mut dec)?;
-            bucket.push(CacheEntry { ty, free_tys });
-        }
-        stats.rule_nf_entries += n_entries;
-        match dec.remap_id(old) {
-            Some(key) => {
-                stats.entries_reloaded += n_entries;
-                absorb_rule_nf(caches, key, bucket);
-            }
-            None => stats.entries_dropped += n_entries,
-        }
-    }
-
-    // Head-type table.
-    let n_heads = dec.get_u64()?;
-    for _ in 0..n_heads {
-        let sym = dec.get_sym()?;
-        let tys = if dec.get_bool()? {
-            Some(Arc::new(get_tys(&mut dec)?))
-        } else {
-            None
-        };
-        stats.head_ty_entries += 1;
-        stats.entries_reloaded += 1;
-        lock(&caches.head_arg_tys).insert(sym, tys);
-    }
-
     // Root-step memo.
     let n_roots = dec.get_u64()?;
     for _ in 0..n_roots {
@@ -415,27 +341,14 @@ pub fn inspect_warm_image(bytes: &[u8]) -> Result<ImageStats, CodecError> {
     load_warm_image(bytes, &EngineCaches::new())
 }
 
-/// Installs one reloaded rule-NF bucket, deduplicating against (and
+/// Installs one reloaded root-memo bucket, deduplicating against (and
 /// respecting the cap discipline of) whatever the live table holds.
-fn absorb_rule_nf(caches: &EngineCaches, key: hoas_core::NodeId, entries: Vec<CacheEntry>) {
-    let mut map = lock(&caches.rule_nf);
-    cap_clear(&mut map, crate::engine::RULE_NF_CAP);
-    let bucket = map.entry(key).or_default();
-    for e in entries {
-        if !bucket
-            .iter()
-            .any(|x| x.ty == e.ty && x.free_tys == e.free_tys)
-        {
-            bucket.push(e);
-        }
-    }
-}
-
-/// Installs one reloaded root-memo bucket (same discipline as
-/// [`absorb_rule_nf`]).
 fn absorb_root_memo(caches: &EngineCaches, key: RootKey, entries: Vec<RootEntry>) {
     let mut map = lock(&caches.root_memo);
-    cap_clear(&mut map, crate::engine::ROOT_MEMO_CAP);
+    // The wholesale-drop cap discipline of the engine's own inserts.
+    if map.len() >= crate::engine::ROOT_MEMO_CAP {
+        map.clear();
+    }
     let bucket = map.entry(key).or_default();
     for e in entries {
         if !bucket
@@ -444,14 +357,6 @@ fn absorb_root_memo(caches: &EngineCaches, key: RootKey, entries: Vec<RootEntry>
         {
             bucket.push(e);
         }
-    }
-}
-
-/// The wholesale-drop cap discipline shared with the engine's own
-/// insert paths.
-fn cap_clear<K, V>(map: &mut HashMap<K, V>, cap: usize) {
-    if map.len() >= cap {
-        map.clear();
     }
 }
 
@@ -567,7 +472,6 @@ mod tests {
             let stats = load_warm_image(&image, &caches).expect("image loads");
             assert!(stats.bytes > 0 && stats.pool_nodes > 0);
             assert!(stats.canon_entries > 0, "canon section persisted");
-            assert!(stats.rule_nf_entries > 0, "rule-NF section persisted");
             assert!(stats.root_memo_entries > 0, "root memo persisted");
             assert!(stats.entries_reloaded > 0);
 
@@ -579,7 +483,7 @@ mod tests {
                 assert_eq!(&warm.term.to_string(), cold, "warm replay matches cold");
             }
             let es = engine.stats();
-            assert_eq!(es.cache_misses, 0, "warm replay takes zero rule-NF misses");
+            assert_eq!(es.cache_lookups, 0, "warm replay reads no rule-NF entry");
             assert!(es.memo_hits > 0, "root memo replays whole steps");
         });
     }

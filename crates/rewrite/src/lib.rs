@@ -39,4 +39,4 @@ pub use engine::{
     Engine, EngineCaches, EngineConfig, EngineStats, MatchPath, NormalizeResult, RewriteStep,
     Strategy,
 };
-pub use rule::{Candidates, NativeRule, RewriteError, Rule, RuleSet};
+pub use rule::{NativeRule, RewriteError, Rule, RuleSet};

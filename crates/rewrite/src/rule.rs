@@ -12,7 +12,6 @@ use hoas_core::term::MetaEnv;
 use hoas_core::{normalize, Term, Ty};
 use hoas_unify::classify::{classify, PatternClass};
 use hoas_unify::UnifyError;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -317,24 +316,13 @@ impl fmt::Debug for NativeRule {
 }
 
 /// An ordered collection of rules tried first-to-last at each position.
-///
-/// Alongside the rule list, the set maintains a **discrimination index**:
-/// pattern rules are bucketed by the rigid head constant of their
-/// left-hand side, with head-less (flex) rules in a fallback bucket. The
-/// engine asks for [`RuleSet::candidates`] at each subject position and
-/// only ever sees the rules that could possibly match there, in the same
-/// first-to-last order a linear scan would have produced. The index is
-/// rebuilt incrementally on [`RuleSet::push`], so it can never go stale.
+/// At each subject position the engine scans [`RuleSet::candidates`]: the
+/// pattern rules whose left-hand-side head constant admits the subject,
+/// in insertion order.
 #[derive(Clone, Debug, Default)]
 pub struct RuleSet {
     rules: Vec<Rule>,
     native: Vec<NativeRule>,
-    /// Rule indices bucketed by rigid lhs head constant, each bucket in
-    /// ascending (insertion) order.
-    by_head: HashMap<hoas_core::Sym, Vec<usize>>,
-    /// Indices of rules whose lhs has no rigid head constant; these can
-    /// match any subject and are merged into every candidate list.
-    flex: Vec<usize>,
 }
 
 impl RuleSet {
@@ -343,22 +331,14 @@ impl RuleSet {
         RuleSet::default()
     }
 
-    /// Assembles a rule set from parts, rebuilding the discrimination
-    /// index. Unlike [`RuleSet::push`] this performs **no** duplicate-name
-    /// check: it is the entry point for hand-assembled sets (including
-    /// deliberately malformed ones fed to [`RuleSet::analyze`], which
-    /// recomputes duplicates itself).
+    /// Assembles a rule set from parts. Unlike [`RuleSet::push`] this
+    /// performs **no** duplicate-name check: it is the entry point for
+    /// hand-assembled sets (including deliberately malformed ones fed to
+    /// [`RuleSet::analyze`], which recomputes duplicates itself).
     ///
     /// [`RuleSet::analyze`]: crate::analysis
     pub fn from_parts(rules: Vec<Rule>, native: Vec<NativeRule>) -> RuleSet {
-        let mut rs = RuleSet {
-            rules,
-            native,
-            by_head: HashMap::new(),
-            flex: Vec::new(),
-        };
-        rs.rebuild_index();
-        rs
+        RuleSet { rules, native }
     }
 
     /// Decomposes the set into its pattern and native rules, consuming it.
@@ -376,7 +356,6 @@ impl RuleSet {
     /// diagnostic `HA006`).
     pub fn push(&mut self, rule: Rule) -> Result<&mut Self, RewriteError> {
         self.check_fresh_name(rule.name())?;
-        self.index_rule(self.rules.len(), &rule);
         self.rules.push(rule);
         Ok(self)
     }
@@ -420,28 +399,9 @@ impl RuleSet {
     }
 
     /// Keeps only the first `n` pattern rules (native rules are
-    /// untouched), rebuilding the index.
+    /// untouched).
     pub fn truncate_rules(&mut self, n: usize) {
         self.rules.truncate(n);
-        self.rebuild_index();
-    }
-
-    fn index_rule(&mut self, idx: usize, rule: &Rule) {
-        match rule.head_const() {
-            Some(c) => self.by_head.entry(c.clone()).or_default().push(idx),
-            None => self.flex.push(idx),
-        }
-    }
-
-    fn rebuild_index(&mut self) {
-        self.by_head.clear();
-        self.flex.clear();
-        for i in 0..self.rules.len() {
-            match self.rules[i].head_const().cloned() {
-                Some(c) => self.by_head.entry(c).or_default().push(i),
-                None => self.flex.push(i),
-            }
-        }
     }
 
     fn check_fresh_name(&self, name: &str) -> Result<(), RewriteError> {
@@ -464,36 +424,16 @@ impl RuleSet {
     }
 
     /// The pattern rules that could match a subject whose rigid head
-    /// constant is `head` (`None` for subjects without one), in the same
-    /// first-to-last order a scan of the full list would try them: the
-    /// head's bucket merged with the flex fallback bucket by ascending
-    /// insertion index. O(bucket), not O(rules).
-    pub fn candidates(&self, head: Option<&hoas_core::Sym>) -> Candidates<'_> {
-        static EMPTY: &[usize] = &[];
-        let bucket = head
-            .and_then(|c| self.by_head.get(c))
-            .map_or(EMPTY, Vec::as_slice);
-        Candidates {
-            rules: &self.rules,
-            bucket,
-            flex: &self.flex,
-            bi: 0,
-            fi: 0,
-        }
-    }
-
-    /// Index shape: `(number of head buckets, size of the largest
-    /// bucket)` where the flex fallback counts as a bucket when nonempty.
-    pub fn index_stats(&self) -> (usize, usize) {
-        let buckets = self.by_head.len() + usize::from(!self.flex.is_empty());
-        let max = self
-            .by_head
-            .values()
-            .map(Vec::len)
-            .chain(std::iter::once(self.flex.len()))
-            .max()
-            .unwrap_or(0);
-        (buckets, max)
+    /// constant is `head` (`None` for subjects without one), in
+    /// insertion order: every rule whose left-hand side has no rigid head
+    /// constant, or has `head`.
+    pub fn candidates<'s, 'h>(
+        &'s self,
+        head: Option<&'h hoas_core::Sym>,
+    ) -> impl Iterator<Item = &'s Rule> + use<'s, 'h> {
+        self.rules
+            .iter()
+            .filter(move |r| r.head_const().is_none_or(|c| Some(c) == head))
     }
 
     /// Total number of rules.
@@ -513,51 +453,6 @@ impl RuleSet {
             .map(|r| r.name())
             .chain(self.native.iter().map(|r| r.name()))
             .collect()
-    }
-}
-
-/// Iterator over the pattern rules that could match a given subject head,
-/// produced by [`RuleSet::candidates`]: a two-pointer merge of the head's
-/// bucket and the flex fallback bucket, yielding rules in ascending
-/// insertion order (i.e. exactly the order a linear scan would try them).
-pub struct Candidates<'a> {
-    rules: &'a [Rule],
-    bucket: &'a [usize],
-    flex: &'a [usize],
-    bi: usize,
-    fi: usize,
-}
-
-impl<'a> Iterator for Candidates<'a> {
-    type Item = &'a Rule;
-
-    fn next(&mut self) -> Option<&'a Rule> {
-        let idx = match (self.bucket.get(self.bi), self.flex.get(self.fi)) {
-            (Some(&b), Some(&f)) => {
-                if b < f {
-                    self.bi += 1;
-                    b
-                } else {
-                    self.fi += 1;
-                    f
-                }
-            }
-            (Some(&b), None) => {
-                self.bi += 1;
-                b
-            }
-            (None, Some(&f)) => {
-                self.fi += 1;
-                f
-            }
-            (None, None) => return None,
-        };
-        Some(&self.rules[idx])
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = (self.bucket.len() - self.bi) + (self.flex.len() - self.fi);
-        (n, Some(n))
     }
 }
 
@@ -736,10 +631,9 @@ mod tests {
 
     #[test]
     fn index_dispatch_finds_rules_pushed_out_of_head_order() {
-        // Interleave heads (not, and, not, flex, and) so every bucket is
-        // built up across non-adjacent pushes, then check that candidate
-        // dispatch still sees exactly the rules a linear scan would, in
-        // the same order.
+        // Interleave heads (not, and, not, flex, and), then check that
+        // candidate dispatch sees exactly the rules whose head admits the
+        // subject, in insertion order.
         let s = sig();
         let o = parse_ty("o").unwrap();
         let mut rs = RuleSet::new();
@@ -749,7 +643,7 @@ mod tests {
             .unwrap();
         rs.push(Rule::parse(&s, "n2", &o, &[("P", "o")], "not (and ?P ?P)", "not ?P").unwrap())
             .unwrap();
-        // Flex lhs (metavariable head): lands in the fallback bucket.
+        // Flex lhs (metavariable head): a candidate at every head.
         rs.push(
             Rule::parse(
                 &s,
@@ -770,24 +664,21 @@ mod tests {
                 .map(Rule::name)
                 .collect()
         };
-        // Bucket + flex merged in insertion order, exactly as a scan.
+        // Head matches and flex rules, in insertion order.
         assert_eq!(names(Some("not")), vec!["n1", "n2", "flex"]);
         assert_eq!(names(Some("and")), vec!["a1", "flex", "a2"]);
         assert_eq!(names(Some("forall")), vec!["flex"]);
         assert_eq!(names(None), vec!["flex"]);
-        // Every pattern rule is reachable through some bucket.
+        // Every pattern rule is reachable at some head.
         let mut reachable: Vec<&str> = names(Some("not"));
         reachable.extend(names(Some("and")));
         for rule in rs.rules() {
             assert!(reachable.contains(&rule.name()), "{} lost", rule.name());
         }
-        let (buckets, max) = rs.index_stats();
-        assert_eq!(buckets, 3, "not, and, flex");
-        assert_eq!(max, 2);
     }
 
     #[test]
-    fn from_parts_and_truncate_rebuild_the_index() {
+    fn candidates_follow_from_parts_and_truncate() {
         let s = sig();
         let o = parse_ty("o").unwrap();
         let r1 = Rule::parse(&s, "n1", &o, &[("P", "o")], "not (not ?P)", "?P").unwrap();

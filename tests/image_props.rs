@@ -1,7 +1,8 @@
 //! Integration tests for warm images (PR 7): a store + cache bundle
 //! saved from one isolated store and reloaded into another must replay
-//! the same workload with **zero rule-NF cache misses**, identical
-//! results, and live persistence counters; one image carries the
+//! the same workload **without consulting the rule-NF cache** (the image
+//! does not carry it), with identical results and live persistence
+//! counters; one image carries the
 //! rewrite caches and the solver's answer tables together; corrupted
 //! images must be rejected outright.
 
@@ -71,14 +72,13 @@ fn warm_reload_replays_with_zero_misses() {
         assert!(stats.bytes > 0);
         assert!(stats.pool_nodes > 0);
         assert!(stats.canon_entries > 0);
-        assert!(stats.rule_nf_entries > 0);
         assert!(stats.root_memo_entries > 0);
         assert!(stats.entries_reloaded > 0);
         assert!(stats.remapped_ids > 0, "salted store must remap ids");
 
         let (warm_results, es) = normalize_all(caches);
         assert_eq!(warm_results, cold_results, "warm results differ from cold");
-        assert_eq!(es.cache_misses, 0, "warm replay took rule-NF misses");
+        assert_eq!(es.cache_lookups, 0, "warm replay read the rule-NF cache");
         assert!(es.memo_hits > 0, "root memo never hit on warm replay");
         // The load created nodes in this fresh store.
         assert!(hoas::core::store::stats().since(&before).distinct_nodes > 0);
@@ -87,7 +87,7 @@ fn warm_reload_replays_with_zero_misses() {
 
 /// One image holds both warm prenex caches and fold-program solver
 /// tables; loaded into a salted isolated store, it replays the rewrite
-/// workload with zero rule-NF misses and answers the solver query from
+/// workload without a rule-NF lookup and answers the solver query from
 /// the tables alone.
 #[test]
 fn one_image_replays_rewrite_caches_and_solver_tables() {
@@ -133,7 +133,7 @@ fn one_image_replays_rewrite_caches_and_solver_tables() {
 
         let (warm_results, es) = normalize_all(caches);
         assert_eq!(warm_results, cold_results, "warm results differ from cold");
-        assert_eq!(es.cache_misses, 0, "warm replay took rule-NF misses");
+        assert_eq!(es.cache_lookups, 0, "warm replay read the rule-NF cache");
         assert!(es.memo_hits > 0, "root memo never hit on warm replay");
 
         let prog = fold_program();
