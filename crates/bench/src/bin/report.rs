@@ -2,19 +2,23 @@
 //!
 //! Run with `cargo run --release -p hoas-bench --bin report`.
 //!
-//! Each section corresponds to one experiment (E1–E9) of the per-figure
-//! index in DESIGN.md. Numbers are wall-clock medians over several
-//! iterations — shapes (who wins, by what factor, where crossovers fall)
-//! are the reproduction target, not absolute values.
+//! Each section corresponds to one experiment (E1–E11) of EXPERIMENTS.md.
+//! Numbers are wall-clock medians over several iterations — shapes (who
+//! wins, by what factor, where crossovers fall) are the reproduction
+//! target, not absolute values.
 //!
-//! The HOAS timings of E1b, E3, E4 and E8 are cold: each iteration runs
-//! in a fresh isolated store with fresh engines and caches (see
-//! [`cold`]), so a timed call computes its answer instead of replaying a
-//! memo entry left by the previous iteration.
+//! The HOAS timings of E1b, E3, E4, E5, E7, E8, E10 and E11 are cold:
+//! each iteration runs in a fresh isolated store with fresh engines,
+//! caches and programs (see [`cold`]), so a timed call computes its
+//! answer instead of replaying a memo entry left by the previous
+//! iteration.
 
+use hoas_analyze::modes;
 use hoas_bench::{baseline, workloads};
 use hoas_core::prelude::*;
 use hoas_langs::{fol, imp, lambda, miniml};
+use hoas_lp::examples::{self, Challenge};
+use hoas_lp::TableMode;
 use hoas_rewrite::rulesets::{fol_prenex, imp_opt};
 use hoas_rewrite::Engine;
 use hoas_unify::huet::{pre_unify_terms, HuetConfig};
@@ -66,6 +70,8 @@ fn main() {
     e7_encode();
     e8_miniml();
     e9_logic();
+    e10_determinacy();
+    e11_tabling();
 }
 
 fn e1_capture() {
@@ -242,22 +248,28 @@ fn e5_typecheck() {
         "size", "bidirectional", "reconstruction"
     );
     let sig = lambda::signature();
+    let count = 8;
     for size in [64usize, 256, 1024, 4096] {
-        let terms = workloads::lambda_encodings(workloads::SEED, size, 8);
-        let t_check = time(11, || {
+        let t_check = cold(11, || {
+            let terms = workloads::lambda_encodings(workloads::SEED, size, count);
+            let t0 = Instant::now();
             for (_, e) in &terms {
                 typeck::check_closed(sig, e, &lambda::tm()).expect("well-typed");
             }
+            t0.elapsed()
         });
-        let t_infer = time(11, || {
+        let t_infer = cold(11, || {
+            let terms = workloads::lambda_encodings(workloads::SEED, size, count);
+            let t0 = Instant::now();
             for (_, e) in &terms {
                 std::hint::black_box(infer::reconstruct(sig, e).expect("well-typed"));
             }
+            t0.elapsed()
         });
         println!(
             "{size:>8} {:>16.1} {:>16.1}",
-            us(t_check) / terms.len() as f64,
-            us(t_infer) / terms.len() as f64
+            us(t_check) / count as f64,
+            us(t_infer) / count as f64
         );
     }
     println!(
@@ -323,27 +335,37 @@ fn e7_encode() {
     for size in [64usize, 256, 1024] {
         let terms = workloads::lambda_encodings(workloads::SEED, size, 8);
         let trees: Vec<_> = terms.iter().map(|(t, _)| lambda::to_tree(t)).collect();
-        let t_enc = time(11, || {
+        let t_enc = cold(11, || {
+            let t0 = Instant::now();
             for (t, _) in &terms {
                 std::hint::black_box(lambda::encode(t).expect("closed"));
             }
+            t0.elapsed()
         });
-        let t_dec = time(11, || {
+        let t_dec = cold(11, || {
+            let terms = workloads::lambda_encodings(workloads::SEED, size, 8);
+            let t0 = Instant::now();
             for (_, e) in &terms {
                 std::hint::black_box(lambda::decode(e).expect("canonical"));
             }
+            t0.elapsed()
         });
-        let t_bridge = time(11, || {
+        let t_bridge = cold(11, || {
+            let t0 = Instant::now();
             for tree in &trees {
                 std::hint::black_box(
                     hoas_syntaxdef::encode(&def, "tm", tree).expect("well-sorted"),
                 );
             }
+            t0.elapsed()
         });
-        let t_bridge_dec = time(11, || {
+        let t_bridge_dec = cold(11, || {
+            let terms = workloads::lambda_encodings(workloads::SEED, size, 8);
+            let t0 = Instant::now();
             for (_, e) in &terms {
                 std::hint::black_box(hoas_syntaxdef::decode(&def, "tm", e).expect("canonical"));
             }
+            t0.elapsed()
         });
         let per = |t: Duration| us(t) / terms.len() as f64;
         println!(
@@ -359,25 +381,15 @@ fn e7_encode() {
 }
 
 fn e9_logic() {
-    use hoas_lp::examples::{append_program, stlc_program};
     use hoas_lp::solve::{query_menv, solve, SolveConfig};
     println!("## E9 — λProlog-style resolution over HOAS (µs, median)");
     println!("{:>24} {:>12} {:>12}", "query", "answers", "time (µs)");
-    let prog = append_program();
     for n in [4usize, 16, 64] {
-        let mut list = String::from("nil");
-        for _ in 0..n {
-            list = format!("cons a ({list})");
-        }
-        let (goal, menv) = query_menv(
-            prog.sig(),
-            &format!("append ({list}) nil ?Z"),
-            &[("Z", "i")],
-        )
-        .expect("parses");
+        let c = examples::append_deep(n);
+        let (goal, menv) = &c.queries[0];
         let mut answers = 0;
         let t = time(11, || {
-            let out = solve(&prog, &menv, &goal, &SolveConfig::default()).expect("well-formed");
+            let out = solve(&c.prog, menv, goal, &SolveConfig::default()).expect("well-formed");
             answers = out.answers.len();
         });
         println!(
@@ -386,7 +398,7 @@ fn e9_logic() {
             us(t)
         );
     }
-    let prog = stlc_program();
+    let prog = examples::stlc_program();
     for n in [2u32, 8, 16] {
         let mut term = String::from("x0");
         for i in (0..n).rev() {
@@ -445,4 +457,84 @@ fn e8_miniml() {
     println!("# expected shape: the HOAS evaluator is no slower than native substitution (the");
     println!("# paper's claim: HOAS deletes the substitution code at no asymptotic cost); the");
     println!("# environment machine beats both, as it would in any representation.\n");
+}
+
+/// Times a challenge under a base and a new configuration (table mode,
+/// and whether to enforce the mode analysis's certificate), asserts
+/// that both give every query the same number of answers and that no
+/// budget cut the search, and prints a row. Each configuration's time
+/// is the median of `iters` cold runs, each building the challenge in
+/// its own store.
+fn compare(
+    iters: u32,
+    make: impl Fn() -> Challenge,
+    base: (TableMode, bool),
+    new: (TableMode, bool),
+) {
+    let run = |(table, certified): (TableMode, bool)| {
+        let (mut name, mut counts) = (String::new(), Vec::new());
+        let t = cold(iters, || {
+            let c = make();
+            let cert = certified.then(|| modes::analyze_program(&c.prog).cert);
+            let t0 = Instant::now();
+            let outs = c.solve(table, cert.as_ref()).expect("well-formed");
+            let elapsed = t0.elapsed();
+            assert!(outs.iter().all(|o| !o.incomplete()), "{}: cut", c.name);
+            counts = outs.iter().map(|o| o.answers.len()).collect::<Vec<_>>();
+            name = c.name;
+            elapsed
+        });
+        (name, t, counts)
+    };
+    let (name, t_base, n_base) = run(base);
+    let (_, t_new, n_new) = run(new);
+    assert_eq!(n_base, n_new, "{name}: the configurations disagree");
+    println!(
+        "{name:>18} {:>8} {:>14.0} {:>14.0} {:>8.2}",
+        n_base.iter().sum::<usize>(),
+        us(t_base),
+        us(t_new),
+        t_base.as_secs_f64() / t_new.as_secs_f64()
+    );
+}
+
+fn e10_determinacy() {
+    println!("## E10 — engine-enforced determinacy: uncertified vs certified solving (µs, median)");
+    println!(
+        "{:>18} {:>8} {:>14} {:>14} {:>8}",
+        "challenge", "answers", "uncertified", "certified", "ratio"
+    );
+    let (uncertified, certified) = ((TableMode::Off, false), (TableMode::Off, true));
+    for n in [8, 32] {
+        compare(11, || examples::eval_chain(n), uncertified, certified);
+    }
+    for n in [16, 64] {
+        compare(11, || examples::append_deep(n), uncertified, certified);
+    }
+    println!("# expected shape: equal answers; a choice point costs only a trail mark, so");
+    println!("# committing to one clause saves little (ratio near 1).\n");
+}
+
+fn e11_tabling() {
+    println!("## E11 — answer tabling: untabled vs tabled solving (µs, median)");
+    println!(
+        "{:>18} {:>8} {:>14} {:>14} {:>8}",
+        "challenge", "answers", "untabled", "tabled", "ratio"
+    );
+    let (off, force) = ((TableMode::Off, false), (TableMode::Force, false));
+    for layers in [8, 10] {
+        compare(5, || examples::reach_fail(layers), off, force);
+    }
+    // Tabled under the certificate gate, as `solve_certified` users get it.
+    let (certified, gated) = ((TableMode::Off, true), (TableMode::Certified, true));
+    for depth in [8, 10] {
+        compare(5, || examples::fold_shared(depth), certified, gated);
+    }
+    compare(5, examples::preserve, off, force);
+    for depth in [6, 8] {
+        compare(5, || examples::ol_translate(depth), off, force);
+    }
+    println!("# expected shape: where derivations repeat subgoals (reach-fail, fold-shared,");
+    println!("# ol-translate) tabling wins by a factor that grows with size; where the queries");
+    println!("# share few variants (preserve) it gains nothing.\n");
 }

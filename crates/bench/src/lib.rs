@@ -14,9 +14,8 @@
 //!   store (the scaling harness for the sharded interner).
 //!
 //! Run `cargo run --release -p hoas-bench --bin report` to regenerate
-//! every experiment table. The `solver` and `solver_det` bench suites
-//! time tabling and committed choice; end-to-end timing lives in the
-//! separate `perfbench` package.
+//! every experiment table; end-to-end timing lives in the separate
+//! `perfbench` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

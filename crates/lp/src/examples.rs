@@ -3,10 +3,39 @@
 //! The star is [`stlc_program`]: a type checker for the simply typed
 //! λ-calculus in **two clauses**, with the context, weakening, and
 //! freshness all handled by `Π`/`⇒` and the metalanguage's binders.
+//!
+//! The [`Challenge`] problems pair a program with its queries and the
+//! budgets its untabled search needs. They are the one copy of each
+//! problem that the configuration-matrix oracle (`tests/lp_oracle.rs`)
+//! pins answers for and that `report` times (E10, E11).
 
+use crate::cert::ProgramCert;
 use crate::program::{Clause, Goal, Program};
+use crate::solve::{query_menv, solve_with, LpError, Outcome, SolveConfig};
+use crate::table::{SolveTables, TableMode};
 use hoas_core::sig::Signature;
+use hoas_core::term::MetaEnv;
 use hoas_core::{Sym, Term, Ty};
+
+/// Parses a clause head whose variables `vars` (name, type) take
+/// metavariable ids in declaration order, as [`Clause::parse`] does.
+/// Returns the clause with an empty body, and each variable's
+/// metavariable for building a structured (`Π`, `⇒`) body.
+fn parse_head<const N: usize>(
+    sig: &Signature,
+    vars: [(&str, &str); N],
+    head: &str,
+) -> (Clause, [Term; N]) {
+    let mut table = hoas_core::parse::MetaTable::new();
+    for (v, _) in vars {
+        table.get_or_insert(v);
+    }
+    let parsed = hoas_core::parse::parse_term_with(sig, head, table).expect("parses");
+    let metas = vars.map(|(v, _)| Term::Meta(parsed.metas.get(v).expect("declared").clone()));
+    let ty = |t| hoas_core::parse::parse_ty(t).expect("well-formed type");
+    let vars = vars.iter().map(|&(v, t)| (Sym::new(v), ty(t))).collect();
+    (Clause::fact(vars, parsed.term), metas)
+}
 
 /// Lists over individuals with the classic `append/3`.
 ///
@@ -75,46 +104,14 @@ pub fn stlc_program() -> Program {
         .expect("clause"),
     );
     // of (lam ?F) (arr ?A ?B) :- pi x. (of x ?A => of (?F x) ?B).
-    let table = {
-        let mut t = hoas_core::parse::MetaTable::new();
-        t.get_or_insert("F");
-        t.get_or_insert("A");
-        t.get_or_insert("B");
-        t
-    };
-    let head = hoas_core::parse::parse_term_with(prog.sig(), "of (lam ?F) (arr ?A ?B)", table)
-        .expect("parses");
-    let table = head.metas.clone();
-    let f = table.get("F").expect("F").clone();
-    let a = table.get("A").expect("A").clone();
-    let b = table.get("B").expect("B").clone();
-    let tm = Ty::base("tm");
-    let hyp = Clause {
-        vars: vec![],
-        // of x ?A, with x the Π-bound variable (goal-level Var 0).
-        head: Term::apps(Term::cnst("of"), [Term::Var(0), Term::Meta(a.clone())]),
-        body: Goal::True,
-    };
-    let concl = Goal::Atom(Term::apps(
-        Term::cnst("of"),
-        [
-            Term::app(Term::Meta(f.clone()), Term::Var(0)),
-            Term::Meta(b.clone()),
-        ],
-    ));
-    let lam_clause = Clause {
-        vars: vec![
-            (Sym::new("F"), Ty::arrow(tm.clone(), tm.clone())),
-            (Sym::new("A"), Ty::base("tp")),
-            (Sym::new("B"), Ty::base("tp")),
-        ],
-        head: head.term,
-        body: Goal::pi("x", tm, Goal::implies(hyp, concl)),
-    };
-    debug_assert_eq!(f.id(), 0);
-    debug_assert_eq!(a.id(), 1);
-    debug_assert_eq!(b.id(), 2);
-    prog.push(lam_clause);
+    let vars = [("F", "tm -> tm"), ("A", "tp"), ("B", "tp")];
+    let (mut lam, [f, a, b]) = parse_head(prog.sig(), vars, "of (lam ?F) (arr ?A ?B)");
+    let of = |e: Term, t: Term| Term::apps(Term::cnst("of"), [e, t]);
+    // of x ?A, with x the Π-bound variable (goal-level Var 0).
+    let hyp = Clause::fact(vec![], of(Term::Var(0), a));
+    let concl = Goal::Atom(of(Term::app(f, Term::Var(0)), b));
+    lam.body = Goal::pi("x", Ty::base("tm"), Goal::implies(hyp, concl));
+    prog.push(lam);
     prog
 }
 
@@ -161,6 +158,291 @@ pub fn eval_program() -> Program {
         .expect("clause"),
     );
     prog
+}
+
+/// [`stlc_program`] and [`eval_program`] in one program, so that one
+/// query can type a term, evaluate it and type its value.
+pub fn stlc_eval_program() -> Program {
+    let (stlc, eval) = (stlc_program(), eval_program());
+    let mut sig = stlc.sig().clone();
+    sig.merge(eval.sig()).expect("the signatures agree on `tm`");
+    let mut prog = Program::new(sig);
+    for c in stlc.clauses().iter().chain(eval.clauses()) {
+        prog.push(c.clone());
+    }
+    prog
+}
+
+/// Reachability over a diamond ladder: `n(i)` reaches `n(i+1)` through
+/// both `a(i)` and `b(i)`, so `n0` reaches `n(layers)` along
+/// `2^layers` paths. `bad` has no in-edges.
+///
+/// ```text
+/// path ?X ?Z :- edge ?X ?Z.
+/// path ?X ?Z :- edge ?X ?Y, path ?Y ?Z.
+/// ```
+pub fn reach_program(layers: usize) -> Program {
+    let mut src = String::from("type i. type o. const bad : i.\n");
+    for i in 0..=layers {
+        src.push_str(&format!(
+            "const n{i} : i. const a{i} : i. const b{i} : i.\n"
+        ));
+    }
+    src.push_str("const edge : i -> i -> o. const path : i -> i -> o.");
+    let mut prog = Program::new(Signature::parse(&src).expect("well-formed signature"));
+    for i in 0..layers {
+        let j = i + 1;
+        for fact in [
+            format!("edge n{i} a{i}"),
+            format!("edge n{i} b{i}"),
+            format!("edge a{i} n{j}"),
+            format!("edge b{i} n{j}"),
+        ] {
+            prog.push(Clause::parse(prog.sig(), &[], &fact, &[]).expect("clause"));
+        }
+    }
+    let (x, y, z) = (("X", "i"), ("Y", "i"), ("Z", "i"));
+    prog.push(Clause::parse(prog.sig(), &[x, z], "path ?X ?Z", &["edge ?X ?Z"]).expect("clause"));
+    prog.push(
+        Clause::parse(
+            prog.sig(),
+            &[x, y, z],
+            "path ?X ?Z",
+            &["edge ?X ?Y", "path ?Y ?Z"],
+        )
+        .expect("clause"),
+    );
+    prog
+}
+
+/// An imp-style optimizer pass: `opt` maps an expression to its
+/// optimized form, one clause per constructor, indexed on the first
+/// argument, so the mode analysis certifies it committed-choice and
+/// table-eligible.
+pub fn fold_program() -> Program {
+    let sig = Signature::parse(
+        "type e. type o.
+         const zero : e. const one : e.
+         const plus : e -> e -> e.
+         const opt : e -> e -> o.",
+    )
+    .expect("well-formed signature");
+    let mut prog = Program::new(sig);
+    prog.push(Clause::parse(prog.sig(), &[], "opt zero zero", &[]).expect("clause"));
+    prog.push(Clause::parse(prog.sig(), &[], "opt one one", &[]).expect("clause"));
+    prog.push(
+        Clause::parse(
+            prog.sig(),
+            &[("X", "e"), ("Y", "e"), ("A", "e"), ("B", "e")],
+            "opt (plus ?X ?Y) (plus ?A ?B)",
+            &["opt ?X ?A", "opt ?Y ?B"],
+        )
+        .expect("clause"),
+    );
+    prog
+}
+
+/// `plus t t` doubled `depth` times over `one`: `2^depth` leaves as a
+/// tree, but only `depth + 1` distinct subterms.
+pub fn shared_tree(depth: usize) -> String {
+    let mut tree = String::from("one");
+    for _ in 0..depth {
+        tree = format!("(plus {tree} {tree})");
+    }
+    tree
+}
+
+/// Translation between two object languages by copy clauses: source
+/// `lam1`/`app1` to target `lam2`/`app2`, crossing binders with `Π`/`⇒`.
+///
+/// ```text
+/// trans (app1 ?M ?N) (app2 ?P ?Q) :- trans ?M ?P, trans ?N ?Q.
+/// trans (lam1 ?F) (lam2 ?G) :- pi x:s. pi y:t. (trans x y => trans (?F x) (?G y)).
+/// ```
+pub fn translate_program() -> Program {
+    let sig = Signature::parse(
+        "type s. type t. type o.
+         const lam1 : (s -> s) -> s. const app1 : s -> s -> s.
+         const lam2 : (t -> t) -> t. const app2 : t -> t -> t.
+         const trans : s -> t -> o.",
+    )
+    .expect("well-formed signature");
+    let mut prog = Program::new(sig);
+    prog.push(
+        Clause::parse(
+            prog.sig(),
+            &[("M", "s"), ("N", "s"), ("P", "t"), ("Q", "t")],
+            "trans (app1 ?M ?N) (app2 ?P ?Q)",
+            &["trans ?M ?P", "trans ?N ?Q"],
+        )
+        .expect("clause"),
+    );
+    let vars = [("F", "s -> s"), ("G", "t -> t")];
+    let (mut lam, [f, g]) = parse_head(prog.sig(), vars, "trans (lam1 ?F) (lam2 ?G)");
+    let trans = |a: Term, b: Term| Term::apps(Term::cnst("trans"), [a, b]);
+    // Under both Πs, x is goal-level Var 1 and y is Var 0.
+    let hyp = Clause::fact(vec![], trans(Term::Var(1), Term::Var(0)));
+    let concl = Goal::Atom(trans(
+        Term::app(f, Term::Var(1)),
+        Term::app(g, Term::Var(0)),
+    ));
+    let body = Goal::pi("y", Ty::base("t"), Goal::implies(hyp, concl));
+    lam.body = Goal::pi("x", Ty::base("s"), body);
+    prog.push(lam);
+    prog
+}
+
+/// A challenge problem in the sense of *The Next 700 Challenge
+/// Problems*: a program, the queries to run against it in order, and
+/// the depth budget its untabled search needs. The expected answers are
+/// pinned by the configuration-matrix oracle.
+pub struct Challenge {
+    /// Shape and size, e.g. `reach-fail/10`.
+    pub name: String,
+    /// The program.
+    pub prog: Program,
+    /// Each query's goal and the types of its metavariables.
+    pub queries: Vec<(Goal, MetaEnv)>,
+    /// The depth budget; [`Challenge::solve`] sets the table mode.
+    pub cfg: SolveConfig,
+}
+
+impl Challenge {
+    fn new(
+        name: String,
+        prog: Program,
+        max_depth: u32,
+        queries: &[(&str, &[(&str, &str)])],
+    ) -> Challenge {
+        let queries = queries
+            .iter()
+            .map(|(src, vars)| query_menv(prog.sig(), src, vars).expect("query parses"))
+            .collect();
+        let cfg = SolveConfig {
+            max_depth,
+            ..SolveConfig::default()
+        };
+        Challenge {
+            name,
+            prog,
+            queries,
+            cfg,
+        }
+    }
+
+    /// Solves the queries in order against one fresh table set under
+    /// `table`, enforcing `cert`'s verdicts when one is given.
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::solve::solve`].
+    pub fn solve(
+        &self,
+        table: TableMode,
+        cert: Option<&ProgramCert>,
+    ) -> Result<Vec<Outcome>, LpError> {
+        let cfg = SolveConfig { table, ..self.cfg };
+        let mut tables = SolveTables::for_program(&self.prog);
+        self.queries
+            .iter()
+            .map(|(goal, menv)| solve_with(&self.prog, menv, goal, &cfg, cert, &mut tables))
+            .collect()
+    }
+}
+
+/// `path n0 bad` over [`reach_program`]: plain search refutes all
+/// `2^layers` paths, tabled search refutes each node once.
+pub fn reach_fail(layers: usize) -> Challenge {
+    let name = format!("reach-fail/{layers}");
+    let depth = 4 * layers as u32 + 64;
+    Challenge::new(name, reach_program(layers), depth, &[("path n0 bad", &[])])
+}
+
+/// `opt t ?Z` over [`fold_program`] with `t` the [`shared_tree`] of
+/// `depth`. Depth is a per-branch budget, so the untabled search needs
+/// room for every occurrence of a subterm.
+pub fn fold_shared(depth: usize) -> Challenge {
+    let name = format!("fold-shared/{depth}");
+    let query = format!("opt {} ?Z", shared_tree(depth));
+    Challenge::new(
+        name,
+        fold_program(),
+        1 << (depth + 3),
+        &[(&query, &[("Z", "e")])],
+    )
+}
+
+/// Type preservation on `(λx. x) K` over [`stlc_eval_program`], as three
+/// queries sharing one table set: `of S ?T`, `eval S ?V` and `of K ?T`.
+/// The third repeats a variant the first derived.
+pub fn preserve() -> Challenge {
+    let (s, k) = (
+        r"app (lam (\x. x)) (lam (\y. lam (\z. y)))",
+        r"lam (\y. lam (\z. y))",
+    );
+    let (of_s, eval_s, of_k) = (
+        format!("of ({s}) ?T"),
+        format!("eval ({s}) ?V"),
+        format!("of ({k}) ?T"),
+    );
+    let queries: &[(&str, &[_])] = &[
+        (&of_s, &[("T", "tp")]),
+        (&eval_s, &[("V", "tm")]),
+        (&of_k, &[("T", "tp")]),
+    ];
+    let depth = SolveConfig::default().max_depth;
+    Challenge::new("preserve/3".into(), stlc_eval_program(), depth, queries)
+}
+
+/// `trans s t` over [`translate_program`] in checking mode (both sides
+/// ground), with `s` a `lam1 (\x. x)` leaf doubled under `app1` `depth`
+/// times. Synthesis mode would flounder: an unknown target binder
+/// applied to an eigenvariable is outside the pattern fragment.
+pub fn ol_translate(depth: usize) -> Challenge {
+    let name = format!("ol-translate/{depth}");
+    let mut src = String::from(r"(lam1 (\x. x))");
+    let mut tgt = String::from(r"(lam2 (\x. x))");
+    for _ in 0..depth {
+        src = format!("(app1 {src} {src})");
+        tgt = format!("(app2 {tgt} {tgt})");
+    }
+    let query = format!("trans {src} {tgt}");
+    Challenge::new(
+        name,
+        translate_program(),
+        1 << (depth + 4),
+        &[(&query, &[])],
+    )
+}
+
+/// `eval ((λx. x) (… ((λx. x) K))) ?V` over [`eval_program`] with `n`
+/// redexes: each spawns three `eval` subgoals, all ground in their
+/// first argument, so certified solving commits to one clause per call.
+pub fn eval_chain(n: usize) -> Challenge {
+    let mut t = String::from(r"lam (\y. lam (\z. y))");
+    for _ in 0..n {
+        t = format!(r"app (lam (\x. x)) ({t})");
+    }
+    let query = format!("eval ({t}) ?V");
+    let name = format!("eval-chain/{n}");
+    Challenge::new(name, eval_program(), 4096, &[(&query, &[("V", "tm")])])
+}
+
+/// `append l nil ?Z` over [`append_program`] with `l` a list of `n`
+/// `a`s: a deterministic recursion that certified solving commits.
+pub fn append_deep(n: usize) -> Challenge {
+    let mut list = String::from("nil");
+    for _ in 0..n {
+        list = format!("cons a ({list})");
+    }
+    let query = format!("append ({list}) nil ?Z");
+    let name = format!("append-deep/{n}");
+    Challenge::new(
+        name,
+        append_program(),
+        4 * n as u32 + 16,
+        &[(&query, &[("Z", "i")])],
+    )
 }
 
 #[cfg(test)]

@@ -46,8 +46,5 @@ pub mod table;
 
 pub use cert::{Mode, PredVerdict, ProgramCert};
 pub use program::{Clause, Goal, Program};
-pub use solve::{
-    solve, solve_certified, solve_with, Answer, CutBy, LpError, Outcome, SearchStrategy,
-    SolveConfig,
-};
+pub use solve::{solve, solve_certified, solve_with, Answer, CutBy, LpError, Outcome, SolveConfig};
 pub use table::{EntryState, SolveTables, TableAnswer, TableEntry, TableMode, TableStats};

@@ -1,9 +1,8 @@
 //! The resolution engine: an explicit and-or search machine with
-//! heap-allocated choice points, answer tabling keyed on interned
-//! nodes, selectable search strategies (depth-first and iterative
-//! deepening), pattern-unification-based clause matching, eigenvariable
-//! scope checking, and hypothetical clauses with stack-scoped
-//! lifetimes.
+//! heap-allocated choice points, depth-first search with backtracking,
+//! answer tabling keyed on interned nodes, pattern-unification-based
+//! clause matching, eigenvariable scope checking, and hypothetical
+//! clauses with stack-scoped lifetimes.
 //!
 //! # The machine
 //!
@@ -50,27 +49,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
-/// How the machine explores the or-tree.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// Chronological depth-first search with backtracking (the
-    /// default): one pass at the full depth budget.
-    #[default]
-    Dfs,
-    /// Iterative deepening: depth-first rounds at budgets `start`,
-    /// `start + step`, … up to [`SolveConfig::max_depth`], keeping the
-    /// last round's answers. A round that is not depth-cut is final
-    /// (its answer set equals the DFS answer set up to order); rounds
-    /// share one fuel budget and one table set.
-    IterativeDeepening {
-        /// First round's depth budget (clamped to `1..=max_depth`).
-        start: u32,
-        /// Budget increment between rounds (minimum 1).
-        step: u32,
-    },
-}
-
-/// Search budgets and strategy.
+/// Search budgets and tabling.
 #[derive(Clone, Copy, Debug)]
 pub struct SolveConfig {
     /// Maximum resolution (clause-application) steps along one branch.
@@ -79,8 +58,6 @@ pub struct SolveConfig {
     pub max_solutions: usize,
     /// Total goal-processing steps across the whole search.
     pub fuel: u64,
-    /// How the or-tree is explored.
-    pub strategy: SearchStrategy,
     /// Whether (and which) calls are tabled. [`TableMode::Certified`]
     /// follows the analysis certificate's per-predicate eligibility
     /// verdict; [`TableMode::Force`] overrides it.
@@ -93,7 +70,6 @@ impl Default for SolveConfig {
             max_depth: 512,
             max_solutions: 1,
             fuel: 1_000_000,
-            strategy: SearchStrategy::Dfs,
             table: TableMode::Off,
         }
     }
@@ -681,9 +657,6 @@ struct Machine<'a> {
     binding_visits: u64,
     fuel: u64,
     floundered: bool,
-    /// Depth budget for generator sub-searches (the strategy's current
-    /// round budget, so iterative deepening stays faithful).
-    gen_depth: u32,
     /// Current generator nesting (host-stack) depth.
     nest: u32,
 }
@@ -827,11 +800,19 @@ fn solve_inner(
         binding_visits: 0,
         fuel: cfg.fuel,
         floundered: false,
-        gen_depth: cfg.max_depth,
         nest: 0,
     };
     let mut out = Outcome::default();
-    let result = machine.drive(&tys, &goal, &query_metas, &mut out);
+    let branch = Branch {
+        work: vec![Work::G(goal)],
+        depth: cfg.max_depth,
+    };
+    let sink = &mut Sink::Top {
+        query_metas: &query_metas,
+        answers: &mut out.answers,
+        max: cfg.max_solutions,
+    };
+    let result = machine.run(St::new(&tys), branch, sink, &mut Vec::new());
     // Whatever happened (including a hard error or a fuel abort),
     // in-flight table entries must not look complete.
     if let Some(t) = machine.tables.as_deref_mut() {
@@ -840,7 +821,7 @@ fn solve_inner(
     out.floundered = machine.floundered;
     out.tables = machine.stats;
     out.binding_visits = machine.binding_visits;
-    result?;
+    out.cut = result?;
     Ok(out)
 }
 
@@ -858,70 +839,6 @@ fn check_meta_ty(m: &MVar, ty: &Ty) -> Result<(), LpError> {
 }
 
 impl<'a> Machine<'a> {
-    /// Runs the configured strategy to completion. The goal's
-    /// metavariables are numbered `0..k`, typed by `tys`, and reported
-    /// under the caller's names `query_metas`.
-    fn drive(
-        &mut self,
-        tys: &[Ty],
-        goal: &Goal,
-        query_metas: &[MVar],
-        out: &mut Outcome,
-    ) -> Result<(), LpError> {
-        let init = || St::new(tys);
-        let branch = |depth: u32| Branch {
-            work: vec![Work::G(goal.clone())],
-            depth,
-        };
-        match self.cfg.strategy {
-            SearchStrategy::Dfs => {
-                self.gen_depth = self.cfg.max_depth;
-                let mut consumed = Vec::new();
-                let cut = self.run(
-                    init(),
-                    branch(self.cfg.max_depth),
-                    &mut Sink::Top {
-                        query_metas,
-                        answers: &mut out.answers,
-                        max: self.cfg.max_solutions,
-                    },
-                    &mut consumed,
-                )?;
-                out.cut = cut;
-            }
-            SearchStrategy::IterativeDeepening { start, step } => {
-                let step = step.max(1);
-                let mut d = start.clamp(1, self.cfg.max_depth.max(1));
-                loop {
-                    out.answers.clear();
-                    self.gen_depth = d;
-                    let mut consumed = Vec::new();
-                    let cut = self.run(
-                        init(),
-                        branch(d),
-                        &mut Sink::Top {
-                            query_metas,
-                            answers: &mut out.answers,
-                            max: self.cfg.max_solutions,
-                        },
-                        &mut consumed,
-                    )?;
-                    out.cut = cut;
-                    // Deepen only while a depth-flavored cut left the
-                    // round inconclusive and budget remains.
-                    let deepen = matches!(cut, Some(CutBy::Depth) | Some(CutBy::Table))
-                        && out.answers.len() < self.cfg.max_solutions
-                        && d < self.cfg.max_depth;
-                    if !deepen {
-                        break;
-                    }
-                    d = d.saturating_add(step).min(self.cfg.max_depth);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Runs one depth-first machine pass over its own proof state,
     /// delivering answers to `sink`, and adds the state's binding visits
     /// to the machine's. Returns the budget cut observed by this run
@@ -1534,7 +1451,7 @@ impl<'a> Machine<'a> {
             let sub_st = St::new(call_tys);
             let sub = Branch {
                 work: vec![Work::AtomByClauses(canonical.clone())],
-                depth: self.gen_depth,
+                depth: self.cfg.max_depth,
             };
             let mut sub_consumed = Vec::new();
             self.nest += 1;
@@ -1869,9 +1786,6 @@ pub fn query_menv(
     }
     Ok((Goal::Atom(parsed.term), menv))
 }
-
-/// `Ty` re-export for goal construction convenience.
-pub use hoas_core::Ty as GoalTy;
 
 #[cfg(test)]
 mod tests {

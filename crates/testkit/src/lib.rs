@@ -2,7 +2,7 @@
 //!
 //! The workspace's tier-1 verify (`cargo build --release && cargo test -q`)
 //! must run with **zero network access**: no crates.io, no registry. This
-//! crate replaces the external `rand`, `proptest`, and `criterion`
+//! crate replaces the external `rand` and `proptest`
 //! dev-dependencies with small, deterministic, vendored equivalents —
 //! exactly the slices of those APIs the repo uses, and nothing else:
 //!
@@ -15,9 +15,7 @@
 //! * [`gen`] — size-bounded generators for simple types, signatures,
 //!   well-typed canonical terms, λProlog reachability programs (with an
 //!   oracle), and terminating rewrite systems — all built on `hoas-core`'s
-//!   builders;
-//! * [`bench`](mod@bench) — a wall-clock micro-benchmark timer with a
-//!   Criterion-shaped API ([`criterion_group!`]/[`criterion_main!`]).
+//!   builders.
 //!
 //! Determinism contract: every suite runs under the fixed default seed
 //! [`prop::DEFAULT_SEED`]; the same seed always produces the same case
@@ -28,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod gen;
 pub mod prop;
 pub mod rng;

@@ -19,17 +19,14 @@ use hoas_core::{MVar, Term, TermRef, Ty};
 /// Configuration for matching.
 #[derive(Clone, Copy, Debug)]
 pub struct MatchConfig {
-    /// Whether to fall back to Huet search when the pattern unifier
-    /// reports the problem is outside its fragment.
-    pub huet_fallback: bool,
-    /// Budgets for the fallback search.
+    /// Budgets for the Huet search that matching falls back to when the
+    /// pattern unifier reports the problem is outside its fragment.
     pub huet: HuetConfig,
 }
 
 impl Default for MatchConfig {
     fn default() -> Self {
         MatchConfig {
-            huet_fallback: true,
             huet: HuetConfig {
                 max_depth: 6,
                 max_solutions: 1,
@@ -74,7 +71,7 @@ pub fn match_term(
     match pattern::unify_constraints(sig, menv, vec![constraint.clone()]) {
         Ok(solution) => Ok(Some(solution.subst)),
         Err(e) if e.is_refutation() || matches!(e, UnifyError::Escape { .. }) => Ok(None),
-        Err(UnifyError::NotPattern { .. }) if cfg.huet_fallback => {
+        Err(UnifyError::NotPattern { .. }) => {
             let out = huet::pre_unify(sig, menv, vec![constraint], &cfg.huet)?;
             // In matching, one side is ground, so a solution with leftover
             // flex-flex pairs would be under-determined; take the first
@@ -85,7 +82,6 @@ pub fn match_term(
                 .find(|s| s.flex_flex.is_empty())
                 .map(|s| s.subst))
         }
-        Err(UnifyError::NotPattern { .. }) => Ok(None),
         Err(e) => Err(e),
     }
 }
@@ -454,16 +450,6 @@ mod tests {
         )
         .unwrap();
         assert!(got.is_some(), "Huet fallback should find a match");
-        // With the fallback disabled, the same problem is inconclusive.
-        let cfg = MatchConfig {
-            huet_fallback: false,
-            ..MatchConfig::default()
-        };
-        assert!(
-            match_term(&s, &menv, &Ctx::new(), &o(), &pat, &target, &cfg)
-                .unwrap()
-                .is_none()
-        );
     }
 
     #[test]
@@ -475,7 +461,6 @@ mod tests {
                 max_solutions: 16,
                 ..HuetConfig::default()
             },
-            ..MatchConfig::default()
         };
         let all = match_all(&s, &menv, &Ctx::new(), &o(), &pat, &target, &cfg).unwrap();
         assert!(all.len() >= 4, "got {}", all.len());

@@ -1,44 +1,9 @@
-//! The tabled fold workload and the conversions between live solver
-//! tables and the warm image's neutral entry form, shared by the
-//! suites that round-trip tables through an image.
+//! The conversions between live solver tables and the warm image's
+//! neutral entry form, shared by the suites that round-trip tables
+//! through an image.
 
-use hoas::lp::{Clause, EntryState, Program, SolveTables, TableAnswer};
+use hoas::lp::{EntryState, Program, SolveTables, TableAnswer};
 use hoas::rewrite::image::SolverTableEntry;
-use hoas_core::sig::Signature;
-
-/// The shared-subtree `opt` workload: tabling collapses its
-/// exponentially many identical subgoals to one generator each.
-pub fn fold_program() -> Program {
-    let sig = Signature::parse(
-        "type e. type o.
-         const zero : e. const one : e.
-         const plus : e -> e -> e.
-         const opt : e -> e -> o.",
-    )
-    .unwrap();
-    let mut prog = Program::new(sig);
-    prog.push(Clause::parse(prog.sig(), &[], "opt zero zero", &[]).unwrap());
-    prog.push(Clause::parse(prog.sig(), &[], "opt one one", &[]).unwrap());
-    prog.push(
-        Clause::parse(
-            prog.sig(),
-            &[("X", "e"), ("Y", "e"), ("A", "e"), ("B", "e")],
-            "opt (plus ?X ?Y) (plus ?A ?B)",
-            &["opt ?X ?A", "opt ?Y ?B"],
-        )
-        .unwrap(),
-    );
-    prog
-}
-
-/// A perfectly shared `plus` tree of the given depth over `one`.
-pub fn shared_tree(depth: usize) -> String {
-    let mut tree = String::from("one");
-    for _ in 0..depth {
-        tree = format!("(plus {tree} {tree})");
-    }
-    tree
-}
 
 /// `SolveTables` → the image codec's neutral entry form.
 pub fn export_tables(tables: &SolveTables) -> Vec<SolverTableEntry> {

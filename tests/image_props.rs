@@ -8,7 +8,8 @@
 
 use hoas::core::prelude::*;
 use hoas::langs::fol;
-use hoas::lp::solve::{query_menv, solve_with, SolveConfig};
+use hoas::lp::examples::fold_shared;
+use hoas::lp::solve::{solve_with, SolveConfig};
 use hoas::lp::{SolveTables, TableMode};
 use hoas::rewrite::image::{
     inspect_warm_image, load_warm_image, load_warm_image_with_tables, save_warm_image,
@@ -19,7 +20,7 @@ use hoas::rewrite::{Engine, EngineCaches, EngineConfig};
 use hoas_bench::workloads;
 
 mod common;
-use common::{absorb_tables, export_tables, fold_program, shared_tree};
+use common::{absorb_tables, export_tables};
 
 /// Builds the shared workload inside the current store.
 fn workload() -> (Signature, Vec<Term>) {
@@ -93,20 +94,17 @@ fn warm_reload_replays_with_zero_misses() {
 fn one_image_replays_rewrite_caches_and_solver_tables() {
     // The program is built in each store: its clauses' nodes must live
     // in the store the solver runs in.
-    let query = format!("opt {} ?Z", shared_tree(10));
-    let cfg = SolveConfig {
-        max_depth: 1 << 13,
-        fuel: 100_000_000,
-        table: TableMode::Force,
-        ..SolveConfig::default()
-    };
     let (image, cold_results) = StoreHandle::isolated().enter(|| {
         let caches = EngineCaches::new();
         let (results, _) = normalize_all(caches.clone());
-        let prog = fold_program();
-        let (goal, menv) = query_menv(prog.sig(), &query, &[("Z", "e")]).expect("query parses");
-        let mut tables = SolveTables::for_program(&prog);
-        let out = solve_with(&prog, &menv, &goal, &cfg, None, &mut tables).expect("solves");
+        let c = fold_shared(10);
+        let (prog, (goal, menv)) = (&c.prog, &c.queries[0]);
+        let cfg = SolveConfig {
+            table: TableMode::Force,
+            ..c.cfg
+        };
+        let mut tables = SolveTables::for_program(prog);
+        let out = solve_with(prog, menv, goal, &cfg, None, &mut tables).expect("solves");
         assert_eq!(out.answers.len(), 1, "fold workload must solve");
         let image = save_warm_image_with_tables(&caches, &export_tables(&tables));
         (image, results)
@@ -136,11 +134,15 @@ fn one_image_replays_rewrite_caches_and_solver_tables() {
         assert_eq!(es.cache_lookups, 0, "warm replay read the rule-NF cache");
         assert!(es.memo_hits > 0, "root memo never hit on warm replay");
 
-        let prog = fold_program();
-        let (goal, menv) = query_menv(prog.sig(), &query, &[("Z", "e")]).expect("query parses");
-        let mut tables = absorb_tables(&prog, entries);
+        let c = fold_shared(10);
+        let (prog, (goal, menv)) = (&c.prog, &c.queries[0]);
+        let cfg = SolveConfig {
+            table: TableMode::Force,
+            ..c.cfg
+        };
+        let mut tables = absorb_tables(prog, entries);
         assert!(tables.answer_count() > 0, "absorbed tables hold no answers");
-        let out = solve_with(&prog, &menv, &goal, &cfg, None, &mut tables).expect("solves");
+        let out = solve_with(prog, menv, goal, &cfg, None, &mut tables).expect("solves");
         assert_eq!(out.answers.len(), 1);
         assert!(out.tables.hits > 0, "reloaded tables scored no hit");
         assert_eq!(

@@ -1,12 +1,15 @@
-//! Reference oracle for the λProlog solver's configuration matrix: the
-//! bundled programs (`stlc_program` and `eval_program`, merged as the
-//! end-to-end benchmark runs them) answer a fixed set of typing,
-//! evaluation and preservation queries, and every combination of
-//! [`TableMode`] and [`SearchStrategy`] must reproduce the answers and
-//! table counters pinned in `tests/golden/lp_oracle.golden`.
+//! Reference oracle for the λProlog solver's configuration matrix.
+//!
+//! * The bundled programs (`stlc_eval_program`, as the end-to-end
+//!   benchmark runs them) answer a fixed set of typing, evaluation and
+//!   preservation queries, and every [`TableMode`] must reproduce the
+//!   answers and table counters pinned in `tests/golden/lp_oracle.golden`.
+//! * The challenge problems of `hoas_lp::examples` must give the same
+//!   answers under every [`TableMode`], certified and uncertified, with
+//!   the answers and counters pinned in `tests/golden/lp_challenges.golden`.
 //!
 //! Answers are rendered structurally (de Bruijn indices, metavariables
-//! numbered by first occurrence), so the file depends on neither binder
+//! numbered by first occurrence), so the files depend on neither binder
 //! hints nor internal metavariable ids.
 //!
 //! To regenerate after an intentional change to the solver's answers or
@@ -14,26 +17,13 @@
 
 use hoas::analyze::modes;
 use hoas::langs::lambda::{self, LTerm};
-use hoas::lp::examples::{eval_program, stlc_program};
+use hoas::lp::examples::{self, stlc_eval_program, Challenge};
 use hoas::lp::solve::{solve_with, Outcome, SolveConfig};
-use hoas::lp::{Goal, Program, SearchStrategy, SolveTables, TableMode, TableStats};
+use hoas::lp::{Goal, Program, SolveTables, TableMode, TableStats};
 use hoas_core::term::MetaEnv;
 use hoas_core::{MVar, StoreHandle, Term, Ty};
 use hoas_testkit::prelude::*;
 use std::path::PathBuf;
-
-/// The benchmark's λProlog system: both example programs in one.
-fn program() -> Program {
-    let stlc = stlc_program();
-    let eval = eval_program();
-    let mut sig = stlc.sig().clone();
-    sig.merge(eval.sig()).unwrap();
-    let mut prog = Program::new(sig);
-    for c in stlc.clauses().iter().chain(eval.clauses()) {
-        prog.push(c.clone());
-    }
-    prog
-}
 
 /// A query: its goal and the types of its metavariables.
 struct Query {
@@ -242,23 +232,7 @@ fn render_outcome(out: &Outcome) -> String {
     }
 }
 
-const CONFIGS: [(TableMode, SearchStrategy); 6] = [
-    (TableMode::Off, SearchStrategy::Dfs),
-    (TableMode::Force, SearchStrategy::Dfs),
-    (TableMode::Certified, SearchStrategy::Dfs),
-    (
-        TableMode::Off,
-        SearchStrategy::IterativeDeepening { start: 8, step: 8 },
-    ),
-    (
-        TableMode::Force,
-        SearchStrategy::IterativeDeepening { start: 8, step: 8 },
-    ),
-    (
-        TableMode::Certified,
-        SearchStrategy::IterativeDeepening { start: 8, step: 8 },
-    ),
-];
+const TABLE_MODES: [TableMode; 3] = [TableMode::Off, TableMode::Force, TableMode::Certified];
 
 /// Runs every query under one configuration against one table set (as
 /// the benchmark does), returning the rendered answers per query and
@@ -268,13 +242,11 @@ fn run(
     cert: &hoas::lp::ProgramCert,
     qs: &[Query],
     table: TableMode,
-    strategy: SearchStrategy,
 ) -> (Vec<String>, TableStats, usize) {
     let cfg = SolveConfig {
         max_depth: 4096,
         fuel: 5_000_000,
         table,
-        strategy,
         ..SolveConfig::default()
     };
     let mut tables = SolveTables::for_program(prog);
@@ -292,20 +264,16 @@ fn run(
     (rendered, stats, cut)
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/lp_oracle.golden")
-}
-
 #[test]
 fn every_configuration_reproduces_the_golden_answers_and_counters() {
     StoreHandle::isolated().enter(|| {
-        let prog = program();
+        let prog = stlc_eval_program();
         let cert = modes::analyze_program(&prog).cert;
         let qs = queries();
         let mut lines = Vec::new();
         let mut reference: Option<Vec<String>> = None;
-        for (table, strategy) in CONFIGS {
-            let (answers, stats, cut) = run(&prog, &cert, &qs, table, strategy);
+        for table in TABLE_MODES {
+            let (answers, stats, cut) = run(&prog, &cert, &qs, table);
             match &reference {
                 None => {
                     for (i, a) in answers.iter().enumerate() {
@@ -315,29 +283,95 @@ fn every_configuration_reproduces_the_golden_answers_and_counters() {
                 }
                 Some(want) => {
                     for (i, (got, want)) in answers.iter().zip(want).enumerate() {
-                        assert_eq!(got, want, "{table:?}/{strategy:?}: query {i}");
+                        assert_eq!(got, want, "{table:?}: query {i}");
                     }
                 }
             }
-            lines.push(format!(
-                "{table:?} {strategy:?}: hits={} variant_misses={} suspensions={} \
-                 answers_inserted={} answers_reused={} inconclusive={cut}",
-                stats.hits,
-                stats.variant_misses,
-                stats.suspensions,
-                stats.answers_inserted,
-                stats.answers_reused,
-            ));
+            lines.push(format!("{table:?}: {}", counters(&stats, cut)));
         }
-        let body = lines.join("\n") + "\n";
-        let path = golden_path();
-        if std::env::var("HOAS_UPDATE_GOLDEN").is_ok() {
-            std::fs::write(&path, &body).unwrap();
-            return;
+        check_golden("lp_oracle.golden", &lines);
+    })
+}
+
+fn counters(stats: &TableStats, cut: usize) -> String {
+    format!(
+        "hits={} variant_misses={} suspensions={} answers_inserted={} answers_reused={} \
+         inconclusive={cut}",
+        stats.hits,
+        stats.variant_misses,
+        stats.suspensions,
+        stats.answers_inserted,
+        stats.answers_reused,
+    )
+}
+
+/// Compares `lines` with `tests/golden/<name>`, or rewrites the file
+/// under `HOAS_UPDATE_GOLDEN`.
+fn check_golden(name: &str, lines: &[String]) {
+    let body = lines.join("\n") + "\n";
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var("HOAS_UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&path, &body).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden file {path:?} ({e}); run with HOAS_UPDATE_GOLDEN=1")
+    });
+    assert_eq!(body, want, "solver answers or table counters drifted");
+}
+
+/// Each challenge problem under every table mode, with the mode
+/// analysis's certificate, and uncertified with tabling off: every
+/// configuration gives each query the same answers, and forced tabling
+/// runs generators. The sizes are small so that the untabled searches
+/// stay fast in a debug build; `report` (E10, E11) times the larger ones.
+#[test]
+fn challenge_problems_reproduce_the_golden_answers_under_every_configuration() {
+    StoreHandle::isolated().enter(|| {
+        let challenges: [Challenge; 6] = [
+            examples::reach_fail(4),
+            examples::fold_shared(4),
+            examples::preserve(),
+            examples::ol_translate(3),
+            examples::eval_chain(8),
+            examples::append_deep(16),
+        ];
+        let mut lines = Vec::new();
+        for c in &challenges {
+            let cert = modes::analyze_program(&c.prog).cert;
+            let configs = TABLE_MODES.map(|t| (t, Some(&cert), format!("{t:?}")));
+            let uncertified = (TableMode::Off, None, "Off uncertified".to_string());
+            let mut reference: Option<Vec<String>> = None;
+            for (table, cert, label) in [uncertified].into_iter().chain(configs) {
+                let outs = c.solve(table, cert).unwrap();
+                let mut stats = TableStats::default();
+                let mut cut = 0;
+                for out in &outs {
+                    stats.merge(&out.tables);
+                    cut += usize::from(out.incomplete() || out.floundered);
+                }
+                let answers: Vec<String> = outs.iter().map(render_outcome).collect();
+                match &reference {
+                    None => {
+                        for (i, a) in answers.iter().enumerate() {
+                            lines.push(format!("{} query {i}: {a}", c.name));
+                        }
+                        reference = Some(answers);
+                    }
+                    Some(want) => assert_eq!(&answers, want, "{} {label}", c.name),
+                }
+                if table == TableMode::Force {
+                    assert!(
+                        stats.variant_misses > 0,
+                        "{}: Force ran no generator",
+                        c.name
+                    );
+                }
+                lines.push(format!("{} {label}: {}", c.name, counters(&stats, cut)));
+            }
         }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("missing golden file {path:?} ({e}); run with HOAS_UPDATE_GOLDEN=1")
-        });
-        assert_eq!(body, want, "solver answers or table counters drifted");
+        check_golden("lp_challenges.golden", &lines);
     })
 }

@@ -896,49 +896,6 @@ fn deep_committed_chain_threads_state_by_move() {
 }
 
 #[test]
-fn iterative_deepening_agrees_with_dfs() {
-    use hoas::lp::SearchStrategy;
-    let prog = examples::append_program();
-    let (goal, menv) = query_menv(
-        prog.sig(),
-        "append ?X ?Y (cons a (cons b nil))",
-        &[("X", "i"), ("Y", "i")],
-    )
-    .unwrap();
-    let dfs = solve(
-        &prog,
-        &menv,
-        &goal,
-        &SolveConfig {
-            max_solutions: 10,
-            ..SolveConfig::default()
-        },
-    )
-    .unwrap();
-    let idfs = solve(
-        &prog,
-        &menv,
-        &goal,
-        &SolveConfig {
-            max_solutions: 10,
-            strategy: SearchStrategy::IterativeDeepening { start: 1, step: 1 },
-            ..SolveConfig::default()
-        },
-    )
-    .unwrap();
-    let xs = |o: &hoas::lp::Outcome| {
-        let mut v: Vec<String> = o
-            .answers
-            .iter()
-            .map(|a| a.get("X").unwrap().to_string())
-            .collect();
-        v.sort();
-        v
-    };
-    assert_eq!(xs(&dfs), xs(&idfs), "same answer set up to order");
-}
-
-#[test]
 fn under_applied_atom_is_an_error_not_a_failure() {
     // `of` takes two arguments. The clause filter compares argument heads
     // position by position and leaves the arity mismatch to the unifier,

@@ -22,7 +22,7 @@
 //!    absorbed, they answer the same query with zero variant misses.
 
 use hoas::analyze::modes;
-use hoas::lp::examples::stlc_program;
+use hoas::lp::examples::{fold_program, fold_shared, stlc_program};
 use hoas::lp::solve::{query_menv, solve, solve_certified, solve_with, SolveConfig};
 use hoas::lp::{Clause, Program, SolveTables, TableMode};
 use hoas::rewrite::image::{load_warm_image_with_tables, save_warm_image_with_tables};
@@ -33,7 +33,7 @@ use hoas_testkit::prelude::*;
 use std::collections::BTreeSet;
 
 mod common;
-use common::{absorb_tables, export_tables, fold_program, shared_tree};
+use common::{absorb_tables, export_tables};
 
 /// Builds the `edge`/`path` program of a generated graph spec.
 fn reach_program(spec: &gen::LpSpec) -> Program {
@@ -125,22 +125,15 @@ props! {
     }
 
     fn table_counters_are_live(depth in 4usize..7) {
-        let prog = fold_program();
-        let (goal, menv) = query_menv(
-            prog.sig(),
-            &format!("opt {} ?Z", shared_tree(depth)),
-            &[("Z", "e")],
-        )
-        .unwrap();
+        let c = fold_shared(depth);
+        let (goal, menv) = &c.queries[0];
         let cfg = SolveConfig {
-            max_depth: 1 << (depth + 3),
-            fuel: 100_000_000,
             table: TableMode::Force,
-            ..SolveConfig::default()
+            ..c.cfg
         };
-        let mut tables = SolveTables::for_program(&prog);
-        let cold = solve_with(&prog, &menv, &goal, &cfg, None, &mut tables).unwrap();
-        let warm = solve_with(&prog, &menv, &goal, &cfg, None, &mut tables).unwrap();
+        let mut tables = SolveTables::for_program(&c.prog);
+        let cold = solve_with(&c.prog, menv, goal, &cfg, None, &mut tables).unwrap();
+        let warm = solve_with(&c.prog, menv, goal, &cfg, None, &mut tables).unwrap();
         prop_assert_eq!(cold.answers.len(), 1);
         prop_assert_eq!(warm.answers.len(), 1);
         prop_assert_eq!(cold.answers[0].to_string(), warm.answers[0].to_string());
@@ -159,28 +152,17 @@ props! {
 /// tabling would otherwise show only as a slow benchmark.
 #[test]
 fn certified_fold_tables_populate_then_replay() {
-    let depth = 10;
-    let prog = fold_program();
-    let cert = modes::analyze_program(&prog).cert;
-    let (goal, menv) = query_menv(
-        prog.sig(),
-        &format!("opt {} ?Z", shared_tree(depth)),
-        &[("Z", "e")],
-    )
-    .unwrap();
-    let cfg = SolveConfig {
-        max_depth: 1 << (depth + 3),
-        fuel: 100_000_000,
-        ..SolveConfig::default()
-    };
+    let c = fold_shared(10);
+    let (prog, (goal, menv)) = (&c.prog, &c.queries[0]);
+    let cert = modes::analyze_program(prog).cert;
     let tabled = SolveConfig {
         table: TableMode::Certified,
-        ..cfg
+        ..c.cfg
     };
-    let plain = solve_certified(&prog, &menv, &goal, &cfg, &cert).unwrap();
-    let mut tables = SolveTables::for_program(&prog);
-    let cold = solve_with(&prog, &menv, &goal, &tabled, Some(&cert), &mut tables).unwrap();
-    let warm = solve_with(&prog, &menv, &goal, &tabled, Some(&cert), &mut tables).unwrap();
+    let plain = solve_certified(prog, menv, goal, &c.cfg, &cert).unwrap();
+    let mut tables = SolveTables::for_program(prog);
+    let cold = solve_with(prog, menv, goal, &tabled, Some(&cert), &mut tables).unwrap();
+    let warm = solve_with(prog, menv, goal, &tabled, Some(&cert), &mut tables).unwrap();
     assert_eq!(plain.answers.len(), 1);
     assert_eq!(cold.answers.len(), 1);
     assert_eq!(warm.answers.len(), 1);
@@ -250,19 +232,14 @@ fn certificate_gating_is_respected() {
         .verdict(&hoas_core::Sym::new("opt"))
         .expect("opt analyzed");
     assert!(verdict.table, "`opt` must certify as table-eligible");
-    let (goal, menv) = query_menv(
-        prog.sig(),
-        &format!("opt {} ?Z", shared_tree(6)),
-        &[("Z", "e")],
-    )
-    .unwrap();
+    let c = fold_shared(6);
+    let (goal, menv) = &c.queries[0];
     let cfg = SolveConfig {
-        max_depth: 1 << 9,
         table: TableMode::Certified,
-        ..SolveConfig::default()
+        ..c.cfg
     };
     let mut tables = SolveTables::for_program(&prog);
-    let out = solve_with(&prog, &menv, &goal, &cfg, Some(&outcome.cert), &mut tables).unwrap();
+    let out = solve_with(&prog, menv, goal, &cfg, Some(&outcome.cert), &mut tables).unwrap();
     assert_eq!(out.answers.len(), 1);
     assert!(
         out.tables.variant_misses > 0,
@@ -275,21 +252,14 @@ fn certificate_gating_is_respected() {
 /// into a fresh `SolveTables`, then re-answers the query by pure replay.
 #[test]
 fn tables_survive_a_warm_image_round_trip() {
-    let prog = fold_program();
-    let (goal, menv) = query_menv(
-        prog.sig(),
-        &format!("opt {} ?Z", shared_tree(8)),
-        &[("Z", "e")],
-    )
-    .unwrap();
+    let c = fold_shared(8);
+    let (prog, (goal, menv)) = (&c.prog, &c.queries[0]);
     let cfg = SolveConfig {
-        max_depth: 1 << 11,
-        fuel: 100_000_000,
         table: TableMode::Force,
-        ..SolveConfig::default()
+        ..c.cfg
     };
-    let mut tables = SolveTables::for_program(&prog);
-    let cold = solve_with(&prog, &menv, &goal, &cfg, None, &mut tables).unwrap();
+    let mut tables = SolveTables::for_program(prog);
+    let cold = solve_with(prog, menv, goal, &cfg, None, &mut tables).unwrap();
     assert_eq!(cold.answers.len(), 1);
 
     // Export through the image's engine-neutral entry form.
@@ -305,11 +275,11 @@ fn tables_survive_a_warm_image_round_trip() {
         exported.iter().map(|e| e.answers.len()).sum::<usize>()
     );
 
-    let mut warm_tables = absorb_tables(&prog, reloaded);
+    let mut warm_tables = absorb_tables(prog, reloaded);
     assert_eq!(warm_tables.len(), tables.len());
     assert_eq!(warm_tables.answer_count(), tables.answer_count());
 
-    let warm = solve_with(&prog, &menv, &goal, &cfg, None, &mut warm_tables).unwrap();
+    let warm = solve_with(prog, menv, goal, &cfg, None, &mut warm_tables).unwrap();
     assert_eq!(warm.answers.len(), 1);
     assert_eq!(warm.answers[0].to_string(), cold.answers[0].to_string());
     assert!(warm.tables.hits > 0, "reloaded tables scored no hit");
