@@ -127,7 +127,7 @@ fn usage() -> String {
         "usage: hoas-analyze [--list] [--strict] [--allow CODE ...] [TARGET ...]\n\n\
          Runs the static analyzer (pattern-fragment classification, rule\n\
          lints, overlap detection, signature hygiene, kernel annotation\n\
-         validation, mode/determinacy inference, size-change termination)\n\
+         validation, mode inference, size-change termination)\n\
          over the named targets, or all of them by default.\n\n\
          --strict promotes warnings to exit-relevant findings; --allow\n\
          exempts one code (repeatable).\n\n\

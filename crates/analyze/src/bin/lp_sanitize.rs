@@ -2,12 +2,11 @@
 //! certified solver and check it agrees with the uncertified one.
 //!
 //! CI runs this binary in the *debug* profile, where the dynamic mode
-//! sanitizer inside `solve_certified` is live: every enforced verdict
-//! (inputs ground on entry, outputs ground on exit, committed calls
-//! match at most one clause) is cross-checked at runtime and a
-//! violation panics citing the HA code. A clean exit therefore means
-//! the static verdicts survived contact with the actual search on
-//! every bundled example.
+//! sanitizer inside `solve_certified` is live: every call whose inputs
+//! are ground under an inferred mode re-verifies at exit that its
+//! outputs are ground, and a violation panics citing `HA018`. A clean
+//! exit therefore means the static mode verdicts survived contact with
+//! the actual search on every bundled example.
 
 use hoas_analyze::modes;
 use hoas_lp::solve::{query_menv, solve, solve_certified, SolveConfig};

@@ -145,7 +145,7 @@ fn push_analysis(report: &mut Report, analysis: &RuleSetAnalysis) {
 /// pattern-fragment classification of heads (HA001) and body atoms
 /// (HA012) at their `Π` depth, the kernel annotation validator over every
 /// clause term (HA010), the signature lints (HA008/HA009), and the
-/// mode/determinacy analysis (HA013–HA015, HA019, with HA020 when a
+/// mode analysis (HA013, HA014, HA019, HA021, with HA020 when a
 /// certificate is minted).
 pub fn check_program(target: &str, prog: &Program) -> Report {
     let mut report = Report::new(target);
@@ -202,7 +202,7 @@ pub fn check_program(target: &str, prog: &Program) -> Report {
     report
 }
 
-/// The mode/determinacy verdicts (HA013–HA015, HA019–HA021).
+/// The mode verdicts (HA013, HA014, HA019–HA021).
 fn push_program_verdicts(report: &mut Report, prog: &Program) {
     let modes = crate::modes::analyze_program(prog);
     for (pred, verdict) in &modes.preds {
@@ -222,31 +222,6 @@ fn push_program_verdicts(report: &mut Report, prog: &Program) {
                 pred.as_str(),
                 format!("admits mode(s) {}", rendered.join(", ")),
             );
-        }
-        match &verdict.commit {
-            Some(positions) if positions.is_empty() => {
-                report.push(
-                    "HA015",
-                    pred.as_str(),
-                    "committed-choice: at most one clause, so the solver \
-                     never needs a choice point for it"
-                        .to_string(),
-                );
-            }
-            Some(positions) => {
-                let ps: Vec<String> = positions.iter().map(|p| p.to_string()).collect();
-                report.push(
-                    "HA015",
-                    pred.as_str(),
-                    format!(
-                        "committed-choice: clause heads are pairwise \
-                         non-unifiable on input position(s) {}; the solver \
-                         commits to the first match when they are ground",
-                        ps.join(", ")
-                    ),
-                );
-            }
-            None => {}
         }
         if verdict.table {
             report.push(
@@ -274,7 +249,7 @@ fn push_program_verdicts(report: &mut Report, prog: &Program) {
             "HA020",
             "program",
             format!(
-                "mode/determinacy certificate issued covering {} \
+                "mode certificate issued covering {} \
                  predicate(s); `solve_certified` enforces it",
                 modes.preds.len()
             ),

@@ -1,4 +1,4 @@
-//! Mode/groundness and determinacy analysis for λProlog programs.
+//! Mode/groundness analysis for λProlog programs.
 //!
 //! # Mode inference
 //!
@@ -36,28 +36,12 @@
 //!
 //! Both passes only ever *remove* candidates, so the loop terminates.
 //!
-//! # Determinacy
-//!
-//! A predicate is **committed-choice** on a set `I` of input positions
-//! when its program clause heads are pairwise non-unifiable after
-//! restriction to `I`. At a call whose `I` positions are ground (and
-//! with no hypothetical clauses for the predicate in scope — the solver
-//! checks that at run time), at most one clause head can match, so the
-//! solver may commit to the first match and skip the remaining choice
-//! points without losing answers. Pairwise apartness is decided with
-//! the pattern unifier after renaming the clauses apart; only a
-//! *refutation* ([`hoas_unify::UnifyError::is_refutation`]) counts —
-//! fragment failures are treated conservatively as "may unify".
-//!
 //! The verdicts are packaged into a [`ProgramCert`] which
 //! [`hoas_lp::solve_certified`] enforces; see `hoas_lp::cert` for the
 //! trust story.
 
-use hoas_core::{Sym, Term, Ty};
+use hoas_core::{Sym, Term};
 use hoas_lp::{Clause, Goal, Mode, PredVerdict, Program, ProgramCert};
-use hoas_unify::classify::{shift_menv, shift_metas};
-use hoas_unify::pattern;
-use hoas_unify::problem::Constraint;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Largest predicate arity the mode search covers. The candidate set is
@@ -65,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// small; predicates above it are simply not analyzed.
 pub const MAX_MODED_ARITY: usize = 6;
 
-/// Mode and determinacy verdicts for one predicate.
+/// Mode and tabling verdicts for one predicate.
 #[derive(Clone, Debug)]
 pub struct PredReport {
     /// Argument count (consistent across all clauses).
@@ -73,8 +57,6 @@ pub struct PredReport {
     /// Admitted modes, in ascending input-mask order. Empty when no
     /// consistent mode exists.
     pub modes: Vec<Mode>,
-    /// Committed-choice input positions, when apartness was proven.
-    pub commit: Option<Vec<usize>>,
     /// Tabling eligibility (`HA021`): the predicate admits a mode with
     /// at least one input position (so calls can be keyed on ground
     /// skeletons) and no hypothetical clause anywhere in the program
@@ -96,7 +78,7 @@ pub struct UnmodedCall {
     pub atom: String,
 }
 
-/// Everything the mode/determinacy pass produces.
+/// Everything the mode pass produces.
 #[derive(Clone, Debug)]
 pub struct ModeOutcome {
     /// Per-predicate verdicts (predicates with consistent arity at most
@@ -286,64 +268,6 @@ fn infer_modes(prog: &Program, arities: &BTreeMap<Sym, usize>) -> BTreeMap<Sym, 
     }
 }
 
-/// Whether two (renamed-apart) clause heads are provably non-unifiable
-/// when restricted to `positions`.
-fn pair_apart(
-    prog: &Program,
-    arg_tys: &[&Ty],
-    c1: &Clause,
-    c2: &Clause,
-    positions: &[usize],
-) -> bool {
-    let n1 = c1.vars.len() as u32;
-    let mut menv = c1.var_menv();
-    menv.extend(shift_menv(&c2.var_menv(), n1));
-    let head2 = shift_metas(&c2.head, n1);
-    let (_, a1) = c1.head.spine();
-    let (_, a2) = head2.spine();
-    if a1.len() != a2.len() {
-        return false;
-    }
-    let constraints: Vec<Constraint> = positions
-        .iter()
-        .map(|&k| Constraint::closed(arg_tys[k].clone(), a1[k].clone(), a2[k].clone()))
-        .collect();
-    match pattern::unify_constraints(prog.sig(), &menv, constraints) {
-        Ok(_) => false,
-        // Only a definite refutation proves apartness; fragment failures
-        // are conservatively "may unify".
-        Err(e) => e.is_refutation(),
-    }
-}
-
-/// Searches for committed-choice input positions: singletons first
-/// (cheapest run-time groundness check), then all positions at once.
-fn commit_positions(prog: &Program, pred: &Sym, arity: usize) -> Option<Vec<usize>> {
-    let clauses: Vec<&Clause> = prog.clauses_for(pred).collect();
-    if clauses.len() <= 1 {
-        // Zero or one clause: trivially at most one match.
-        return Some(Vec::new());
-    }
-    let mono = prog.sig().const_ty(pred.as_str())?.as_mono()?;
-    let (arg_tys, _) = mono.uncurry();
-    if arg_tys.len() < arity {
-        return None;
-    }
-    let singletons = (0..arity).map(|i| vec![i]);
-    let everything = std::iter::once((0..arity).collect::<Vec<_>>());
-    'sets: for positions in singletons.chain(everything) {
-        for i in 0..clauses.len() {
-            for j in i + 1..clauses.len() {
-                if !pair_apart(prog, &arg_tys, clauses[i], clauses[j], &positions) {
-                    continue 'sets;
-                }
-            }
-        }
-        return Some(positions);
-    }
-    None
-}
-
 /// Best-case ill-modedness lint (`HA019`): even with every head
 /// metavariable ground, the atom fits no surviving mode. After a
 /// finding the atom's metavariables are optimistically grounded so one
@@ -393,15 +317,14 @@ fn find_unmoded_calls(prog: &Program, preds: &BTreeMap<Sym, PredReport>) -> Vec<
     out
 }
 
-/// Runs mode inference and determinacy analysis over a program and
-/// mints the certificate [`hoas_lp::solve_certified`] enforces.
+/// Runs mode inference over a program and mints the certificate
+/// [`hoas_lp::solve_certified`] enforces.
 pub fn analyze_program(prog: &Program) -> ModeOutcome {
     let arities = pred_arities(prog);
     let mut modes = infer_modes(prog, &arities);
     let mut preds = BTreeMap::new();
     let mut verdicts = HashMap::new();
     for (p, &arity) in arities.iter().filter(|(_, &n)| n <= MAX_MODED_ARITY) {
-        let commit = commit_positions(prog, p, arity);
         let pred_modes = modes.remove(p).unwrap_or_default();
         let table = pred_modes.iter().any(|m| m.inputs.iter().any(|&i| i))
             && !prog.extended_hypothetically(p);
@@ -410,7 +333,6 @@ pub fn analyze_program(prog: &Program) -> ModeOutcome {
             PredReport {
                 arity,
                 modes: pred_modes.clone(),
-                commit: commit.clone(),
                 table,
             },
         );
@@ -418,7 +340,6 @@ pub fn analyze_program(prog: &Program) -> ModeOutcome {
             p.clone(),
             PredVerdict {
                 modes: pred_modes,
-                commit,
                 table,
             },
         );
@@ -454,7 +375,6 @@ mod tests {
             renders(r),
             vec!["(+,+,-)", "(-,-,+)", "(+,-,+)", "(-,+,+)", "(+,+,+)"]
         );
-        assert_eq!(r.commit, Some(vec![0]), "nil vs cons apart on position 0");
         assert!(out.unmoded_calls.is_empty());
         assert!(out.cert.covers(&prog));
     }
@@ -465,7 +385,6 @@ mod tests {
         let out = analyze_program(&prog);
         let r = &out.preds[&Sym::new("eval")];
         assert_eq!(renders(r), vec!["(+,-)", "(+,+)"]);
-        assert_eq!(r.commit, Some(vec![0]), "lam vs app apart on position 0");
         assert!(out.unmoded_calls.is_empty());
     }
 
@@ -478,7 +397,6 @@ mod tests {
         // assumption time: it refutes every output-guaranteeing mode,
         // and the app clause's first subgoal refutes the rest.
         assert!(r.modes.is_empty(), "got {:?}", renders(r));
-        assert_eq!(r.commit, Some(vec![0]), "app vs lam apart on position 0");
         // Exactly one best-case-unmodable call: `of ?M (arr ?A ?B)` in
         // the app clause, whose ?A is fresh.
         assert_eq!(out.unmoded_calls.len(), 1, "{:?}", out.unmoded_calls);
@@ -487,18 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn single_clause_predicates_commit_vacuously() {
-        let sig =
-            hoas_core::sig::Signature::parse("type i. type o. const z : i. const p : i -> o.")
-                .unwrap();
-        let mut prog = Program::new(sig);
-        prog.push(Clause::parse(prog.sig(), &[], "p z", &[]).unwrap());
-        let out = analyze_program(&prog);
-        assert_eq!(out.preds[&Sym::new("p")].commit, Some(vec![]));
-    }
-
-    #[test]
-    fn overlapping_heads_are_not_committed() {
+    fn a_fact_with_a_free_argument_admits_only_the_input_mode() {
         let sig = hoas_core::sig::Signature::parse(
             "type i. type o. const z : i. const s : i -> i. const p : i -> o.",
         )
@@ -508,9 +415,8 @@ mod tests {
         prog.push(Clause::parse(prog.sig(), &[], "p z", &[]).unwrap());
         let out = analyze_program(&prog);
         let r = &out.preds[&Sym::new("p")];
-        assert_eq!(r.commit, None, "`p ?X` overlaps `p z` on every position");
-        // Still moded: (-) dies because the fact `p ?X` cannot ground
-        // its output, but (+) survives both clauses.
+        // (-) dies because the fact `p ?X` cannot ground its output,
+        // but (+) survives both clauses.
         assert_eq!(renders(r), vec!["(+)"]);
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! Run with `cargo run --release -p hoas-bench --bin report`.
 //!
-//! Each section corresponds to one experiment (E1–E11) of EXPERIMENTS.md.
+//! Each section corresponds to one live experiment (E1–E9, E11) of
+//! EXPERIMENTS.md; E10 is retired.
 //! Numbers are wall-clock medians over several iterations — shapes (who
 //! wins, by what factor, where crossovers fall) are the reproduction
 //! target, not absolute values.
 //!
-//! The HOAS timings of E1b, E3, E4, E5, E7, E8, E10 and E11 are cold:
+//! The HOAS timings of E1b, E3, E4, E5, E7, E8 and E11 are cold:
 //! each iteration runs in a fresh isolated store with fresh engines,
 //! caches and programs (see [`cold`]), so a timed call computes its
 //! answer instead of replaying a memo entry left by the previous
@@ -70,7 +71,6 @@ fn main() {
     e7_encode();
     e8_miniml();
     e9_logic();
-    e10_determinacy();
     e11_tabling();
 }
 
@@ -496,23 +496,6 @@ fn compare(
         us(t_new),
         t_base.as_secs_f64() / t_new.as_secs_f64()
     );
-}
-
-fn e10_determinacy() {
-    println!("## E10 — engine-enforced determinacy: uncertified vs certified solving (µs, median)");
-    println!(
-        "{:>18} {:>8} {:>14} {:>14} {:>8}",
-        "challenge", "answers", "uncertified", "certified", "ratio"
-    );
-    let (uncertified, certified) = ((TableMode::Off, false), (TableMode::Off, true));
-    for n in [8, 32] {
-        compare(11, || examples::eval_chain(n), uncertified, certified);
-    }
-    for n in [16, 64] {
-        compare(11, || examples::append_deep(n), uncertified, certified);
-    }
-    println!("# expected shape: equal answers; a choice point costs only a trail mark, so");
-    println!("# committing to one clause saves little (ratio near 1).\n");
 }
 
 fn e11_tabling() {

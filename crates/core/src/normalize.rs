@@ -515,13 +515,6 @@ impl CanonCache {
             result: e.result,
         });
     }
-
-    /// Total number of memoized `(key, type)` entries.
-    #[must_use]
-    pub fn entry_count(&self) -> usize {
-        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        entries.values().map(Vec::len).sum()
-    }
 }
 
 /// One exported [`CanonCache`] entry, in the open form warm images

@@ -56,11 +56,6 @@ pub(crate) fn fmt_ty(ty: &Ty, f: &mut fmt::Formatter<'_>, prec: u8) -> fmt::Resu
     }
 }
 
-/// Renders a type to a string (same as its `Display`).
-pub fn ty_to_string(ty: &Ty) -> String {
-    ty.to_string()
-}
-
 struct TermPrinter<'a> {
     /// Names in scope, innermost last.
     scope: Scope<Sym>,

@@ -201,11 +201,6 @@ impl TermRef {
         self.0.beta_normal
     }
 
-    /// Whether the subterm has no free de Bruijn variables. O(1).
-    pub fn is_closed(&self) -> bool {
-        self.0.max_free == 0
-    }
-
     /// Pointer identity: do both refs share the very same node? With
     /// interning this coincides with `==` (and with id equality) for all
     /// store-built refs.

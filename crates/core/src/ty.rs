@@ -85,11 +85,6 @@ impl Ty {
         self.uncurry().0.len()
     }
 
-    /// Whether the type is atomic (base, int, unit, or a variable).
-    pub fn is_atomic(&self) -> bool {
-        matches!(self, Ty::Base(_) | Ty::Int | Ty::Var(_) | Ty::Unit)
-    }
-
     /// Whether `Var(v)` occurs in the type.
     pub fn occurs(&self, v: u32) -> bool {
         match self {

@@ -1,30 +1,25 @@
-//! Program certificates: mode and determinacy verdicts the solver
+//! Program certificates: mode and tabling verdicts the solver
 //! enforces.
 //!
 //! The static analyzer (crate `hoas-analyze`) runs a mode/groundness
-//! abstract interpretation and a determinacy analysis over a
-//! [`Program`] and mints a [`ProgramCert`] recording, per predicate:
+//! abstract interpretation over a [`Program`] and mints a
+//! [`ProgramCert`] recording, per predicate:
 //!
 //! * the **modes** it admits — bit vectors marking input positions;
 //!   a call whose input positions are ground is guaranteed (by the
 //!   analysis) to succeed only with ground output positions;
-//! * whether it is **committed-choice** — its program clause heads are
-//!   pairwise non-unifiable when restricted to a set of input
-//!   positions, so once one clause's head matches a call whose
-//!   committed positions are ground, no other clause can, and the
-//!   solver may skip the remaining choice points without losing
-//!   answers.
+//! * whether it is **tabling-eligible** — under
+//!   [`crate::table::TableMode::Certified`] the solver answers its
+//!   ground-input calls from variant tables.
 //!
 //! Trust boundary: certificates are minted only through
 //! [`ProgramCert::issue`] (`#[doc(hidden)]`, analyzer use only), carry
 //! a fingerprint of the exact program they were proven for, and
 //! [`crate::solve::solve_certified`] ignores a certificate whose
 //! fingerprint does not match. In debug builds the solver additionally
-//! runs a **dynamic mode sanitizer**: committed calls are cross-checked
-//! against the remaining clauses (a second match panics citing
-//! `HA015`), and moded calls re-verify output groundness at exit
-//! (a violation panics citing `HA018`). Release builds trust the
-//! certificate and take the pruned paths without the cross-checks.
+//! runs a **dynamic mode sanitizer**: moded calls re-verify output
+//! groundness at exit (a violation panics citing `HA018`). Release
+//! builds trust the certificate without the check.
 
 use crate::program::{Clause, Goal, Program};
 use hoas_core::Sym;
@@ -57,12 +52,6 @@ impl Mode {
 pub struct PredVerdict {
     /// Admitted modes (possibly empty: no consistent mode was found).
     pub modes: Vec<Mode>,
-    /// Input positions on which the predicate's program clause heads
-    /// are pairwise non-unifiable, when the analysis proved it; the
-    /// solver commits to the first matching clause whenever every
-    /// listed position is ground at the call and no hypothetical
-    /// clause for the predicate is in scope.
-    pub commit: Option<Vec<usize>>,
     /// Whether the predicate is **tabling-eligible**: it admits at
     /// least one mode with an input position (so calls can be keyed on
     /// ground skeletons) and no program clause extends it (or any
@@ -120,7 +109,7 @@ pub(crate) fn mix_clause(mut h: u64, c: &Clause) -> u64 {
     mix_goal(mix_term(h, &c.head), &c.body)
 }
 
-/// Proof token: mode and determinacy verdicts for one specific
+/// Proof token: mode and tabling verdicts for one specific
 /// program. See the module docs for the trust story.
 #[derive(Clone, Debug)]
 pub struct ProgramCert {
@@ -130,7 +119,7 @@ pub struct ProgramCert {
 
 impl ProgramCert {
     /// Mints a certificate. **Analyzer use only** — the verdicts must
-    /// come from an actual run of the mode/determinacy analysis.
+    /// come from an actual run of the mode analysis.
     #[doc(hidden)]
     pub fn issue(prog: &Program, preds: HashMap<Sym, PredVerdict>) -> ProgramCert {
         ProgramCert {

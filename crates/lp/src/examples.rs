@@ -7,7 +7,7 @@
 //! The [`Challenge`] problems pair a program with its queries and the
 //! budgets its untabled search needs. They are the one copy of each
 //! problem that the configuration-matrix oracle (`tests/lp_oracle.rs`)
-//! pins answers for and that `report` times (E10, E11).
+//! pins answers for; `report` times some of them (E11).
 
 use crate::cert::ProgramCert;
 use crate::program::{Clause, Goal, Program};
@@ -217,8 +217,7 @@ pub fn reach_program(layers: usize) -> Program {
 
 /// An imp-style optimizer pass: `opt` maps an expression to its
 /// optimized form, one clause per constructor, indexed on the first
-/// argument, so the mode analysis certifies it committed-choice and
-/// table-eligible.
+/// argument, so the mode analysis certifies it table-eligible.
 pub fn fold_program() -> Program {
     let sig = Signature::parse(
         "type e. type o.
@@ -417,7 +416,7 @@ pub fn ol_translate(depth: usize) -> Challenge {
 
 /// `eval ((λx. x) (… ((λx. x) K))) ?V` over [`eval_program`] with `n`
 /// redexes: each spawns three `eval` subgoals, all ground in their
-/// first argument, so certified solving commits to one clause per call.
+/// first argument, so every call has one answer.
 pub fn eval_chain(n: usize) -> Challenge {
     let mut t = String::from(r"lam (\y. lam (\z. y))");
     for _ in 0..n {
@@ -429,7 +428,7 @@ pub fn eval_chain(n: usize) -> Challenge {
 }
 
 /// `append l nil ?Z` over [`append_program`] with `l` a list of `n`
-/// `a`s: a deterministic recursion that certified solving commits.
+/// `a`s: a deterministic recursion `n` calls deep.
 pub fn append_deep(n: usize) -> Challenge {
     let mut list = String::from("nil");
     for _ in 0..n {

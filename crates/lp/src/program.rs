@@ -422,7 +422,7 @@ pub struct Program {
     /// Predicates that some clause body extends hypothetically (appear
     /// as the head of a `⇒`-assumed clause). Their program buckets are
     /// not the whole story at runtime, which disqualifies them from
-    /// tabling and committed-choice enforcement.
+    /// tabling.
     hyp_heads: BTreeSet<Sym>,
     /// The fingerprint hash folded over `clauses` in order (see
     /// [`Program::fingerprint64`]).
@@ -611,8 +611,7 @@ impl Program {
 
     /// Whether some clause body assumes a `⇒`-clause whose head is
     /// `pred`: the program bucket then under-approximates the runtime
-    /// clause set, so determinacy and tabling verdicts must not rely on
-    /// it.
+    /// clause set, so tabling verdicts must not rely on it.
     pub fn extended_hypothetically(&self, pred: &Sym) -> bool {
         self.hyp_heads.contains(pred)
     }

@@ -618,16 +618,6 @@ struct Frame {
     alts: Alts,
 }
 
-/// What [`Machine::step_atom`] did with the current branch.
-enum Step {
-    /// The branch continues (deterministic path took it by move).
-    Continue(Branch),
-    /// The branch failed (or was budget-cut); backtrack.
-    Fail,
-    /// A choice point was pushed; backtrack into it.
-    Chose,
-}
-
 /// Where a run's answers go.
 enum Sink<'s> {
     /// The top-level query: record bindings of the query metas, stop at
@@ -682,13 +672,10 @@ pub fn solve(
 }
 
 /// Like [`solve`], but enforcing the verdicts of an analysis
-/// certificate: calls to committed-choice predicates whose committed
-/// argument positions are ground (and for which no hypothetical clause
-/// is in scope) commit to the first matching clause without pushing a
-/// choice point, and, under [`TableMode::Certified`], calls the
-/// certificate marks table-eligible are answered from variant tables.
-/// In debug builds the dynamic sanitizers cross-check every enforced
-/// verdict (see [`crate::cert`]) and panic with the violated HA code.
+/// certificate: under [`TableMode::Certified`], calls the certificate
+/// marks table-eligible are answered from variant tables. In debug
+/// builds the mode sanitizer re-verifies output groundness at the exit
+/// of every moded call (see [`crate::cert`]) and panics citing `HA018`.
 ///
 /// A certificate that does not cover `prog` (fingerprint mismatch —
 /// e.g. minted for an earlier revision of the program) is ignored and
@@ -952,10 +939,10 @@ impl<'a> Machine<'a> {
                     Work::AtomByClauses(t) => (t, true),
                 };
                 let (t, by_clauses) = atom;
-                match self.step_atom(st, b, t, by_clauses, &mut frames, &mut cut, consumed)? {
-                    Step::Continue(nb) => b = nb,
-                    Step::Fail | Step::Chose => break,
-                }
+                // The branch either failed or became a choice point;
+                // both resume by backtracking.
+                self.step_atom(st, b, t, by_clauses, &mut frames, &mut cut, consumed)?;
+                break;
             }
             // Branch ended; `cur` is already `None`, so the next
             // iteration backtracks.
@@ -1111,8 +1098,8 @@ impl<'a> Machine<'a> {
     }
 
     /// Resolves an atomic goal: flounder/error handling, the depth
-    /// gate, then one of the committed-choice fast path, the tabling
-    /// path, or an ordinary clause choice point.
+    /// gate, then either the tabling path or an ordinary clause choice
+    /// point.
     #[allow(clippy::too_many_arguments)]
     fn step_atom(
         &mut self,
@@ -1123,7 +1110,7 @@ impl<'a> Machine<'a> {
         frames: &mut Vec<Frame>,
         cut: &mut Option<CutBy>,
         consumed: &mut Vec<TermRef>,
-    ) -> Result<Step, LpError> {
+    ) -> Result<(), LpError> {
         // Solution instantiation is graft + β-normalize; the
         // normalizer's operation memo replays repeated
         // (body, argument) contractions — the signature access pattern
@@ -1142,27 +1129,21 @@ impl<'a> Machine<'a> {
             }
             Term::Meta(_) => {
                 self.floundered = true;
-                return Ok(Step::Fail);
+                return Ok(());
             }
             _ => return Err(bad()),
         };
         let target = pred_ty.uncurry().1.clone();
         if b.depth == 0 {
             note_cut(cut, CutBy::Depth);
-            return Ok(Step::Fail);
+            return Ok(());
         }
 
-        // Tabling outranks committed-choice: a tabled call replays the
-        // memoized answer set (one answer for a deterministic
-        // predicate), which subsumes the choice-point skip. A generator
-        // root (`by_clauses`) is the producer for its own variant and
-        // must go to the clauses.
+        // A generator root (`by_clauses`) is the producer for its own
+        // variant and must go to the clauses.
         if let Rigid::Const(c) = &pred {
             if !by_clauses && self.table_gate(st, c, &atom) {
                 return self.step_tabled(st, b, atom, c, target, frames, cut, consumed);
-            }
-            if let Some(commit) = commit_positions(self.cert, st, c, &atom.spine().1) {
-                return self.step_committed(st, b, atom, c, target, commit);
             }
         }
         self.push_clause_frame(st, b, atom, &pred, target, frames)
@@ -1178,7 +1159,7 @@ impl<'a> Machine<'a> {
         pred: &Rigid,
         target: Ty,
         frames: &mut Vec<Frame>,
-    ) -> Result<Step, LpError> {
+    ) -> Result<(), LpError> {
         let args = atom.spine().1;
         let depth = st.depth();
         // Local clauses first (newest first), then the program's bucket
@@ -1207,7 +1188,7 @@ impl<'a> Machine<'a> {
             push_mode_exit(self.cert, &mut b.work, c, &atom, &args);
         }
         if candidates.is_empty() {
-            return Ok(Step::Fail);
+            return Ok(());
         }
         push_frame(
             st,
@@ -1220,73 +1201,7 @@ impl<'a> Machine<'a> {
                 next: 0,
             },
         );
-        Ok(Step::Chose)
-    }
-
-    /// The committed-choice fast path: the predicate's program clause
-    /// heads are pairwise non-unifiable on `commit`, and those argument
-    /// positions are ground here — so at most one clause head can
-    /// match, and no choice point is pushed.
-    ///
-    /// A failed head unification records nothing (it leaves only
-    /// unused fresh metavariables), so trying the next candidate on the
-    /// same state is sound. The first full-head success consumes the
-    /// commitment: even if its eigenvariable scope check then fails, no
-    /// other clause could have matched the ground committed positions,
-    /// so the whole call fails rather than backtracking.
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    fn step_committed(
-        &mut self,
-        st: &mut St,
-        mut b: Branch,
-        atom: Term,
-        pred: &Sym,
-        target: Ty,
-        commit: &[usize],
-    ) -> Result<Step, LpError> {
-        let args = atom.spine().1;
-        let depth = st.depth();
-        push_mode_exit(self.cert, &mut b.work, pred, &atom, &args);
-        let indices = self.prog.clause_indices_for(pred);
-        for (ci, &i) in indices.iter().enumerate() {
-            if !self.prog.clause_admits(i, &args, depth) {
-                continue;
-            }
-            let (head, body) = freshen(st, self.prog.canonical_clause(i)?)?;
-            match unify_heads(self.prog.sig(), st, &target, &atom, &head) {
-                Ok(delta) => {
-                    // Sanitizer cross-check: no later clause may also
-                    // match — two matches on ground committed positions
-                    // falsify the determinacy verdict.
-                    #[cfg(debug_assertions)]
-                    for &other in &indices[ci + 1..] {
-                        let mark = st.mark();
-                        let (ohead, _) = freshen(st, self.prog.canonical_clause(other)?)?;
-                        let matched =
-                            unify_heads(self.prog.sig(), st, &target, &atom, &ohead).is_ok();
-                        st.undo(mark);
-                        assert!(
-                            !matched,
-                            "HA015 violated: committed-choice predicate `{pred}` \
-                             has two matching clauses for `{atom}` \
-                             (committed positions {commit:?})",
-                        );
-                    }
-                    if !st.merge(delta) {
-                        return Ok(Step::Fail);
-                    }
-                    b.work.push(Work::G(body));
-                    b.depth -= 1;
-                    return Ok(Step::Continue(b));
-                }
-                Err(e) if e.is_refutation() || matches!(e, UnifyError::Escape { .. }) => {}
-                Err(UnifyError::NotPattern { .. }) => {
-                    self.floundered = true;
-                }
-                Err(e) => return Err(LpError::Unify(e)),
-            }
-        }
-        Ok(Step::Fail)
+        Ok(())
     }
 
     /// Whether this call is answered through the variant tables: the
@@ -1337,7 +1252,7 @@ impl<'a> Machine<'a> {
         frames: &mut Vec<Frame>,
         cut: &mut Option<CutBy>,
         consumed: &mut Vec<TermRef>,
-    ) -> Result<Step, LpError> {
+    ) -> Result<(), LpError> {
         let Some((key, canonical, call_tys)) = canonicalize_call(st, &atom) else {
             // An untyped residual meta (cannot replay soundly): fall
             // back to plain resolution.
@@ -1397,7 +1312,7 @@ impl<'a> Machine<'a> {
                 next: 0,
             },
         );
-        Ok(Step::Chose)
+        Ok(())
     }
 
     /// Runs the generator for one variant to its restart fixpoint:
@@ -1550,33 +1465,6 @@ fn unify_heads(
         atom.clone(),
         head.clone(),
     )
-}
-
-/// Whether the certificate allows committing to the first matching
-/// clause for this call: the predicate is committed-choice on a set of
-/// positions, every one of those argument positions is ground in the
-/// (solution-applied) atom, and no hypothetical clause for the
-/// predicate is in scope (the determinacy analysis only accounts for
-/// program clauses; locals reopen the choice).
-fn commit_positions<'c>(
-    cert: Option<&'c ProgramCert>,
-    st: &St,
-    pred: &Sym,
-    args: &[&Term],
-) -> Option<&'c [usize]> {
-    let verdict = cert?.verdict(pred)?;
-    let commit = verdict.commit.as_deref()?;
-    if st
-        .locals
-        .iter()
-        .any(|l| matches!(&l.pred, Some(Rigid::Const(c)) if c == pred))
-    {
-        return None;
-    }
-    commit
-        .iter()
-        .all(|&i| args.get(i).is_some_and(|a| !a.has_metas()))
-        .then_some(commit)
 }
 
 /// Debug-build half of the mode sanitizer: if the certificate records a

@@ -446,11 +446,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Whether a validated termination certificate is attached.
-    pub fn is_certified(&self) -> bool {
-        self.cert.is_some()
-    }
-
     /// A handle to this engine's cache state, for warm-starting another
     /// engine via [`Engine::with_caches`]. Cloning shares the underlying
     /// tables.

@@ -19,15 +19,15 @@
 //! PR 8 adds three families over the second-generation verdicts:
 //!
 //! 4. *Sanitizer agreement*: randomly generated well-moded list-transform
-//!    programs are inferred mode `(+,-)` and committed-choice, and the
-//!    certified solver (whose debug-build dynamic mode sanitizer panics
-//!    on any verdict violation) runs them without tripping it.
+//!    programs are inferred mode `(+,-)`, and the certified solver (whose
+//!    debug-build dynamic mode sanitizer panics on any verdict violation)
+//!    runs them without tripping it.
 //! 5. *SCT-certified budget freedom*: a rule set the size-change analysis
 //!    proved terminating normalizes random formulas to a fixpoint even
 //!    when the configured step budget is far too small — the certificate
 //!    drops the budget bookkeeping, and the result agrees with an
 //!    uncertified engine given a generous budget.
-//! 6. *Determinacy-pruning agreement*: on programs mixing committed and
+//! 6. *Certified agreement*: on programs mixing functional and
 //!    genuinely nondeterministic predicates, `solve_certified` returns
 //!    exactly the answers `solve` does, in the same order.
 
@@ -123,11 +123,10 @@ fn well_typed_term(seed: u64, size: usize) -> Term {
 /// Predicates `t0..t{n-1} : i -> i -> o` are each either a structural
 /// map (base clause plus a first-argument-indexed recursive clause) or a
 /// single composition clause threading ground data left to right through
-/// earlier predicates — so every `t_j` admits mode `(+,-)`, is
-/// committed-choice by construction, and is functional (exactly one
-/// answer per ground input). A deliberately nondeterministic
-/// `mem : i -> i -> o` rides along so determinacy pruning has something
-/// it must *not* prune.
+/// earlier predicates — so every `t_j` admits mode `(+,-)` and is
+/// functional (exactly one answer per ground input). A deliberately
+/// nondeterministic `mem : i -> i -> o` rides along so the certified
+/// search has a predicate with many answers.
 fn moded_program(seed: u64) -> (Program, usize) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let n = rng.gen_range(2usize..5);
@@ -290,7 +289,6 @@ props! {
                 j,
                 report.modes.iter().map(|m| m.render()).collect::<Vec<_>>()
             );
-            prop_assert!(report.commit.is_some(), "t{} should be committed-choice", j);
         }
         // Tests run in a debug build, so the dynamic mode sanitizer is
         // live inside `solve_certified`: any divergence between the
@@ -306,28 +304,28 @@ props! {
         prop_assert!(z.metas().is_empty(), "well-moded output must be ground: {}", z);
     }
 
-    fn determinacy_pruning_preserves_all_solutions(seed in seeds(), len in 1usize..6) {
+    fn certified_and_uncertified_solving_agree(seed in seeds(), len in 1usize..6) {
         let (prog, n) = moded_program(seed);
         let cert = modes::analyze_program(&prog).cert;
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xA11);
         let list = ground_list(&mut rng, len);
         let cfg = SolveConfig { max_solutions: 32, ..SolveConfig::default() };
-        // A committed query (one answer) and a nondeterministic one
-        // (`mem` enumerates every element occurrence): the pruned search
-        // must return exactly the unpruned answers, in order.
-        let committed = format!("t{} ({list}) ?Z", n - 1);
+        // A functional query (one answer) and a nondeterministic one
+        // (`mem` enumerates every element occurrence): the certified
+        // search must return exactly the uncertified answers, in order.
+        let functional = format!("t{} ({list}) ?Z", n - 1);
         let member = format!("mem ?Z ({list})");
-        for query in [&committed, &member] {
+        for query in [&functional, &member] {
             let (goal, menv) = query_menv(prog.sig(), query, &[("Z", "i")]).unwrap();
             let plain = solve(&prog, &menv, &goal, &cfg).unwrap();
-            let pruned = solve_certified(&prog, &menv, &goal, &cfg, &cert).unwrap();
+            let certified = solve_certified(&prog, &menv, &goal, &cfg, &cert).unwrap();
             prop_assert_eq!(
                 plain.answers.len(),
-                pruned.answers.len(),
+                certified.answers.len(),
                 "answer counts differ on `{}`",
                 query
             );
-            for (a, b) in plain.answers.iter().zip(&pruned.answers) {
+            for (a, b) in plain.answers.iter().zip(&certified.answers) {
                 prop_assert_eq!(&a.bindings, &b.bindings);
             }
         }

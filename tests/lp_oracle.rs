@@ -326,7 +326,8 @@ fn check_golden(name: &str, lines: &[String]) {
 /// analysis's certificate, and uncertified with tabling off: every
 /// configuration gives each query the same answers, and forced tabling
 /// runs generators. The sizes are small so that the untabled searches
-/// stay fast in a debug build; `report` (E10, E11) times the larger ones.
+/// stay fast in a debug build; `report` (E11) times larger
+/// instances of the tabling challenges.
 #[test]
 fn challenge_problems_reproduce_the_golden_answers_under_every_configuration() {
     StoreHandle::isolated().enter(|| {

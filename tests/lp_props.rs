@@ -814,9 +814,7 @@ fn flexible_atom_flounders() {
 // the host call stack (the pre-PR-10 recursive solver overflowed the OS
 // stack near 10⁴ on these).
 
-/// The unary-numeral program. The base clause comes first so the
-/// committed-choice path matches the recursive clause *last* (no
-/// debug-build cross-check clones along the chain).
+/// The unary-numeral program: `nat z` and `nat (s ?N) :- nat ?N`.
 fn nat_program() -> Program {
     let sig =
         Signature::parse("type i. type o. const z : i. const s : i -> i. const nat : i -> o.")
@@ -877,10 +875,10 @@ fn deep_right_recursion_solves_without_host_stack_overflow() {
 }
 
 #[test]
-fn deep_committed_chain_threads_state_by_move() {
-    // The certificate makes `nat` committed-choice, so the machine
-    // threads one state by move the whole way down — no per-step
-    // snapshot at all.
+fn deep_certified_chain_solves_under_the_mode_sanitizer() {
+    // Every call of the chain goes through an ordinary choice point, and
+    // in debug builds the certificate's mode sanitizer queues an
+    // exit-groundness check behind each one.
     const DEPTH: usize = 256;
     let prog = nat_program();
     let cert = hoas::analyze::modes::analyze_program(&prog).cert;
@@ -891,7 +889,7 @@ fn deep_committed_chain_threads_state_by_move() {
         ..SolveConfig::default()
     };
     let out = solve_certified(&prog, &MetaEnv::new(), &goal, &cfg, &cert).unwrap();
-    assert_eq!(out.answers.len(), 1, "nat (s^2048 z) is provable");
+    assert_eq!(out.answers.len(), 1, "nat (s^256 z) is provable");
     assert!(out.cut.is_none());
 }
 
