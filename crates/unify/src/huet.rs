@@ -200,8 +200,8 @@ fn simpl(sig: &Signature, st: &mut State, fuel: &mut u64) -> Result<Vec<Constrai
             return Err(UnifyError::BudgetExhausted);
         }
         *fuel -= 1;
-        let left = resolve_side(sig, &st.gen, &st.sol, &c.ctx, &c.ty, &c.left)?;
-        let right = resolve_side(sig, &st.gen, &st.sol, &c.ctx, &c.ty, &c.right)?;
+        let left = resolve_side(sig, &st.gen, &st.sol, &c, &c.left)?;
+        let right = resolve_side(sig, &st.gen, &st.sol, &c, &c.right)?;
         // Snapshot so that a partially-performed pattern step (pruning)
         // can be rolled back when the pair turns out to be non-pattern.
         let saved_sol = st.sol.clone();

@@ -163,6 +163,14 @@ impl MetaSubst {
     /// `d = n`, or `B` mentions no ambient variable, the result is `B`'s
     /// own node, with no store work.
     pub fn apply(&self, t: &Term) -> Term {
+        self.apply_under(t, 0)
+    }
+
+    /// [`MetaSubst::apply`] to a term that sits under `depth` binders
+    /// below the ambient scope, such as a side of a constraint under
+    /// `depth` constraint-local binders: each solution is shifted past
+    /// them too.
+    pub fn apply_under(&self, t: &Term, depth: u32) -> Term {
         if self.map.is_empty() {
             return t.clone();
         }
@@ -175,7 +183,7 @@ impl MetaSubst {
         // measured here and lost: it forfeits the cached
         // `max_free`/`beta_normal` guards and the memo, which beat
         // avoided interning of the transient spine — see DESIGN §7.)
-        match self.graft(t, 0) {
+        match self.graft(t, depth) {
             Some(grafted) => normalize::nf(&grafted),
             None if t.is_beta_normal() => t.clone(),
             None => normalize::nf(t),

@@ -731,7 +731,7 @@ impl Solver<'_> {
 
     fn resolve(&self, raw: bool, c: &Constraint, side: &Term) -> Result<Term, UnifyError> {
         match self.base {
-            None if raw => resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side),
+            None if raw => resolve_side(self.sig, &self.gen, &self.sol, c, side),
             Some(base) if raw && base.occurs_in(side) => {
                 self.resolve_canonical(c, &base.apply(side))
             }
@@ -742,10 +742,10 @@ impl Solver<'_> {
     /// Applies this run's solutions to a canonical side.
     fn resolve_canonical(&self, c: &Constraint, side: &Term) -> Result<Term, UnifyError> {
         if !self.sol.is_empty() && self.sol.occurs_in(side) {
-            return resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side);
+            return resolve_side(self.sig, &self.gen, &self.sol, c, side);
         }
         debug_assert_eq!(
-            resolve_side(self.sig, &self.gen, &self.sol, &c.ctx, &c.ty, side).ok(),
+            resolve_side(self.sig, &self.gen, &self.sol, c, side).ok(),
             Some(side.clone()),
             "side `{side}` is not canonical"
         );
@@ -1080,6 +1080,35 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.is_refutation(), "{err:?}");
+    }
+
+    #[test]
+    fn solutions_shift_past_constraint_local_binders() {
+        // Under an ambient e : i, `forall (\x. and (q e x) (q (?M x) x))
+        // ≐ forall (\x. and (q (?M x) x) (q e x))` solves ?M := \y. e
+        // from its second conjunct, under the local x. Applied to the
+        // first, the solution's ambient e must stay e there, not become
+        // x: the two sides are then equal, not a clash of e with x.
+        let sig = fol_sig();
+        let m = MVar::new(0, "M");
+        let menv: MetaEnv = [(m.clone(), Ty::arrow(Ty::base("i"), Ty::base("i")))]
+            .into_iter()
+            .collect();
+        let ctx = Ctx::new().push(Sym::new("e"), Ty::base("i"));
+        let q = |a: Term, b: Term| Term::apps(Term::cnst("q"), [a, b]);
+        let and = |a: Term, b: Term| Term::apps(Term::cnst("and"), [a, b]);
+        let forall = |body: Term| Term::app(Term::cnst("forall"), Term::lam("x", body));
+        let (e, x) = (Term::Var(1), Term::Var(0));
+        let mx = Term::app(Term::Meta(m.clone()), x.clone());
+        let left = forall(and(q(e.clone(), x.clone()), q(mx.clone(), x.clone())));
+        let right = forall(and(q(mx, x.clone()), q(e, x)));
+        let sol = unify_constraints(
+            &sig,
+            &menv,
+            vec![Constraint::in_ambient(ctx, o(), left, right)],
+        )
+        .unwrap();
+        assert_eq!(sol.subst.get(&m), Some(&Term::lam("y", Term::Var(1))));
     }
 
     #[cfg(debug_assertions)]

@@ -172,7 +172,8 @@ pub fn is_supported_meta_ty(ty: &Ty) -> bool {
 }
 
 /// Applies the current solution and brings a side to canonical form at the
-/// constraint's type.
+/// constraint's type. The side sits under the constraint's `local`
+/// binders, past which the solutions (in ambient scope) are shifted.
 ///
 /// # Errors
 ///
@@ -181,12 +182,11 @@ pub fn resolve_side(
     sig: &Signature,
     gen: &MetaGen<'_>,
     sol: &MetaSubst,
-    ctx: &Ctx,
-    ty: &Ty,
+    c: &Constraint,
     t: &Term,
 ) -> Result<Term, UnifyError> {
-    let t = sol.apply(t);
-    normalize::canon(sig, gen, ctx, &t, ty).map_err(UnifyError::IllTyped)
+    let t = sol.apply_under(t, c.local);
+    normalize::canon(sig, gen, &c.ctx, &t, &c.ty).map_err(UnifyError::IllTyped)
 }
 
 /// Synthesizes the (monomorphic) type of a neutral head.
