@@ -15,10 +15,13 @@
 //! const fix  : (exp -> exp) -> exp.
 //! ```
 //!
-//! Two call-by-value evaluators are provided: [`eval_native`] on the named
-//! AST (with hand-written substitution) and [`eval_hoas`] directly on
-//! encodings, where every object-level substitution is a metalanguage
-//! β-step ([`hoas_core::normalize::happly`]) — experiment E8.
+//! Four call-by-value evaluators are provided (experiment E8):
+//! [`eval_native`] on the named AST, with hand-written substitution;
+//! [`eval_beta`] directly on encodings, where every object-level
+//! substitution is a metalanguage β-step
+//! ([`hoas_core::normalize::happly`]); [`eval_hoas`], an environment
+//! machine over the same encodings that substitutes only to read its
+//! value back; and [`eval_env`], an environment machine on the named AST.
 
 use crate::LangError;
 use hoas_core::sig::Signature;
@@ -27,6 +30,8 @@ use hoas_syntaxdef::{Head, Part, Table};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::OnceLock;
+
+mod machine;
 
 /// A Mini-ML expression.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -465,14 +470,40 @@ pub fn eval_native(e: &Exp, fuel: &mut u64) -> Result<Exp, LangError> {
     }
 }
 
-/// Call-by-value big-step evaluation **directly on encodings**: every
-/// object-level substitution is [`normalize::happly`]. Returns the
-/// encoded value.
+/// Call-by-value evaluation **directly on encodings**: a machine that
+/// reads the interned term, keeps bound variables in a de Bruijn
+/// environment of values, and runs on an explicit continuation stack.
+/// Metalanguage substitution ([`hoas_core::subst::instantiate`]) is used
+/// only to read back the returned value, or the stuck value an error
+/// names. Returns the encoded value.
+///
+/// Fuel is spent as in [`eval_beta`], one unit per β, `letv`, `fix`
+/// unrolling and `case` branch; on closed β-normal programs the two
+/// return the same term, the same error variant and leave the same fuel.
+/// η-short abstraction arguments (`lam s`, `lam (app e)`) are applied as
+/// their η-expansions. Evaluation depth is bounded by the heap, not the
+/// host stack.
 ///
 /// # Errors
 ///
 /// As for [`eval_native`].
 pub fn eval_hoas(t: &Term, fuel: &mut u64) -> Result<Term, LangError> {
+    machine::eval(t, fuel)
+}
+
+/// Call-by-value big-step evaluation **directly on encodings**, with
+/// every object-level substitution a metalanguage β-step
+/// ([`normalize::happly`]): the paper's evaluator, kept as the reference
+/// [`eval_hoas`] is tested against. Returns the encoded value.
+///
+/// It recurses on the host stack once per nested subexpression in
+/// argument position: on a thread with a 2 MiB stack, `s^n z` aborts
+/// with a stack overflow between n = 2,000 and 5,000.
+///
+/// # Errors
+///
+/// As for [`eval_native`].
+pub fn eval_beta(t: &Term, fuel: &mut u64) -> Result<Term, LangError> {
     fn spend(fuel: &mut u64) -> Result<(), LangError> {
         if *fuel == 0 {
             Err(LangError::OutOfFuel)
@@ -496,10 +527,10 @@ pub fn eval_hoas(t: &Term, fuel: &mut u64) -> Result<Term, LangError> {
         let next = match (cname.as_str(), args.as_slice()) {
             ("z", []) => return Ok(cur.clone()),
             ("lam", [_]) => return Ok(cur.clone()),
-            ("s", [e]) => return Ok(Term::app(Term::cnst("s"), eval_hoas(e, fuel)?)),
+            ("s", [e]) => return Ok(Term::app(Term::cnst("s"), eval_beta(e, fuel)?)),
             ("app", [f, a]) => {
-                let fv = eval_hoas(f, fuel)?;
-                let av = eval_hoas(a, fuel)?;
+                let fv = eval_beta(f, fuel)?;
+                let av = eval_beta(a, fuel)?;
                 match fv.spine() {
                     (Term::Const(c), fargs) if c.as_str() == "lam" && fargs.len() == 1 => {
                         spend(fuel)?;
@@ -514,7 +545,7 @@ pub fn eval_hoas(t: &Term, fuel: &mut u64) -> Result<Term, LangError> {
                 }
             }
             ("letv", [e1, abs]) => {
-                let v1 = eval_hoas(e1, fuel)?;
+                let v1 = eval_beta(e1, fuel)?;
                 spend(fuel)?;
                 normalize::happly((*abs).clone(), v1)
             }
@@ -523,7 +554,7 @@ pub fn eval_hoas(t: &Term, fuel: &mut u64) -> Result<Term, LangError> {
                 normalize::happly((*abs).clone(), cur.clone())
             }
             ("case", [s, z, sc]) => {
-                let sv = eval_hoas(s, fuel)?;
+                let sv = eval_beta(s, fuel)?;
                 match sv.spine() {
                     (Term::Const(c), sargs) if c.as_str() == "z" && sargs.is_empty() => {
                         spend(fuel)?;
@@ -828,10 +859,15 @@ mod tests {
         eval_native(e, &mut fuel).unwrap()
     }
 
+    /// Runs both HOAS evaluators, which must agree on the value and the
+    /// fuel left.
     fn run_hoas(e: &Exp) -> Exp {
         let t = encode(e).unwrap();
-        let mut fuel = 1_000_000;
-        decode(&eval_hoas(&t, &mut fuel).unwrap()).unwrap()
+        let (mut fuel, mut beta_fuel) = (1_000_000, 1_000_000);
+        let v = eval_hoas(&t, &mut fuel).unwrap();
+        assert_eq!(eval_beta(&t, &mut beta_fuel).unwrap(), v);
+        assert_eq!(fuel, beta_fuel);
+        decode(&v).unwrap()
     }
 
     #[test]
@@ -915,11 +951,10 @@ mod tests {
             Err(LangError::OutOfFuel)
         ));
         let t = encode(&omega).unwrap();
-        let mut fuel = 1000;
-        assert!(matches!(
-            eval_hoas(&t, &mut fuel),
-            Err(LangError::OutOfFuel)
-        ));
+        for eval in [eval_hoas, eval_beta] {
+            let mut fuel = 1000;
+            assert!(matches!(eval(&t, &mut fuel), Err(LangError::OutOfFuel)));
+        }
     }
 
     #[test]
@@ -931,11 +966,13 @@ mod tests {
             Err(LangError::NotCanonical(_))
         ));
         let t = encode(&bad).unwrap();
-        let mut fuel = 100;
-        assert!(matches!(
-            eval_hoas(&t, &mut fuel),
-            Err(LangError::NotCanonical(_))
-        ));
+        for eval in [eval_hoas, eval_beta] {
+            let mut fuel = 100;
+            assert!(matches!(
+                eval(&t, &mut fuel),
+                Err(LangError::NotCanonical(_))
+            ));
+        }
     }
 
     #[test]

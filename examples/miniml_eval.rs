@@ -1,7 +1,9 @@
 //! Mini-ML evaluation through the metalanguage (experiment E8): a
 //! call-by-value interpreter whose *entire binding machinery* —
 //! substitution for `let`, β for application, unrolling for `fix`,
-//! branch instantiation for `case` — is metalanguage β-reduction.
+//! branch instantiation for `case` — is metalanguage β-reduction, and
+//! an environment machine over the same encoding that substitutes only
+//! to read its value back.
 //!
 //! Run with `cargo run --example miniml_eval`.
 
@@ -31,10 +33,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // HOAS evaluator: substitution = β (hoas_core::normalize::happly).
     let encoded = miniml::encode(&prog)?;
     let t0 = Instant::now();
+    let mut beta_fuel = 10_000_000;
+    let beta_value = miniml::eval_beta(&encoded, &mut beta_fuel)?;
+    let beta_time = t0.elapsed();
+    let beta = miniml::decode(&beta_value)?;
+
+    // HOAS machine: the same encoding under an environment of values.
+    let t0 = Instant::now();
     let mut fuel = 10_000_000;
     let hoas_value = miniml::eval_hoas(&encoded, &mut fuel)?;
     let hoas_time = t0.elapsed();
     let hoas = miniml::decode(&hoas_value)?;
+    // Same value term, same fuel spent.
+    assert_eq!(hoas_value, beta_value);
+    assert_eq!(fuel, beta_fuel);
 
     // Environment machine (closures; the production-interpreter yardstick).
     let t0 = Instant::now();
@@ -47,13 +59,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         native.as_num().unwrap()
     );
     println!(
-        "HOAS evaluator:   {} ({hoas_time:?})",
+        "HOAS β:           {} ({beta_time:?})",
+        beta.as_num().unwrap()
+    );
+    println!(
+        "HOAS machine:     {} ({hoas_time:?})",
         hoas.as_num().unwrap()
     );
     println!(
         "env machine:      {} ({env_time:?})",
         env_value.as_num().unwrap()
     );
+    assert_eq!(native.as_num(), beta.as_num());
     assert_eq!(native.as_num(), hoas.as_num());
     assert_eq!(native.as_num(), env_value.as_num());
     assert_eq!(native.as_num(), Some(120));
