@@ -39,8 +39,8 @@
 //!    against any decode bug that would alter a skeleton;
 //! 4. semantic validation ([`CodecError::Invalid`]): decoded signatures
 //!    replay `declare_*`, rule sets replay `Rule::new` (re-canonicalize
-//!    and re-typecheck), programs replay `Program::push` — a decoded
-//!    value is always one the ordinary constructors accepted.
+//!    and re-typecheck) — a decoded value is always one the ordinary
+//!    constructors accepted.
 //!
 //! The checksum and digest are built from the same vendored keyed mixer
 //! as the content hash (no external deps; fixed key, so images are
@@ -71,7 +71,8 @@ pub enum Kind {
     Signature = 2,
     /// A rewrite rule set (encoded by the `rewrite` crate).
     Rules = 3,
-    /// A λProlog program (encoded by the `lp` crate).
+    /// A λProlog program. No encoder writes it any more; the value stays
+    /// reserved so that it is never reused for another payload.
     Program = 4,
     /// A warm image: store pool + engine cache sections.
     Image = 5,

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod cert;
-pub mod codec;
 pub mod examples;
 pub mod program;
 pub mod solve;

@@ -5,7 +5,6 @@
 //!   equal), and the 128-bit content hash survives the round trip;
 //! * signatures — declaration lists round-trip in order;
 //! * rule sets — every rule's name, type, and canonical sides survive;
-//! * λProlog programs — clause lists round-trip structurally;
 //! * corruption — truncated or bit-flipped streams are *rejected*,
 //!   never mis-loaded, and a version bump is reported as such.
 
@@ -14,8 +13,6 @@ use hoas::core::codec::{
 };
 use hoas::core::prelude::*;
 use hoas::langs::{fol, imp, lambda, miniml};
-use hoas::lp::codec::{decode_program, encode_program};
-use hoas::lp::examples;
 use hoas::rewrite::codec::{decode_rule_set, encode_rule_set};
 use hoas::rewrite::rulesets::{fol_prenex, imp_opt, miniml_opt};
 use hoas_testkit::prelude::*;
@@ -155,19 +152,6 @@ fn bundled_rule_sets_round_trip() {
 }
 
 #[test]
-fn lp_programs_round_trip() {
-    for p in [examples::append_program(), examples::stlc_program()] {
-        let bytes = encode_program(&p);
-        let q = decode_program(&bytes).expect("program decodes");
-        assert_eq!(p.clauses(), q.clauses());
-        assert_eq!(
-            p.sig().consts().collect::<Vec<_>>(),
-            q.sig().consts().collect::<Vec<_>>()
-        );
-    }
-}
-
-#[test]
 fn corrupt_streams_are_rejected_never_misloaded() {
     // One representative stream per codec kind; exhaustive truncation
     // and single-bit-flip sweeps over each.
@@ -191,11 +175,6 @@ fn corrupt_streams_are_rejected_never_misloaded() {
     let rules_bytes = encode_rule_set(&fol_prenex::rules(&sig).unwrap());
     let rules_ok = |b: &[u8]| decode_rule_set(&sig, b).is_ok();
     assert_truncations_rejected(&rules_bytes, &rules_ok);
-
-    let prog_bytes = encode_program(&examples::append_program());
-    let prog_ok = |b: &[u8]| decode_program(b).is_ok();
-    assert_truncations_rejected(&prog_bytes, &prog_ok);
-    assert_bit_flips_rejected(&prog_bytes, &prog_ok);
 }
 
 #[test]
