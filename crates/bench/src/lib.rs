@@ -8,10 +8,7 @@
 //! * [`baseline`] — hand-written **first-order** implementations of the
 //!   paper's transformations (prenex normal form with explicit renaming,
 //!   an imperative-language optimizer on the named AST). These are the
-//!   comparators: the code HOAS renders unnecessary;
-//! * [`parallel`] — the work-stealing batch driver that fans independent
-//!   normalization queries across a thread pool over one shared term
-//!   store (the scaling harness for the sharded interner).
+//!   comparators: the code HOAS renders unnecessary.
 //!
 //! Run `cargo run --release -p hoas-bench --bin report` to regenerate
 //! every experiment table; end-to-end timing lives in the separate
@@ -21,5 +18,4 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod parallel;
 pub mod workloads;

@@ -1,6 +1,5 @@
 //! Deterministic seeded workloads for the report harness (and the warm
-//! image and parallel-engine tests). Each function documents which
-//! experiment(s) it feeds.
+//! image tests). Each function documents which experiment(s) it feeds.
 
 use hoas_core::{Term, Ty};
 use hoas_firstorder::{convert, DbTree, Tree};

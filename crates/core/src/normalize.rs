@@ -38,9 +38,8 @@ use crate::sig::Signature;
 use crate::subst::{self, shift, Op};
 use crate::term::{MetaEnv, MetaTypes, Term, TermRef};
 use crate::ty::Ty;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// Applies a function term to an argument, contracting the β-redex (and
 /// any redexes the substitution creates) if the function is a λ.
@@ -355,18 +354,17 @@ const CANON_CACHE_CAP: usize = 1 << 20;
 /// assigned from a monotonic process-wide counter and never reused, so an
 /// entry whose node has died is merely unreachable (no live term can
 /// carry that id again), never wrong. The cache may therefore outlive any
-/// particular `normalize` or engine run and be shared between them — and,
-/// being `Send + Sync` (a mutex around the table, atomic counters), it
-/// may also be shared between *threads* working over one term store.
-/// Nodes containing metavariables are never cached (their canonical form
-/// depends on the meta environment). A cache must only ever be used with
+/// particular `normalize` or engine run and be shared between them, on
+/// the thread whose store its terms live in (a `RefCell` around the
+/// table, `Cell` counters). Nodes containing metavariables are never
+/// cached (their canonical form depends on the meta environment). A cache must only ever be used with
 /// a single signature and a single store; [`canon_with`] callers own that
 /// pairing.
 #[derive(Debug, Default)]
 pub struct CanonCache {
-    entries: Mutex<HashMap<crate::store::NodeId, Vec<CanonEntry>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    entries: RefCell<HashMap<crate::store::NodeId, Vec<CanonEntry>>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 #[derive(Debug, Clone)]
@@ -385,17 +383,16 @@ impl CanonCache {
         Self::default()
     }
 
-    /// Number of lookups answered from the table (all threads).
+    /// Number of lookups answered from the table.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
-    /// Number of lookups that fell through to a real traversal (all
-    /// threads).
+    /// Number of lookups that fell through to a real traversal.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Does `e` memoize canonicalization at `ty` for a node with `n`
@@ -410,18 +407,18 @@ impl CanonCache {
     }
 
     fn lookup(&self, ctx: &Ctx, t: &TermRef, ty: &Ty) -> Option<TermRef> {
-        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let entries = self.entries.borrow();
         let hit = entries.get(&t.id()).and_then(|v| {
             v.iter()
                 .find(|e| Self::entry_matches(e, ctx, ty, t.max_free()))
         });
         match hit {
             Some(e) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.set(self.hits.get() + 1);
                 Some(e.result.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.set(self.misses.get() + 1);
                 None
             }
         }
@@ -447,7 +444,7 @@ impl CanonCache {
             .map(|i| ctx.lookup(i).map(|(_, fty)| fty.clone()))
             .collect();
         let Some(free_tys) = free_tys else { return };
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut entries = self.entries.borrow_mut();
         if entries.len() >= CANON_CACHE_CAP {
             entries.clear();
         }
@@ -471,7 +468,7 @@ impl CanonCache {
     /// re-enter a (possibly fresh) cache through [`CanonCache::absorb`]
     /// after their key ids are remapped.
     pub fn export(&self) -> Vec<CanonExport> {
-        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let entries = self.entries.borrow();
         let mut out: Vec<CanonExport> = entries
             .iter()
             .flat_map(|(key, bucket)| {
@@ -498,7 +495,7 @@ impl CanonCache {
     /// the writer's id to the node of the *same α-class* in this store,
     /// so the assertion carries over verbatim.
     pub fn absorb(&self, e: CanonExport) {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut entries = self.entries.borrow_mut();
         if entries.len() >= CANON_CACHE_CAP {
             entries.clear();
         }
@@ -531,7 +528,7 @@ pub struct CanonExport {
     pub result: TermRef,
 }
 
-/// Already-η-long subterms come back as the input `Arc` (pointer-equal),
+/// Already-η-long subterms come back as the input `Rc` (pointer-equal),
 /// so canonicalizing a canonical term allocates nothing below the root.
 ///
 /// With a `cache`, subtrees already proven canonical at this type (under
@@ -654,7 +651,7 @@ fn eta_long_node(
 }
 
 /// η-expands the arguments of a neutral term, synthesizing its type.
-/// Shares the input `Arc` when every argument was already η-long.
+/// Shares the input `Rc` when every argument was already η-long.
 fn eta_long_neutral(
     sig: &Signature,
     menv: &dyn MetaTypes,

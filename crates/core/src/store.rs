@@ -11,27 +11,24 @@
 //! distinct term. A miss allocates the node and assigns it the next id
 //! from a process-wide monotonic counter.
 //!
-//! # Concurrency model
+//! # One store per thread
 //!
-//! Since PR 6 the store is **shared between threads**: nodes are
-//! `Arc<TermNode>` and the store is split into `SHARDS` independent
-//! shards, each a mutex around its slice of the interning map. A shard is
-//! selected by the high bits of the skeleton hash, so concurrent interns
-//! of unrelated terms take unrelated locks; one intern touches exactly
-//! one shard (children are already interned), so there is no lock
-//! ordering and no deadlock. Each *thread* additionally keeps a private,
-//! lock-free, direct-mapped front cache of `FRONT_SLOTS` recently
-//! interned nodes, so steady-state rebuild loops (hereditary
-//! substitution, normalization) intern without touching a lock at all.
+//! A store, its nodes and every term built from them are confined to the
+//! thread that made them: nodes are `Rc<TermNode>`, and the interning map
+//! is split into `SHARDS` plain `RefCell` sub-tables, chosen by the high
+//! bits of the skeleton hash. The split is kept for peak memory, not for
+//! concurrency: a map doubles its whole allocation when it grows, and
+//! sixteen sub-tables grow one sixteenth at a time. A thread also keeps a
+//! direct-mapped front cache of `FRONT_SLOTS` recently interned nodes, so
+//! steady-state rebuild loops (hereditary substitution, normalization)
+//! intern without probing a map.
 //!
-//! The store is no longer hidden global state: it is an explicit,
-//! shareable, `Send + Sync` handle — [`StoreHandle`] — passed around the
-//! way `EngineCaches` already is. The thread-local that remains is *just
-//! a default*: [`TermRef::new`](crate::term::TermRef::new) interns into
-//! the thread's **current** store, which is the process-wide global store
-//! unless the thread is inside [`StoreHandle::enter`]. Worker threads
-//! that must share an isolated store (tests, batch drivers) capture
-//! [`current()`] and `enter` it on the worker.
+//! The store is an explicit handle — [`StoreHandle`] — passed around the
+//! way `EngineCaches` is. [`TermRef::new`](crate::term::TermRef::new)
+//! interns into the thread's **current** store: the thread's own default
+//! store, unless the thread is inside [`StoreHandle::enter`]. The default
+//! store lives in a `thread_local` and dies with its thread; work that
+//! wants terms on another thread builds them there.
 //!
 //! # Stable ids as cache keys
 //!
@@ -45,35 +42,32 @@
 //! root-step memo, [`normalize::CanonCache`](crate::normalize::CanonCache)
 //! — therefore key on `NodeId` with no keepalive pinning: a stale entry
 //! under a dead id is unreachable garbage, not a soundness hazard, and
-//! the caches may outlive any particular engine instance, `normalize`
-//! call, or thread.
+//! the caches may outlive any particular engine instance or `normalize`
+//! call.
 //!
 //! Within one store, two live `TermRef`s have equal ids **iff** they are
 //! α-equivalent modulo hints — the O(1) `alpha_eq` fast path. Across
 //! *different* stores only the soundness direction survives (equal ids ⇒
 //! the same node ⇒ α-equivalent; completeness needs one interning map),
 //! which is why terms from an isolated store must not be compared against
-//! terms of another store. The default — every thread interning into the
-//! global store — gives the full iff process-wide.
+//! terms of another store.
 //!
-//! # Eviction safety under contention
+//! # Eviction
 //!
 //! Entries are **strong**: a node whose last external `TermRef` dies
 //! stays cached, and rebuilding the same skeleton *resurrects* it — same
-//! node, same id, no allocation. Dead classes are evicted when a shard
-//! grows past its high-water mark. The sweep holds the shard lock and
-//! keeps every entry with `Arc::strong_count > 1`. That check is
-//! race-free, not merely heuristic: a count of 1 under the shard lock
-//! means the map holds the only reference anywhere — every external
-//! acquisition path either clones an existing `Arc` (so the count was
-//! already ≥ 2: map + the clone source, which is itself a live ref or a
-//! front-cache slot) or goes through this shard's lock, which the sweep
-//! holds. A concurrent *release* can at worst leave a freshly dead entry
-//! looking live for one sweep — it is collected by the next. The same
-//! argument covers [`trim`]. Per-thread front caches hold strong refs,
-//! which pins at most `FRONT_SLOTS` nodes per thread; every sweep bumps
-//! the store's epoch, and a front that observes a stale epoch discards
-//! itself on its next probe, so those pins are transient.
+//! node, same id, no allocation. Dead classes are evicted when a
+//! sub-table grows past its high-water mark: the sweep keeps every entry
+//! with `Rc::strong_count > 1`, because a count of 1 means the map holds
+//! the only reference. [`trim`] sweeps every sub-table at once. The front
+//! cache holds strong refs, which pins at most `FRONT_SLOTS` nodes; it is
+//! cleared right after each sweep, so those pins are transient.
+//!
+//! A node drops its children iteratively (see `TermNode`'s `Drop`): once
+//! a store has died (with its thread, or an isolated store after
+//! [`StoreHandle::enter`]), a term or a front-cache or memo pin can hold
+//! the last reference to a deep chain, which a recursive drop would
+//! overflow the stack on.
 //!
 //! Because the first interning of an α-class fixes its node, *binder
 //! hints are canonicalized*: later constructions of the same skeleton
@@ -92,16 +86,15 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Stable, store-scoped identity of an interned term node.
 ///
 /// Ids are assigned from a **process-wide** monotonic counter starting at
-/// `1` — shared by the global store and every isolated one — and are
-/// **never reused**, so a `NodeId` is a durable cache key: entries
-/// recorded under an id that has since died can never be matched by a
-/// live term again, no matter which thread probes. `0` is never assigned,
+/// `1` — shared by every store of every thread — and are **never
+/// reused**, so a `NodeId` is a durable cache key: entries recorded under
+/// an id that has since died can never be matched by a live term again. `0` is never assigned,
 /// so callers may use [`NodeId::SENTINEL`] as a "no node" slot in packed
 /// keys.
 ///
@@ -187,7 +180,7 @@ enum NodeKey {
 
 /// A *borrowed* description of one node to intern, with the children
 /// already interned: the store's one intern path ([`intern`] views its
-/// owned term). On a cache hit nothing is cloned — no child `Arc` bump, no `Sym`
+/// owned term). On a cache hit nothing is cloned — no child `Rc` bump, no `Sym`
 /// refcount touch — which keeps the kernel traversals and the parser
 /// refcount-lean: the owned `Term` (and its clone/drop churn) is built
 /// only on a genuine miss, when the node must be allocated anyway.
@@ -235,7 +228,7 @@ impl<'a> NodeView<'a> {
     }
 
     /// The owned term this view denotes; built only on the intern miss
-    /// path (children are cloned — an `Arc` bump each — because the new
+    /// path (children are cloned — an `Rc` bump each — because the new
     /// node must own them) and for the owned root of a kernel traversal.
     pub(crate) fn to_term(&self) -> Term {
         match self {
@@ -483,96 +476,79 @@ pub(crate) fn content_hash_of(t: &Term) -> u128 {
     }
 }
 
-/// Number of lock shards. One intern takes exactly one shard lock (its
-/// children are already interned), chosen by the top bits of the skeleton
-/// hash, so threads working on unrelated terms contend only by hash
-/// accident.
+/// Number of sub-tables the interning map is split into, chosen by the
+/// top bits of the skeleton hash. A store is confined to one thread, so
+/// the split buys no concurrency; it bounds peak memory. A hash map that
+/// grows reallocates its whole table at once, briefly holding the old and
+/// the doubled one; sixteen sub-tables grow one sixteenth at a time. With
+/// one map, perfbench's `rewrite-warm` peaks at 18.7 MiB instead of 17.5.
 const SHARDS: usize = 16;
 
 /// Evict dead classes no earlier than this aggregate map size (keeps tiny
-/// workloads eviction-free). Each shard sweeps independently at
+/// workloads eviction-free). Each sub-table sweeps independently at
 /// `MIN_SWEEP / SHARDS`.
 const MIN_SWEEP: usize = 1 << 12;
 
-/// Per-shard eviction floor.
+/// Per-sub-table eviction floor.
 const SHARD_MIN_SWEEP: usize = MIN_SWEEP / SHARDS;
 
-/// Slots in each thread's private direct-mapped front cache (32 KiB of
-/// pointers). Larger than PR 5's 8 KiB: a front conflict-miss now costs a
-/// shard `Mutex` round-trip instead of a same-`RefCell` map probe, so
-/// buying a lower miss rate with one more cache level of footprint is a
-/// clear win on rebuild-heavy workloads (terms of ~2k distinct subterms
-/// thrash 1k slots).
+/// Slots in each thread's direct-mapped front cache (32 KiB of
+/// pointers): terms of ~2k distinct subterms thrash 1k slots, so a front
+/// this size keeps rebuild-heavy workloads off the map probe.
 const FRONT_SLOTS: usize = 1 << 12;
 
-/// One shard's slice of the interning map, plus its private high-water
-/// mark; both live behind the shard mutex, so the sweep condition and the
-/// sweep itself are atomic with respect to concurrent interns.
+/// One sub-table of the interning map, plus its high-water mark.
 #[derive(Debug)]
 struct Tables {
-    map: HashMap<NodeKey, Arc<TermNode>, FxBuild>,
+    map: HashMap<NodeKey, Rc<TermNode>, FxBuild>,
     sweep_at: usize,
 }
 
-#[derive(Debug)]
-struct Shard {
-    tables: Mutex<Tables>,
-}
-
-/// Ignore mutex poisoning: a shard critical section only performs
-/// exception-safe `HashMap` operations (probe, insert, retain), so the
-/// tables are consistent even if a thread panicked mid-intern; refusing
-/// all further interning would turn one test panic into a cascade.
-fn lock(shard: &Shard) -> MutexGuard<'_, Tables> {
-    shard.tables.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A sharded, lock-striped, hash-consed interner, shared between threads
-/// through [`StoreHandle`]. Entries are **strong**: a class whose
-/// external refs all died stays cached until its shard grows past the
-/// high-water mark, so an immediate rebuild of the same skeleton is a
+/// A hash-consed interner split into `SHARDS` sub-tables, owned by one
+/// thread through [`StoreHandle`]. Entries are **strong**: a class whose
+/// external refs all died stays cached until its sub-table grows past
+/// the high-water mark, so an immediate rebuild of the same skeleton is a
 /// pure map hit — same node, same id, no allocation. On growth past the
 /// mark, entries with `strong_count == 1` (only the store holds them) are
 /// evicted and the mark resets to twice the live size, making eviction
 /// amortized O(1) per insertion and memory proportional to the live term
-/// graph (plus the bounded per-thread front-cache pins; see the module
-/// docs).
+/// graph (plus the bounded front-cache pins; see the module docs).
 #[derive(Debug)]
 pub struct TermStore {
-    shards: [Shard; SHARDS],
-    /// Distinguishes stores for the per-thread front caches (never
-    /// reused; `0` is the "no store" tag of an empty front).
+    shards: [RefCell<Tables>; SHARDS],
+    /// Distinguishes stores for the thread's front cache and operation
+    /// memo (never reused; `0` is the "no store" tag of an empty front).
     store_token: u64,
-    /// Bumped by every sweep/trim; fronts that observe a stale epoch
-    /// discard themselves, releasing their pins.
-    sweep_epoch: AtomicU64,
 }
 
 /// Process-wide [`NodeId`] allocator, shared by **all** stores so ids are
-/// unique across the global store and every isolated one.
+/// unique across every thread's stores.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocator for [`TermStore::store_token`] (`0` reserved for "none").
 static NEXT_STORE_TOKEN: AtomicU64 = AtomicU64::new(1);
 
-/// The process-wide default store.
-static GLOBAL: OnceLock<Arc<TermStore>> = OnceLock::new();
-
-fn global_store() -> &'static Arc<TermStore> {
-    GLOBAL.get_or_init(|| Arc::new(TermStore::new()))
+/// What one sub-table probe did.
+#[derive(PartialEq, Eq)]
+enum Probe {
+    /// An existing node answered.
+    Hit,
+    /// A node was created.
+    Miss,
+    /// A node was created and the sub-table then swept its dead classes.
+    MissSwept,
 }
 
 impl TermStore {
     fn new() -> TermStore {
         TermStore {
-            shards: std::array::from_fn(|_| Shard {
-                tables: Mutex::new(Tables {
+            shards: std::array::from_fn(|_| {
+                RefCell::new(Tables {
                     map: HashMap::with_hasher(FxBuild),
                     sweep_at: SHARD_MIN_SWEEP,
-                }),
+                })
             }),
             store_token: NEXT_STORE_TOKEN.fetch_add(1, Ordering::Relaxed),
-            sweep_epoch: AtomicU64::new(0),
         }
     }
 
@@ -580,22 +556,17 @@ impl TermStore {
         NodeId(NEXT_ID.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// The slow path: probe-or-insert in the owning shard. Returns the
-    /// node and whether it was created (a miss). The owned `Term` (with
-    /// its child `Arc` clones) is materialized only inside the vacant arm,
-    /// where the node must own its children anyway.
-    fn intern_in_shard(&self, hash: u64, v: &NodeView<'_>) -> (Arc<TermNode>, bool) {
-        let shard = &self.shards[(hash >> 60) as usize & (SHARDS - 1)];
-        let mut guard = lock(shard);
-        let tables = &mut *guard;
-        let mut missed = false;
+    /// The slow path: probe-or-insert in the owning sub-table. The owned
+    /// `Term` (with its child `Rc` clones) is materialized only inside the
+    /// vacant arm, where the node must own its children anyway.
+    fn intern_in_shard(&self, hash: u64, v: &NodeView<'_>) -> (Rc<TermNode>, Probe) {
+        let mut tables = self.shards[(hash >> 60) as usize & (SHARDS - 1)].borrow_mut();
         // Single-hash probe-or-insert: the miss path must not hash twice.
         let node = match tables.map.entry(v.key()) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
+            Entry::Occupied(e) => return (Rc::clone(e.get()), Probe::Hit),
             Entry::Vacant(e) => {
-                missed = true;
                 let term = v.to_term();
-                let node = Arc::new(TermNode {
+                let node = Rc::new(TermNode {
                     id: TermStore::fresh_id(),
                     max_free: term.max_free(),
                     has_meta: term.has_metas(),
@@ -603,87 +574,65 @@ impl TermStore {
                     content: content_hash_of(&term),
                     term,
                 });
-                e.insert(Arc::clone(&node));
+                e.insert(Rc::clone(&node));
                 node
             }
         };
-        if missed && tables.map.len() >= tables.sweep_at {
-            // Evicting a dead class is always sound: without a live
-            // external ref its id cannot be probed, so a later rebuild
-            // under a fresh id can never alias it. `strong_count == 1`
-            // under the shard lock *means* dead — see the module docs for
-            // the race-freedom argument. Entry drops release child refs,
-            // which may turn further entries dead — they go in a later
-            // sweep.
-            tables.map.retain(|_, node| Arc::strong_count(node) > 1);
-            tables.sweep_at = (tables.map.len() * 2).max(SHARD_MIN_SWEEP);
-            self.sweep_epoch.fetch_add(1, Ordering::Relaxed);
+        if tables.map.len() < tables.sweep_at {
+            return (node, Probe::Miss);
         }
-        (node, missed)
+        // Evicting a dead class is always sound: without a live external
+        // ref its id cannot be probed, so a later rebuild under a fresh id
+        // can never alias it. Entry drops release child refs, which may
+        // turn further entries dead — they go in a later sweep.
+        tables.map.retain(|_, node| Rc::strong_count(node) > 1);
+        tables.sweep_at = (tables.map.len() * 2).max(SHARD_MIN_SWEEP);
+        (node, Probe::MissSwept)
     }
 
-    /// Evicts every dead class *now* and shrinks each shard to its
+    /// Evicts every dead class *now* and shrinks each sub-table to its
     /// smallest footprint.
     fn trim_now(&self) {
         for shard in &self.shards {
-            let mut guard = lock(shard);
-            let tables = &mut *guard;
-            tables.map.retain(|_, node| Arc::strong_count(node) > 1);
+            let mut tables = shard.borrow_mut();
+            tables.map.retain(|_, node| Rc::strong_count(node) > 1);
             tables.map.shrink_to_fit();
             tables.sweep_at = (tables.map.len() * 2).max(SHARD_MIN_SWEEP);
         }
-        self.sweep_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total number of cached classes (live + dead-but-cached), summed
-    /// over the shards. Diagnostic only: the value is stale the moment a
-    /// concurrent intern lands.
+    /// over the sub-tables.
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).map.len()).sum()
+        self.shards.iter().map(|s| s.borrow().map.len()).sum()
     }
 
     /// Every cached class (live *and* dead-but-cached), sorted by id —
-    /// the raw material of a warm image (see [`image`]). The per-shard
-    /// locks are taken one at a time, so the snapshot is only
-    /// shard-atomic; image writers run on a quiescent store.
-    fn snapshot(&self) -> Vec<Arc<TermNode>> {
+    /// the raw material of a warm image (see [`image`]).
+    fn snapshot(&self) -> Vec<Rc<TermNode>> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let guard = lock(shard);
-            out.extend(guard.map.values().cloned());
+            out.extend(shard.borrow().map.values().cloned());
         }
         out.sort_by_key(|n| n.id);
         out
     }
 }
 
-/// An explicit, shareable (`Send + Sync + Clone`) handle to a
-/// [`TermStore`]. Cloning shares the store; dropping the last handle (and
-/// last interned node holding it alive — nodes do not point back at the
-/// store) frees it.
-///
-/// The handle is how the store crosses threads without hidden global
-/// state: a batch driver captures [`current()`] on the coordinating
-/// thread and [`StoreHandle::enter`]s it on every worker, so the workers
-/// intern into the same maps and the "same id ⇔ α-equivalent" invariant
-/// holds across all of them.
+/// A cheaply clonable handle to a [`TermStore`], confined to the thread
+/// that made it. Cloning shares the store; dropping the last handle frees
+/// it (nodes do not point back at the store, so they may outlive it).
 #[derive(Clone, Debug)]
-pub struct StoreHandle(Arc<TermStore>);
+pub struct StoreHandle(Rc<TermStore>);
 
 impl StoreHandle {
-    /// The process-wide default store — what every thread uses unless it
-    /// is inside [`StoreHandle::enter`].
-    pub fn global() -> StoreHandle {
-        StoreHandle(Arc::clone(global_store()))
-    }
-
-    /// A fresh, empty store, fully independent of the global one except
-    /// for the shared [`NodeId`] allocator (so ids never collide across
+    /// A fresh, empty store, independent of every other store except for
+    /// the shared [`NodeId`] allocator (so ids never collide across
     /// stores). For tests that depend on eviction timing and for bench
     /// heap hygiene; terms interned here must not be compared against
     /// terms of other stores (see the module docs).
     pub fn isolated() -> StoreHandle {
-        StoreHandle(Arc::new(TermStore::new()))
+        StoreHandle(Rc::new(TermStore::new()))
     }
 
     /// Runs `f` with this store as the thread's current store, restoring
@@ -691,25 +640,23 @@ impl StoreHandle {
     /// interning inside `f` — every [`TermRef::new`](crate::term::TermRef::new),
     /// every smart constructor — lands in this store.
     pub fn enter<T>(&self, f: impl FnOnce() -> T) -> T {
-        struct Restore(Option<StoreHandle>);
+        struct Restore(StoreHandle);
         impl Drop for Restore {
             fn drop(&mut self) {
-                let prev = self.0.take();
-                CTX.with(|ctx| ctx.borrow_mut().current = prev);
+                CTX.with(|ctx| std::mem::swap(&mut ctx.borrow_mut().current, &mut self.0));
             }
         }
-        let prev = CTX.with(|ctx| ctx.borrow_mut().current.replace(self.clone()));
-        let _restore = Restore(prev);
+        let mut restore = Restore(self.clone());
+        CTX.with(|ctx| std::mem::swap(&mut ctx.borrow_mut().current, &mut restore.0));
         f()
     }
 
     /// Do two handles share one store?
     pub fn same_store(a: &StoreHandle, b: &StoreHandle) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        Rc::ptr_eq(&a.0, &b.0)
     }
 
     /// Total number of cached classes (live + dead-but-cached) right now.
-    /// Diagnostic: stale as soon as another thread interns.
     pub fn len(&self) -> usize {
         self.0.len()
     }
@@ -720,45 +667,34 @@ impl StoreHandle {
     }
 }
 
-/// This thread's interner-facing state: the current store override, the
-/// private front cache, and the traffic counters — one `RefCell` so the
-/// hot path pays a single thread-local access and borrow.
+/// This thread's interner-facing state: the current store, the front
+/// cache, and the traffic counters — one `RefCell` so the hot path pays a
+/// single thread-local access and borrow.
 struct ThreadCtx {
-    /// `None` means "the global store".
-    current: Option<StoreHandle>,
+    /// The thread's own default store, or the one set by the innermost
+    /// enclosing [`StoreHandle::enter`].
+    current: StoreHandle,
     front: Front,
     lookups: u64,
     hits: u64,
     distinct: u64,
 }
 
-/// A per-thread, lock-free, direct-mapped cache of recently interned
-/// nodes, validated against the store it was filled from (`store` token)
-/// and the store's sweep epoch. Any node found here is guaranteed still
-/// to be in the store's map — the front's own strong ref keeps its
-/// `strong_count` above 1 through every sweep — so a front hit never
-/// resurrects an evicted class under a stale id. The epoch check is a
-/// memory bound, not a correctness gate: it makes the front drop its pins
-/// soon after a sweep.
+/// A direct-mapped cache of recently interned nodes, tagged with the
+/// store it was filled from. Any node found here is still in that store's
+/// map — the front's own strong ref keeps its `strong_count` above 1
+/// through every sweep — so a front hit never resurrects an evicted class
+/// under a stale id. The front is cleared right after a sweep, which
+/// releases its pins.
 struct Front {
     /// `0` = unattached.
     store: u64,
-    epoch: u64,
-    slots: Vec<Option<Arc<TermNode>>>,
+    slots: Vec<Option<Rc<TermNode>>>,
 }
 
 impl Front {
-    const fn empty() -> Front {
-        Front {
-            store: 0,
-            epoch: 0,
-            slots: Vec::new(),
-        }
-    }
-
-    fn reset(&mut self, store: u64, epoch: u64) {
+    fn reset(&mut self, store: u64) {
         self.store = store;
-        self.epoch = epoch;
         self.slots.clear();
         self.slots.resize(FRONT_SLOTS, None);
     }
@@ -770,15 +706,16 @@ impl Front {
 }
 
 thread_local! {
-    static CTX: RefCell<ThreadCtx> = const {
-        RefCell::new(ThreadCtx {
-            current: None,
-            front: Front::empty(),
-            lookups: 0,
-            hits: 0,
-            distinct: 0,
-        })
-    };
+    static CTX: RefCell<ThreadCtx> = RefCell::new(ThreadCtx {
+        current: StoreHandle::isolated(),
+        front: Front {
+            store: 0,
+            slots: Vec::new(),
+        },
+        lookups: 0,
+        hits: 0,
+        distinct: 0,
+    });
 }
 
 /// An open interner session: the thread-local context (current store,
@@ -815,12 +752,8 @@ pub(crate) fn with_session<R>(f: impl FnOnce(&mut InternSession<'_>) -> R) -> R 
             hits,
             distinct,
         } = &mut *borrow;
-        let store: &TermStore = match current {
-            Some(h) => &h.0,
-            None => global_store(),
-        };
         f(&mut InternSession {
-            store,
+            store: &current.0,
             front,
             lookups,
             hits,
@@ -831,33 +764,33 @@ pub(crate) fn with_session<R>(f: impl FnOnce(&mut InternSession<'_>) -> R) -> R 
 
 impl InternSession<'_> {
     /// Interns one node described by a borrowed view (children already
-    /// interned). The hot path — a front hit — clones exactly one `Arc`
+    /// interned). The hot path — a front hit — clones exactly one `Rc`
     /// (the returned node) and touches no child or `Sym` refcount.
     pub(crate) fn intern_view(&mut self, v: &NodeView<'_>) -> TermRef {
         *self.lookups += 1;
         let store = self.store;
         let hash = view_hash(v);
         let slot = (hash as usize) & (FRONT_SLOTS - 1);
-        let epoch = store.sweep_epoch.load(Ordering::Relaxed);
-        if self.front.store != store.store_token || self.front.epoch != epoch {
-            self.front.reset(store.store_token, epoch);
+        if self.front.store != store.store_token {
+            self.front.reset(store.store_token);
         } else if let Some(node) = &self.front.slots[slot] {
             if view_matches(v, &node.term) {
                 *self.hits += 1;
-                return TermRef::from_node(Arc::clone(node));
+                return TermRef::from_node(Rc::clone(node));
             }
         }
-        let (node, missed) = store.intern_in_shard(hash, v);
-        if missed {
-            *self.distinct += 1;
-        } else {
+        let (node, probe) = store.intern_in_shard(hash, v);
+        if probe == Probe::Hit {
             *self.hits += 1;
+        } else {
+            *self.distinct += 1;
         }
-        // Publish to the front only if no sweep interleaved (a stale
-        // front must discard itself wholesale on the next probe, and a
-        // fresh entry tagged with the old epoch would survive that).
-        if store.sweep_epoch.load(Ordering::Relaxed) == epoch {
-            self.front.slots[slot] = Some(Arc::clone(&node));
+        if probe == Probe::MissSwept {
+            // The sweep ran with the front's pins in place; drop them now,
+            // so the classes only the front held go in the next sweep.
+            self.front.reset(store.store_token);
+        } else {
+            self.front.slots[slot] = Some(Rc::clone(&node));
         }
         TermRef::from_node(node)
     }
@@ -886,19 +819,14 @@ pub(crate) fn fresh_unregistered_id() -> NodeId {
 }
 
 /// The thread's current store: the store set by the innermost enclosing
-/// [`StoreHandle::enter`], or the process-wide global store. Capture this
-/// on a coordinating thread and `enter` it on workers to intern into one
-/// shared store.
+/// [`StoreHandle::enter`], or the thread's own default store.
 pub fn current() -> StoreHandle {
     CTX.with(|ctx| ctx.borrow().current.clone())
-        .unwrap_or_else(StoreHandle::global)
 }
 
 /// This thread's interner counters (monotonic totals of the **thread's**
 /// traffic, whichever stores it touched). Take a snapshot before a
-/// workload and diff with [`InternStats::since`] for per-call numbers;
-/// per-thread counters keep those deltas deterministic even while other
-/// threads intern concurrently.
+/// workload and diff with [`InternStats::since`] for per-call numbers.
 pub fn stats() -> InternStats {
     CTX.with(|ctx| {
         let ctx = ctx.borrow();
@@ -911,22 +839,17 @@ pub fn stats() -> InternStats {
 }
 
 /// Evicts every dead class of the thread's current store *now* and
-/// shrinks it to its smallest footprint (this thread's front cache is
-/// dropped too; other threads' fronts release their pins on their next
-/// intern, after they observe the epoch bump). Semantics are unaffected —
-/// live nodes always survive — this is memory/benchmark hygiene: it stops
-/// one workload's dead-class cache from occupying heap while an unrelated
-/// workload is measured.
+/// shrinks it to its smallest footprint (the front cache is dropped
+/// first, so its pins do not keep classes alive). Semantics are
+/// unaffected — live nodes always survive — this is memory/benchmark
+/// hygiene: it stops one workload's dead-class cache from occupying heap
+/// while an unrelated workload is measured.
 pub fn trim() {
     CTX.with(|ctx| {
         let mut borrow = ctx.borrow_mut();
         let ThreadCtx { current, front, .. } = &mut *borrow;
         front.invalidate();
-        let store: &TermStore = match current {
-            Some(h) => &h.0,
-            None => global_store(),
-        };
-        store.trim_now();
+        current.0.trim_now();
     });
 }
 
@@ -1011,8 +934,8 @@ mod tests {
     fn stats_count_hits_and_misses() {
         // Stats are per-thread, so concurrently running tests cannot
         // perturb the deltas; `a` stays live, so the rebuild is
-        // guaranteed to dedup even if another thread sweeps. Every lookup
-        // either hits or creates exactly one node, on both intern paths.
+        // guaranteed to dedup even if a sweep runs. Every lookup either
+        // hits or creates exactly one node, on both intern paths.
         let balanced = |d: &InternStats| d.hits + d.distinct_nodes == d.lookups;
         let before = stats();
         let t = || Term::app(Term::cnst("store-test-c"), Term::Int(41));
@@ -1060,8 +983,8 @@ mod tests {
 
     #[test]
     fn dead_classes_resurrect_with_the_same_id() {
-        // Isolated store: eviction timing must not depend on other tests
-        // hammering the global store from sibling threads.
+        // Isolated store: eviction timing must not depend on what this
+        // test thread interned before.
         StoreHandle::isolated().enter(|| {
             let id1 = {
                 let t = TermRef::new(Term::app(Term::cnst("store-test-dead"), Term::Int(7)));
@@ -1110,9 +1033,9 @@ mod tests {
         let b = StoreHandle::isolated().enter(|| TermRef::new(Term::cnst("store-test-iso")));
         assert_ne!(a.id(), b.id());
         // Within each isolated store the usual sharing held; and the
-        // global store is untouched by either (fresh interning there
-        // allocates yet another id).
-        let c = TermRef::new(Term::cnst("store-test-iso-global"));
+        // thread's default store is untouched by either (fresh interning
+        // there allocates yet another id).
+        let c = TermRef::new(Term::cnst("store-test-iso-default"));
         assert_ne!(c.id(), a.id());
         assert_ne!(c.id(), b.id());
     }
@@ -1128,78 +1051,6 @@ mod tests {
             assert!(StoreHandle::same_store(&current(), &iso));
         });
         assert!(StoreHandle::same_store(&current(), &outer));
-    }
-
-    #[test]
-    fn cross_thread_interning_shares_nodes() {
-        // Two threads interning the same skeleton into one shared store
-        // land on one node: same id from both sides.
-        let h = StoreHandle::isolated();
-        let t = || {
-            Term::lam(
-                "x",
-                Term::app(Term::Var(0), Term::cnst("store-test-xthread")),
-            )
-        };
-        let ids: Vec<NodeId> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let h = h.clone();
-                    s.spawn(move || h.enter(|| TermRef::new(t()).id()))
-                })
-                .collect();
-            handles.into_iter().map(|j| j.join().unwrap()).collect()
-        });
-        assert!(
-            ids.windows(2).all(|w| w[0] == w[1]),
-            "ids diverged: {ids:?}"
-        );
-    }
-
-    #[test]
-    fn trim_under_contention_keeps_live_terms_valid() {
-        // The eviction-race regression: workers intern overlapping
-        // families (dropping most, holding some) while another thread
-        // trims in a loop. Every *held* ref must keep its class: a
-        // rebuild of its skeleton — from its own thread or any other —
-        // must land on the same id.
-        let h = StoreHandle::isolated();
-        std::thread::scope(|s| {
-            for w in 0..3u32 {
-                let h = h.clone();
-                s.spawn(move || {
-                    h.enter(|| {
-                        let mut held = Vec::new();
-                        for i in 0..3000i64 {
-                            let t = TermRef::new(Term::app(
-                                Term::cnst("store-test-contend"),
-                                Term::Int(i),
-                            ));
-                            if i % 10 == i64::from(w) {
-                                held.push(t);
-                            } // other refs drop: dead classes for the trimmer
-                        }
-                        for t in &held {
-                            let again = TermRef::new(t.term().clone());
-                            assert_eq!(
-                                again.id(),
-                                t.id(),
-                                "live class lost its id under concurrent trim"
-                            );
-                        }
-                    });
-                });
-            }
-            let trimmer = h.clone();
-            s.spawn(move || {
-                trimmer.enter(|| {
-                    for _ in 0..300 {
-                        trim();
-                        std::thread::yield_now();
-                    }
-                });
-            });
-        });
     }
 
     #[test]
@@ -1243,12 +1094,5 @@ mod tests {
                 b.term()
             );
         }
-    }
-
-    #[test]
-    fn store_handles_are_send_sync() {
-        const fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<StoreHandle>();
-        assert_send_sync::<TermStore>();
     }
 }

@@ -158,7 +158,7 @@ impl Sub {
         }
     }
 
-    /// [`Sub::apply_at`] on a shared subterm, preserving the `Arc` when the
+    /// [`Sub::apply_at`] on a shared subterm, preserving the `Rc` when the
     /// subterm is out of the substitution's reach.
     fn apply_at_ref(&self, t: &TermRef, depth: u32) -> TermRef {
         if t.max_free() <= depth {

@@ -29,7 +29,7 @@
 //! * **One rebuild step.** Each call opens one interner session
 //!   (`store::with_session`) and rebuilds the root as an owned [`Term`];
 //!   every node below it is interned bottom-up through a borrowed
-//!   `NodeView` (one `Arc` clone on a hit, no child or `Sym` refcount
+//!   `NodeView` (one `Rc` clone on a hit, no child or `Sym` refcount
 //!   churn). The root and the interned nodes share one step; only what
 //!   the step builds differs.
 //! * **Memo at the top level.** Hash-consing makes every operation a pure

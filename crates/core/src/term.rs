@@ -14,12 +14,12 @@
 //!
 //! # Hash-consed, annotation-carrying representation
 //!
-//! Subterms are [`TermRef`]s — atomically reference-counted pointers to
-//! immutable nodes ([`Arc<TermNode>`](std::sync::Arc)) **interned** in the
-//! thread's current [`crate::store`] (the process-wide shared store unless
-//! a [`StoreHandle`](crate::store::StoreHandle) is entered): constructing
-//! a term whose de Bruijn skeleton (modulo binder hints) was already built
-//! returns the *same* node — from any thread. Each node
+//! Subterms are [`TermRef`]s — reference-counted pointers to immutable
+//! nodes ([`Rc<TermNode>`](std::rc::Rc)) **interned** in the thread's
+//! current [`crate::store`] (the thread's own store unless a
+//! [`StoreHandle`](crate::store::StoreHandle) is entered): constructing a
+//! term whose de Bruijn skeleton (modulo binder hints) was already built
+//! returns the *same* node. Each node
 //! carries a stable [`NodeId`] and caches three structural annotations,
 //! computed **bottom-up in O(1)** once per distinct term:
 //!
@@ -32,7 +32,7 @@
 //! All three are functions of the term's structure alone (never of binder
 //! hints), so they are stable under α-renaming and safe to share. The
 //! kernel's traversals exploit the sharing aggressively: `shift`/`subst`
-//! return the *same* `Arc` (a pointer copy, zero allocations) on subterms
+//! return the *same* `Rc` (a pointer copy, zero allocations) on subterms
 //! the operation cannot change, substitution application skips meta-free
 //! subtrees, and normalization skips already-normal ones. Because
 //! interning makes node identity coincide with α-equivalence modulo
@@ -49,7 +49,7 @@ use crate::store::{self, NodeId};
 use crate::ty::Ty;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A metavariable: a typed hole solved by unification or matching.
 ///
@@ -147,9 +147,45 @@ pub(crate) struct TermNode {
     pub(crate) content: u128,
 }
 
+impl Drop for TermNode {
+    /// Drops the subterms this node held the last reference to one at a
+    /// time, instead of by recursion. While its store lives a node's
+    /// children are held by the store too, so a drop frees one node. Once
+    /// the store has died (with its thread, or an isolated store after
+    /// [`StoreHandle::enter`](crate::store::StoreHandle::enter)), a term,
+    /// a front-cache or memo pin can hold the last reference to a
+    /// 10⁵-deep chain, which a recursive drop overflows a 2 MiB stack on.
+    fn drop(&mut self) {
+        let mut last = Vec::new();
+        take_last_children(std::mem::replace(&mut self.term, Term::Unit), &mut last);
+        while let Some(mut node) = last.pop() {
+            if let Some(node) = Rc::get_mut(&mut node) {
+                take_last_children(std::mem::replace(&mut node.term, Term::Unit), &mut last);
+            }
+        }
+    }
+}
+
+/// Queues on `last` the children of `t` it holds the last reference to;
+/// the others are released here, which frees nothing.
+fn take_last_children(t: Term, last: &mut Vec<Rc<TermNode>>) {
+    let mut keep = |c: TermRef| {
+        if Rc::strong_count(&c.0) == 1 {
+            last.push(c.0);
+        }
+    };
+    match t {
+        Term::Lam(_, b) | Term::Fst(b) | Term::Snd(b) => keep(b),
+        Term::App(a, b) | Term::Pair(a, b) => {
+            keep(a);
+            keep(b);
+        }
+        Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => {}
+    }
+}
+
 /// A shared, annotation-carrying reference to an interned subterm:
-/// `Arc<TermNode>` — `Send + Sync`, so terms flow freely between threads
-/// sharing a store.
+/// `Rc<TermNode>`, confined to the thread whose store interned it.
 ///
 /// Cloning is a reference-count bump. Because nodes are hash-consed,
 /// equality is a single [`NodeId`] comparison — O(1) α-equivalence —
@@ -157,16 +193,7 @@ pub(crate) struct TermNode {
 /// binder hints (it hashes the skeleton via child ids), so it remains
 /// consistent with `==`.
 #[derive(Clone)]
-pub struct TermRef(Arc<TermNode>);
-
-// Terms are immutable shared data: they must keep crossing thread
-// boundaries. A field change that loses `Send + Sync` should fail here,
-// not in downstream crates.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<TermRef>();
-    assert_send_sync::<Term>();
-};
+pub struct TermRef(Rc<TermNode>);
 
 impl TermRef {
     /// Interns a term in the thread's current store, returning the
@@ -205,7 +232,7 @@ impl TermRef {
     /// interning this coincides with `==` (and with id equality) for all
     /// store-built refs.
     pub fn ptr_eq(a: &TermRef, b: &TermRef) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        Rc::ptr_eq(&a.0, &b.0)
     }
 
     /// The node's stable [`NodeId`], usable as a durable cache key.
@@ -234,14 +261,14 @@ impl TermRef {
 
     /// Wraps an existing node without re-interning (crate-internal; used
     /// by the store when handing out snapshot views of its entries).
-    pub(crate) fn from_node(node: Arc<TermNode>) -> TermRef {
+    pub(crate) fn from_node(node: Rc<TermNode>) -> TermRef {
         TermRef(node)
     }
 
     /// Extracts the term. The clone is *shallow* — children stay shared —
     /// so this costs a few reference-count bumps, never a deep copy. (The
-    /// node cannot be dismantled in place: the store keeps a strong entry,
-    /// so this is never the last reference.)
+    /// node is not dismantled in place: while its store lives, the store
+    /// keeps a strong entry, so this is not the last reference.)
     pub fn into_term(self) -> Term {
         self.0.term.clone()
     }
@@ -261,7 +288,7 @@ impl TermRef {
         beta_normal: bool,
     ) -> TermRef {
         let content = store::content_hash_of(&term);
-        TermRef(Arc::new(TermNode {
+        TermRef(Rc::new(TermNode {
             term,
             id: store::fresh_unregistered_id(),
             max_free,

@@ -70,7 +70,7 @@ struct Annotations {
 ///
 /// The interning check re-interns each skeleton through the **thread's
 /// current store**, so call this with the term's own store current (the
-/// default when everything uses the global store; inside
+/// default when everything uses the thread's default store; inside
 /// [`StoreHandle::enter`](crate::store::StoreHandle::enter) for terms of
 /// an isolated store). Validating a term against a foreign store would
 /// report spurious `interned_id` mismatches.

@@ -3094,11 +3094,15 @@ mod tests {
             // binders in order, to other variables or to arbitrary terms;
             // half the bindings, and half the calls, are shared pairs
             // (a term over metavariables numbered from a base, and the
-            // base); and with one more eigenvariable pushed after the
-            // bindings, they and a hypothetical head are read one level
-            // above where they were made. The walk must unify exactly
-            // when the unifier does on the resolved call and head, to the
-            // same solution up to renaming.
+            // base). Every binding is made before zero to two more
+            // eigenvariables are pushed, so it and a hypothetical head are
+            // read up to two levels above where they were made: a
+            // functional binding's body read in place under the call's λs
+            // then has a cut and a shift other than zero, and half the
+            // bindings made under eigenvariables mention one, which that
+            // shift moves.
+            // The walk must unify exactly when the unifier does on the
+            // resolved call and head, to the same solution up to renaming.
             let mut rng = SmallRng::seed_from_u64(seed);
             let sig = walk_sig();
             let o = Ty::base("o");
@@ -3119,10 +3123,15 @@ mod tests {
             // Bound to a canonical term over younger metavariables only,
             // so that bindings stay acyclic (left unbound when the term
             // mentions an eigenvariable above the metavariable's level),
-            // as it is or as a shared pair.
+            // as it is or as a shared pair; half the time applied to an
+            // eigenvariable, when there is one.
             let bind_some = |st: &mut St<'_>, rng: &mut SmallRng, m: &MVar, arity: usize, younger: &[(MVar, usize)]| {
                 let depth = st.depth();
                 let mut t = gen_walk_tm(rng, younger, depth, arity as u32, 2);
+                if depth > 0 && rng.gen_bool(0.5) {
+                    let x = Term::Var(arity as u32 + rng.gen_range(0..depth));
+                    t = Term::apps(Term::cnst("app"), [t, x]);
+                }
                 for _ in 0..arity {
                     t = Term::lam("y", t);
                 }
@@ -3150,8 +3159,18 @@ mod tests {
                     .collect();
                 gen_walk_atom(&mut rng, &sig, &vars, &menv, &Ctx::new())
             };
-            let lifted = rng.gen_bool(0.3);
-            if lifted {
+            // The call metavariables standing for the head's variables,
+            // some of them bound, before the lift like the others.
+            let mut ids = Vec::new();
+            for (_, arity) in &vars {
+                let m = fresh(&mut st, *arity);
+                if rng.gen_bool(0.6) {
+                    bind_some(&mut st, &mut rng, &m, *arity, &metas);
+                }
+                ids.push(m.id());
+            }
+            let lift: u32 = rng.gen_range(0..3);
+            for _ in 0..lift {
                 st.push_eigen(Sym::new("x"), tm());
             }
             let eigen_ctx = st.eigen.clone();
@@ -3159,18 +3178,8 @@ mod tests {
             let mut call = if rng.gen_bool(0.2) {
                 gen_walk_atom(&mut rng, &sig, &metas, &st, &eigen_ctx)
             } else if hypothetical {
-                subst::shift(&head, lifted as u32)
+                subst::shift(&head, lift)
             } else {
-                // The head's variables renamed to call metavariables,
-                // some of them bound.
-                let mut ids = Vec::new();
-                for (_, arity) in &vars {
-                    let m = fresh(&mut st, *arity);
-                    if rng.gen_bool(0.6) {
-                        bind_some(&mut st, &mut rng, &m, *arity, &metas);
-                    }
-                    ids.push(m.id());
-                }
                 rename_metas(&head, &|m| Some(MVar::new(ids[m.id() as usize], "N")))
             };
             if rng.gen_bool(0.4) {
@@ -3208,7 +3217,7 @@ mod tests {
                 st.block(vars.iter().map(|(_, a)| Arc::new(tm_arrows(*a))))
             };
             let head_env = if hypothetical {
-                Env { shift: lifted as i32, ..Env::ROOT }
+                Env { shift: lift as i32, ..Env::ROOT }
             } else {
                 Env::at(block.base)
             };
@@ -3219,7 +3228,7 @@ mod tests {
                 "`{}` at {:?} does not resolve to `{}`", call.term, call.env, resolved_call
             );
             if hypothetical {
-                let shifted = st.resolve(&subst::shift(head.term, lifted as u32));
+                let shifted = st.resolve(&subst::shift(head.term, lift));
                 prop_assert!(
                     st.resolve_view(head.term, head.env, depth) == shifted,
                     "`{}` at {:?} does not resolve to `{}`", head.term, head.env, shifted

@@ -48,9 +48,9 @@ use hoas_core::{normalize, typeck, NodeId, Sym, Term, Ty};
 use hoas_unify::classify::PatternClass;
 use hoas_unify::matching::{match_pattern, match_term, MatchConfig};
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::rc::Rc;
 
 /// Traversal strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -321,10 +321,9 @@ const RULE_NF_CAP: usize = 1 << 20;
 /// never reused, process-wide, so an entry for a dead node can never be
 /// probed again. Warm caches can therefore be carried from one engine
 /// instance to the next with
-/// [`Engine::caches`]/[`Engine::with_caches`] — and, the bundle being
-/// `Send + Sync` (each table behind its own mutex), shared between
-/// *threads*: workers over one term store build private `Engine`s around
-/// one clone of the handle and warm each other's caches.
+/// [`Engine::caches`]/[`Engine::with_caches`]. Like the terms it holds,
+/// the bundle is confined to one thread: each table is shared through an
+/// `Rc` and mutated through a `RefCell`.
 ///
 /// Entries record everything they depend on *except* the signature, rule
 /// set, and match configuration, which are fixed per engine: only share a
@@ -336,18 +335,18 @@ const RULE_NF_CAP: usize = 1 << 20;
 pub struct EngineCaches {
     /// Canonical-form memo for replacement canonicalization (see
     /// [`hoas_core::normalize::CanonCache`] for the soundness argument).
-    pub(crate) canon: Arc<normalize::CanonCache>,
+    pub(crate) canon: Rc<normalize::CanonCache>,
     /// Rule-normal-form cache, keyed on stable node id. Entries are never
     /// invalidated: whether a rule fires inside a node is a function of
     /// its α-class (plus the recorded types), which the id pins down
     /// forever.
-    rule_nf: Arc<Mutex<HashMap<NodeId, Vec<CacheEntry>>>>,
+    rule_nf: Rc<RefCell<HashMap<NodeId, Vec<CacheEntry>>>>,
     /// Root-step memo: the outcome of one whole strategy step on a
     /// closed subject, keyed by the root's shallow id identity. Because
     /// interning hands back id-identical subtrees for a repeated
     /// subject, an entire rewrite run re-played on the same input
     /// collapses to one probe per step.
-    pub(crate) root_memo: Arc<Mutex<HashMap<RootKey, Vec<RootEntry>>>>,
+    pub(crate) root_memo: Rc<RefCell<HashMap<RootKey, Vec<RootEntry>>>>,
 }
 
 impl EngineCaches {
@@ -356,23 +355,6 @@ impl EngineCaches {
     pub fn new() -> EngineCaches {
         EngineCaches::default()
     }
-}
-
-// The whole point of the bundle since PR 6: it must keep crossing thread
-// boundaries (workers share one handle). Guard it here, next to the
-// fields, rather than letting a future `Rc`/`RefCell` field break a
-// downstream crate.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<EngineCaches>();
-};
-
-/// Cache tables ignore mutex poisoning: every critical section performs
-/// only exception-safe `HashMap` operations, so a panicking thread leaves
-/// a consistent table; the caches are pure memoization and must not turn
-/// one panic into a process-wide poison cascade.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A rewrite engine for one signature and rule set.
@@ -734,7 +716,7 @@ impl<'a> Engine<'a> {
             return step(&mut ctx);
         };
         {
-            let memo = lock(&self.caches.root_memo);
+            let memo = self.caches.root_memo.borrow();
             if let Some(e) = memo.get(&key).and_then(|es| {
                 es.iter().find(|e| {
                     e.ty == *ty
@@ -748,7 +730,7 @@ impl<'a> Engine<'a> {
         }
         bump(&self.counters.memo_misses);
         let r = step(&mut ctx)?;
-        let mut memo = lock(&self.caches.root_memo);
+        let mut memo = self.caches.root_memo.borrow_mut();
         if memo.len() >= ROOT_MEMO_CAP {
             memo.clear();
         }
@@ -762,7 +744,7 @@ impl<'a> Engine<'a> {
     }
 
     fn cache_contains(&self, ctx: &Ctx, ty: &Ty, t: &TermRef) -> bool {
-        let cache = lock(&self.caches.rule_nf);
+        let cache = self.caches.rule_nf.borrow();
         let Some(entries) = cache.get(&t.id()) else {
             return false;
         };
@@ -787,7 +769,7 @@ impl<'a> Engine<'a> {
                 None => return,
             }
         }
-        let mut cache = lock(&self.caches.rule_nf);
+        let mut cache = self.caches.rule_nf.borrow_mut();
         if cache.len() >= RULE_NF_CAP {
             cache.clear();
         }

@@ -30,7 +30,7 @@
 //! which is the same contract [`EngineCaches`] already imposes on
 //! cross-engine sharing.
 
-use crate::engine::{lock, EngineCaches, RootEntry, RootKey};
+use crate::engine::{EngineCaches, RootEntry, RootKey};
 use crate::engine::{MatchPath, RewriteStep, Strategy};
 use hoas_core::codec::{CodecError, Decoder, Encoder, Kind};
 use hoas_core::normalize::CanonExport;
@@ -126,7 +126,7 @@ pub fn save_warm_image_with_tables(caches: &EngineCaches, tables: &[SolverTableE
 
     // Root-step memo, sorted by key tuple.
     {
-        let map = lock(&caches.root_memo);
+        let map = caches.root_memo.borrow();
         let mut keys: Vec<RootKey> = map.keys().copied().collect();
         keys.sort_unstable();
         enc.put_u64(keys.len() as u64);
@@ -344,7 +344,7 @@ pub fn inspect_warm_image(bytes: &[u8]) -> Result<ImageStats, CodecError> {
 /// Installs one reloaded root-memo bucket, deduplicating against (and
 /// respecting the cap discipline of) whatever the live table holds.
 fn absorb_root_memo(caches: &EngineCaches, key: RootKey, entries: Vec<RootEntry>) {
-    let mut map = lock(&caches.root_memo);
+    let mut map = caches.root_memo.borrow_mut();
     // The wholesale-drop cap discipline of the engine's own inserts.
     if map.len() >= crate::engine::ROOT_MEMO_CAP {
         map.clear();

@@ -13,7 +13,7 @@ use hoas_core::{normalize, Term, Ty};
 use hoas_unify::classify::{classify, PatternClass};
 use hoas_unify::UnifyError;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Errors from rule construction and rewriting.
 #[derive(Clone, Debug)]
@@ -268,7 +268,7 @@ impl fmt::Display for Rule {
 }
 
 /// The shared function backing a [`NativeRule`].
-type NativeFn = Arc<dyn Fn(&Term) -> Option<Term> + Send + Sync>;
+type NativeFn = Rc<dyn Fn(&Term) -> Option<Term>>;
 
 /// A δ-rule implemented as a Rust function; returns `Some(replacement)`
 /// when it fires. The replacement must be a well-typed canonical term of
@@ -283,15 +283,11 @@ pub struct NativeRule {
 
 impl NativeRule {
     /// Builds a native rule.
-    pub fn new(
-        name: &str,
-        ty: Ty,
-        f: impl Fn(&Term) -> Option<Term> + Send + Sync + 'static,
-    ) -> NativeRule {
+    pub fn new(name: &str, ty: Ty, f: impl Fn(&Term) -> Option<Term> + 'static) -> NativeRule {
         NativeRule {
             name: name.to_string(),
             ty,
-            f: Arc::new(f),
+            f: Rc::new(f),
         }
     }
 

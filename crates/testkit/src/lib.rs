@@ -51,9 +51,7 @@ pub fn with_stack<T: Send>(stack_mib: usize, f: impl FnOnce() -> T + Send) -> T 
 
 /// The common imports for a property-test file.
 pub mod prelude {
-    pub use crate::prop::{
-        ascii_string, seeds, stress_threads, token_soup, Config, Just, Strategy,
-    };
+    pub use crate::prop::{ascii_string, seeds, token_soup, Config, Just, Strategy};
     pub use crate::rng::{per_thread_seed, Rng, SmallRng};
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, props};
 }

@@ -16,9 +16,7 @@
 //!
 //! * `HOAS_PROP_SEED` — overrides the run seed (decimal or `0x…`),
 //! * `HOAS_PROP_CASES` — overrides the number of cases,
-//! * `HOAS_PROP_CASE` — replays one specific failing case,
-//! * `HOAS_STRESS_THREADS` — worker-thread count for the concurrent
-//!   stress suites (read via [`stress_threads`]; default 4).
+//! * `HOAS_PROP_CASE` — replays one specific failing case.
 
 use crate::rng::{SmallRng, SplitMix64};
 use std::panic::{self, AssertUnwindSafe};
@@ -72,17 +70,6 @@ impl Config {
         }
         cfg.repro_case = env_u64("HOAS_PROP_CASE");
         cfg
-    }
-}
-
-/// Worker-thread count for concurrent stress suites: `HOAS_STRESS_THREADS`
-/// clamped to `1..=64`, defaulting to 4. CI's thread-matrix job sets the
-/// knob to 1, 4, and 8; combined with [`crate::rng::per_thread_seed`]
-/// streams, any (seed, thread count) pair replays deterministically.
-pub fn stress_threads() -> usize {
-    match env_u64("HOAS_STRESS_THREADS") {
-        Some(n) => (n as usize).clamp(1, 64),
-        None => 4,
     }
 }
 

@@ -40,13 +40,11 @@ impl SplitMix64 {
 /// `(thread_index + 1)`-th output of a [`SplitMix64`] stream over
 /// `master_seed`.
 ///
-/// Concurrent test suites give worker thread *i* the seed
-/// `per_thread_seed(cfg.seed, i)`, so every thread draws from its own
-/// deterministic stream — no shared generator, no lock, no
-/// scheduling-dependent interleaving of draws. A multi-thread failure is
-/// replayed exactly by re-running with the same `HOAS_PROP_SEED` (and the
-/// same `HOAS_STRESS_THREADS` count): thread *i* regenerates the very
-/// same term family regardless of how the OS schedules the threads.
+/// Worker *i* of a run (a thread or a process, such as perfbench's
+/// measuring children) gets the seed `per_thread_seed(seed, i)`, so every
+/// worker draws from its own deterministic stream — no shared generator,
+/// no scheduling-dependent interleaving of draws: worker *i* regenerates
+/// the very same inputs however the workers are scheduled.
 pub fn per_thread_seed(master_seed: u64, thread_index: usize) -> u64 {
     let mut mix = SplitMix64::new(master_seed);
     let mut seed = mix.next_u64();

@@ -21,10 +21,7 @@
 //! * [`matching`] — higher-order matching (pattern-first with Huet
 //!   fallback), the operation driving the `hoas-rewrite` engine.
 //! * [`msubst`] — metavariable substitutions and their (normalizing)
-//!   application;
-//! * [`antiunify`] — the dual operation, least general generalization,
-//!   with which program-manipulation systems synthesize rule patterns
-//!   from example pairs.
+//!   application.
 //!
 //! ## Scope discipline
 //!
@@ -45,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod antiunify;
 pub mod classify;
 pub mod error;
 pub mod huet;

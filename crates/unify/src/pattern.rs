@@ -251,7 +251,7 @@ fn invert(
     }
 }
 
-/// [`invert`] on a shared subterm, preserving the `Arc` when the subterm is
+/// [`invert`] on a shared subterm, preserving the `Rc` when the subterm is
 /// a fixed point of the inversion.
 #[allow(clippy::too_many_arguments)]
 fn invert_ref(

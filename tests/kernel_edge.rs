@@ -4,6 +4,7 @@
 //! composition laws of the explicit-substitution calculus.
 
 use hoas::core::prelude::*;
+use hoas::core::store::StoreHandle;
 use hoas::core::sub::Sub;
 
 fn sig() -> Signature {
@@ -232,7 +233,10 @@ fn beta_is_cons_on_id() {
 /// Runs `f` on a thread with a 2 MiB stack, the default for spawned
 /// threads. Overflowing it would abort the whole test binary, so a
 /// returned value is the assertion that the layer under test does not
-/// recurse on the host stack per level of nesting.
+/// recurse on the host stack per level of nesting. Terms are confined to
+/// the thread whose store interned them, so `f` builds its own and
+/// returns plain data; the thread's store, with every deep term in it,
+/// is dropped on that stack too when the thread exits.
 fn on_2mib_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     std::thread::Builder::new()
         .stack_size(2 << 20)
@@ -261,23 +265,24 @@ fn deep_terms_parse_and_check_on_a_2mib_stack() {
         let src = nested_lam_src(n);
         let (parsed, checked) = on_2mib_stack(move || {
             let sig = lambda::signature();
-            let parsed = parse_term(sig, &src).map(|p| p.term);
+            let parsed = parse_term(sig, &src).map(|p| p.term == nested_lam(n));
             let checked = typeck::check_closed(sig, &nested_lam(n), &Ty::base("tm"));
             (parsed, checked)
         });
-        assert_eq!(parsed, Ok(nested_lam(n)), "parse at n = {n}");
+        assert_eq!(parsed, Ok(true), "parse at n = {n}");
         assert_eq!(checked, Ok(()), "check at n = {n}");
     }
     // The first error is the one the recursive formulation reports: the
     // first argument's innermost variable, n binders deep, is unbound
     // (index n), and the later argument names an undeclared constant.
     let n = 10_000;
-    let dangling = (0..n).fold(Term::Var(n as u32), |t, _| {
-        Term::app(Term::cnst("lam"), Term::lam("x", t))
+    let err = on_2mib_stack(move || {
+        let dangling = (0..n).fold(Term::Var(n as u32), |t, _| {
+            Term::app(Term::cnst("lam"), Term::lam("x", t))
+        });
+        let bad = Term::apps(Term::cnst("app"), [dangling, Term::cnst("undeclared")]);
+        typeck::check_closed(lambda::signature(), &bad, &Ty::base("tm"))
     });
-    let bad = Term::apps(Term::cnst("app"), [dangling, Term::cnst("undeclared")]);
-    let err =
-        on_2mib_stack(move || typeck::check_closed(lambda::signature(), &bad, &Ty::base("tm")));
     assert_eq!(err, Err(Error::UnboundVar { index: n as u32 }));
 }
 
@@ -335,6 +340,16 @@ fn long_spines_parse_and_check_on_a_2mib_stack() {
 }
 
 #[test]
+fn a_deep_term_outliving_its_store_drops_on_a_2mib_stack() {
+    // The store dies first, so the term holds the last reference to every
+    // node of the chain: dropping it must not recurse once per level.
+    on_2mib_stack(|| {
+        let t = StoreHandle::isolated().enter(|| nested_lam(DEEP));
+        drop(t);
+    });
+}
+
+#[test]
 fn printing_deeply_nested_same_hint_binders_is_linear() {
     // λx. λx. … x, 2000 binders that all hint `x`: the printer freshens
     // each against all the others. Printing recurses once per binder, so
@@ -358,20 +373,21 @@ fn printing_deeply_nested_same_hint_binders_is_linear() {
 
 // ------------------------------------------------ deep object codecs --
 
-/// Decodes `term` and encodes the result on a 2 MiB thread, asserts the
-/// round trip, and returns the AST. The ASTs' own `Drop` recurses, so
-/// callers drop them on a wide stack.
+/// Builds a term, decodes it and encodes the result on a 2 MiB thread,
+/// asserts the round trip, and returns the AST. The ASTs' own `Drop`
+/// recurses, so callers drop them on a wide stack.
 fn deep_roundtrip<A: Send + 'static>(
-    term: Term,
+    build: fn() -> Term,
     decode: fn(&Term) -> Result<A, hoas::langs::LangError>,
     encode: fn(&A) -> Result<Term, hoas::langs::LangError>,
 ) -> A {
-    let (ast, back, term) = on_2mib_stack(move || {
+    let (ast, round_trips) = on_2mib_stack(move || {
+        let term = build();
         let ast = decode(&term).expect("decodes");
         let back = encode(&ast).expect("encodes");
-        (ast, back, term)
+        (ast, back == term)
     });
-    assert_eq!(back, term);
+    assert!(round_trips, "encode(decode(t)) == t");
     ast
 }
 
@@ -385,7 +401,7 @@ const DEEP: usize = 100_000;
 fn deep_lambda_and_miniml_encodings_round_trip_on_a_2mib_stack() {
     use hoas::langs::lambda::{self, LTerm};
     use hoas::langs::miniml;
-    let ast = deep_roundtrip(nested_lam(DEEP), lambda::decode, lambda::encode);
+    let ast = deep_roundtrip(|| nested_lam(DEEP), lambda::decode, lambda::encode);
     let (mut t, mut depth) = (&ast, 0);
     while let LTerm::Lam(_, body) = t {
         (t, depth) = (body, depth + 1);
@@ -393,7 +409,7 @@ fn deep_lambda_and_miniml_encodings_round_trip_on_a_2mib_stack() {
     assert_eq!(depth, DEEP);
     drop_wide(ast);
 
-    let numeral = (0..DEEP).fold(Term::cnst("z"), |t, _| Term::app(Term::cnst("s"), t));
+    let numeral = || (0..DEEP).fold(Term::cnst("z"), |t, _| Term::app(Term::cnst("s"), t));
     let ast = deep_roundtrip(numeral, miniml::decode, miniml::encode);
     assert_eq!(ast.as_num(), Some(DEEP as u64));
     drop_wide(ast);
@@ -404,11 +420,13 @@ fn deep_fol_and_imp_encodings_round_trip_on_a_2mib_stack() {
     use hoas::langs::fol::{self, Formula};
     use hoas::langs::imp::{self, Cmd};
     // ∀x. ¬∀x. ¬ … p(x), alternating quantifiers and negations.
-    let atom = Term::app(Term::cnst("p"), Term::Var(0));
-    let formula = (0..DEEP / 2).fold(atom, |t, _| {
-        let not = Term::app(Term::cnst("not"), t);
-        Term::app(Term::cnst("forall"), Term::lam("x", not))
-    });
+    let formula = || {
+        let atom = Term::app(Term::cnst("p"), Term::Var(0));
+        (0..DEEP / 2).fold(atom, |t, _| {
+            let not = Term::app(Term::cnst("not"), t);
+            Term::app(Term::cnst("forall"), Term::lam("x", not))
+        })
+    };
     let ast = deep_roundtrip(formula, fol::decode, fol::encode);
     let (mut f, mut depth) = (&ast, 0);
     while let Formula::Forall(_, body) | Formula::Not(body) = f {
@@ -419,12 +437,14 @@ fn deep_fol_and_imp_encodings_round_trip_on_a_2mib_stack() {
     drop_wide(ast);
 
     // local x := 0 in { x := 1; local x := 0 in { … skip } }.
-    let lit = |n| Term::app(Term::cnst("lit"), Term::Int(n));
-    let program = (0..DEEP / 2).fold(Term::cnst("skip"), |c, _| {
-        let assign = Term::apps(Term::cnst("assign"), [Term::Var(0), lit(1)]);
-        let seq = Term::apps(Term::cnst("seq"), [assign, c]);
-        Term::apps(Term::cnst("local"), [lit(0), Term::lam("x", seq)])
-    });
+    let program = || {
+        let lit = |n| Term::app(Term::cnst("lit"), Term::Int(n));
+        (0..DEEP / 2).fold(Term::cnst("skip"), |c, _| {
+            let assign = Term::apps(Term::cnst("assign"), [Term::Var(0), lit(1)]);
+            let seq = Term::apps(Term::cnst("seq"), [assign, c]);
+            Term::apps(Term::cnst("local"), [lit(0), Term::lam("x", seq)])
+        })
+    };
     let ast = deep_roundtrip(program, imp::decode, imp::encode);
     let (mut c, mut depth) = (&ast, 0);
     loop {
@@ -444,12 +464,12 @@ fn deep_syntax_facility_trees_round_trip_on_a_2mib_stack() {
     use hoas::firstorder::Tree;
     use hoas::syntaxdef::{self, parse_language_def};
     // letx (lit 1) (\x. plus x (letx (lit 1) (\x. …))).
-    let lit = |n| Term::app(Term::cnst("lit"), Term::Int(n));
-    let term = (0..DEEP / 2).fold(lit(0), |e, _| {
-        let plus = Term::apps(Term::cnst("plus"), [Term::Var(0), e]);
-        Term::apps(Term::cnst("letx"), [lit(1), Term::lam("x", plus)])
-    });
-    let (tree, back, term) = on_2mib_stack(move || {
+    let (tree, round_trips) = on_2mib_stack(|| {
+        let lit = |n| Term::app(Term::cnst("lit"), Term::Int(n));
+        let term = (0..DEEP / 2).fold(lit(0), |e, _| {
+            let plus = Term::apps(Term::cnst("plus"), [Term::Var(0), e]);
+            Term::apps(Term::cnst("letx"), [lit(1), Term::lam("x", plus)])
+        });
         let def = parse_language_def(
             "language arith {
                sort e;
@@ -461,9 +481,9 @@ fn deep_syntax_facility_trees_round_trip_on_a_2mib_stack() {
         .unwrap();
         let tree = syntaxdef::decode(&def, "e", &term).expect("decodes");
         let back = syntaxdef::encode(&def, "e", &tree).expect("encodes");
-        (tree, back, term)
+        (tree, back == term)
     });
-    assert_eq!(back, term);
+    assert!(round_trips, "encode(decode(t)) == t");
     let (mut t, mut depth) = (&tree, 0);
     while let Tree::Node(op, scopes) = t {
         match op.as_str() {
@@ -484,15 +504,16 @@ fn decoding_same_hint_binders_freshens_in_linear_time_without_capture() {
             Term::app(Term::cnst("lam"), Term::lam("x", t))
         })
     };
-    let decode_timed = |term: Term| {
+    let decode_timed = |n: usize| {
         on_2mib_stack(move || {
+            let term = same_hints(n);
             let start = std::time::Instant::now();
             let ast = lambda::decode(&term).expect("decodes");
             (ast, start.elapsed())
         })
     };
-    let (small, small_elapsed) = decode_timed(same_hints(DEEP / 10));
-    let (ast, elapsed) = decode_timed(same_hints(DEEP));
+    let (small, small_elapsed) = decode_timed(DEEP / 10);
+    let (ast, elapsed) = decode_timed(DEEP);
     let mut names = std::collections::HashSet::new();
     let mut t = &ast;
     while let LTerm::Lam(x, body) = t {

@@ -168,16 +168,21 @@ props! {
     #![cases(256)]
 
     fn machine_agrees_with_the_beta_evaluator(seed in seeds(), depth in 1u32..7) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let prog = gen_exp(&mut rng, depth, 0);
-        typeck::check_closed(miniml::signature(), &prog, &miniml::exp())
-            .map_err(|e| format!("generated an ill-typed program: {e}"))?;
-        let fuel = gen_fuel(&mut rng);
-        let (mut beta_fuel, mut machine_fuel) = (fuel, fuel);
-        // The reference recurses on the host stack once per nested `s`.
-        let beta = hoas_testkit::with_stack(64, || miniml::eval_beta(&prog, &mut beta_fuel));
-        let machine = miniml::eval_hoas(&prog, &mut machine_fuel);
-        prop_assert_eq!(outcome(machine, machine_fuel), outcome(beta, beta_fuel));
+        // The reference recurses on the host stack once per nested `s`, so
+        // the case runs on a wide stack: the whole case, as terms stay on
+        // the thread whose store interned them.
+        hoas_testkit::with_stack(64, || -> Result<(), String> {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let prog = gen_exp(&mut rng, depth, 0);
+            typeck::check_closed(miniml::signature(), &prog, &miniml::exp())
+                .map_err(|e| format!("generated an ill-typed program: {e}"))?;
+            let fuel = gen_fuel(&mut rng);
+            let (mut beta_fuel, mut machine_fuel) = (fuel, fuel);
+            let beta = miniml::eval_beta(&prog, &mut beta_fuel);
+            let machine = miniml::eval_hoas(&prog, &mut machine_fuel);
+            prop_assert_eq!(outcome(machine, machine_fuel), outcome(beta, beta_fuel));
+            Ok(())
+        })?;
     }
 
     fn machine_never_panics_on_exotic_terms(seed in seeds(), depth in 0u32..6) {

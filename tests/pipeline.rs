@@ -280,69 +280,6 @@ fn arbitrary_inhabitant(sig: &Signature, ty: &Ty) -> Term {
 }
 
 #[test]
-fn rule_synthesis_by_anti_unification() {
-    // Ergo-style rule synthesis: give the system two before/after example
-    // pairs of a transformation; anti-unify the befores and the afters;
-    // check the resulting rule reproduces both examples and generalizes.
-    //
-    // Runs in a private store: the `?H0` assertions below depend on the
-    // hole's printing hint, and hints are canonical per α-class per store
-    // (first intern wins) — in the shared global store another test's
-    // meta with the same numeric id would pre-empt the name.
-    StoreHandle::isolated().enter(rule_synthesis_body)
-}
-
-fn rule_synthesis_body() {
-    use hoas::unify::antiunify::anti_unify;
-    let vocab = fol::Vocabulary::small();
-    let sig = vocab.signature();
-    let o = fol::o();
-
-    // The transformation being demonstrated: double-negation elimination.
-    let before1 = parse_term(&sig, "not (not r)").unwrap().term;
-    let after1 = parse_term(&sig, "r").unwrap().term;
-    let before2 = parse_term(&sig, "not (not (p a))").unwrap().term;
-    let after2 = parse_term(&sig, "p a").unwrap().term;
-
-    let lhs_gen = anti_unify(&sig, &o, &before1, &before2).unwrap();
-    let rhs_gen = anti_unify(&sig, &o, &after1, &after2).unwrap();
-    assert_eq!(lhs_gen.term.to_string(), "not (not ?H0)");
-    assert_eq!(rhs_gen.term.to_string(), "?H0");
-
-    // The lhs and rhs holes correspond (same number, matching residuals);
-    // stitch them into a rule. The hole metas come from independent runs,
-    // so rebuild the rhs over the lhs's metavariable.
-    let lhs_m = lhs_gen.term.metas()[0].clone();
-    let rule = hoas::rewrite::Rule::new(
-        &sig,
-        "synthesized-not-not",
-        o.clone(),
-        lhs_gen.menv.clone(),
-        lhs_gen.term.clone(),
-        Term::Meta(lhs_m),
-    )
-    .unwrap();
-    let mut rules = hoas::rewrite::RuleSet::new();
-    rules.push(rule).unwrap();
-    let engine = Engine::new(&sig, &rules);
-
-    // Reproduces both training examples…
-    for (before, after) in [(&before1, &after1), (&before2, &after2)] {
-        let out = engine.normalize(&o, before).unwrap();
-        assert_eq!(&out.term, after);
-    }
-    // …and generalizes to unseen instances, including under binders.
-    let unseen = parse_term(&sig, r"forall (\x. not (not (q x x)))")
-        .unwrap()
-        .term;
-    let out = engine.normalize(&o, &unseen).unwrap();
-    assert_eq!(
-        out.term,
-        parse_term(&sig, r"forall (\x. q x x)").unwrap().term
-    );
-}
-
-#[test]
 fn locally_nameless_joins_the_representation_square() {
     // named → locally-nameless → named round trip agrees with the
     // de Bruijn route on random λ-terms.
