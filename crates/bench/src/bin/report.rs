@@ -43,7 +43,7 @@ fn time(iters: u32, mut f: impl FnMut()) -> Duration {
 }
 
 /// The median of `iters` runs of `f`, each in a fresh isolated store:
-/// fresh node ids, an empty operation memo, and whatever engines and
+/// fresh node ids, a reset front cache, and whatever engines and
 /// caches `f` builds. `f` builds its operands, times only the work, and
 /// returns that time.
 fn cold(iters: u32, mut f: impl FnMut() -> Duration) -> Duration {
@@ -132,9 +132,9 @@ fn e1_e2_substitution() {
             us(hoas)
         );
     }
-    println!("# expected shape: cold HOAS β pays a fixed interning cost on small terms and grows");
-    println!("# slowest (it rebuilds only the spine to each occurrence); named-capture pays for");
-    println!("# free-variable sets and renaming.\n");
+    println!("# expected shape: cold HOAS β costs about what de Bruijn costs on small terms and");
+    println!("# grows slowest (it rebuilds only the spine to each occurrence); named-capture pays");
+    println!("# for free-variable sets and renaming.\n");
 }
 
 fn e2_alpha() {

@@ -1,6 +1,5 @@
-//! Compact, versioned binary codec for terms, types, signatures — and,
-//! via the same [`Encoder`]/[`Decoder`] pair, the `rewrite` crate's rule
-//! sets and the `lp` crate's λProlog programs.
+//! Compact, versioned binary codec for terms and types — and, via the
+//! same [`Encoder`]/[`Decoder`] pair, the `rewrite` crate's warm images.
 //!
 //! # Wire layout
 //!
@@ -36,21 +35,16 @@
 //!    it from the hashes of the *re-interned* nodes. Agreement proves
 //!    the content hashes are identical on both sides — the
 //!    content-addressing contract — and doubles as a defence in depth
-//!    against any decode bug that would alter a skeleton;
-//! 4. semantic validation ([`CodecError::Invalid`]): decoded signatures
-//!    replay `declare_*`, rule sets replay `Rule::new` (re-canonicalize
-//!    and re-typecheck) — a decoded value is always one the ordinary
-//!    constructors accepted.
+//!    against any decode bug that would alter a skeleton.
 //!
 //! The checksum and digest are built from the same vendored keyed mixer
 //! as the content hash (no external deps; fixed key, so images are
 //! portable across processes).
 
 use crate::intern::Sym;
-use crate::sig::Signature;
 use crate::store::{self, NodeId};
-use crate::term::{MVar, MetaEnv, Term, TermRef};
-use crate::ty::{Ty, TyScheme};
+use crate::term::{MVar, Term, TermRef};
+use crate::ty::Ty;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -67,12 +61,12 @@ pub const VERSION: u16 = 3;
 pub enum Kind {
     /// A single term (plus its subterm pool).
     Term = 1,
-    /// A [`Signature`].
+    /// Reserved (a signature): no encoder writes it, and the value is
+    /// never reused for another payload.
     Signature = 2,
-    /// A rewrite rule set (encoded by the `rewrite` crate).
+    /// Reserved (a rewrite rule set), as [`Kind::Signature`] is.
     Rules = 3,
-    /// A λProlog program. No encoder writes it any more; the value stays
-    /// reserved so that it is never reused for another payload.
+    /// Reserved (a λProlog program), as [`Kind::Signature`] is.
     Program = 4,
     /// A warm image: store pool + engine cache sections.
     Image = 5,
@@ -92,8 +86,7 @@ impl Kind {
 }
 
 /// Why a byte stream was rejected. Ordering of checks guarantees the
-/// most specific error: header problems are reported before corruption,
-/// corruption before semantic invalidity.
+/// most specific error: header problems are reported before corruption.
 #[derive(Clone, PartialEq, Eq, Debug)]
 #[non_exhaustive]
 pub enum CodecError {
@@ -116,9 +109,6 @@ pub enum CodecError {
     /// The checksum or pool digest failed, or an internal reference is
     /// out of range: the bytes were damaged in flight or at rest.
     Corrupt(&'static str),
-    /// Structurally sound bytes that fail semantic validation (an
-    /// ill-typed rule, an unknown constant, a malformed scheme).
-    Invalid(String),
 }
 
 impl fmt::Display for CodecError {
@@ -136,7 +126,6 @@ impl fmt::Display for CodecError {
                 write!(f, "wrong stream kind: expected {expected}, found {found}")
             }
             CodecError::Corrupt(what) => write!(f, "corrupt stream: {what}"),
-            CodecError::Invalid(why) => write!(f, "invalid payload: {why}"),
         }
     }
 }
@@ -276,30 +265,6 @@ impl Encoder {
         }
     }
 
-    /// Writes a type scheme (`arity` then body).
-    pub fn put_scheme(&mut self, s: &TyScheme) {
-        self.put_u32(s.arity());
-        self.put_ty(s.body());
-    }
-
-    /// Writes a metavariable (numeric id + printing hint).
-    pub fn put_mvar(&mut self, m: &MVar) {
-        self.put_u32(m.id());
-        self.put_sym(m.hint());
-    }
-
-    /// Writes a metavariable typing environment, sorted by id so the
-    /// encoding is deterministic.
-    pub fn put_menv(&mut self, menv: &MetaEnv) {
-        let mut entries: Vec<_> = menv.iter().collect();
-        entries.sort_by_key(|(m, _)| m.id());
-        self.put_u64(entries.len() as u64);
-        for (m, ty) in entries {
-            self.put_mvar(m);
-            self.put_ty(ty);
-        }
-    }
-
     /// Writes a term to the body as a pool index, registering it (and
     /// its subterms) in the pool first.
     pub fn put_term(&mut self, t: &Term) {
@@ -313,20 +278,6 @@ impl Encoder {
     pub fn put_term_ref(&mut self, t: &TermRef) {
         let idx = self.register(t);
         put_varint(&mut self.body, idx);
-    }
-
-    /// Writes a signature: types, then constants, in declaration order
-    /// (decoding replays the declarations, so order is semantic).
-    pub fn put_signature(&mut self, sig: &Signature) {
-        self.put_u64(sig.num_types() as u64);
-        for name in sig.types() {
-            self.put_sym(name);
-        }
-        self.put_u64(sig.num_consts() as u64);
-        for (name, scheme) in sig.consts() {
-            self.put_sym(name);
-            self.put_scheme(scheme);
-        }
     }
 
     /// Adds `t` and every subterm to the node pool (children before
@@ -471,8 +422,7 @@ impl<'a> Decoder<'a> {
     ///
     /// # Errors
     ///
-    /// Any [`CodecError`] except [`CodecError::Invalid`] (semantic
-    /// validation belongs to the payload-specific decoders).
+    /// Any [`CodecError`]; see the module docs for the check order.
     pub fn new(bytes: &'a [u8], expected: Kind) -> Result<Decoder<'a>, CodecError> {
         // Header floor: magic + version + kind + checksum trailer.
         if bytes.len() < MAGIC.len() + 2 + 1 + 8 {
@@ -681,38 +631,6 @@ impl<'a> Decoder<'a> {
         })
     }
 
-    /// Reads a type scheme, rejecting bodies whose variables exceed the
-    /// declared arity (which `TyScheme::new` would panic on).
-    pub fn get_scheme(&mut self) -> Result<TyScheme, CodecError> {
-        let arity = self.get_u32()?;
-        let body = self.get_ty()?;
-        if body.free_vars().iter().any(|&v| v >= arity) {
-            return Err(CodecError::Invalid(
-                "type scheme body mentions a variable beyond its arity".to_string(),
-            ));
-        }
-        Ok(TyScheme::new(arity, body))
-    }
-
-    /// Reads a metavariable.
-    pub fn get_mvar(&mut self) -> Result<MVar, CodecError> {
-        let id = self.get_u32()?;
-        let hint = self.get_str()?;
-        Ok(MVar::new(id, hint))
-    }
-
-    /// Reads a metavariable typing environment.
-    pub fn get_menv(&mut self) -> Result<MetaEnv, CodecError> {
-        let n = self.get_u64()?;
-        let mut menv = MetaEnv::new();
-        for _ in 0..n {
-            let m = self.get_mvar()?;
-            let ty = self.get_ty()?;
-            menv.insert(m, ty);
-        }
-        Ok(menv)
-    }
-
     /// Reads a term (a pool index) from the body.
     pub fn get_term(&mut self) -> Result<TermRef, CodecError> {
         let idx = self.get_u64()? as usize;
@@ -720,25 +638,6 @@ impl<'a> Decoder<'a> {
             .get(idx)
             .cloned()
             .ok_or(CodecError::Corrupt("term pool index out of range"))
-    }
-
-    /// Reads a signature by replaying its declarations.
-    pub fn get_signature(&mut self) -> Result<Signature, CodecError> {
-        let mut sig = Signature::new();
-        let n_types = self.get_u64()?;
-        for _ in 0..n_types {
-            let name = self.get_sym()?;
-            sig.declare_type(name.clone())
-                .map_err(|e| CodecError::Invalid(format!("type `{name}`: {e}")))?;
-        }
-        let n_consts = self.get_u64()?;
-        for _ in 0..n_consts {
-            let name = self.get_sym()?;
-            let scheme = self.get_scheme()?;
-            sig.declare_const(name.clone(), scheme)
-                .map_err(|e| CodecError::Invalid(format!("const `{name}`: {e}")))?;
-        }
-        Ok(sig)
     }
 
     /// The id this store assigned to the writer's node `old_id`, if that
@@ -789,26 +688,6 @@ pub fn decode_term(bytes: &[u8]) -> Result<TermRef, CodecError> {
     let t = dec.get_term()?;
     dec.finish()?;
     Ok(t)
-}
-
-/// Encodes a signature.
-pub fn encode_signature(sig: &Signature) -> Vec<u8> {
-    let mut enc = Encoder::new(Kind::Signature);
-    enc.put_signature(sig);
-    enc.finish()
-}
-
-/// Decodes a [`Kind::Signature`] stream by replaying its declarations.
-///
-/// # Errors
-///
-/// Any [`CodecError`]; [`CodecError::Invalid`] when a declaration is
-/// rejected (duplicate name, unknown base type in a constant's scheme).
-pub fn decode_signature(bytes: &[u8]) -> Result<Signature, CodecError> {
-    let mut dec = Decoder::new(bytes, Kind::Signature)?;
-    let sig = dec.get_signature()?;
-    dec.finish()?;
-    Ok(sig)
 }
 
 #[cfg(test)]
@@ -867,9 +746,10 @@ mod tests {
             decode_term(&bad_version),
             Err(CodecError::BadVersion { found: VERSION + 1 })
         );
-        let sig_bytes = encode_signature(&Signature::new());
+        // A well-formed stream of another kind: an empty warm image.
+        let image = Encoder::new(Kind::Image).finish();
         assert!(matches!(
-            decode_term(&sig_bytes),
+            decode_term(&image),
             Err(CodecError::WrongKind { .. })
         ));
     }

@@ -66,7 +66,6 @@ pub mod error;
 pub mod infer;
 pub mod intern;
 pub mod normalize;
-mod opmemo;
 pub mod parse;
 pub mod print;
 pub mod scope;

@@ -21,8 +21,8 @@
 //! redex contraction switched on; `nf` is the operation whose only
 //! variable action is the identity. Both contract a β-redex they create
 //! or meet by hereditary substitution of the argument into the λ's body,
-//! and a projection redex by taking the pair's component, so sharing,
-//! interning and the operation memo work the same for all of them.
+//! and a projection redex by taking the pair's component, so sharing
+//! and interning work the same for all of them.
 //!
 //! # Termination
 //!
@@ -80,9 +80,8 @@ pub fn hsnd(p: Term) -> Term {
 ///
 /// Subterms that are β-normal and cannot mention the opened variable
 /// (cached `max_free`/`beta_normal` check) are shared, not copied. It runs
-/// on the kernel's one traversal (see [`crate::subst`]): instantiating the
-/// same (body, argument) pair again — the signature pattern of rewrite
-/// engines — replays from the operation memo with a single probe.
+/// on the kernel's one traversal (see [`crate::subst`]), in one interner
+/// session.
 pub fn hinstantiate(body: &Term, arg: &Term) -> Term {
     if body.max_free() == 0 && body.is_beta_normal() {
         return body.clone();
@@ -95,8 +94,7 @@ pub fn hinstantiate(body: &Term, arg: &Term) -> Term {
 ///
 /// O(1) on terms whose cached `beta_normal` annotation already holds;
 /// normal subterms are shared, not rebuilt. Everything else runs on the
-/// kernel's one traversal (see [`crate::subst`]), so normalizing a term
-/// seen before replays from the operation memo.
+/// kernel's one traversal (see [`crate::subst`]).
 ///
 /// Diverges on ill-typed divergent terms; see [`nf_fuel`].
 pub fn nf(t: &Term) -> Term {

@@ -65,7 +65,7 @@
 //!
 //! A node drops its children iteratively (see `TermNode`'s `Drop`): once
 //! a store has died (with its thread, or an isolated store after
-//! [`StoreHandle::enter`]), a term or a front-cache or memo pin can hold
+//! [`StoreHandle::enter`]), a term or a front-cache pin can hold
 //! the last reference to a deep chain, which a recursive drop would
 //! overflow the stack on.
 //!
@@ -516,8 +516,8 @@ struct Tables {
 #[derive(Debug)]
 pub struct TermStore {
     shards: [RefCell<Tables>; SHARDS],
-    /// Distinguishes stores for the thread's front cache and operation
-    /// memo (never reused; `0` is the "no store" tag of an empty front).
+    /// Distinguishes stores for the thread's front cache (never reused;
+    /// `0` is the "no store" tag of an empty front).
     store_token: u64,
 }
 
@@ -793,13 +793,6 @@ impl InternSession<'_> {
             self.front.slots[slot] = Some(Rc::clone(&node));
         }
         TermRef::from_node(node)
-    }
-
-    /// Token of the store this session interns into. Keys the per-thread
-    /// operation memo ([`crate::opmemo`]) so cached results never leak
-    /// across a [`StoreHandle::enter`] switch.
-    pub(crate) fn store_token(&self) -> u64 {
-        self.store.store_token
     }
 }
 

@@ -15,11 +15,14 @@
 //! hereditary substitution ([`crate::normalize::hinstantiate`]) and
 //! [`crate::normalize::nf`] are thin entry points over one de Bruijn
 //! traversal, parameterised by an operation (`Op`). The operation supplies
-//! four things: its sharing guard, its action on a free variable (shift
-//! it above a cutoff, replace variable `j`, or open index 0), its memo
-//! key, and whether it contracts the β- and projection redexes it creates
-//! (hereditary substitution and `nf` do; a contraction is hereditary
-//! substitution of the argument into the λ's body).
+//! three things: its sharing guard, its action on a free variable (shift
+//! it above a cutoff, replace variable `j`, or open index 0), and whether
+//! it contracts the β- and projection redexes it creates (hereditary
+//! substitution and `nf` do; a contraction is hereditary substitution of
+//! the argument into the λ's body).
+//!
+//! The traversal has one rule per node: share it when the guard allows,
+//! otherwise rebuild it through the call's one interner session.
 //!
 //! * **Sharing.** The guard reads the cached `max_free`/`beta_normal`
 //!   annotations (see [`crate::term::TermRef`]) before descending: a
@@ -32,27 +35,15 @@
 //!   `NodeView` (one `Rc` clone on a hit, no child or `Sym` refcount
 //!   churn). The root and the interned nodes share one step; only what
 //!   the step builds differs.
-//! * **Memo at the top level.** Hash-consing makes every operation a pure
-//!   function of [`NodeId`]s, so a (subtree, operand, depth) triple
-//!   computed once is replayed from the per-thread operation memo
-//!   (`crate::opmemo`) with one probe. Only the top level probes: the
-//!   root's children, a substituend shifted at a variable hit, and the
-//!   body of a redex contracted at the top. A repeat replays from its
-//!   topmost probe anyway, while fresh-id workloads (where the memo cannot
-//!   hit) pay a constant handful of probes per call rather than a
-//!   cache-missing table access per rebuilt node. Variables skip the memo:
-//!   renumbering one is cheaper than a table hit.
 //!
 //! Each operation keeps its child order: hereditary substitution visits
 //! an application's argument before its function, every other operation
-//! the function first. The direct-mapped memo's surviving entries, and so
-//! the store's intern counters, depend on that order.
-//!
-//! [`NodeId`]: crate::store::NodeId
+//! the function first. Results are α-equal in either order, but the
+//! store observes the order: it decides which nodes are created
+//! first (and so their ids), what the front cache pins, and when a
+//! sub-table crosses its sweep mark. Swapping it moves the store's
+//! live-node count and a warm image's byte count.
 
-use crate::opmemo::{
-    self, Key, Table, OP_HSUB, OP_INST, OP_NF, OP_SHIFT_DOWN, OP_SHIFT_UP, OP_SUBST,
-};
 use crate::store::{self, InternSession, NodeView};
 use crate::term::{Term, TermRef};
 
@@ -96,8 +87,8 @@ pub fn subst(t: &Term, j: u32, s: &Term) -> Term {
     if t.max_free() <= j {
         return t.clone();
     }
-    // Intern the substituend once, *before* the session opens: its id
-    // keys the memo, and `TermRef::new` must not run inside a session.
+    // Intern the substituend once, *before* the session opens:
+    // `TermRef::new` must not run inside a session.
     let s = TermRef::new(s.clone());
     run(Op::Subst(j, &s), t, 0)
 }
@@ -119,9 +110,9 @@ pub fn instantiate(body: &Term, arg: &Term) -> Term {
     run(Op::Inst(&s), body, 0)
 }
 
-/// A kernel operation: the parameter of the one traversal, one variant
-/// per memo tag. The traversal's depth `k` counts the binders crossed,
-/// starting from the cutoff for the shifts and from 0 otherwise.
+/// A kernel operation: the parameter of the one traversal. The
+/// traversal's depth `k` counts the binders crossed, starting from the
+/// cutoff for the shifts and from 0 otherwise.
 #[derive(Clone, Copy)]
 pub(crate) enum Op<'a> {
     /// Shifts the variables at or above the cutoff up by `d`.
@@ -184,38 +175,18 @@ impl<'a> Op<'a> {
             Op::Inst(_) | Op::Hsub(_) => i - 1,
         }
     }
-
-    /// The memo key of the operation on subtree `t` at depth `k`.
-    fn key(self, t: &TermRef, k: u32) -> Key {
-        let k = u64::from(k);
-        let (op, s, k) = match self {
-            Op::Shift(d) => (OP_SHIFT_UP, u64::from(d), k),
-            Op::Unshift(d) => (OP_SHIFT_DOWN, u64::from(d), k),
-            Op::Subst(j, s) => (OP_SUBST, s.id().get(), (u64::from(j) << 32) | k),
-            Op::Inst(s) => (OP_INST, s.id().get(), k),
-            Op::Hsub(s) => (OP_HSUB, s.id().get(), k),
-            Op::Nf => (OP_NF, 0, 0),
-        };
-        let t = t.id().get();
-        Key { op, t, s, k }
-    }
 }
 
-/// Runs `op` over the owned root `t` at depth `k`, in one interner session
-/// and one borrow of the operation memo. The caller has already checked
-/// that `op` does not share `t`.
+/// Runs `op` over the owned root `t` at depth `k`, in one interner
+/// session. The caller has already checked that `op` does not share `t`.
 pub(crate) fn run(op: Op<'_>, t: &Term, k: u32) -> Term {
-    store::with_session(|sess| {
-        opmemo::with_table(sess.store_token(), |tab| {
-            Walk { sess, tab }.step(op, t, k, false)
-        })
-    })
+    store::with_session(|sess| Walk { sess }.step(op, t, k))
 }
 
 /// What one step builds: the owned call root ([`Term`]) or an interned
 /// node below it ([`TermRef`]).
 trait Built: Sized {
-    /// Whether this is the root, whose children form the top level.
+    /// Whether this is the owned call root.
     const ROOT: bool;
     /// Builds a node whose children are already interned.
     fn build(w: &mut Walk<'_, '_>, v: &NodeView<'_>) -> Self;
@@ -243,61 +214,47 @@ impl Built for TermRef {
     }
 }
 
-/// The interner session and operation memo one call threads through.
+/// The interner session one call threads through.
 struct Walk<'w, 's> {
     sess: &'w mut InternSession<'s>,
-    tab: &'w mut Table,
 }
 
 impl Walk<'_, '_> {
-    /// `op` over an interned subtree at depth `k`: share it, replay it
-    /// from the memo (`top` level only), or rebuild and intern it.
-    fn visit(&mut self, op: Op<'_>, t: &TermRef, k: u32, top: bool) -> TermRef {
+    /// `op` over an interned subtree at depth `k`: share it, or rebuild
+    /// and intern it.
+    fn visit(&mut self, op: Op<'_>, t: &TermRef, k: u32) -> TermRef {
         if op.shares(t.max_free(), t.is_beta_normal(), k) {
             return t.clone();
         }
-        let key = (top && !matches!(t.as_ref(), Term::Var(_))).then(|| op.key(t, k));
-        if let Some(hit) = key.as_ref().and_then(|key| self.tab.probe(key)) {
-            return hit;
-        }
-        let out: TermRef = self.step(op, t, k, top);
-        if let Some(key) = key {
-            self.tab.insert(key, &out);
-        }
-        out
+        self.step(op, t, k)
     }
 
-    /// `shift(s, d)` of an interned substituend: a fresh operation, so it
-    /// starts at the top level and a substituend shifted once per
-    /// occurrence replays from the second occurrence on.
+    /// `shift(s, d)` of an interned substituend.
     fn shift(&mut self, s: &TermRef, d: u32) -> TermRef {
-        self.visit(Op::Shift(d), s, 0, true)
+        self.visit(Op::Shift(d), s, 0)
     }
 
     /// The one rebuild step: `op` applied to node `t` at depth `k`, its
-    /// children visited (at the top level if `t` is the root) and the node
-    /// rebuilt — or, for a contracting `op`, the redex it forms contracted.
-    /// `top` says whether `t` itself stands at the top level.
-    fn step<R: Built>(&mut self, op: Op<'_>, t: &Term, k: u32, top: bool) -> R {
-        // The root's children form the top level.
-        let child_top = R::ROOT;
+    /// children visited and the node rebuilt — or, for a contracting
+    /// `op`, the redex it forms contracted.
+    fn step<R: Built>(&mut self, op: Op<'_>, t: &Term, k: u32) -> R {
         match t {
             Term::Var(i) => match op.hit(*i, k) {
                 Some(s) => R::of_ref(self.shift(s, k)),
                 None => R::build(self, &NodeView::Var(op.renumber(*i, k))),
             },
             Term::Lam(h, b) => {
-                let b2 = self.visit(op, b, k + 1, child_top);
+                let b2 = self.visit(op, b, k + 1);
                 R::build(self, &NodeView::Lam(h, &b2))
             }
             Term::App(f, a) => {
                 // Hereditary substitution visits the argument first.
                 let (f2, a2) = if matches!(op, Op::Hsub(_)) {
-                    let a2 = self.visit(op, a, k, child_top);
-                    (self.visit(op, f, k, child_top), a2)
+                    let a2 = self.visit(op, a, k);
+                    (self.visit(op, f, k), a2)
                 } else {
-                    let f2 = self.visit(op, f, k, child_top);
-                    (f2, self.visit(op, a, k, child_top))
+                    let f2 = self.visit(op, f, k);
+                    (f2, self.visit(op, a, k))
                 };
                 match f2.as_ref() {
                     Term::Lam(_, body) if op.contracts() => {
@@ -305,21 +262,21 @@ impl Walk<'_, '_> {
                         // root the contractum is the new owned root.
                         let op = Op::Hsub(&a2);
                         if R::ROOT && !op.shares(body.max_free(), body.is_beta_normal(), 0) {
-                            self.step(op, body, 0, top)
+                            self.step(op, body, 0)
                         } else {
-                            R::of_ref(self.visit(op, body, 0, top))
+                            R::of_ref(self.visit(op, body, 0))
                         }
                     }
                     _ => R::build(self, &NodeView::App(&f2, &a2)),
                 }
             }
             Term::Pair(a, b) => {
-                let a2 = self.visit(op, a, k, child_top);
-                let b2 = self.visit(op, b, k, child_top);
+                let a2 = self.visit(op, a, k);
+                let b2 = self.visit(op, b, k);
                 R::build(self, &NodeView::Pair(&a2, &b2))
             }
             Term::Fst(p) | Term::Snd(p) => {
-                let p2 = self.visit(op, p, k, child_top);
+                let p2 = self.visit(op, p, k);
                 match (t, p2.as_ref()) {
                     (Term::Fst(_), Term::Pair(c, _)) | (Term::Snd(_), Term::Pair(_, c))
                         if op.contracts() =>
@@ -466,10 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn repeated_shift_hits_the_operation_memo() {
+    fn repeated_shift_returns_the_same_node() {
         // Same (subtree, d, cutoff) twice: the second call must return the
-        // identical interned node (memo or not, ids must agree — this
-        // pins the memo's transparency on the simplest possible case).
+        // identical interned node, since interning maps an α-class to one
+        // node while it lives.
         let t = Term::apps(v(0), [v(1), Term::lam("x", v(3))]);
         let a = TermRef::new(shift(&t, 2));
         let b = TermRef::new(shift(&t, 2));

@@ -152,8 +152,8 @@ impl Drop for TermNode {
     /// time, instead of by recursion. While its store lives a node's
     /// children are held by the store too, so a drop frees one node. Once
     /// the store has died (with its thread, or an isolated store after
-    /// [`StoreHandle::enter`](crate::store::StoreHandle::enter)), a term,
-    /// a front-cache or memo pin can hold the last reference to a
+    /// [`StoreHandle::enter`](crate::store::StoreHandle::enter)), a term
+    /// or a front-cache pin can hold the last reference to a
     /// 10⁵-deep chain, which a recursive drop overflows a 2 MiB stack on.
     fn drop(&mut self) {
         let mut last = Vec::new();

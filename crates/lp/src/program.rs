@@ -7,9 +7,10 @@ use hoas_core::term::{MetaEnv, MetaTypes};
 use hoas_core::{normalize, print, MVar, Sym, Term, Ty, TyScheme};
 use hoas_unify::problem::is_supported_meta_ty;
 use hoas_unify::UnifyError;
+use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
 
 /// A goal formula of the hereditary Harrop fragment.
 ///
@@ -387,7 +388,7 @@ pub(crate) struct Resolvent {
     /// block of slots the call gave its variables.
     pub(crate) clause: Clause,
     /// The type of variable `k`, for the binding-array slot it gets.
-    pub(crate) var_tys: Vec<Arc<Ty>>,
+    pub(crate) var_tys: Vec<Rc<Ty>>,
 }
 
 impl Resolvent {
@@ -397,7 +398,7 @@ impl Resolvent {
             .zip(&clause.vars)
             .map(|(k, (hint, ty))| {
                 if is_supported_meta_ty(ty) {
-                    Ok(Arc::new(ty.clone()))
+                    Ok(Rc::new(ty.clone()))
                 } else {
                     Err(UnifyError::UnsupportedMetaType {
                         mvar: MVar::new(k, hint.clone()),
@@ -444,7 +445,7 @@ pub struct Program {
     /// Per clause (parallel to `clauses`), its canonical form with its
     /// variables' types, or the error canonicalizing or checking it,
     /// filled in when the solver first selects the clause.
-    canonical: Vec<OnceLock<Result<Resolvent, UnifyError>>>,
+    canonical: Vec<OnceCell<Result<Resolvent, UnifyError>>>,
     /// Per clause (parallel to `clauses`), the shallow argument
     /// fingerprint of its head (see [`fingerprint_admits`]): the solver
     /// skips a clause whose fingerprint rejects the call's arguments
@@ -568,7 +569,7 @@ impl Program {
         }
         self.fingerprints.push(fingerprint(&clause.head, 0));
         self.clause_hash = crate::cert::mix_clause(self.clause_hash, &clause);
-        self.canonical.push(OnceLock::new());
+        self.canonical.push(OnceCell::new());
         self.clauses.push(clause);
         self
     }

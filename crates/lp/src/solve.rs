@@ -63,7 +63,6 @@ use std::cell::{Cell, OnceCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Search budgets and tabling.
 #[derive(Clone, Copy, Debug)]
@@ -406,7 +405,7 @@ struct Bound {
 struct Slot {
     /// Shared with the clause the metavariable renames a variable of,
     /// so that a candidate's block of slots copies no type.
-    ty: Arc<Ty>,
+    ty: Rc<Ty>,
     /// The eigenvariable-context length the metavariable was created
     /// at (lowered when an older metavariable's binding mentions it):
     /// its binding may mention only eigenvariables below this level.
@@ -417,7 +416,7 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(ty: Arc<Ty>, level: u32) -> Slot {
+    fn new(ty: Rc<Ty>, level: u32) -> Slot {
         Slot {
             ty,
             level,
@@ -468,7 +467,7 @@ impl<'a> St<'a> {
         St {
             slots: tys
                 .iter()
-                .map(|ty| Slot::new(Arc::new(ty.clone()), 0))
+                .map(|ty| Slot::new(Rc::new(ty.clone()), 0))
                 .collect(),
             trail: Vec::new(),
             fence: 0,
@@ -516,13 +515,13 @@ impl<'a> St<'a> {
     /// A fresh metavariable at the current level.
     fn fresh(&mut self, hint: &Sym, ty: Ty) -> MVar {
         let level = self.depth();
-        self.slots.push(Slot::new(Arc::new(ty), level));
+        self.slots.push(Slot::new(Rc::new(ty), level));
         MVar::new(self.next_meta() - 1, hint.clone())
     }
 
     /// A block of fresh slots at the current level, one per type, for
     /// the variables of a clause head or a stored answer.
-    fn block(&mut self, tys: impl ExactSizeIterator<Item = Arc<Ty>>) -> Block {
+    fn block(&mut self, tys: impl ExactSizeIterator<Item = Rc<Ty>>) -> Block {
         let base = self.next_meta();
         let n = tys.len() as u32;
         let level = self.depth();
@@ -1544,7 +1543,7 @@ impl<'a> Machine<'a> {
                 };
                 *next += 1;
                 // The answer's metavariables `0..k` are its variables.
-                let block = st.block(ans.meta_tys.iter().map(|ty| Arc::new(ty.clone())));
+                let block = st.block(ans.meta_tys.iter().map(|ty| Rc::new(ty.clone())));
                 let head = At {
                     term: &ans.term,
                     env: Env::at(block.base),
@@ -3214,7 +3213,7 @@ mod tests {
             let block = if hypothetical {
                 Block::NONE
             } else {
-                st.block(vars.iter().map(|(_, a)| Arc::new(tm_arrows(*a))))
+                st.block(vars.iter().map(|(_, a)| Rc::new(tm_arrows(*a))))
             };
             let head_env = if hypothetical {
                 Env { shift: lift as i32, ..Env::ROOT }

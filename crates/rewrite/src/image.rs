@@ -23,9 +23,8 @@
 //! cache is consulted only by traversals, so a warm replay never reads
 //! it and the image does not carry it.
 //!
-//! The image does **not** carry the signature or rule set (persist those
-//! with [`hoas_core::codec::encode_signature`] and
-//! [`crate::codec::encode_rule_set`] if needed): cache soundness only
+//! The image does **not** carry the signature or rule set: the loader
+//! rebuilds both from source, as the writer did. Cache soundness only
 //! requires that the loading engine agrees with the writer on both,
 //! which is the same contract [`EngineCaches`] already imposes on
 //! cross-engine sharing.

@@ -27,7 +27,6 @@
 
 pub mod analysis;
 pub mod cert;
-pub mod codec;
 pub mod engine;
 pub mod image;
 pub mod rule;

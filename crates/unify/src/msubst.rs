@@ -175,14 +175,13 @@ impl MetaSubst {
             return t.clone();
         }
         // Graft, then β-normalize. The trailing `nf` is the kernel's
-        // session-threaded, memoized normalizer: contractions created by
-        // grafting a solution `λx̄. b` onto a spine `?M a₁ … aₙ` replay
-        // from the operation memo when the same (body, argument) pairs
-        // recur — the signature pattern of resolution and rewriting. (A
-        // fused graft+normalize over uninterned transient nodes was
-        // measured here and lost: it forfeits the cached
-        // `max_free`/`beta_normal` guards and the memo, which beat
-        // avoided interning of the transient spine — see DESIGN §7.)
+        // session-threaded normalizer: it contracts the redexes created
+        // by grafting a solution `λx̄. b` onto a spine `?M a₁ … aₙ` and
+        // shares every subterm its cached `max_free`/`beta_normal`
+        // guards leave alone. (A fused graft+normalize over uninterned
+        // transient nodes was measured here and lost: it forfeits those
+        // guards, which beat avoided interning of the transient spine —
+        // see DESIGN §7.)
         match self.graft(t, depth) {
             Some(grafted) => normalize::nf(&grafted),
             None if t.is_beta_normal() => t.clone(),

@@ -1,20 +1,17 @@
-//! Property tests for the binary codec (PR 7): `decode(encode(x)) = x`
-//! up to `NodeId` remap, over all four object languages' encoders.
+//! Property tests for the binary codec: `decode(encode(t)) = t` up to
+//! `NodeId` remap, over all four object languages' encoders.
 //!
 //! * terms — decoding in the same store lands on the *same* node (ids
 //!   equal), and the 128-bit content hash survives the round trip;
-//! * signatures — declaration lists round-trip in order;
-//! * rule sets — every rule's name, type, and canonical sides survive;
 //! * corruption — truncated or bit-flipped streams are *rejected*,
-//!   never mis-loaded, and a version bump is reported as such.
+//!   never mis-loaded, and a version bump or a stream of another kind
+//!   is reported as such.
 
-use hoas::core::codec::{
-    decode_signature, decode_term, encode_signature, encode_term, CodecError, Kind, VERSION,
-};
+use hoas::core::codec::{decode_term, encode_term, CodecError, Kind, VERSION};
 use hoas::core::prelude::*;
 use hoas::langs::{fol, imp, lambda, miniml};
-use hoas::rewrite::codec::{decode_rule_set, encode_rule_set};
-use hoas::rewrite::rulesets::{fol_prenex, imp_opt, miniml_opt};
+use hoas::rewrite::image::save_warm_image;
+use hoas::rewrite::EngineCaches;
 use hoas_testkit::prelude::*;
 
 /// Round-trips one term and checks identity + content-hash stability:
@@ -35,39 +32,6 @@ fn assert_term_round_trips(t: &Term) {
         decoded.content_hash(),
         "content hash of {t} changed across the round trip"
     );
-}
-
-/// Round-trips a signature and compares the declaration lists.
-fn assert_signature_round_trips(sig: &Signature) {
-    let bytes = encode_signature(sig);
-    let decoded = decode_signature(&bytes).expect("signature decodes");
-    assert_eq!(
-        sig.types().collect::<Vec<_>>(),
-        decoded.types().collect::<Vec<_>>()
-    );
-    assert_eq!(
-        sig.consts().collect::<Vec<_>>(),
-        decoded.consts().collect::<Vec<_>>()
-    );
-}
-
-/// Round-trips a rule set against its signature: rule count, names,
-/// subject types, and both canonical sides (compared as interned nodes,
-/// hence up to α) must survive; native rules come back as names.
-fn assert_rules_round_trip(sig: &Signature, rules: &hoas::rewrite::RuleSet) {
-    let bytes = encode_rule_set(rules);
-    let (decoded, native_names) = decode_rule_set(sig, &bytes).expect("rule set decodes");
-    let before = rules.rules();
-    let after = decoded.rules();
-    assert_eq!(before.len(), after.len());
-    for (b, a) in before.iter().zip(after) {
-        assert_eq!(b.name(), a.name());
-        assert_eq!(b.ty(), a.ty());
-        assert_eq!(b.lhs(), a.lhs(), "lhs of `{}` changed", b.name());
-        assert_eq!(b.rhs(), a.rhs(), "rhs of `{}` changed", b.name());
-    }
-    let native_before: Vec<&str> = rules.native_rules().iter().map(|n| n.name()).collect();
-    assert_eq!(native_before, native_names);
 }
 
 /// Every truncation of `bytes` must be rejected.
@@ -133,28 +97,9 @@ fn miniml_terms_round_trip() {
 }
 
 #[test]
-fn signatures_round_trip_over_all_languages() {
-    assert_signature_round_trips(lambda::signature());
-    assert_signature_round_trips(imp::signature());
-    assert_signature_round_trips(miniml::signature());
-    assert_signature_round_trips(&fol::Vocabulary::small().signature());
-}
-
-#[test]
-fn bundled_rule_sets_round_trip() {
-    let fol_sig = fol::Vocabulary::small().signature();
-    assert_rules_round_trip(&fol_sig, &fol_prenex::rules(&fol_sig).unwrap());
-    assert_rules_round_trip(imp::signature(), &imp_opt::rules(imp::signature()).unwrap());
-    assert_rules_round_trip(
-        miniml::signature(),
-        &miniml_opt::rules(miniml::signature()).unwrap(),
-    );
-}
-
-#[test]
 fn corrupt_streams_are_rejected_never_misloaded() {
-    // One representative stream per codec kind; exhaustive truncation
-    // and single-bit-flip sweeps over each.
+    // A representative term stream; exhaustive truncation and
+    // single-bit-flip sweeps over it.
     let term = fol::encode(&fol::gen_formula(
         &fol::Vocabulary::small(),
         &mut SmallRng::seed_from_u64(0xc0dec),
@@ -165,16 +110,6 @@ fn corrupt_streams_are_rejected_never_misloaded() {
     let term_ok = |b: &[u8]| decode_term(b).is_ok();
     assert_truncations_rejected(&term_bytes, &term_ok);
     assert_bit_flips_rejected(&term_bytes, &term_ok);
-
-    let sig = fol::Vocabulary::small().signature();
-    let sig_bytes = encode_signature(&sig);
-    let sig_ok = |b: &[u8]| decode_signature(b).is_ok();
-    assert_truncations_rejected(&sig_bytes, &sig_ok);
-    assert_bit_flips_rejected(&sig_bytes, &sig_ok);
-
-    let rules_bytes = encode_rule_set(&fol_prenex::rules(&sig).unwrap());
-    let rules_ok = |b: &[u8]| decode_rule_set(&sig, b).is_ok();
-    assert_truncations_rejected(&rules_bytes, &rules_ok);
 }
 
 #[test]
@@ -198,10 +133,11 @@ fn future_versions_are_rejected_as_such() {
         CodecError::BadVersion { found: VERSION + 1 }
     );
 
-    // Kind confusion is also caught by name.
-    let sig_bytes = encode_signature(&fol::Vocabulary::small().signature());
+    // Kind confusion is also caught by name: a warm image with empty
+    // caches, saved from an isolated store, read as a term.
+    let image = StoreHandle::isolated().enter(|| save_warm_image(&EngineCaches::new()));
     assert!(matches!(
-        decode_term(&sig_bytes).unwrap_err(),
-        CodecError::WrongKind { found, .. } if found == Kind::Signature as u8
+        decode_term(&image).unwrap_err(),
+        CodecError::WrongKind { found, .. } if found == Kind::Image as u8
     ));
 }

@@ -1,12 +1,14 @@
 //! The session-threaded kernel checked against an always-intern
 //! reference. The kernel's traversals (`shift`, `subst`, hereditary
 //! substitution, `nf`, `MetaSubst::apply`) intern through one store
-//! session per call, borrow children on a cache hit and replay results
-//! from the operation memo. That must be **observationally invisible**:
-//! each operation is compared against a reference re-implementation in
-//! which every intermediate node is built with the smart constructors and
-//! interned via `TermRef::new`, and the results must be *id-identical* —
-//! the same [`NodeId`] out of the same store, not merely α-equal.
+//! session per call and borrow children on a cache hit. That must be
+//! **observationally invisible**: each operation is compared against a
+//! reference re-implementation in which every intermediate node is built
+//! with the smart constructors and interned via `TermRef::new`, and the
+//! results must be *id-identical* — the same [`NodeId`] out of the same
+//! store, not merely α-equal. Results must also stay in the store they
+//! were computed in across [`StoreHandle::enter`]: the thread's front
+//! cache must never hand one store's node to another.
 //!
 //! The battery mirrors the shape of `engine_cache_props`: generator-driven
 //! properties across all four bundled encoders (λ-calculus, FOL, IMP,
@@ -17,8 +19,10 @@
 //! constructors'.
 //!
 //! [`NodeId`]: hoas::core::store::NodeId
+//! [`StoreHandle::enter`]: hoas::core::store::StoreHandle::enter
 
 use hoas::core::prelude::*;
+use hoas::core::store::{self, NodeId};
 use hoas::core::validate;
 use hoas::langs::{fol, imp, lambda, miniml};
 use hoas::rewrite::rulesets::{fol_cnf, fol_prenex, imp_opt, miniml_opt};
@@ -26,6 +30,7 @@ use hoas::rewrite::{Engine, EngineConfig, RuleSet, Strategy};
 use hoas::unify::MetaSubst;
 use hoas_testkit::gen;
 use hoas_testkit::prelude::*;
+use std::collections::HashSet;
 
 const STRATEGIES: [Strategy; 2] = [Strategy::LeftmostOutermost, Strategy::LeftmostInnermost];
 
@@ -316,6 +321,43 @@ fn open_term(seed: u64, depth: u32) -> Term {
     })
 }
 
+/// The operands of [`store_battery`], built in the current store: a body,
+/// an argument, and a term holding the β-redex they form.
+fn store_operands(seed: u64, depth: u32) -> [Term; 3] {
+    let body = open_term(seed, depth);
+    let arg = open_term(seed ^ 0x57E5, depth);
+    let redex = Term::app(Term::lam("y", body.clone()), arg.clone());
+    let t = Term::pair(redex, body.clone());
+    [body, arg, t]
+}
+
+/// The kernel's `hinstantiate(body, arg)`, `subst(body, 0, arg)` and
+/// `nf(t)`, each result interned.
+fn store_battery([body, arg, t]: &[Term; 3]) -> [TermRef; 3] {
+    [
+        TermRef::new(normalize::hinstantiate(body, arg)),
+        TermRef::new(subst::subst(body, 0, arg)),
+        TermRef::new(normalize::nf(t)),
+    ]
+}
+
+/// Adds the ids of every interned node below the root of `t`.
+fn node_ids(t: &Term, ids: &mut HashSet<NodeId>) {
+    let mut push = |c: &TermRef| {
+        if ids.insert(c.id()) {
+            node_ids(c, ids);
+        }
+    };
+    match t {
+        Term::Lam(_, b) | Term::Fst(b) | Term::Snd(b) => push(b),
+        Term::App(a, b) | Term::Pair(a, b) => {
+            push(a);
+            push(b);
+        }
+        Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => {}
+    }
+}
+
 props! {
     #![cases(64)]
 
@@ -384,11 +426,12 @@ props! {
     fn interleaved_operations_never_replay_each_other(seed in seeds(), depth in 1u32..5, d in 1u32..4) {
         // One (t, s) pair through every kernel operation, twice each and
         // interleaved. `subst(t, 0, s)`, `instantiate` and `hinstantiate`
-        // key the memo with the same substituend id and depth and differ
-        // only in the operation tag, so a result replayed into the wrong
-        // operation would show here; the second round runs on a warm memo.
-        // The memoized top level of `t` holds a β-redex, which `nf` and
-        // hereditary substitution contract and the others keep.
+        // take the same substituend at the same depth and differ only in
+        // their variable action and contraction, so one operation's
+        // result returned for another would show here; the second round
+        // runs on a warm front cache. The top level of `t` holds a
+        // β-redex, which `nf` and hereditary substitution contract and
+        // the others keep.
         let redex = Term::app(Term::lam("y", open_term(seed, depth)), Term::Var(0));
         let t = Term::pair(redex, Term::Var(1));
         let s = open_term(seed ^ 0x0DD5, depth);
@@ -411,6 +454,44 @@ props! {
             );
             assert_id_identical(&subst::shift(&t, d), &reference::shift(&t, d), &what("shift"));
             assert_id_identical(&normalize::nf(&t), &reference::nf(&t), &what("nf"));
+        }
+    }
+
+    fn kernel_results_stay_in_their_store(seed in seeds(), depth in 1u32..5) {
+        let operands = store_operands(seed, depth);
+        let first = store_battery(&operands);
+        StoreHandle::isolated().enter(|| {
+            // Operands rebuilt in the isolated store: every result is a
+            // node of this store, so no id can match a first result.
+            let rebuilt = store_operands(seed, depth);
+            for (r, f) in store_battery(&rebuilt).iter().zip(&first) {
+                validate::check_term(r)
+                    .unwrap_or_else(|e| panic!("isolated result: bad annotations: {e}"));
+                assert_ne!(r.id(), f.id(), "a default-store result leaked into an isolated store");
+            }
+            // The default store's operands carried in: a result node is
+            // either rebuilt here or shared from an operand, never a node
+            // the default store built for the first results.
+            let carried = store_battery(&operands);
+            let mut allowed: HashSet<NodeId> =
+                store::image::snapshot().iter().map(TermRef::id).collect();
+            for t in &operands {
+                node_ids(t, &mut allowed);
+            }
+            for r in &carried {
+                let mut ids = HashSet::from([r.id()]);
+                node_ids(r, &mut ids);
+                assert!(
+                    ids.is_subset(&allowed),
+                    "carried operands: a result holds a node of the default store's results"
+                );
+            }
+        });
+        for (again, f) in store_battery(&operands).iter().zip(&first) {
+            assert!(
+                TermRef::ptr_eq(again, f),
+                "an isolated-store result leaked back into the default store"
+            );
         }
     }
 
