@@ -1,9 +1,11 @@
 #!/bin/sh
 # Timing gate: runs every perfbench workload as 5 alternating base/change
 # pairs (the base first in odd pairs, the change first in even ones) and
-# fails if any run's answers are not all correct, or if the median
+# fails if any run's answers are not all correct, if the median
 # change/base jobs_per_s ratio of a workload is below 0.75 (the 0.25
-# bound BENCHMARK.json sets on jobs_per_s). Prints every pair. With only
+# bound BENCHMARK.json sets on jobs_per_s), or if its median change/base
+# peak_rss_mb ratio is above 1.10 (the 0.1 bound on peak_rss_mb). Prints
+# every pair. With only
 # 3 pairs of 2-second runs, one slow phase of a shared host was enough to
 # pull a median under the bound on a change that did not touch the
 # workload's code.
@@ -20,6 +22,7 @@ set -eu
 base_rev=${1:?usage: ci/perf-gate.sh <base-rev>}
 pairs=5
 min_ratio=0.75
+max_rss_ratio=1.10
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 cleanup() {
@@ -33,8 +36,19 @@ for dir in "$tmp/base" "$root"; do
     cargo build --release --offline --quiet --manifest-path "$dir/perfbench/Cargo.toml"
 done
 
+# metric JSON NAME: the value of end-to-end metric NAME in a perfbench
+# JSON line.
+metric() {
+    printf '%s\n' "$1" | sed -n "s/.*\"$2\": {\"value\": \([0-9.eE+-]*\).*/\1/p"
+}
+
+# median RATIOS...: the median of its arguments.
+median() {
+    printf '%s\n' "$@" | sort -n | awk '{ v[NR] = $1 } END { print v[int((NR + 1) / 2)] }'
+}
+
 # run TREE WORKLOAD: one untraced run of TREE's perfbench; prints its
-# jobs_per_s, or fails unless every answer was correct.
+# jobs_per_s and peak_rss_mb, or fails unless every answer was correct.
 run() {
     last=$("$1/perfbench/target/release/hoas-perfbench" \
         --workload "$2" --seed 1 --seconds 2 --trace 0 | tail -n 1)
@@ -42,12 +56,13 @@ run() {
         '{"correct": true,'*) ;;
         *) echo "perf-gate: $2 in $1 is not correct: $last" >&2; return 1 ;;
     esac
-    printf '%s\n' "$last" | sed -n 's/.*"jobs_per_s": {"value": \([0-9.eE+-]*\).*/\1/p'
+    echo "$(metric "$last" jobs_per_s) $(metric "$last" peak_rss_mb)"
 }
 
 status=0
 for w in rewrite-cold lp-cold rewrite-warm; do
     ratios=
+    rss_ratios=
     i=1
     while [ "$i" -le "$pairs" ]; do
         # Alternate which side runs first, so drift within a pair (a
@@ -59,18 +74,30 @@ for w in rewrite-cold lp-cold rewrite-warm; do
             b=$(run "$tmp/base" "$w") || exit 1
             c=$(run "$root" "$w") || exit 1
         fi
-        r=$(awk -v b="$b" -v c="$c" 'BEGIN { printf "%.3f", c / b }')
-        awk -v w="$w" -v i="$i" -v b="$b" -v c="$c" -v r="$r" 'BEGIN {
-            printf "%s pair %d: base %.0f, change %.0f jobs_per_s, ratio %s\n", w, i, b, c, r }'
+        set -- $b $c
+        r=$(awk -v b="$1" -v c="$3" 'BEGIN { printf "%.3f", c / b }')
+        m=$(awk -v b="$2" -v c="$4" 'BEGIN { printf "%.3f", c / b }')
+        awk -v w="$w" -v i="$i" -v b="$1" -v c="$3" -v r="$r" \
+            -v bm="$2" -v cm="$4" -v m="$m" 'BEGIN {
+            printf "%s pair %d: base %.0f, change %.0f jobs_per_s, ratio %s;", w, i, b, c, r
+            printf " base %.2f, change %.2f peak_rss_mb, ratio %s\n", bm, cm, m }'
         ratios="$ratios $r"
+        rss_ratios="$rss_ratios $m"
         i=$((i + 1))
     done
-    med=$(printf '%s\n' $ratios | sort -n | awk '{ v[NR] = $1 } END { print v[int((NR + 1) / 2)] }')
+    med=$(median $ratios)
     if awk -v m="$med" -v t="$min_ratio" 'BEGIN { exit !(m < t) }'; then
-        echo "$w: median ratio $med is below $min_ratio: FAIL"
+        echo "$w: median jobs_per_s ratio $med is below $min_ratio: FAIL"
         status=1
     else
-        echo "$w: median ratio $med: ok"
+        echo "$w: median jobs_per_s ratio $med: ok"
+    fi
+    med=$(median $rss_ratios)
+    if awk -v m="$med" -v t="$max_rss_ratio" 'BEGIN { exit !(m > t) }'; then
+        echo "$w: median peak_rss_mb ratio $med is above $max_rss_ratio: FAIL"
+        status=1
+    else
+        echo "$w: median peak_rss_mb ratio $med: ok"
     fi
 done
 exit $status

@@ -7,6 +7,7 @@
 
 use crate::error::Error;
 use crate::intern::Sym;
+use crate::store::FxBuild;
 use crate::ty::{Ty, TyScheme};
 use std::collections::HashMap;
 use std::fmt;
@@ -26,9 +27,9 @@ use std::fmt;
 #[derive(Clone, Debug, Default)]
 pub struct Signature {
     types: Vec<Sym>,
-    type_set: HashMap<Sym, usize>,
+    type_set: HashMap<Sym, usize, FxBuild>,
     consts: Vec<(Sym, TyScheme)>,
-    const_map: HashMap<Sym, usize>,
+    const_map: HashMap<Sym, usize, FxBuild>,
 }
 
 impl Signature {

@@ -27,10 +27,10 @@
 //!   canonicalizing each rewrite's replacement only pays for the fresh
 //!   right-hand-side skeleton, never for the matched subject subtrees it
 //!   shares by pointer;
-//! * a **root-step memo** that replays one whole strategy step on a
-//!   closed subject (rewritten term, rule, position) by the root's
-//!   shallow node-id identity, so a repeated subject costs one probe per
-//!   step (see [`Engine::normalize`]).
+//! * a **normal-form memo** that replays one whole [`Engine::normalize`]
+//!   call on a closed subject (normal form and full trace) by the
+//!   subject's shallow node-id identity, so a repeated subject costs one
+//!   probe per call.
 //!
 //! At each position, rule dispatch scans the [`RuleSet`] in insertion
 //! order and attempts a full match only for rules whose left-hand-side
@@ -43,6 +43,7 @@
 use crate::rule::{RewriteError, Rule, RuleSet};
 use hoas_core::ctx::Ctx;
 use hoas_core::sig::Signature;
+use hoas_core::store::FxBuild;
 use hoas_core::term::{fingerprint_admits, MetaEnv, TermRef};
 use hoas_core::{normalize, typeck, NodeId, Sym, Term, Ty};
 use hoas_unify::classify::PatternClass;
@@ -73,7 +74,7 @@ pub struct EngineConfig {
     /// Traversal strategy.
     pub strategy: Strategy,
     /// Whether to use the memo layers (on by default): the
-    /// rule-normal-form cache, the canonical-form memo and the root-step
+    /// rule-normal-form cache, the canonical-form memo and the normal-form
     /// memo. Disabling it forces a full re-traversal and
     /// re-canonicalization at every step; results are identical either
     /// way, which `tests/engine_cache_props.rs` property-checks.
@@ -169,11 +170,11 @@ pub struct EngineStats {
     pub canon_hits: u64,
     /// Canonical-form memo lookups that fell through to a traversal.
     pub canon_misses: u64,
-    /// Root-step memo hits: whole strategy steps on a closed subject
-    /// whose outcome (rewritten term, rule, position) was replayed by
-    /// shallow node-id identity instead of re-derived.
+    /// Steps replayed from the normal-form memo: a hit adds the length
+    /// of the trace it replays, so `steps - memo_hits` is the number of
+    /// steps found by matching.
     pub memo_hits: u64,
-    /// Root-step memo lookups that fell through to a full traversal.
+    /// Steps derived by traversal after a normal-form memo lookup missed.
     pub memo_misses: u64,
 }
 
@@ -242,7 +243,11 @@ struct Counters {
 }
 
 fn bump(c: &Cell<u64>) {
-    c.set(c.get() + 1);
+    add(c, 1);
+}
+
+fn add(c: &Cell<u64>, n: usize) {
+    c.set(c.get() + n as u64);
 }
 
 /// One proven-rule-normal record. An entry means: no rule of this engine
@@ -264,25 +269,27 @@ struct CacheEntry {
 /// without pinning the subject.
 pub(crate) type RootKey = (u8, u64, u64);
 
-/// One memoized root-level strategy step (see [`Engine::step_root`]).
+/// One memoized normalization (see [`Engine::normalize`]).
 #[derive(Clone, Debug)]
-pub(crate) struct RootEntry {
-    /// Subject type the step was taken at.
+pub(crate) struct NfEntry {
+    /// Subject type the subject was normalized at.
     pub(crate) ty: Ty,
     /// Root binder hint (`Lam` roots only): the one root datum the
     /// [`RootKey`] does not capture. Compared on lookup so a replay
     /// reproduces the uncached output, hints included.
     pub(crate) hint: Option<Sym>,
-    /// Strategy the step was recorded under; caches may be shared
-    /// between engines, and the chosen redex position depends on it.
+    /// Strategy the run used; caches may be shared between engines, and
+    /// the chosen redexes depend on it.
     pub(crate) strategy: Strategy,
-    /// The recorded outcome, replayed verbatim on a hit.
-    pub(crate) outcome: Option<(Term, RewriteStep)>,
+    /// The normal form the run reached.
+    pub(crate) term: Term,
+    /// Every step of the run, in order.
+    pub(crate) trace: Vec<RewriteStep>,
 }
 
-/// The [`RootKey`] of a term, or `None` for childless nodes (leaves
-/// terminate a step immediately; memoizing them would cost more than the
-/// probe it saves).
+/// The [`RootKey`] of a term, or `None` for childless nodes (a leaf
+/// subject is rewritten at most by a rule on the leaf itself; memoizing
+/// it would cost more than the run it saves).
 fn root_key(t: &Term) -> Option<RootKey> {
     match t {
         Term::App(f, a) => Some((0, f.id().get(), a.id().get())),
@@ -302,8 +309,9 @@ fn root_hint(t: &Term) -> Option<&Sym> {
     }
 }
 
-/// Root-step memo size bound; the table is dropped wholesale when full.
-pub(crate) const ROOT_MEMO_CAP: usize = 1 << 20;
+/// Normal-form memo size bound (number of keyed subjects); the table is
+/// dropped wholesale when full.
+const NF_MEMO_CAP: usize = 1 << 20;
 
 /// Rule-normal-form cache size bound (number of keyed nodes); the table
 /// is dropped wholesale when full. PR 4's engine-lifetime cache needed no
@@ -312,7 +320,7 @@ pub(crate) const ROOT_MEMO_CAP: usize = 1 << 20;
 /// discipline as the other memo layers.
 const RULE_NF_CAP: usize = 1 << 20;
 
-/// The engine's durable cache state: rule-normal-form cache, root-step
+/// The engine's durable cache state: rule-normal-form cache, normal-form
 /// memo, and canonical-form memo, bundled behind one cheaply clonable
 /// handle (`Clone` shares, it does not copy).
 ///
@@ -327,10 +335,11 @@ const RULE_NF_CAP: usize = 1 << 20;
 ///
 /// Entries record everything they depend on *except* the signature, rule
 /// set, and match configuration, which are fixed per engine: only share a
-/// handle between engines that agree on those (the root-step memo checks
-/// the strategy itself, so engines may differ in strategy). A handle is
-/// also implicitly tied to the term store its node ids came from; engines
-/// in different stores must not share one.
+/// handle between engines that agree on those (the normal-form memo
+/// checks the strategy itself, and replays only runs that fit the
+/// reading engine's step budget, so engines may differ in strategy and
+/// `max_steps`). A handle is also implicitly tied to the term store its
+/// node ids came from; engines in different stores must not share one.
 #[derive(Clone, Debug, Default)]
 pub struct EngineCaches {
     /// Canonical-form memo for replacement canonicalization (see
@@ -341,12 +350,11 @@ pub struct EngineCaches {
     /// its α-class (plus the recorded types), which the id pins down
     /// forever.
     rule_nf: Rc<RefCell<HashMap<NodeId, Vec<CacheEntry>>>>,
-    /// Root-step memo: the outcome of one whole strategy step on a
-    /// closed subject, keyed by the root's shallow id identity. Because
-    /// interning hands back id-identical subtrees for a repeated
-    /// subject, an entire rewrite run re-played on the same input
-    /// collapses to one probe per step.
-    pub(crate) root_memo: Rc<RefCell<HashMap<RootKey, Vec<RootEntry>>>>,
+    /// Normal-form memo: one whole [`Engine::normalize`] run that reached
+    /// a fixpoint, keyed by the canonical subject's shallow id identity.
+    /// An entry pins its normal form, but neither the subject (keyed by
+    /// id) nor the intermediate terms of the run.
+    pub(crate) nf_memo: Rc<RefCell<HashMap<RootKey, Vec<NfEntry>, FxBuild>>>,
 }
 
 impl EngineCaches {
@@ -354,6 +362,23 @@ impl EngineCaches {
     #[must_use]
     pub fn new() -> EngineCaches {
         EngineCaches::default()
+    }
+
+    /// Records a normalization under `key`, unless an entry for the same
+    /// type, hint and strategy is already there. The table is dropped
+    /// wholesale when it reaches its cap.
+    pub(crate) fn record_nf(&self, key: RootKey, entry: NfEntry) {
+        let mut memo = self.nf_memo.borrow_mut();
+        if memo.len() >= NF_MEMO_CAP {
+            memo.clear();
+        }
+        let bucket = memo.entry(key).or_default();
+        if !bucket
+            .iter()
+            .any(|e| e.ty == entry.ty && e.hint == entry.hint && e.strategy == entry.strategy)
+        {
+            bucket.push(entry);
+        }
     }
 }
 
@@ -596,7 +621,9 @@ impl<'a> Engine<'a> {
     ///
     /// Kernel/unification errors on malformed subjects.
     pub fn rewrite_once(&self, ty: &Ty, t: &Term) -> Result<Option<(Term, String)>, RewriteError> {
-        Ok(self.step_root(ty, t)?.map(|(t2, step)| (t2, step.rule)))
+        Ok(self
+            .rewrite_once_traced(ty, t)?
+            .map(|(t2, step)| (t2, step.rule)))
     }
 
     /// Like [`Engine::rewrite_once`], also reporting the rewrite
@@ -606,12 +633,15 @@ impl<'a> Engine<'a> {
         ty: &Ty,
         t: &Term,
     ) -> Result<Option<(Term, RewriteStep)>, RewriteError> {
-        self.step_root(ty, t)
+        Ok(self.step(&mut Ctx::new(), ty, t)?.map(|(t2, mut step)| {
+            step.path.reverse();
+            (t2, step)
+        }))
     }
 
     /// One strategy step on `t` in the binder context `ctx` (extended and
     /// restored in place while descending). The returned step's path is
-    /// innermost-first; [`Engine::step_root`] reverses it.
+    /// innermost-first; [`Engine::rewrite_once_traced`] reverses it.
     fn step(
         &self,
         ctx: &mut Ctx,
@@ -684,62 +714,6 @@ impl<'a> Engine<'a> {
         if cacheable && r.is_none() {
             self.cache_insert(ctx, ty, t);
         }
-        Ok(r)
-    }
-
-    /// [`Engine::step`] at the root (closed subject, empty context),
-    /// through the root-step memo: the full outcome of one strategy step
-    /// — rewritten term, rule name, and position — is replayed by
-    /// shallow node-id identity.
-    ///
-    /// Soundness: with fixed rules, signature, and match configuration
-    /// (the cache-sharing contract) and the strategy recorded per entry,
-    /// the outcome of a step on a closed, meta-free subject is a function
-    /// of the subject's structure and type alone. Two roots that agree on
-    /// their own node data and have id-identical children are
-    /// α-equivalent, so the recorded outcome — trace entry included — is
-    /// exactly what a fresh traversal would produce. Native δ-rules are
-    /// assumed deterministic engine-wide; the rule-normal-form cache's
-    /// `None` short-circuit already relies on the same assumption.
-    fn step_root(&self, ty: &Ty, t: &Term) -> Result<Option<(Term, RewriteStep)>, RewriteError> {
-        let step = |ctx: &mut Ctx| {
-            Ok::<_, RewriteError>(self.step(ctx, ty, t)?.map(|(t2, mut step)| {
-                step.path.reverse();
-                (t2, step)
-            }))
-        };
-        let mut ctx = Ctx::new();
-        if !self.cfg.cache || t.has_metas() {
-            return step(&mut ctx);
-        }
-        let Some(key) = root_key(t) else {
-            return step(&mut ctx);
-        };
-        {
-            let memo = self.caches.root_memo.borrow();
-            if let Some(e) = memo.get(&key).and_then(|es| {
-                es.iter().find(|e| {
-                    e.ty == *ty
-                        && e.strategy == self.cfg.strategy
-                        && e.hint.as_ref() == root_hint(t)
-                })
-            }) {
-                bump(&self.counters.memo_hits);
-                return Ok(e.outcome.clone());
-            }
-        }
-        bump(&self.counters.memo_misses);
-        let r = step(&mut ctx)?;
-        let mut memo = self.caches.root_memo.borrow_mut();
-        if memo.len() >= ROOT_MEMO_CAP {
-            memo.clear();
-        }
-        memo.entry(key).or_default().push(RootEntry {
-            ty: ty.clone(),
-            hint: root_hint(t).cloned(),
-            strategy: self.cfg.strategy,
-            outcome: r.clone(),
-        });
         Ok(r)
     }
 
@@ -859,6 +833,23 @@ impl<'a> Engine<'a> {
     /// Rewrites to a fixpoint (or until the step budget runs out). The
     /// subject is canonicalized first.
     ///
+    /// With caching on, a closed, meta-free composite subject is probed
+    /// once in the normal-form memo. A miss runs the plain step loop and
+    /// records the run if it reached a fixpoint. A hit replays the
+    /// recorded normal form and trace only when that is what a fresh run
+    /// would return: a certificate is attached, or the trace fits within
+    /// [`EngineConfig::max_steps`].
+    ///
+    /// Soundness: with fixed rules, signature, and match configuration
+    /// (the cache-sharing contract) and the strategy recorded per entry,
+    /// a run on a closed, meta-free subject is a function of its
+    /// structure and type alone. Two roots that agree on their own node
+    /// data and have id-identical children are the same term, so the
+    /// recorded run is exactly what a fresh one would produce. Native
+    /// δ-rules are assumed deterministic engine-wide; the
+    /// rule-normal-form cache's `None` short-circuit already relies on
+    /// the same assumption.
+    ///
     /// # Errors
     ///
     /// Kernel/unification errors on malformed subjects or rules.
@@ -868,53 +859,78 @@ impl<'a> Engine<'a> {
         // every subject subtree, which later replacement
         // canonicalizations share by pointer.
         let mut cur = self.canonize(&Default::default(), &Ctx::new(), t, ty)?;
-        let mut applied = Vec::new();
-        let mut trace = Vec::new();
-        loop {
-            if self.cert.is_none() && applied.len() >= self.cfg.max_steps {
-                // Budget spent: report whether a fixpoint happens to have
-                // been reached anyway.
-                let at_fixpoint = self.step_root(ty, &cur)?.is_none();
-                return Ok(NormalizeResult {
-                    term: cur,
-                    steps: applied.len(),
-                    applied,
-                    trace,
-                    fixpoint: at_fixpoint,
-                    stats: self.stats().delta(&before),
-                });
-            }
-            // Cross-check a "proven terminating" certificate in debug
-            // builds: a certified run that exceeds a generous multiple
-            // of the budget means the size-change analysis (or the
-            // fingerprint check) is unsound, which must be loud.
-            #[cfg(debug_assertions)]
-            if let Some(cert) = &self.cert {
-                assert!(
-                    applied.len() < self.cfg.max_steps.saturating_mul(64),
-                    "HA016 violated: certified-terminating rule set exceeded \
-                     {} steps (certificate: {})",
-                    self.cfg.max_steps.saturating_mul(64),
-                    cert.reason(),
-                );
-            }
-            match self.step_root(ty, &cur)? {
-                Some((next, step)) => {
-                    applied.push(step.rule.clone());
-                    trace.push(step);
-                    cur = next;
+        let key = root_key(&cur).filter(|_| self.cfg.cache && !cur.has_metas());
+        let (hint, strategy) = (root_hint(&cur).cloned(), self.cfg.strategy);
+        let recorded = key.and_then(|key| {
+            let memo = self.caches.nf_memo.borrow();
+            let e = memo
+                .get(&key)?
+                .iter()
+                .find(|e| e.ty == *ty && e.hint == hint && e.strategy == strategy)?;
+            // A fresh run under a smaller budget stops short of the
+            // fixpoint, so it is not replayed.
+            (self.cert.is_some() || e.trace.len() <= self.cfg.max_steps)
+                .then(|| (e.term.clone(), e.trace.clone()))
+        });
+        let (term, trace, fixpoint) = if let Some((term, trace)) = recorded {
+            self.check_certified(trace.len());
+            add(&self.counters.memo_hits, trace.len());
+            (term, trace, true)
+        } else {
+            let mut trace = Vec::new();
+            let fixpoint = loop {
+                if self.cert.is_none() && trace.len() >= self.cfg.max_steps {
+                    // Budget spent: report whether a fixpoint happens to
+                    // have been reached anyway.
+                    break self.rewrite_once_traced(ty, &cur)?.is_none();
                 }
-                None => {
-                    return Ok(NormalizeResult {
-                        term: cur,
-                        steps: applied.len(),
-                        applied,
-                        trace,
-                        fixpoint: true,
-                        stats: self.stats().delta(&before),
-                    })
+                self.check_certified(trace.len());
+                match self.rewrite_once_traced(ty, &cur)? {
+                    Some((next, step)) => {
+                        trace.push(step);
+                        cur = next;
+                    }
+                    None => break true,
+                }
+            };
+            if let Some(key) = key {
+                add(&self.counters.memo_misses, trace.len());
+                if fixpoint {
+                    let entry = NfEntry {
+                        ty: ty.clone(),
+                        hint,
+                        strategy,
+                        term: cur.clone(),
+                        trace: trace.clone(),
+                    };
+                    self.caches.record_nf(key, entry);
                 }
             }
+            (cur, trace, fixpoint)
+        };
+        Ok(NormalizeResult {
+            term,
+            steps: trace.len(),
+            applied: trace.iter().map(|s| s.rule.clone()).collect(),
+            trace,
+            fixpoint,
+            stats: self.stats().delta(&before),
+        })
+    }
+
+    /// Cross-checks a "proven terminating" certificate in debug builds
+    /// before a certified run's step number `steps + 1`: exceeding a
+    /// generous multiple of the budget means the size-change analysis
+    /// (or the fingerprint check) is unsound, which must be loud.
+    fn check_certified(&self, steps: usize) {
+        if let (true, Some(cert)) = (cfg!(debug_assertions), &self.cert) {
+            assert!(
+                steps < self.cfg.max_steps.saturating_mul(64),
+                "HA016 violated: certified-terminating rule set exceeded \
+                 {} steps (certificate: {})",
+                self.cfg.max_steps.saturating_mul(64),
+                cert.reason(),
+            );
         }
     }
 }
@@ -1162,9 +1178,9 @@ mod cache_tests {
         assert_eq!(first.term, second.term);
         assert_eq!(first.trace, second.trace);
         // The replay is memoized end to end: the canonical-form memo
-        // hands back the first call's subject by pointer, so every
-        // root-level step of the second call replays from the root-step
-        // memo without touching the traversal at all.
+        // hands back the first call's subject by pointer, so the second
+        // call replays the whole run from the normal-form memo without
+        // touching the traversal at all.
         assert!(
             second.stats.memo_hits >= 1,
             "second call re-uses marks from the first: {:?}",

@@ -7,7 +7,7 @@
 //! decoding the pool re-interns the entire store before any cache
 //! section is read. The body then carries the two memo tables of an
 //! [`EngineCaches`] bundle that warm replay reads — the canonical-form
-//! memo and the root-step memo — each with its
+//! memo and the normal-form memo — each with its
 //! [`NodeId`](hoas_core::NodeId) keys written as the *writer's* raw ids,
 //! followed by any solver variant tables.
 //!
@@ -18,10 +18,10 @@
 //! counted, never guessed. Everything else lands id-correct in the
 //! target bundle, so a re-built subject re-interns onto pool nodes and
 //! replays against the warm caches without traversing the subject at
-//! all: the root memo hands back whole strategy steps, and the canon
-//! memo hands back the subject's canonicalization. The rule-normal-form
-//! cache is consulted only by traversals, so a warm replay never reads
-//! it and the image does not carry it.
+//! all: the canon memo hands back the subject's canonicalization, and
+//! the normal-form memo hands back its whole normalization. The
+//! rule-normal-form cache is consulted only by traversals, so a warm
+//! replay never reads it and the image does not carry it.
 //!
 //! The image does **not** carry the signature or rule set: the loader
 //! rebuilds both from source, as the writer did. Cache soundness only
@@ -29,7 +29,7 @@
 //! which is the same contract [`EngineCaches`] already imposes on
 //! cross-engine sharing.
 
-use crate::engine::{EngineCaches, RootEntry, RootKey};
+use crate::engine::{EngineCaches, NfEntry, RootKey};
 use crate::engine::{MatchPath, RewriteStep, Strategy};
 use hoas_core::codec::{CodecError, Decoder, Encoder, Kind};
 use hoas_core::normalize::CanonExport;
@@ -74,8 +74,9 @@ pub struct ImageStats {
     pub remapped_ids: u64,
     /// Canonical-form memo entries carried by the image.
     pub canon_entries: u64,
-    /// Root-step memo entries carried by the image.
-    pub root_memo_entries: u64,
+    /// Normal-form memo entries carried by the image: one per recorded
+    /// `normalize` call, not one per step.
+    pub normal_form_entries: u64,
     /// Solver variant-table entries carried by the image.
     pub solver_table_entries: u64,
     /// Solver answers carried across all variant-table entries.
@@ -123,9 +124,9 @@ pub fn save_warm_image_with_tables(caches: &EngineCaches, tables: &[SolverTableE
         enc.put_term_ref(&e.result);
     }
 
-    // Root-step memo, sorted by key tuple.
+    // Normal-form memo, sorted by key tuple.
     {
-        let map = caches.root_memo.borrow();
+        let map = caches.nf_memo.borrow();
         let mut keys: Vec<RootKey> = map.keys().copied().collect();
         keys.sort_unstable();
         enc.put_u64(keys.len() as u64);
@@ -145,18 +146,15 @@ pub fn save_warm_image_with_tables(caches: &EngineCaches, tables: &[SolverTableE
                     None => enc.put_bool(false),
                 }
                 enc.put_u8(strategy_tag(e.strategy));
-                match &e.outcome {
-                    Some((t, step)) => {
-                        enc.put_bool(true);
-                        enc.put_term(t);
-                        enc.put_str(&step.rule);
-                        enc.put_u64(step.path.len() as u64);
-                        for p in &step.path {
-                            enc.put_u32(*p);
-                        }
-                        enc.put_u8(via_tag(step.via));
+                enc.put_term(&e.term);
+                enc.put_u64(e.trace.len() as u64);
+                for step in &e.trace {
+                    enc.put_str(&step.rule);
+                    enc.put_u64(step.path.len() as u64);
+                    for p in &step.path {
+                        enc.put_u32(*p);
                     }
-                    None => enc.put_bool(false),
+                    enc.put_u8(via_tag(step.via));
                 }
             }
         }
@@ -240,9 +238,9 @@ pub fn load_warm_image_with_tables(
         }
     }
 
-    // Root-step memo.
-    let n_roots = dec.get_u64()?;
-    for _ in 0..n_roots {
+    // Normal-form memo.
+    let n_keys = dec.get_u64()?;
+    for _ in 0..n_keys {
         let tag = dec.get_u8()?;
         let old_a = dec.get_u64()?;
         let old_b = dec.get_u64()?;
@@ -256,8 +254,10 @@ pub fn load_warm_image_with_tables(
                 None
             };
             let strategy = strategy_from_tag(dec.get_u8()?)?;
-            let outcome = if dec.get_bool()? {
-                let t = dec.get_term()?.into_term();
+            let term = dec.get_term()?.into_term();
+            let n_steps = dec.get_u64()?;
+            let mut trace = Vec::new();
+            for _ in 0..n_steps {
                 let rule = dec.get_str()?;
                 let n_path = dec.get_u64()?;
                 let mut path = Vec::new();
@@ -265,18 +265,17 @@ pub fn load_warm_image_with_tables(
                     path.push(dec.get_u32()?);
                 }
                 let via = via_from_tag(dec.get_u8()?)?;
-                Some((t, RewriteStep { rule, path, via }))
-            } else {
-                None
-            };
-            bucket.push(RootEntry {
+                trace.push(RewriteStep { rule, path, via });
+            }
+            bucket.push(NfEntry {
                 ty,
                 hint,
                 strategy,
-                outcome,
+                term,
+                trace,
             });
         }
-        stats.root_memo_entries += n_entries;
+        stats.normal_form_entries += n_entries;
         // The second child slot uses `0` as "no child"; only real ids
         // go through the remap table.
         let new_a = dec.remap_id(old_a);
@@ -288,7 +287,9 @@ pub fn load_warm_image_with_tables(
         match (new_a, new_b) {
             (Some(a), Some(b)) => {
                 stats.entries_reloaded += n_entries;
-                absorb_root_memo(caches, (tag, a.get(), b), bucket);
+                for e in bucket {
+                    caches.record_nf((tag, a.get(), b), e);
+                }
             }
             _ => stats.entries_dropped += n_entries,
         }
@@ -338,25 +339,6 @@ pub fn load_warm_image_with_tables(
 /// Any [`CodecError`], as for [`load_warm_image`].
 pub fn inspect_warm_image(bytes: &[u8]) -> Result<ImageStats, CodecError> {
     load_warm_image(bytes, &EngineCaches::new())
-}
-
-/// Installs one reloaded root-memo bucket, deduplicating against (and
-/// respecting the cap discipline of) whatever the live table holds.
-fn absorb_root_memo(caches: &EngineCaches, key: RootKey, entries: Vec<RootEntry>) {
-    let mut map = caches.root_memo.borrow_mut();
-    // The wholesale-drop cap discipline of the engine's own inserts.
-    if map.len() >= crate::engine::ROOT_MEMO_CAP {
-        map.clear();
-    }
-    let bucket = map.entry(key).or_default();
-    for e in entries {
-        if !bucket
-            .iter()
-            .any(|x| x.ty == e.ty && x.hint == e.hint && x.strategy == e.strategy)
-        {
-            bucket.push(e);
-        }
-    }
 }
 
 fn put_tys(enc: &mut Encoder, tys: &[Ty]) {
@@ -471,7 +453,7 @@ mod tests {
             let stats = load_warm_image(&image, &caches).expect("image loads");
             assert!(stats.bytes > 0 && stats.pool_nodes > 0);
             assert!(stats.canon_entries > 0, "canon section persisted");
-            assert!(stats.root_memo_entries > 0, "root memo persisted");
+            assert_eq!(stats.normal_form_entries, 3, "one entry per subject");
             assert!(stats.entries_reloaded > 0);
 
             let sig = fol_sig();
@@ -483,7 +465,7 @@ mod tests {
             }
             let es = engine.stats();
             assert_eq!(es.cache_lookups, 0, "warm replay reads no rule-NF entry");
-            assert!(es.memo_hits > 0, "root memo replays whole steps");
+            assert!(es.memo_hits > 0, "normal-form memo replays whole runs");
         });
     }
 

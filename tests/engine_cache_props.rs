@@ -1,23 +1,39 @@
-//! Property tests for the normal-form cache: a cached engine must be
+//! Property tests for the engine's memo layers: a cached engine must be
 //! observationally identical to a cache-disabled one — same normal form,
 //! same step count, same applied-rule list, and the same full
 //! [`RewriteStep`] trace — across all four bundled rule sets and both
-//! strategies. Also checks the `EngineStats` bookkeeping invariants and
-//! the strategy-confluence regression on the strategy-ablation workload.
+//! strategies, on a first run, on a normal-form memo replay, and under
+//! step budgets shorter than the recorded run. Also checks the
+//! `EngineStats` bookkeeping invariants and the strategy-confluence
+//! regression on the strategy-ablation workload.
 //!
 //! [`RewriteStep`]: hoas::rewrite::RewriteStep
 
 use hoas::core::prelude::*;
 use hoas::langs::{fol, imp, miniml};
 use hoas::rewrite::rulesets::{fol_cnf, fol_prenex, imp_opt, miniml_opt};
-use hoas::rewrite::{Engine, EngineConfig, RuleSet, Strategy};
+use hoas::rewrite::{Engine, EngineConfig, NormalizeResult, RuleSet, Strategy};
 use hoas_testkit::prelude::*;
 
 const STRATEGIES: [Strategy; 2] = [Strategy::LeftmostOutermost, Strategy::LeftmostInnermost];
 
+/// Asserts that two normalizations are indistinguishable through every
+/// observable of `NormalizeResult` except its work counters.
+fn assert_same_result(a: &NormalizeResult, b: &NormalizeResult, what: &str) {
+    assert_eq!(a.term, b.term, "normal forms differ ({what})");
+    assert_eq!(a.steps, b.steps, "step counts differ ({what})");
+    assert_eq!(a.applied, b.applied, "applied lists differ ({what})");
+    assert_eq!(a.trace, b.trace, "traces differ ({what})");
+    assert_eq!(a.fixpoint, b.fixpoint, "fixpoint flags differ ({what})");
+}
+
 /// Runs the same normalization with the cache on and off and asserts the
 /// two engines are indistinguishable through every observable of
-/// `NormalizeResult`, plus the stats invariants.
+/// `NormalizeResult`, plus the stats invariants. The cached engine then
+/// replays the subject from its normal-form memo, and engines sharing its
+/// caches under step budgets around the trace length (`0`, `1`, `n - 1`,
+/// `n`) must each agree with an uncached engine at the same budget: a
+/// recorded run is replayed only where a fresh run would reach it.
 fn assert_cache_transparent(
     sig: &Signature,
     rules: &RuleSet,
@@ -25,30 +41,18 @@ fn assert_cache_transparent(
     subject: &Term,
     strategy: Strategy,
 ) {
-    let cached = Engine::with_config(
-        sig,
-        rules,
-        EngineConfig {
-            strategy,
-            ..EngineConfig::default()
-        },
-    );
-    let uncached = Engine::with_config(
-        sig,
-        rules,
-        EngineConfig {
-            strategy,
-            cache: false,
-            ..EngineConfig::default()
-        },
-    );
+    let config = |cache: bool, max_steps: usize| EngineConfig {
+        strategy,
+        cache,
+        max_steps,
+        ..EngineConfig::default()
+    };
+    let budget = EngineConfig::default().max_steps;
+    let cached = Engine::with_config(sig, rules, config(true, budget));
+    let uncached = Engine::with_config(sig, rules, config(false, budget));
     let a = cached.normalize(ty, subject).unwrap();
     let b = uncached.normalize(ty, subject).unwrap();
-    assert_eq!(a.term, b.term, "normal forms differ ({strategy:?})");
-    assert_eq!(a.steps, b.steps, "step counts differ ({strategy:?})");
-    assert_eq!(a.applied, b.applied, "applied lists differ ({strategy:?})");
-    assert_eq!(a.trace, b.trace, "traces differ ({strategy:?})");
-    assert_eq!(a.fixpoint, b.fixpoint);
+    assert_same_result(&a, &b, &format!("{strategy:?}"));
     // Stats bookkeeping: every lookup is a hit or a miss, and only the
     // cached engine performs lookups.
     assert_eq!(
@@ -57,9 +61,25 @@ fn assert_cache_transparent(
     );
     assert_eq!(b.stats.cache_lookups, 0);
     assert_eq!(b.stats.cache_hits, 0);
+    assert_eq!(b.stats.memo_hits + b.stats.memo_misses, 0);
     let total = cached.stats();
     assert_eq!(total.cache_hits + total.cache_misses, total.cache_lookups);
     assert!(total.cache_lookups >= a.stats.cache_lookups);
+
+    let replay = cached.normalize(ty, subject).unwrap();
+    assert_same_result(&replay, &b, &format!("{strategy:?}, replay"));
+    assert_eq!(replay.stats.memo_misses, 0, "replay re-derived a step");
+
+    let n = a.steps;
+    for max_steps in [0, 1, n.saturating_sub(1), n] {
+        let shared = Engine::with_caches(sig, rules, config(true, max_steps), cached.caches());
+        let fresh = Engine::with_config(sig, rules, config(false, max_steps));
+        assert_same_result(
+            &shared.normalize(ty, subject).unwrap(),
+            &fresh.normalize(ty, subject).unwrap(),
+            &format!("{strategy:?}, max_steps {max_steps} of {n}"),
+        );
+    }
 }
 
 props! {
@@ -180,10 +200,10 @@ fn caches_are_reusable_across_engine_instances() {
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.applied, b.applied);
         assert_eq!(a.trace, b.trace);
-        // Replay is pure cache: every step the cold run derived is
-        // replayed from the root-step memo, so nothing falls through to
-        // a traversal (no memo or rule-normal-form misses).
-        assert_eq!(b.stats.memo_misses, 0, "replay re-derived a root step");
+        // Replay is pure cache: every run the cold engine completed is
+        // replayed from the normal-form memo, so nothing falls through
+        // to a traversal (no memo or rule-normal-form misses).
+        assert_eq!(b.stats.memo_misses, 0, "replay re-derived a step");
         assert_eq!(b.stats.cache_misses, 0, "replay re-proved a subtree");
         warm_memo_hits += b.stats.memo_hits;
         warm_visited += b.stats.nodes_visited;
@@ -191,7 +211,7 @@ fn caches_are_reusable_across_engine_instances() {
     }
     assert!(
         warm_memo_hits > 0,
-        "shared root-step memo never hit on replay"
+        "shared normal-form memo never hit on replay"
     );
     assert!(
         warm_visited < cold_visited,

@@ -1,10 +1,10 @@
-//! Integration tests for warm images (PR 7): a store + cache bundle
-//! saved from one isolated store and reloaded into another must replay
-//! the same workload **without consulting the rule-NF cache** (the image
-//! does not carry it), with identical results and live persistence
-//! counters; one image carries the
-//! rewrite caches and the solver's answer tables together; corrupted
-//! images must be rejected outright.
+//! Integration tests for warm images: a store + cache bundle saved from
+//! one isolated store and reloaded into another must replay the same
+//! workload **without consulting the rule-NF cache** (the image does not
+//! carry it), with identical results and live persistence counters; the
+//! normal-form memo carries one entry per `normalize` call; one image
+//! carries the rewrite caches and the solver's answer tables together;
+//! corrupted images must be rejected outright.
 
 use hoas::core::prelude::*;
 use hoas::langs::fol;
@@ -73,16 +73,82 @@ fn warm_reload_replays_with_zero_misses() {
         assert!(stats.bytes > 0);
         assert!(stats.pool_nodes > 0);
         assert!(stats.canon_entries > 0);
-        assert!(stats.root_memo_entries > 0);
+        assert!(stats.normal_form_entries > 0);
         assert!(stats.entries_reloaded > 0);
         assert!(stats.remapped_ids > 0, "salted store must remap ids");
 
         let (warm_results, es) = normalize_all(caches);
         assert_eq!(warm_results, cold_results, "warm results differ from cold");
         assert_eq!(es.cache_lookups, 0, "warm replay read the rule-NF cache");
-        assert!(es.memo_hits > 0, "root memo never hit on warm replay");
+        assert!(
+            es.memo_hits > 0,
+            "normal-form memo never hit on warm replay"
+        );
         // The load created nodes in this fresh store.
         assert!(hoas::core::store::stats().since(&before).distinct_nodes > 0);
+    });
+}
+
+/// The normal-form memo keeps one entry per `normalize` call, not one per
+/// step: an image saved after N distinct subjects carries exactly N
+/// entries, and a warm replay of them traverses nothing while counting
+/// every replayed step as a memo hit.
+#[test]
+fn image_holds_one_normal_form_entry_per_call() {
+    // Distinct composite subjects only: a leaf subject (the atom `r`) is
+    // never memoized, and a repeated subject replays the first entry.
+    fn subjects() -> (Signature, Vec<Term>) {
+        let (sig, encoded) = workload();
+        let mut distinct: Vec<Term> = Vec::new();
+        for t in encoded {
+            if matches!(t, Term::App(..)) && !distinct.contains(&t) {
+                distinct.push(t);
+            }
+        }
+        (sig, distinct)
+    }
+    let (image, n, cold_steps) = StoreHandle::isolated().enter(|| {
+        let (sig, subjects) = subjects();
+        let rules = fol_prenex::rules(&sig).expect("connectives present");
+        let caches = EngineCaches::new();
+        let engine = Engine::with_caches(&sig, &rules, EngineConfig::default(), caches.clone());
+        let steps: usize = subjects
+            .iter()
+            .map(|t| engine.normalize(&fol::o(), t).expect("well-typed").steps)
+            .sum();
+        (
+            save_warm_image(&caches),
+            subjects.len() as u64,
+            steps as u64,
+        )
+    });
+    assert!(n > 1, "the workload has too few distinct subjects");
+    assert!(
+        cold_steps > n,
+        "the workload must take more steps than calls ({cold_steps} vs {n})"
+    );
+
+    StoreHandle::isolated().enter(|| {
+        let caches = EngineCaches::new();
+        let stats = load_warm_image(&image, &caches).expect("image loads");
+        assert_eq!(stats.normal_form_entries, n, "one entry per call");
+        assert_eq!(stats.entries_dropped, 0);
+
+        let (sig, subjects) = subjects();
+        let rules = fol_prenex::rules(&sig).expect("connectives present");
+        let engine = Engine::with_caches(&sig, &rules, EngineConfig::default(), caches);
+        let warm_steps: usize = subjects
+            .iter()
+            .map(|t| engine.normalize(&fol::o(), t).expect("well-typed").steps)
+            .sum();
+        let es = engine.stats();
+        assert_eq!(warm_steps as u64, cold_steps);
+        assert_eq!(es.nodes_visited, 0, "warm replay traversed a subject");
+        assert_eq!(
+            es.memo_hits, cold_steps,
+            "a hit counts the steps it replays"
+        );
+        assert_eq!(es.memo_misses, 0);
     });
 }
 
@@ -132,7 +198,10 @@ fn one_image_replays_rewrite_caches_and_solver_tables() {
         let (warm_results, es) = normalize_all(caches);
         assert_eq!(warm_results, cold_results, "warm results differ from cold");
         assert_eq!(es.cache_lookups, 0, "warm replay read the rule-NF cache");
-        assert!(es.memo_hits > 0, "root memo never hit on warm replay");
+        assert!(
+            es.memo_hits > 0,
+            "normal-form memo never hit on warm replay"
+        );
 
         let c = fold_shared(10);
         let (prog, (goal, menv)) = (&c.prog, &c.queries[0]);
