@@ -53,7 +53,7 @@ pub const MAGIC: [u8; 4] = *b"HOAS";
 
 /// Format version; bumped on any layout change. Decoders reject other
 /// versions outright — no silent cross-version reinterpretation.
-pub const VERSION: u16 = 4;
+pub const VERSION: u16 = 5;
 
 /// What a byte stream encodes; checked before any payload is parsed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

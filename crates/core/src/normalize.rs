@@ -38,8 +38,6 @@ use crate::sig::Signature;
 use crate::subst::{self, shift, Op};
 use crate::term::{MetaEnv, MetaTypes, Term, TermRef};
 use crate::ty::Ty;
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 
 /// Applies a function term to an argument, contracting the β-redex (and
 /// any redexes the substitution creates) if the function is a λ.
@@ -286,7 +284,7 @@ pub fn canon(
     ty: &Ty,
 ) -> Result<Term, Error> {
     let t = TermRef::new(nf(t));
-    let out = eta_long(sig, menv, ctx, &t, ty, None).map(TermRef::into_term)?;
+    let out = eta_long(sig, menv, ctx, &t, ty).map(TermRef::into_term)?;
     // Debug builds validate the cached annotations of every
     // canonicalization result against a naive recomputation.
     crate::validate::debug_assert_valid(&out);
@@ -298,285 +296,20 @@ pub fn canon_closed(sig: &Signature, t: &Term, ty: &Ty) -> Result<Term, Error> {
     canon(sig, &MetaEnv::new(), &Ctx::new(), t, ty)
 }
 
-/// [`canon`] with a memo table: subtrees the cache has already proven
-/// canonical (keyed by stable [`crate::store::NodeId`]) are returned in
-/// O(1) instead of being re-traversed.
-///
-/// This is what makes repeated canonicalization of rewrite-step
-/// replacements cheap: interning gives matched subject subtrees the
-/// *same* nodes in the replacement, so after the subject has been
-/// canonicalized once, each later [`canon_with`] call only pays for the
-/// fresh nodes of the rule's right-hand-side skeleton. The table's keys
-/// stay valid across calls (ids are never reused), so one long-lived
-/// cache can serve many `canon_with` calls and engine instances.
-///
-/// # Errors
-///
-/// Same contract as [`canon`].
-pub fn canon_with(
-    sig: &Signature,
-    menv: &MetaEnv,
-    ctx: &Ctx,
-    t: &Term,
-    ty: &Ty,
-    cache: &CanonCache,
-) -> Result<Term, Error> {
-    let t = TermRef::new(nf(t));
-    let out = eta_long(sig, menv, ctx, &t, ty, Some(cache)).map(TermRef::into_term)?;
-    crate::validate::debug_assert_valid(&out);
-    Ok(out)
-}
-
-/// Upper bound on memoized canonical-form entries; the table is cleared
-/// wholesale when it fills (clearing is always sound — the cache is a
-/// pure optimization).
-const CANON_CACHE_CAP: usize = 1 << 20;
-
-/// A [`NodeId`](crate::NodeId)-keyed memo table for [`canon_with`].
-///
-/// Each entry maps an interned term node (by its stable id) to its
-/// canonical form at a specific type, together with everything the
-/// η-expander read while computing it:
-///
-/// * the type the node was canonicalized at,
-/// * the types of its free de Bruijn variables in the ambient context
-///   (the only part of the context [`canon`] consults — binder name
-///   hints never influence the result).
-///
-/// Already-canonical nodes map to themselves, so a table warmed by one
-/// [`canon_with`] call answers in O(1) both for re-canonicalizations of
-/// the same source node and for canonical subtrees that rewrite-step
-/// replacements share.
-///
-/// `NodeId` is a durable key — no keepalive pinning needed: ids are
-/// assigned from a monotonic process-wide counter and never reused, so an
-/// entry whose node has died is merely unreachable (no live term can
-/// carry that id again), never wrong. The cache may therefore outlive any
-/// particular `normalize` or engine run and be shared between them, on
-/// the thread whose store its terms live in (a `RefCell` around the
-/// table, `Cell` counters). Nodes containing metavariables are never
-/// cached (their canonical form depends on the meta environment). A cache must only ever be used with
-/// a single signature and a single store; [`canon_with`] callers own that
-/// pairing.
-#[derive(Debug, Default)]
-pub struct CanonCache {
-    entries: RefCell<HashMap<crate::store::NodeId, Vec<CanonEntry>>>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-}
-
-#[derive(Debug, Clone)]
-struct CanonEntry {
-    ty: Ty,
-    free_tys: Vec<Ty>,
-    /// Canonical form of the keyed node at `ty` (possibly that node
-    /// itself).
-    result: TermRef,
-}
-
-impl CanonCache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of lookups answered from the table.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Number of lookups that fell through to a real traversal.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Does `e` memoize canonicalization at `ty` for a node with `n`
-    /// free variables whose types in `ctx` match the recorded ones?
-    fn entry_matches(e: &CanonEntry, ctx: &Ctx, ty: &Ty, n: u32) -> bool {
-        e.ty == *ty
-            && e.free_tys.len() == n as usize
-            && e.free_tys
-                .iter()
-                .enumerate()
-                .all(|(i, fty)| ctx.lookup(i as u32).is_some_and(|(_, t2)| t2 == fty))
-    }
-
-    fn lookup(&self, ctx: &Ctx, t: &TermRef, ty: &Ty) -> Option<TermRef> {
-        let entries = self.entries.borrow();
-        let hit = entries.get(&t.id()).and_then(|v| {
-            v.iter()
-                .find(|e| Self::entry_matches(e, ctx, ty, t.max_free()))
-        });
-        match hit {
-            Some(e) => {
-                self.hits.set(self.hits.get() + 1);
-                Some(e.result.clone())
-            }
-            None => {
-                self.misses.set(self.misses.get() + 1);
-                None
-            }
-        }
-    }
-
-    /// Records `key ↦ result` at `ty` in `ctx`. Skips nodes whose
-    /// free-variable types cannot all be resolved (nothing to replay
-    /// against), nodes containing metavariables, and identity mappings on
-    /// childless nodes (re-proving a leaf is as cheap as a table probe).
-    fn insert(&self, ctx: &Ctx, key: &TermRef, result: &TermRef, ty: &Ty) {
-        if key.has_meta() || result.has_meta() {
-            return;
-        }
-        if TermRef::ptr_eq(key, result)
-            && matches!(
-                key.as_ref(),
-                Term::Var(_) | Term::Const(_) | Term::Int(_) | Term::Unit
-            )
-        {
-            return;
-        }
-        let free_tys: Option<Vec<Ty>> = (0..key.max_free())
-            .map(|i| ctx.lookup(i).map(|(_, fty)| fty.clone()))
-            .collect();
-        let Some(free_tys) = free_tys else { return };
-        let mut entries = self.entries.borrow_mut();
-        if entries.len() >= CANON_CACHE_CAP {
-            entries.clear();
-        }
-        let bucket = entries.entry(key.id()).or_default();
-        if bucket
-            .iter()
-            .any(|e| Self::entry_matches(e, ctx, ty, key.max_free()))
-        {
-            return;
-        }
-        bucket.push(CanonEntry {
-            ty: ty.clone(),
-            free_tys,
-            result: result.clone(),
-        });
-    }
-
-    /// Every memoized entry, sorted by key then subject type (rendered as
-    /// text — `Ty` is not `Ord`) so the export is deterministic for a
-    /// given cache state. Feeds warm-image serialization; the entries
-    /// re-enter a (possibly fresh) cache through [`CanonCache::absorb`]
-    /// after their key ids are remapped.
-    pub fn export(&self) -> Vec<CanonExport> {
-        let entries = self.entries.borrow();
-        let mut out: Vec<CanonExport> = entries
-            .iter()
-            .flat_map(|(key, bucket)| {
-                bucket.iter().map(|e| CanonExport {
-                    key: *key,
-                    ty: e.ty.clone(),
-                    free_tys: e.free_tys.clone(),
-                    result: e.result.clone(),
-                })
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.key
-                .cmp(&b.key)
-                .then_with(|| a.ty.to_string().cmp(&b.ty.to_string()))
-        });
-        out
-    }
-
-    /// Re-inserts an exported entry under an already-remapped key.
-    /// Sound for the same reason `CanonCache::insert` is: the entry
-    /// asserts "the node now known by `key` canonicalizes to `result` at
-    /// `ty` under these free-variable types", and the remap table maps
-    /// the writer's id to the node of the *same α-class* in this store,
-    /// so the assertion carries over verbatim.
-    pub fn absorb(&self, e: CanonExport) {
-        let mut entries = self.entries.borrow_mut();
-        if entries.len() >= CANON_CACHE_CAP {
-            entries.clear();
-        }
-        let bucket = entries.entry(e.key).or_default();
-        if bucket
-            .iter()
-            .any(|x| x.ty == e.ty && x.free_tys == e.free_tys)
-        {
-            return;
-        }
-        bucket.push(CanonEntry {
-            ty: e.ty,
-            free_tys: e.free_tys,
-            result: e.result,
-        });
-    }
-}
-
-/// One exported [`CanonCache`] entry, in the open form warm images
-/// serialize (see [`CanonCache::export`] / [`CanonCache::absorb`]).
-#[derive(Debug, Clone)]
-pub struct CanonExport {
-    /// The memoized node's id (remapped on reload).
-    pub key: crate::store::NodeId,
-    /// Subject type the canonicalization was proven at.
-    pub ty: Ty,
-    /// Types of the node's free variables in the recording context.
-    pub free_tys: Vec<Ty>,
-    /// The canonical form.
-    pub result: TermRef,
-}
-
 /// Already-η-long subterms come back as the input `Rc` (pointer-equal),
 /// so canonicalizing a canonical term allocates nothing below the root.
-///
-/// With a `cache`, subtrees already proven canonical at this type (under
-/// a context binding their free variables at the same types) short-cut
-/// in O(1) without being traversed at all; every freshly proven subtree
-/// is recorded on the way out.
 fn eta_long(
     sig: &Signature,
     menv: &dyn MetaTypes,
     ctx: &Ctx,
     t: &TermRef,
     ty: &Ty,
-    cache: Option<&CanonCache>,
-) -> Result<TermRef, Error> {
-    if let Some(c) = cache {
-        if !t.has_meta() {
-            if let Some(hit) = c.lookup(ctx, t, ty) {
-                return Ok(hit);
-            }
-        }
-    }
-    let out = eta_long_node(sig, menv, ctx, t, ty, cache)?;
-    if let Some(c) = cache {
-        // Record both directions: the source node maps to its canonical
-        // form (so re-canonicalizing the same source is O(1)), and the
-        // canonical form maps to itself (so replacements sharing it by
-        // pointer short-cut).
-        c.insert(ctx, t, &out, ty);
-        if !TermRef::ptr_eq(t, &out) {
-            c.insert(ctx, &out, &out, ty);
-        }
-    }
-    Ok(out)
-}
-
-/// One node of the η-long traversal; callers go through [`eta_long`],
-/// which wraps this with the memo lookup/insert.
-fn eta_long_node(
-    sig: &Signature,
-    menv: &dyn MetaTypes,
-    ctx: &Ctx,
-    t: &TermRef,
-    ty: &Ty,
-    cache: Option<&CanonCache>,
 ) -> Result<TermRef, Error> {
     match ty {
         Ty::Arrow(dom, cod) => match t.as_ref() {
             Term::Lam(h, b) => {
                 let ctx2 = ctx.push(h.clone(), dom.as_ref().clone());
-                let b2 = eta_long(sig, menv, &ctx2, b, cod, cache)?;
+                let b2 = eta_long(sig, menv, &ctx2, b, cod)?;
                 if TermRef::ptr_eq(&b2, b) {
                     Ok(t.clone())
                 } else {
@@ -589,14 +322,14 @@ fn eta_long_node(
                 let ctx2 = ctx.push(hint.clone(), dom.as_ref().clone());
                 let body = Term::app(shift(t, 1), Term::Var(0));
                 let body = TermRef::new(nf(&body));
-                let body = eta_long(sig, menv, &ctx2, &body, cod, cache)?;
+                let body = eta_long(sig, menv, &ctx2, &body, cod)?;
                 Ok(TermRef::new(Term::lam(hint, body)))
             }
         },
         Ty::Prod(a, b) => match t.as_ref() {
             Term::Pair(x, y) => {
-                let x2 = eta_long(sig, menv, ctx, x, a, cache)?;
-                let y2 = eta_long(sig, menv, ctx, y, b, cache)?;
+                let x2 = eta_long(sig, menv, ctx, x, a)?;
+                let y2 = eta_long(sig, menv, ctx, y, b)?;
                 if TermRef::ptr_eq(&x2, x) && TermRef::ptr_eq(&y2, y) {
                     Ok(t.clone())
                 } else {
@@ -607,8 +340,8 @@ fn eta_long_node(
                 let x = TermRef::new(hfst(t.as_ref().clone()));
                 let y = TermRef::new(hsnd(t.as_ref().clone()));
                 Ok(TermRef::new(Term::pair(
-                    eta_long(sig, menv, ctx, &x, a, cache)?,
-                    eta_long(sig, menv, ctx, &y, b, cache)?,
+                    eta_long(sig, menv, ctx, &x, a)?,
+                    eta_long(sig, menv, ctx, &y, b)?,
                 )))
             }
         },
@@ -633,7 +366,7 @@ fn eta_long_node(
                     found: Ty::Unit,
                 }),
                 _ => {
-                    let (t2, found) = eta_long_neutral(sig, menv, ctx, t, cache)?;
+                    let (t2, found) = eta_long_neutral(sig, menv, ctx, t)?;
                     if matches!(ty, Ty::Var(_)) || &found == ty || matches!(found, Ty::Var(_)) {
                         Ok(t2)
                     } else {
@@ -655,7 +388,6 @@ fn eta_long_neutral(
     menv: &dyn MetaTypes,
     ctx: &Ctx,
     t: &TermRef,
-    cache: Option<&CanonCache>,
 ) -> Result<(TermRef, Ty), Error> {
     match t.as_ref() {
         Term::Var(i) => {
@@ -682,10 +414,10 @@ fn eta_long_neutral(
             Ok((t.clone(), ty.clone()))
         }
         Term::App(f, a) => {
-            let (f2, fty) = eta_long_neutral(sig, menv, ctx, f, cache)?;
+            let (f2, fty) = eta_long_neutral(sig, menv, ctx, f)?;
             match fty {
                 Ty::Arrow(dom, cod) => {
-                    let a2 = eta_long(sig, menv, ctx, a, &dom, cache)?;
+                    let a2 = eta_long(sig, menv, ctx, a, &dom)?;
                     if TermRef::ptr_eq(&f2, f) && TermRef::ptr_eq(&a2, a) {
                         Ok((t.clone(), *cod))
                     } else {
@@ -696,7 +428,7 @@ fn eta_long_neutral(
             }
         }
         Term::Fst(p) => {
-            let (p2, pty) = eta_long_neutral(sig, menv, ctx, p, cache)?;
+            let (p2, pty) = eta_long_neutral(sig, menv, ctx, p)?;
             match pty {
                 Ty::Prod(a, _) => {
                     if TermRef::ptr_eq(&p2, p) {
@@ -709,7 +441,7 @@ fn eta_long_neutral(
             }
         }
         Term::Snd(p) => {
-            let (p2, pty) = eta_long_neutral(sig, menv, ctx, p, cache)?;
+            let (p2, pty) = eta_long_neutral(sig, menv, ctx, p)?;
             match pty {
                 Ty::Prod(_, b) => {
                     if TermRef::ptr_eq(&p2, p) {
@@ -741,13 +473,19 @@ pub fn beta_eta_eq(
     Ok(canon(sig, menv, ctx, a, ty)? == canon(sig, menv, ctx, b, ty)?)
 }
 
-/// Whether a β-normal term is already η-long at `ty` (i.e. canonical).
-pub fn is_canonical(sig: &Signature, menv: &MetaEnv, ctx: &Ctx, t: &Term, ty: &Ty) -> bool {
-    t.is_beta_normal()
-        && match canon(sig, menv, ctx, t, ty) {
-            Ok(c) => &c == t,
-            Err(_) => false,
-        }
+/// Whether `t` is already canonical (η-long β-normal) at `ty`, decided
+/// without building anything: β-normality is the cached annotation, and
+/// η-longness is a strict-η run of the bidirectional checker (see
+/// [`crate::typeck`]), which clones no type, interns no node and does
+/// not recurse on the host stack.
+///
+/// `true` means [`canon`] returns `t` unchanged, so a caller may skip
+/// it. `false` is conservative: it covers η-short and ill-typed terms,
+/// and also checks at a type variable, which [`canon`] may accept as
+/// they are. Such callers fall back to [`canon`], which decides those
+/// cases and reports errors.
+pub fn is_canonical(sig: &Signature, menv: &dyn MetaTypes, ctx: &Ctx, t: &Term, ty: &Ty) -> bool {
+    t.is_beta_normal() && crate::typeck::check_eta_long(sig, menv, ctx, t, ty)
 }
 
 #[cfg(test)]

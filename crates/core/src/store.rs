@@ -39,13 +39,12 @@
 //! while the class is merely dead-but-cached, rebuilding it resurrects
 //! the *same* node and id, never a different class under that id).
 //! Downstream caches — the rewrite engine's rule-normal-form cache and
-//! normal-form memo, [`normalize::CanonCache`](crate::normalize::CanonCache)
-//! — therefore key on `NodeId` with no keepalive pinning: a stale entry
-//! under a dead id is unreachable garbage, not a soundness hazard, and
-//! the caches may outlive any particular engine instance or `normalize`
-//! call. (A cached *value* is another matter: the normal-form memo's
-//! entries hold their normal forms, and the canon memo its results, so
-//! those nodes stay live until the cache drops the entry.)
+//! normal-form memo — therefore key on `NodeId` with no keepalive
+//! pinning: a stale entry under a dead id is unreachable garbage, not a
+//! soundness hazard, and the caches may outlive any particular engine
+//! instance or `normalize` call. (A cached *value* is another matter:
+//! the normal-form memo's entries hold their normal forms, so those
+//! nodes stay live until the memo drops the entry.)
 //!
 //! Within one store, two live `TermRef`s have equal ids **iff** they are
 //! α-equivalent modulo hints — the O(1) `alpha_eq` fast path. Across

@@ -19,11 +19,16 @@
 //! Polymorphic constants cannot be handled without unification; the
 //! checker reports [`Error::PolyConstInChecking`] and callers fall back to
 //! [`crate::infer`].
+//!
+//! The same machine, in a strict-η mode, decides canonicity for
+//! [`crate::normalize::is_canonical`]: there a neutral term checked at an
+//! arrow, product or unit type (which [`crate::normalize::canon`] would
+//! η-expand) fails the check, and so does any check at a type variable.
 
 use crate::ctx::Ctx;
 use crate::error::Error;
 use crate::sig::Signature;
-use crate::term::{MetaEnv, Term};
+use crate::term::{MetaEnv, MetaTypes, Term};
 use crate::ty::Ty;
 
 /// What the checker does next.
@@ -62,8 +67,10 @@ enum Kont<'a> {
 /// stacks.
 struct Checker<'a> {
     sig: &'a Signature,
-    menv: &'a MetaEnv,
+    menv: &'a dyn MetaTypes,
     ctx: &'a Ctx,
+    /// Strict η: only an η-long term passes (see the module docs).
+    strict: bool,
     /// Types of the λ-binders entered inside `ctx`, innermost last.
     locals: Vec<&'a Ty>,
     /// Arguments of the application spines under way, the next one to
@@ -75,11 +82,12 @@ struct Checker<'a> {
 static INT: Ty = Ty::Int;
 
 impl<'a> Checker<'a> {
-    fn new(sig: &'a Signature, menv: &'a MetaEnv, ctx: &'a Ctx) -> Checker<'a> {
+    fn new(sig: &'a Signature, menv: &'a dyn MetaTypes, ctx: &'a Ctx) -> Checker<'a> {
         Checker {
             sig,
             menv,
             ctx,
+            strict: false,
             locals: Vec::new(),
             args: Vec::new(),
             konts: Vec::new(),
@@ -140,6 +148,12 @@ impl<'a> Checker<'a> {
                 return Ok(Step::Check(a, ta));
             }
             (Term::Unit, Ty::Unit) | (Term::Int(_), Ty::Int) => return Ok(Step::Checked),
+            // Not η-long: an η-short neutral, or a term at a type
+            // variable. Nothing is cloned; the caller only asks whether
+            // the check passed.
+            _ if self.strict && !matches!(ty, Ty::Base(_) | Ty::Int) => {
+                return Err(Error::NotNeutral)
+            }
             (Term::Lam(..), _) => "λ-abstraction",
             (Term::Pair(..), _) => "pair",
             (Term::Unit, _) => "unit value",
@@ -179,7 +193,7 @@ impl<'a> Checker<'a> {
             }
             Term::Meta(m) => self
                 .menv
-                .get(m)
+                .meta_ty(m)
                 .ok_or_else(|| Error::UnknownMeta { mvar: m.clone() })?,
             Term::Int(_) => &INT,
             Term::App(..) => {
@@ -249,6 +263,22 @@ pub fn check(sig: &Signature, menv: &MetaEnv, ctx: &Ctx, t: &Term, ty: &Ty) -> R
 pub fn synth(sig: &Signature, menv: &MetaEnv, ctx: &Ctx, t: &Term) -> Result<Ty, Error> {
     let ty = Checker::new(sig, menv, ctx).run(Step::Synth(t))?;
     Ok(ty.expect("a synthesis ends with a type").clone())
+}
+
+/// Whether `t` checks against `ty` in strict-η mode: the read-only
+/// canonicity decision behind [`crate::normalize::is_canonical`]. It
+/// clones no type and interns no node, and it keeps its continuations
+/// on the machine's explicit stack.
+pub(crate) fn check_eta_long(
+    sig: &Signature,
+    menv: &dyn MetaTypes,
+    ctx: &Ctx,
+    t: &Term,
+    ty: &Ty,
+) -> bool {
+    let mut checker = Checker::new(sig, menv, ctx);
+    checker.strict = true;
+    checker.run(Step::Check(t, ty)).is_ok()
 }
 
 /// Checks a closed term with no metavariables against `ty`.

@@ -352,10 +352,13 @@ impl fmt::Display for Clause {
     }
 }
 
-/// An atom in canonical form at the target type of its head. An atom
-/// whose head has no type here (an unknown or polymorphic constant, a
-/// variable out of scope, a λ) is only β-normalized: the machine
-/// rejects it as a bad atom before unifying it.
+/// An atom in canonical form at the target type of its head: the atom
+/// itself when it is canonical already, which the read-only
+/// [`normalize::is_canonical`] decides, and its rebuilt canonical form
+/// otherwise. An atom whose head has no type here (an unknown or
+/// polymorphic constant, a variable out of scope, a λ) is only
+/// β-normalized: the machine rejects it as a bad atom before unifying
+/// it.
 fn canonical_atom(
     sig: &Signature,
     metas: &dyn MetaTypes,
@@ -371,7 +374,11 @@ fn canonical_atom(
     };
     match head_ty {
         Some(ty) => {
-            normalize::canon(sig, metas, ctx, &t, ty.uncurry().1).map_err(UnifyError::IllTyped)
+            let ty = ty.uncurry().1;
+            if normalize::is_canonical(sig, metas, ctx, &t, ty) {
+                return Ok(t);
+            }
+            normalize::canon(sig, metas, ctx, &t, ty).map_err(UnifyError::IllTyped)
         }
         None => Ok(t),
     }

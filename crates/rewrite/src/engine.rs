@@ -10,8 +10,8 @@
 //!
 //! # Memo layers and rule dispatch
 //!
-//! Three memo layers keep a `normalize` call from re-doing work. All of
-//! them key on stable [`NodeId`]s from the hash-consed term
+//! Two memo layers keep a `normalize` call from re-doing work. Both key
+//! on stable [`NodeId`]s from the hash-consed term
 //! store — durable keys that are never reused — so the caches live in a
 //! shareable [`EngineCaches`] handle that can outlive any single engine
 //! instance (see [`Engine::with_caches`]):
@@ -23,14 +23,15 @@
 //!   nodes, so their cache entries survive and the restart-from-root loop
 //!   degenerates to a resume-at-site traversal while producing identical
 //!   [`RewriteStep`] traces;
-//! * a **canonical-form memo** ([`normalize::CanonCache`]) so that
-//!   canonicalizing each rewrite's replacement only pays for the fresh
-//!   right-hand-side skeleton, never for the matched subject subtrees it
-//!   shares by pointer;
 //! * a **normal-form memo** that replays one whole [`Engine::normalize`]
 //!   call on a closed subject (normal form and full trace) by the
 //!   subject's shallow node-id identity, so a repeated subject costs one
 //!   probe per call.
+//!
+//! Subjects and replacements must be canonical. Most already are, so the
+//! engine first decides that with [`normalize::is_canonical`], a
+//! read-only pass, and hands the term back as it is; only a term that
+//! fails the check is rebuilt by [`normalize::canon`].
 //!
 //! At each position, rule dispatch scans the [`RuleSet`] in insertion
 //! order and attempts a full match only for rules whose left-hand-side
@@ -74,10 +75,9 @@ pub struct EngineConfig {
     /// Traversal strategy.
     pub strategy: Strategy,
     /// Whether to use the memo layers (on by default): the
-    /// rule-normal-form cache, the canonical-form memo and the normal-form
-    /// memo. Disabling it forces a full re-traversal and
-    /// re-canonicalization at every step; results are identical either
-    /// way, which `tests/engine_cache_props.rs` property-checks.
+    /// rule-normal-form cache and the normal-form memo. Disabling it
+    /// forces a full re-traversal at every step; results are identical
+    /// either way, which `tests/engine_cache_props.rs` property-checks.
     pub cache: bool,
 }
 
@@ -165,10 +165,11 @@ pub struct EngineStats {
     pub general_attempts: u64,
     /// Native δ-rule attempts.
     pub native_attempts: u64,
-    /// Canonical-form memo hits: replacement subtrees whose η-long form
-    /// was replayed by interned node id instead of re-traversed.
+    /// Canonicalizations (of a subject or a replacement) that the
+    /// read-only check answered: the term was canonical already and was
+    /// returned as it is.
     pub canon_hits: u64,
-    /// Canonical-form memo lookups that fell through to a traversal.
+    /// Canonicalizations that failed the check and rebuilt the term.
     pub canon_misses: u64,
     /// Steps replayed from the normal-form memo: a hit adds the length
     /// of the trace it replays, so `steps - memo_hits` is the number of
@@ -238,6 +239,8 @@ struct Counters {
     pattern_attempts: Cell<u64>,
     general_attempts: Cell<u64>,
     native_attempts: Cell<u64>,
+    canon_hits: Cell<u64>,
+    canon_misses: Cell<u64>,
     memo_hits: Cell<u64>,
     memo_misses: Cell<u64>,
 }
@@ -320,9 +323,9 @@ const NF_MEMO_CAP: usize = 1 << 20;
 /// discipline as the other memo layers.
 const RULE_NF_CAP: usize = 1 << 20;
 
-/// The engine's durable cache state: rule-normal-form cache, normal-form
-/// memo, and canonical-form memo, bundled behind one cheaply clonable
-/// handle (`Clone` shares, it does not copy).
+/// The engine's durable cache state: rule-normal-form cache and
+/// normal-form memo, bundled behind one cheaply clonable handle (`Clone`
+/// shares, it does not copy).
 ///
 /// Every key in here is a stable [`NodeId`], so the handle stays sound
 /// after the engine — and even every subject term — is gone: ids are
@@ -342,14 +345,11 @@ const RULE_NF_CAP: usize = 1 << 20;
 /// node ids came from; engines in different stores must not share one.
 #[derive(Clone, Debug, Default)]
 pub struct EngineCaches {
-    /// Canonical-form memo for replacement canonicalization (see
-    /// [`hoas_core::normalize::CanonCache`] for the soundness argument).
-    pub(crate) canon: Rc<normalize::CanonCache>,
     /// Rule-normal-form cache, keyed on stable node id. Entries are never
     /// invalidated: whether a rule fires inside a node is a function of
     /// its α-class (plus the recorded types), which the id pins down
     /// forever.
-    rule_nf: Rc<RefCell<HashMap<NodeId, Vec<CacheEntry>>>>,
+    rule_nf: Rc<RefCell<HashMap<NodeId, Vec<CacheEntry>, FxBuild>>>,
     /// Normal-form memo: one whole [`Engine::normalize`] run that reached
     /// a fixpoint, keyed by the canonical subject's shallow id identity.
     /// An entry pins its normal form, but neither the subject (keyed by
@@ -466,13 +466,9 @@ impl<'a> Engine<'a> {
         &self.cfg
     }
 
-    /// Cumulative work counters since the engine was created.
-    ///
-    /// The canonical-form memo counters are a property of the shared
-    /// cache bundle, so they are cumulative over every engine that used
-    /// it, not just this one; per-call deltas via
-    /// [`NormalizeResult::stats`] are attributable to the call that
-    /// reports them. Interner counters live in [`hoas_core::store::stats`].
+    /// Cumulative work counters since the engine was created; per-call
+    /// deltas are in [`NormalizeResult::stats`]. Interner counters live
+    /// in [`hoas_core::store::stats`].
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             nodes_visited: self.counters.nodes_visited.get(),
@@ -482,22 +478,23 @@ impl<'a> Engine<'a> {
             pattern_attempts: self.counters.pattern_attempts.get(),
             general_attempts: self.counters.general_attempts.get(),
             native_attempts: self.counters.native_attempts.get(),
-            canon_hits: self.caches.canon.hits(),
-            canon_misses: self.caches.canon.misses(),
+            canon_hits: self.counters.canon_hits.get(),
+            canon_misses: self.counters.canon_misses.get(),
             memo_hits: self.counters.memo_hits.get(),
             memo_misses: self.counters.memo_misses.get(),
         }
     }
 
-    /// Canonicalizes a replacement at its splice position, through the
-    /// canonical-form memo when caching is enabled.
+    /// Canonicalizes a subject, or a replacement at its splice position:
+    /// the term itself when the read-only check passes, otherwise the
+    /// term rebuilt by [`normalize::canon`].
     fn canonize(&self, menv: &MetaEnv, ctx: &Ctx, t: &Term, ty: &Ty) -> Result<Term, RewriteError> {
-        if self.cfg.cache {
-            normalize::canon_with(self.sig, menv, ctx, t, ty, &self.caches.canon)
-        } else {
-            normalize::canon(self.sig, menv, ctx, t, ty)
+        if normalize::is_canonical(self.sig, menv, ctx, t, ty) {
+            bump(&self.counters.canon_hits);
+            return Ok(t.clone());
         }
-        .map_err(RewriteError::Core)
+        bump(&self.counters.canon_misses);
+        normalize::canon(self.sig, menv, ctx, t, ty).map_err(RewriteError::Core)
     }
 
     /// Attempts the rules at this exact position (no descent), returning
@@ -599,9 +596,7 @@ impl<'a> Engine<'a> {
         let replacement = match rule.classification() {
             PatternClass::Miller => {
                 debug_assert!(
-                    normalize::canon(self.sig, rule.menv(), ctx, &replacement, ty)
-                        .map(|c| c == replacement)
-                        .unwrap_or(false),
+                    normalize::is_canonical(self.sig, rule.menv(), ctx, &replacement, ty),
                     "Miller instantiation of rule `{}` must already be canonical",
                     rule.name()
                 );
@@ -833,50 +828,62 @@ impl<'a> Engine<'a> {
     /// Rewrites to a fixpoint (or until the step budget runs out). The
     /// subject is canonicalized first.
     ///
-    /// With caching on, a closed, meta-free composite subject is probed
-    /// once in the normal-form memo. A miss runs the plain step loop and
-    /// records the run if it reached a fixpoint. A hit replays the
-    /// recorded normal form and trace only when that is what a fresh run
-    /// would return: a certificate is attached, or the trace fits within
-    /// [`EngineConfig::max_steps`].
+    /// With caching on, a closed, meta-free composite subject is looked
+    /// up in the normal-form memo: the input as given first, then, if
+    /// canonicalizing rebuilt it, the canonical subject. A miss runs the
+    /// plain step loop and records the run if it reached a fixpoint. A
+    /// hit replays the recorded normal form and trace only when that is
+    /// what a fresh run would return: a certificate is attached, or the
+    /// trace fits within [`EngineConfig::max_steps`].
     ///
     /// Soundness: with fixed rules, signature, and match configuration
     /// (the cache-sharing contract) and the strategy recorded per entry,
     /// a run on a closed, meta-free subject is a function of its
     /// structure and type alone. Two roots that agree on their own node
     /// data and have id-identical children are the same term, so the
-    /// recorded run is exactly what a fresh one would produce. Native
-    /// δ-rules are assumed deterministic engine-wide; the
-    /// rule-normal-form cache's `None` short-circuit already relies on
-    /// the same assumption.
+    /// recorded run is exactly what a fresh one would produce. Entries
+    /// are keyed by canonical subjects, so an input that hits one at its
+    /// type is that canonical subject, and probing it before the
+    /// canonicity check is sound. Native δ-rules are assumed
+    /// deterministic engine-wide; the rule-normal-form cache's `None`
+    /// short-circuit already relies on the same assumption.
     ///
     /// # Errors
     ///
     /// Kernel/unification errors on malformed subjects or rules.
     pub fn normalize(&self, ty: &Ty, t: &Term) -> Result<NormalizeResult, RewriteError> {
         let before = self.stats();
-        // Canonicalizing the subject through the memo also seeds it with
-        // every subject subtree, which later replacement
-        // canonicalizations share by pointer.
-        let mut cur = self.canonize(&Default::default(), &Ctx::new(), t, ty)?;
-        let key = root_key(&cur).filter(|_| self.cfg.cache && !cur.has_metas());
-        let (hint, strategy) = (root_hint(&cur).cloned(), self.cfg.strategy);
-        let recorded = key.and_then(|key| {
+        let strategy = self.cfg.strategy;
+        let key_of = |s: &Term| root_key(s).filter(|_| self.cfg.cache && !s.has_metas());
+        let probe = |s: &Term| {
             let memo = self.caches.nf_memo.borrow();
+            let hint = root_hint(s);
             let e = memo
-                .get(&key)?
+                .get(&key_of(s)?)?
                 .iter()
-                .find(|e| e.ty == *ty && e.hint == hint && e.strategy == strategy)?;
+                .find(|e| e.ty == *ty && e.hint.as_ref() == hint && e.strategy == strategy)?;
             // A fresh run under a smaller budget stops short of the
             // fixpoint, so it is not replayed.
             (self.cert.is_some() || e.trace.len() <= self.cfg.max_steps)
                 .then(|| (e.term.clone(), e.trace.clone()))
-        });
+        };
+        // A replayed input is never checked: warm replay costs one probe.
+        let mut recorded = probe(t);
+        let mut subject = None;
+        if recorded.is_none() {
+            let cur = self.canonize(&Default::default(), &Ctx::new(), t, ty)?;
+            if (key_of(&cur), root_hint(&cur)) != (key_of(t), root_hint(t)) {
+                recorded = probe(&cur);
+            }
+            subject = Some(cur);
+        }
         let (term, trace, fixpoint) = if let Some((term, trace)) = recorded {
             self.check_certified(trace.len());
             add(&self.counters.memo_hits, trace.len());
             (term, trace, true)
         } else {
+            let mut cur = subject.expect("a memo miss canonicalizes the subject");
+            let (key, hint) = (key_of(&cur), root_hint(&cur).cloned());
             let mut trace = Vec::new();
             let fixpoint = loop {
                 if self.cert.is_none() && trace.len() >= self.cfg.max_steps {

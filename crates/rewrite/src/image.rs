@@ -5,11 +5,10 @@
 //! the store snapshot: [`save_warm_image`] registers every live node
 //! from [`hoas_core::store::image::snapshot`] into the encoder pool, so
 //! decoding the pool re-interns the entire store before any cache
-//! section is read. The body then carries the two memo tables of an
-//! [`EngineCaches`] bundle that warm replay reads — the canonical-form
-//! memo and the normal-form memo — each with its
-//! [`NodeId`](hoas_core::NodeId) keys written as the *writer's* raw ids,
-//! followed by any solver variant tables.
+//! section is read. The body then carries the one memo table of an
+//! [`EngineCaches`] bundle that warm replay reads, the normal-form memo,
+//! with its [`NodeId`](hoas_core::NodeId) keys written as the *writer's*
+//! raw ids, followed by any solver variant tables.
 //!
 //! [`load_warm_image`] replays the pool into the current store and
 //! translates every key through the decoder's `old id → new id` remap
@@ -18,8 +17,7 @@
 //! counted, never guessed. Everything else lands id-correct in the
 //! target bundle, so a re-built subject re-interns onto pool nodes and
 //! replays against the warm caches without traversing the subject at
-//! all: the canon memo hands back the subject's canonicalization, and
-//! the normal-form memo hands back its whole normalization. The
+//! all: the normal-form memo hands back its whole normalization. The
 //! rule-normal-form cache is consulted only by traversals, so a warm
 //! replay never reads it and the image does not carry it.
 //!
@@ -32,7 +30,6 @@
 use crate::engine::{EngineCaches, NfEntry, RootKey};
 use crate::engine::{MatchPath, RewriteStep, Strategy};
 use hoas_core::codec::{CodecError, Decoder, Encoder, Kind};
-use hoas_core::normalize::CanonExport;
 use hoas_core::store;
 use hoas_core::{Sym, Term, TermRef, Ty};
 
@@ -72,8 +69,6 @@ pub struct ImageStats {
     pub pool_nodes: u64,
     /// Pool nodes whose id changed between writer and loader.
     pub remapped_ids: u64,
-    /// Canonical-form memo entries carried by the image.
-    pub canon_entries: u64,
     /// Normal-form memo entries carried by the image: one per recorded
     /// `normalize` call, not one per step.
     pub normal_form_entries: u64,
@@ -112,16 +107,6 @@ pub fn save_warm_image_with_tables(caches: &EngineCaches, tables: &[SolverTableE
     // α-class before the cache sections reference one.
     for t in store::image::snapshot() {
         enc.register(&t);
-    }
-
-    // Canonical-form memo.
-    let canon = caches.canon.export();
-    enc.put_u64(canon.len() as u64);
-    for e in &canon {
-        enc.put_u64(e.key.get());
-        enc.put_ty(&e.ty);
-        put_tys(&mut enc, &e.free_tys);
-        enc.put_term_ref(&e.result);
     }
 
     // Normal-form memo, sorted by key tuple.
@@ -215,28 +200,6 @@ pub fn load_warm_image_with_tables(
         pool_nodes: dec.pool_len(),
         ..ImageStats::default()
     };
-
-    // Canonical-form memo.
-    let n_canon = dec.get_u64()?;
-    for _ in 0..n_canon {
-        let old = dec.get_u64()?;
-        let ty = dec.get_ty()?;
-        let free_tys = get_tys(&mut dec)?;
-        let result = dec.get_term()?;
-        stats.canon_entries += 1;
-        match dec.remap_id(old) {
-            Some(key) => {
-                caches.canon.absorb(CanonExport {
-                    key,
-                    ty,
-                    free_tys,
-                    result,
-                });
-                stats.entries_reloaded += 1;
-            }
-            None => stats.entries_dropped += 1,
-        }
-    }
 
     // Normal-form memo.
     let n_keys = dec.get_u64()?;
@@ -452,9 +415,11 @@ mod tests {
             let caches = EngineCaches::new();
             let stats = load_warm_image(&image, &caches).expect("image loads");
             assert!(stats.bytes > 0 && stats.pool_nodes > 0);
-            assert!(stats.canon_entries > 0, "canon section persisted");
             assert_eq!(stats.normal_form_entries, 3, "one entry per subject");
-            assert!(stats.entries_reloaded > 0);
+            assert_eq!(
+                stats.entries_reloaded, stats.normal_form_entries,
+                "the normal-form memo is the only cache section"
+            );
 
             let sig = fol_sig();
             let rules = fol_prenex::rules(&sig).expect("rules build");
@@ -466,6 +431,12 @@ mod tests {
             let es = engine.stats();
             assert_eq!(es.cache_lookups, 0, "warm replay reads no rule-NF entry");
             assert!(es.memo_hits > 0, "normal-form memo replays whole runs");
+            assert_eq!((es.nodes_visited, es.memo_misses), (0, 0));
+            assert_eq!(
+                es.canon_hits + es.canon_misses,
+                0,
+                "a replayed subject is not checked"
+            );
         });
     }
 

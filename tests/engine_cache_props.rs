@@ -132,6 +132,37 @@ fn miniml_ruleset_cache_transparent() {
     }
 }
 
+/// An η-short subject is canonicalized before it is rewritten: cached
+/// and uncached engines agree on it, and once the run of its canonical
+/// form is recorded, the η-short input replays that run from the memo.
+#[test]
+fn eta_short_subjects_agree_and_replay_their_canonical_run() {
+    let sig = fol::Vocabulary::small().signature();
+    let rules = fol_prenex::rules(&sig).unwrap();
+    let parse = |src: &str| parse_term(&sig, src).unwrap().term;
+    // `forall p` is `forall (\x. p x)` before η-expansion.
+    let short = parse("and (forall p) r");
+    let long = parse(r"and (forall (\x. p x)) r");
+    assert_ne!(short, long);
+    for strategy in STRATEGIES {
+        assert_cache_transparent(&sig, &rules, &fol::o(), &short, strategy);
+        let cfg = EngineConfig {
+            strategy,
+            ..EngineConfig::default()
+        };
+        let engine = Engine::with_config(&sig, &rules, cfg);
+        let recorded = engine.normalize(&fol::o(), &long).unwrap();
+        assert!(recorded.steps > 0, "the subject must rewrite");
+        let replay = engine.normalize(&fol::o(), &short).unwrap();
+        assert_same_result(&replay, &recorded, &format!("{strategy:?}, η-short"));
+        let s = replay.stats;
+        assert_eq!(s.memo_hits, recorded.steps as u64, "{s:?}");
+        assert_eq!((s.memo_misses, s.nodes_visited), (0, 0), "{s:?}");
+        // The input probe misses, the check fails, and `canon` rebuilds.
+        assert_eq!((s.canon_hits, s.canon_misses), (0, 1), "{s:?}");
+    }
+}
+
 /// The cache must actually fire on a realistic multi-pass workload: the
 /// bench prenex instances restart from the root after every rewrite, so
 /// already-proven subtrees are revisited and must hit. Rewriting also

@@ -72,9 +72,11 @@ fn warm_reload_replays_with_zero_misses() {
         let stats = load_warm_image(&image, &caches).expect("image loads");
         assert!(stats.bytes > 0);
         assert!(stats.pool_nodes > 0);
-        assert!(stats.canon_entries > 0);
         assert!(stats.normal_form_entries > 0);
-        assert!(stats.entries_reloaded > 0);
+        assert_eq!(
+            stats.entries_reloaded, stats.normal_form_entries,
+            "the image carries no cache section but the normal-form memo"
+        );
         assert!(stats.remapped_ids > 0, "salted store must remap ids");
 
         let (warm_results, es) = normalize_all(caches);
@@ -84,6 +86,13 @@ fn warm_reload_replays_with_zero_misses() {
             es.memo_hits > 0,
             "normal-form memo never hit on warm replay"
         );
+        // Leaf subjects are not memoized: each costs one visited node.
+        let leaves = workload()
+            .1
+            .iter()
+            .filter(|t| !matches!(t, Term::App(..)))
+            .count() as u64;
+        assert_eq!((es.nodes_visited, es.memo_misses), (leaves, 0));
         // The load created nodes in this fresh store.
         assert!(hoas::core::store::stats().since(&before).distinct_nodes > 0);
     });

@@ -287,6 +287,28 @@ fn deep_terms_parse_and_check_on_a_2mib_stack() {
 }
 
 #[test]
+fn canonicity_of_a_million_deep_term_is_decided_on_a_2mib_stack() {
+    // `f (f (… c))`, a million applications deep, is canonical; the same
+    // spine around `g f`, whose argument is a neutral at arrow type, is
+    // η-short. Each term is built in a store of its own, which dies once
+    // the term is decided.
+    let decide = |innermost: fn() -> Term| {
+        on_2mib_stack(move || {
+            StoreHandle::isolated().enter(|| {
+                let t = (0..1_000_000).fold(innermost(), |t, _| Term::app(Term::cnst("f"), t));
+                let b = Ty::base("b");
+                normalize::is_canonical(&sig(), &MetaEnv::new(), &Ctx::new(), &t, &b)
+            })
+        })
+    };
+    assert!(decide(|| Term::cnst("c")), "the η-long term is canonical");
+    assert!(
+        !decide(|| Term::app(Term::cnst("g"), Term::cnst("f"))),
+        "an η-short neutral deep inside is not"
+    );
+}
+
+#[test]
 fn deep_types_are_a_typed_error_not_an_abort() {
     let limit = hoas::core::MAX_TY_NESTING as usize;
     let parens = |n: usize| format!("{}b{}", "(".repeat(n), ")".repeat(n));

@@ -18,6 +18,11 @@
 //! annotations the session path computes must agree with the smart
 //! constructors'.
 //!
+//! The read-only canonicity check, [`normalize::is_canonical`], is held
+//! to its contract with `normalize::canon` on the same four signatures:
+//! a pass means `canon` returns its input, and a well-typed term that
+//! `canon` returns unchanged passes.
+//!
 //! [`NodeId`]: hoas::core::store::NodeId
 //! [`StoreHandle::enter`]: hoas::core::store::StoreHandle::enter
 
@@ -589,5 +594,134 @@ fn miniml_ruleset_sound_under_session_kernel() {
     for p in &programs {
         let t = miniml::encode(p).unwrap();
         assert_engine_result_sound(sig, &rules, &miniml::exp(), &t);
+    }
+}
+
+// ------------------------------------------------ the canonicity check --
+
+/// Every bundled signature, with the base type its encodings live at.
+fn bundled_signatures() -> Vec<(Signature, Ty)> {
+    vec![
+        (lambda::signature().clone(), lambda::tm()),
+        (fol::Vocabulary::small().signature(), fol::o()),
+        (imp::signature().clone(), imp::cmd_ty()),
+        (miniml::signature().clone(), miniml::exp()),
+    ]
+}
+
+/// `t` with the `n`-th node in preorder replaced by `f` of it.
+fn replace_nth(t: &Term, n: usize, f: &impl Fn(&Term) -> Term) -> Term {
+    fn go(t: &Term, n: usize, seen: &mut usize, f: &impl Fn(&Term) -> Term) -> Term {
+        if *seen == n {
+            *seen += 1;
+            return f(t);
+        }
+        *seen += 1;
+        match t {
+            Term::Lam(h, b) => Term::lam(h.clone(), go(b, n, seen, f)),
+            Term::App(a, b) => {
+                let a = go(a, n, seen, f);
+                Term::app(a, go(b, n, seen, f))
+            }
+            Term::Pair(a, b) => {
+                let a = go(a, n, seen, f);
+                Term::pair(a, go(b, n, seen, f))
+            }
+            Term::Fst(p) => Term::fst(go(p, n, seen, f)),
+            Term::Snd(p) => Term::snd(go(p, n, seen, f)),
+            Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => t.clone(),
+        }
+    }
+    go(t, n, &mut 0, f)
+}
+
+/// Number of nodes of `t`.
+fn size(t: &Term) -> usize {
+    1 + match t {
+        Term::Lam(_, b) | Term::Fst(b) | Term::Snd(b) => size(b),
+        Term::App(a, b) | Term::Pair(a, b) => size(a) + size(b),
+        Term::Var(_) | Term::Const(_) | Term::Meta(_) | Term::Int(_) | Term::Unit => 0,
+    }
+}
+
+/// The two directions of the check's contract on one input: `true`
+/// means [`normalize::canon`] returns the input, and on a well-typed
+/// input at a type without type variables the converse holds too.
+fn assert_check_agrees_with_canon(sig: &Signature, ctx: &Ctx, t: &Term, ty: &Ty) {
+    let menv = MetaEnv::new();
+    let decided = normalize::is_canonical(sig, &menv, ctx, t, ty);
+    let rebuilt = normalize::canon(sig, &menv, ctx, t, ty);
+    if decided {
+        assert_eq!(rebuilt.as_ref(), Ok(t), "`{t}` passed the check at {ty}");
+    }
+    let monomorphic = ty.is_ground() && typeck::check(sig, &menv, ctx, t, ty).is_ok();
+    if monomorphic && rebuilt.as_ref() == Ok(t) {
+        assert!(decided, "canonical `{t}` failed the check at {ty}");
+    }
+}
+
+props! {
+    #![cases(64)]
+
+    fn canonicity_check_agrees_with_canon(seed in seeds(), depth in 1u32..5) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for (sig, base) in &bundled_signatures() {
+            check_variants(sig, base, &mut rng, depth);
+        }
+    }
+}
+
+/// Generates a canonical term over `sig`, and checks it and its η-short,
+/// β-redex and ill-typed variants with [`assert_check_agrees_with_canon`].
+fn check_variants(sig: &Signature, base: &Ty, rng: &mut SmallRng, depth: u32) {
+    let mono = |c: &Sym| sig.const_ty(c.as_str()).and_then(|s| s.as_mono()).cloned();
+    // Binders at base, arrow, product and unit type, outermost first, so
+    // that η-short variables of each kind occur.
+    let binders = [
+        base.clone(),
+        Ty::arrow(base.clone(), base.clone()),
+        Ty::prod(base.clone(), Ty::Unit),
+        Ty::Unit,
+    ];
+    let ctx = binders
+        .iter()
+        .fold(Ctx::new(), |c, ty| c.push(Sym::new("v"), ty.clone()));
+    // The base type, each constant's own type, and compound types.
+    let mut tys = vec![
+        base.clone(),
+        binders[1].clone(),
+        binders[2].clone(),
+        Ty::Unit,
+    ];
+    tys.extend(sig.consts().filter_map(|(c, _)| mono(c)));
+    let ty = tys[rng.gen_range(0..tys.len())].clone();
+    let Some(t) = gen::open_term(sig, rng, &binders, &ty, depth) else {
+        return;
+    };
+    let k = rng.gen_range(0..size(&t));
+    let variants = [
+        normalize::eta_contract(&t),
+        // A β-redex at a random position.
+        replace_nth(&t, k, &|s| {
+            Term::app(Term::lam("z", subst::shift(s, 1)), Term::Unit)
+        }),
+        // A variable in place of a random subterm, η-short at arrow,
+        // product or unit type, or ill-typed.
+        replace_nth(&t, k, &|_| Term::Var(k as u32 % 4)),
+        t,
+    ];
+    for v in &variants {
+        assert_check_agrees_with_canon(sig, &ctx, v, &ty);
+        // At another type too: mostly ill-typed.
+        assert_check_agrees_with_canon(sig, &ctx, v, &tys[(k + 1) % tys.len()]);
+    }
+    // Each binder's variable alone, and each constant alone.
+    for (i, vty) in binders.iter().rev().enumerate() {
+        assert_check_agrees_with_canon(sig, &ctx, &Term::Var(i as u32), vty);
+    }
+    for (c, _) in sig.consts() {
+        if let Some(cty) = mono(c) {
+            assert_check_agrees_with_canon(sig, &ctx, &Term::cnst(c.clone()), &cty);
+        }
     }
 }

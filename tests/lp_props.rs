@@ -1160,9 +1160,10 @@ fn shared_calls_grow_on_a_2mib_stack() {
     // the argument: host recursion stays bounded by the head's depth.
     //
     // Debug builds also check every walk against the unifier on the
-    // resolved call, and the unifier's own debug checks re-canonicalize
-    // that i-node argument recursively: quadratic in n and deep in host
-    // stack. There the chain is ten times shorter and the stack 64 MiB;
+    // resolved call, and resolving the call grafts it through the
+    // bindings of every step before, one host frame per binding:
+    // quadratic in n and deep in host stack. There the chain is ten
+    // times shorter and the stack 64 MiB;
     // the 2 MiB bound is checked on the release build (CI runs this test
     // there too).
     let (n, stack) = if cfg!(debug_assertions) {
